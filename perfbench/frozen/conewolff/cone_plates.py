@@ -1,0 +1,513 @@
+"""Plate families on cones, their rescalings, and the induction exponent schedule.
+
+A (delta, lambda)-plate at anchor alpha is the parallelepiped
+
+    lambda/2 <= |<u1, xi>| <= 2 lambda,
+    |<u2, xi - xi3 u1>| <= lambda delta^{1/2},
+    |<u3, xi>| <= lambda delta,
+
+with frame u1 = (g(alpha), 1), u2 = (g'(alpha), 0), u3 = u1 x u2.  The
+A-extension scales each bound by A (and the lower bound by 1/A).
+"""
+
+from __future__ import annotations
+
+import json
+import math
+from dataclasses import dataclass, field
+from typing import Optional, Sequence
+
+import numpy as np
+
+from .curve_geometry import GeneratorCurve, unit_circle_generator
+from .errors import DegenerateCurvature, EmptyFamily, NotCircular
+
+TWO_PI = 2.0 * math.pi
+
+
+# ---------------------------------------------------------------------------
+# Plate
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class Plate:
+    alpha: float
+    u1: np.ndarray
+    u2: np.ndarray
+    u3: np.ndarray
+    delta: float
+    lam: float
+    A: float = 1.0
+
+    def __post_init__(self):
+        self.u1 = np.asarray(self.u1, dtype=float)
+        self.u2 = np.asarray(self.u2, dtype=float)
+        self.u3 = np.asarray(self.u3, dtype=float)
+        # rows of the coordinate map xi -> (t1, t2, t3)
+        f2 = self.u2 - np.dot(self.u1, self.u2) * np.array([0.0, 0.0, 1.0])
+        self._M = np.stack([self.u1, f2, self.u3])
+        self._Minv = np.linalg.inv(self._M)
+
+    def coords(self, xi: np.ndarray) -> np.ndarray:
+        """(t1, t2, t3) = (<u1,xi>, <u2, xi - xi3 u1>, <u3,xi>)."""
+        return self._M @ np.asarray(xi, dtype=float)
+
+    def point(self, t: np.ndarray) -> np.ndarray:
+        return self._Minv @ np.asarray(t, dtype=float)
+
+    @property
+    def bounds(self) -> np.ndarray:
+        """Upper bounds (2*lam, lam*sqrt(delta), lam*delta) at A=1."""
+        return np.array([2.0 * self.lam,
+                         self.lam * math.sqrt(self.delta),
+                         self.lam * self.delta])
+
+    def min_extension(self, xi: np.ndarray) -> float:
+        """Smallest A >= 1 for which xi lies in the A-extension."""
+        t = np.abs(self.coords(xi))
+        if t[0] == 0.0:
+            return math.inf
+        return max(1.0,
+                   self.lam / (2.0 * t[0]),
+                   t[0] / (2.0 * self.lam),
+                   t[1] / (self.lam * math.sqrt(self.delta)),
+                   t[2] / (self.lam * self.delta))
+
+    def center(self) -> np.ndarray:
+        """Canonical center point with <u1,xi> = lam and t2 = t3 = 0."""
+        return self.point(np.array([self.lam, 0.0, 0.0]))
+
+    def corners(self) -> np.ndarray:
+        """The 8 corners of the positive-t1 box in t-coordinates, mapped to xi."""
+        b = self.bounds
+        out = []
+        for s1 in (self.lam / 2.0, 2.0 * self.lam):
+            for s2 in (-b[1], b[1]):
+                for s3 in (-b[2], b[2]):
+                    out.append(self.point(np.array([s1, s2, s3])))
+        return np.array(out)
+
+    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        """Uniform interior samples of the positive-t1 box."""
+        t1 = rng.uniform(self.lam / 2.0, 2.0 * self.lam, n)
+        t2 = rng.uniform(-1.0, 1.0, n) * self.bounds[1]
+        t3 = rng.uniform(-1.0, 1.0, n) * self.bounds[2]
+        return (np.stack([t1, t2, t3], axis=1) @ self._Minv.T)
+
+
+def make_plate(g: GeneratorCurve, alpha: float, delta: float, lam: float,
+               A: float = 1.0) -> Plate:
+    if not (g.domain[0] <= alpha <= g.domain[1]):
+        raise ValueError(f"alpha={alpha} outside generator domain {g.domain}")
+    if not (0.0 < delta <= 1.0) or lam <= 0.0:
+        raise ValueError("require 0 < delta <= 1 and lambda > 0")
+    gv = g.eval(alpha)
+    gp = g.derivative(alpha, 1)
+    u1 = np.array([gv[0], gv[1], 1.0])
+    u2 = np.array([gp[0], gp[1], 0.0])
+    u3 = np.cross(u1, u2)
+    return Plate(alpha=alpha, u1=u1, u2=u2, u3=u3, delta=delta, lam=lam, A=A)
+
+
+def plate_contains(plate: Plate, xi: np.ndarray) -> bool:
+    t = np.abs(plate.coords(xi))
+    A = plate.A
+    b = plate.bounds
+    return (plate.lam / (2.0 * A) <= t[0] <= A * b[0]
+            and t[1] <= A * b[1]
+            and t[2] <= A * b[2])
+
+
+# ---------------------------------------------------------------------------
+# PlateFamily
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class PlateFamily:
+    plates: list[Plate]
+    delta: float
+    lam: float
+    theta: float
+    sigma: float
+    generator: GeneratorCurve
+
+    def __post_init__(self):
+        alphas = sorted(p.alpha for p in self.plates)
+        if len(alphas) == 0:
+            raise EmptyFamily("plate family has no plates")
+        if self.sigma > math.sqrt(self.delta) + 1e-12:
+            raise ValueError("separation sigma must satisfy sigma <= sqrt(delta)")
+        for a, b in zip(alphas, alphas[1:]):
+            if b - a < self.sigma - 1e-12:
+                raise ValueError("plate anchors violate sigma-separation")
+        if alphas[-1] - alphas[0] > self.theta + 1e-12:
+            raise ValueError("plate anchors exceed the theta-window")
+
+
+def make_family(g: GeneratorCurve, delta: float, lam: float, theta: float,
+                sigma: float, alpha0: Optional[float] = None) -> PlateFamily:
+    """Anchors on a uniform sigma-grid inside a theta-window starting at alpha0."""
+    lo, hi = g.domain
+    start = lo if alpha0 is None else alpha0
+    if start < lo or start > hi:
+        raise ValueError("alpha0 outside generator domain")
+    end = min(start + theta, hi)
+    count = int(math.floor((end - start) / sigma + 1e-9)) + 1
+    anchors = [start + i * sigma for i in range(count)]
+    anchors = [a for a in anchors if a <= hi + 1e-12]
+    if not anchors:
+        raise EmptyFamily("theta-window admits no anchor")
+    plates = [make_plate(g, a, delta, lam) for a in anchors]
+    return PlateFamily(plates=plates, delta=delta, lam=lam, theta=theta,
+                       sigma=sigma, generator=g)
+
+
+# ---------------------------------------------------------------------------
+# reduction steps
+# ---------------------------------------------------------------------------
+
+
+def rotate_step1(family: PlateFamily, alpha0: float) -> PlateFamily:
+    """Rotate every plate frame about the xi3 axis by the angle alpha0.
+
+    For the circular generator this maps the plate at alpha to the plate at
+    alpha + alpha0; the geometry is congruent.
+    """
+    if family.generator.kind != "circle":
+        raise NotCircular("rotation step requires the circular generator")
+    c, s = math.cos(alpha0), math.sin(alpha0)
+    R = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+    plates = [Plate(alpha=p.alpha + alpha0, u1=R @ p.u1, u2=R @ p.u2,
+                    u3=R @ p.u3, delta=p.delta, lam=p.lam, A=p.A)
+              for p in family.plates]
+    return PlateFamily(plates=plates, delta=family.delta, lam=family.lam,
+                       theta=family.theta, sigma=family.sigma,
+                       generator=family.generator)
+
+
+def parabolic_rescale_step1(theta: float) -> np.ndarray:
+    """Linear map fixing (1,0,1), scaling (0,1,0) by 1/theta and (1,0,-1) by
+    1/theta^2; it leaves the light cone invariant."""
+    if not (0.0 < theta <= 1.0):
+        raise ValueError("require 0 < theta <= 1")
+    basis = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0], [1.0, 0.0, -1.0]]).T
+    images = np.array([[1.0, 0.0, 1.0],
+                       [0.0, 1.0 / theta, 0.0],
+                       [1.0 / theta**2, 0.0, -1.0 / theta**2]]).T
+    return images @ np.linalg.inv(basis)
+
+
+def tilt_normalize(a: float, b: float, rho: float, K: float = 10.0) -> np.ndarray:
+    """Map Xi = ((xi1 - a xi3)/rho, (xi2 - b xi3)/rho, xi3) normalizing the
+    cone over the tilted circle (a + rho cos, b + rho sin) to the light cone."""
+    if abs(a) + abs(b) + rho + 1.0 / rho > K:
+        raise ValueError(f"|a|+|b|+rho+1/rho exceeds K={K}")
+    return np.array([[1.0 / rho, 0.0, -a / rho],
+                     [0.0, 1.0 / rho, -b / rho],
+                     [0.0, 0.0, 1.0]])
+
+
+def osculating_circle(g: GeneratorCurve, alpha_mu: float,
+                      floor: float = 1e-10):
+    """Second-order circular approximation of g at alpha_mu.
+
+    Returns (center, rho, phi_mu, circle) where circle is the GeneratorCurve
+
+        g_mu(alpha) = g(alpha_mu) + rho n(alpha_mu)
+                      + rho (cos((alpha - alpha_mu - phi_mu)/rho),
+                             sin((alpha - alpha_mu - phi_mu)/rho))
+
+    with n = (-g2', g1')/|g'| and rho the reciprocal curvature.
+    """
+    g0 = g.eval(alpha_mu)
+    g1 = g.derivative(alpha_mu, 1)
+    g2 = g.derivative(alpha_mu, 2)
+    det2 = g1[0] * g2[1] - g1[1] * g2[0]
+    if abs(det2) < floor:
+        raise DegenerateCurvature(f"|g1'g2'' - g2'g1''| = {abs(det2):.3e} at "
+                                  f"alpha={alpha_mu}")
+    speed = float(np.linalg.norm(g1))
+    curv = abs(det2) / speed**3
+    rho = 1.0 / curv
+    # n and the phase equations give second-order contact for positively
+    # oriented g (det2 > 0); signed rho handles the clockwise case too.
+    rho = math.copysign(rho, det2)
+    n = np.array([-g1[1], g1[0]]) / speed
+    center = g0 + rho * n
+    # phase: |g'| sin(phi/rho) = g1', |g'| cos(phi/rho) = g2'
+    phi = rho * math.atan2(g1[0], g1[1])
+    phi %= TWO_PI * abs(rho)
+
+    def ev(alpha):
+        ang = (alpha - alpha_mu - phi) / rho
+        return center + rho * np.array([math.cos(ang), math.sin(ang)])
+
+    def dv(alpha, j):
+        ang = (alpha - alpha_mu - phi) / rho
+        scale = rho ** (1 - j)
+        cyc = [(math.cos(ang), math.sin(ang)), (-math.sin(ang), math.cos(ang)),
+               (-math.cos(ang), -math.sin(ang)), (math.sin(ang), -math.cos(ang))]
+        cx, sx = cyc[j % 4]
+        if j == 0:
+            return ev(alpha)
+        return scale * np.array([cx, sx])
+
+    circle = GeneratorCurve(ev, dv, domain=g.domain, kind="osculating_circle")
+    return center, rho, phi, circle
+
+
+def osculating_deviation_sweep(g: GeneratorCurve, alpha_mu: float,
+                               deltas: Sequence[float], samples: int = 400) -> dict:
+    """Max |g - g_mu| over |alpha - alpha_mu| <= delta^{1/3} per delta, with a
+    log-log slope fit and the fitted constant C = max dev/delta."""
+    _, _, _, circle = osculating_circle(g, alpha_mu)
+    devs = []
+    for d in deltas:
+        w = d ** (1.0 / 3.0)
+        lo = max(g.domain[0], alpha_mu - w)
+        hi = min(g.domain[1], alpha_mu + w)
+        grid = np.linspace(lo, hi, samples)
+        dev = max(float(np.linalg.norm(g.eval(a) - circle.eval(a))) for a in grid)
+        devs.append(dev)
+    logs_d = np.log2(np.asarray(deltas, dtype=float))
+    logs_v = np.log2(np.maximum(devs, 1e-300))
+    slope, intercept = np.polyfit(logs_d, logs_v, 1)
+    return {
+        "deltas": list(map(float, deltas)),
+        "max_deviation": devs,
+        "slope": float(slope),
+        "fitted_constant": float(max(dv / d for dv, d in zip(devs, deltas))),
+    }
+
+
+# ---------------------------------------------------------------------------
+# exponent schedule
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class ExponentSchedule:
+    p: float
+    eps: float
+    betas: list[float]
+    n_star: int
+
+    @property
+    def fixed_point(self) -> float:
+        return 0.5 - 2.0 / self.p + self.eps / 2.0
+
+
+def exponent_schedule(p: float, eps: float) -> ExponentSchedule:
+    """Iterate beta' = (2/3) beta + (1/3)(1/2 - 2/p + eps/2) from beta_0 = 1.
+
+    n_star is the smallest integer exceeding log(2/eps)/log(3/2); the closed
+    form beta_n = (2/3)^n + (1 - (2/3)^n)(1/2 - 2/p + eps/2) holds exactly.
+    """
+    if p <= 2.0:
+        raise ValueError("require p > 2")
+    if eps <= 0.0:
+        raise ValueError("require eps > 0")
+    target = 0.5 - 2.0 / p + eps / 2.0
+    threshold = math.log(2.0 / eps) / math.log(1.5)
+    n_star = max(1, math.floor(threshold) + 1)
+    if float(n_star) <= threshold:  # exact-integer threshold edge
+        n_star += 1
+    betas = [1.0]
+    for _ in range(n_star):
+        betas.append((2.0 / 3.0) * betas[-1] + (1.0 / 3.0) * target)
+    return ExponentSchedule(p=p, eps=eps, betas=betas, n_star=n_star)
+
+
+# ---------------------------------------------------------------------------
+# containment verification
+# ---------------------------------------------------------------------------
+
+
+def verify_containment(mapped_plates: Sequence[Plate], target_family: PlateFamily,
+                       A: float, linear_map: Optional[np.ndarray] = None,
+                       samples: int = 10000, seed: int = 0) -> dict:
+    """Sample each source plate (8 corners + random interior points), apply the
+    optional linear map, and report the smallest sufficient extension factor of
+    the best-matching target plate.  Failures are data, not exceptions."""
+    rng = np.random.default_rng(seed)
+    L = np.eye(3) if linear_map is None else np.asarray(linear_map, dtype=float)
+    per_plate = []
+    for plate in mapped_plates:
+        pts = np.vstack([plate.corners(), plate.sample(samples, rng)]) @ L.T
+        best = math.inf
+        best_alpha = None
+        for target in target_family.plates:
+            need = max(target.min_extension(x) for x in pts)
+            if need < best:
+                best = need
+                best_alpha = target.alpha
+        per_plate.append({"alpha": plate.alpha, "required_A": best,
+                          "matched_alpha": best_alpha})
+    max_A = max(e["required_A"] for e in per_plate)
+    return {"per_plate": per_plate, "max_required_A": max_A,
+            "A": A, "pass": bool(max_A <= A * (1.0 + 1e-9))}
+
+
+# ---------------------------------------------------------------------------
+# admissible bump functions
+# ---------------------------------------------------------------------------
+
+
+def _mollifier(t: np.ndarray) -> np.ndarray:
+    t = np.asarray(t, dtype=float)
+    out = np.zeros_like(t)
+    inside = np.abs(t) < 1.0
+    ti = t[inside]
+    out[inside] = np.exp(1.0 - 1.0 / (1.0 - ti * ti))
+    return out
+
+
+class BumpFunction:
+    """Tensor bump in the plate's dual frame, supported inside the plate.
+
+    eval(xi) = m((t1 - lam)/(lam/2)) m(t2/(lam sqrt(delta))) m(t3/(lam delta))
+    with m the standard compactly supported mollifier (normalized to m(0)=1).
+    """
+
+    def __init__(self, plate: Plate):
+        self.plate = plate
+
+    def eval(self, xi: np.ndarray) -> float:
+        t = self.plate.coords(xi)
+        b = self.plate.bounds
+        return float(_mollifier((t[0] - self.plate.lam) / (self.plate.lam / 2.0))
+                     * _mollifier(t[1] / b[1]) * _mollifier(t[2] / b[2]))
+
+    def eval_many(self, xis: np.ndarray) -> np.ndarray:
+        t = xis @ self.plate._M.T
+        b = self.plate.bounds
+        return (_mollifier((t[:, 0] - self.plate.lam) / (self.plate.lam / 2.0))
+                * _mollifier(t[:, 1] / b[1]) * _mollifier(t[:, 2] / b[2]))
+
+    def verify_derivative_bounds(self, grid_n: int = 5, max_order: int = 2,
+                                 rng: Optional[np.random.Generator] = None) -> dict:
+        """Max ratio of |<u1,grad>^n1 <u2,grad>^n2 <u3,grad>^n3 eval| to the
+        scaling lam^{-n1-n2-n3} delta^{-n2/2 - n3}, orders n1+n2+n3 <= max_order."""
+        p = self.plate
+        rng = rng or np.random.default_rng(0)
+        pts = np.vstack([p.center(), p.sample(grid_n**3, rng)])
+        dirs = [p.u1, p.u2, p.u3]
+        steps = [p.lam * 1e-3, p.lam * math.sqrt(p.delta) * 1e-3,
+                 p.lam * p.delta * 1e-3]
+        worst = 0.0
+        for n1 in range(max_order + 1):
+            for n2 in range(max_order + 1 - n1):
+                for n3 in range(max_order + 1 - n1 - n2):
+                    if n1 + n2 + n3 == 0:
+                        bound = 1.0
+                        vals = [abs(self.eval(x)) for x in pts]
+                        worst = max(worst, max(vals) / bound)
+                        continue
+                    bound = (p.lam ** -(n1 + n2 + n3)
+                             * p.delta ** -(n2 / 2.0 + n3))
+                    for x in pts:
+                        v = self._directional(x, (n1, n2, n3), dirs, steps)
+                        worst = max(worst, abs(v) / bound)
+        return {"max_ratio": worst, "max_order": max_order}
+
+    def _directional(self, x, orders, dirs, steps):
+        f = self.eval
+        for i, n in enumerate(orders):
+            for _ in range(n):
+                f = self._diff_along(f, dirs[i] / np.linalg.norm(dirs[i]),
+                                     steps[i])
+        return f(x)
+
+    @staticmethod
+    def _diff_along(f, direction, h):
+        return lambda x: (f(x + h * direction) - f(x - h * direction)) / (2.0 * h)
+
+
+# ---------------------------------------------------------------------------
+# exports
+# ---------------------------------------------------------------------------
+
+
+def family_to_json(family: PlateFamily) -> str:
+    data = {
+        "delta": family.delta,
+        "lambda": family.lam,
+        "theta": family.theta,
+        "sigma": family.sigma,
+        "generator": family.generator.kind,
+        "plates": [
+            {
+                "alpha": p.alpha,
+                "u1": p.u1.tolist(),
+                "u2": p.u2.tolist(),
+                "u3": p.u3.tolist(),
+                "A": p.A,
+            }
+            for p in family.plates
+        ],
+    }
+    return json.dumps(data, indent=2, sort_keys=True)
+
+
+def _slice_polygon(plate: Plate, xi3: float) -> list[tuple[float, float]]:
+    """Cross-section polygon of the (positive-branch) plate at fixed xi3."""
+    b = plate.bounds
+    lo = np.array([plate.lam / 2.0, -b[1], -b[2]])
+    hi = np.array([2.0 * plate.lam, b[1], b[2]])
+    corners_t = [np.array([x, y, z]) for x in (lo[0], hi[0])
+                 for y in (lo[1], hi[1]) for z in (lo[2], hi[2])]
+    edges = [(i, j) for i in range(8) for j in range(i + 1, 8)
+             if sum(a != b for a, b in zip(
+                 [(0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 1),
+                  (1, 0, 0), (1, 0, 1), (1, 1, 0), (1, 1, 1)][i],
+                 [(0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 1),
+                  (1, 0, 0), (1, 0, 1), (1, 1, 0), (1, 1, 1)][j])) == 1]
+    pts = []
+    for i, j in edges:
+        a = plate.point(corners_t[i])
+        c = plate.point(corners_t[j])
+        da, dc = a[2] - xi3, c[2] - xi3
+        if da == dc:
+            continue
+        t = da / (da - dc)
+        if 0.0 <= t <= 1.0:
+            q = a + t * (c - a)
+            pts.append((q[0], q[1]))
+    if len(pts) < 3:
+        return []
+    cx = sum(p[0] for p in pts) / len(pts)
+    cy = sum(p[1] for p in pts) / len(pts)
+    pts.sort(key=lambda p: math.atan2(p[1] - cy, p[0] - cx))
+    return pts
+
+
+def family_svg_cross_section(family: PlateFamily, xi3: Optional[float] = None,
+                             size: int = 600) -> str:
+    """SVG drawing of all plate cross-sections at a fixed xi3 level."""
+    if xi3 is None:
+        xi3 = family.lam
+    polys = [_slice_polygon(p, xi3) for p in family.plates]
+    polys = [p for p in polys if p]
+    allpts = [q for poly in polys for q in poly] or [(0, 0), (1, 1)]
+    xs = [q[0] for q in allpts]
+    ys = [q[1] for q in allpts]
+    x0, x1, y0, y1 = min(xs), max(xs), min(ys), max(ys)
+    span = max(x1 - x0, y1 - y0, 1e-9)
+    pad = 0.05 * span
+
+    def sx(x):
+        return (x - x0 + pad) / (span + 2 * pad) * size
+
+    def sy(y):
+        return size - (y - y0 + pad) / (span + 2 * pad) * size
+
+    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" '
+             f'height="{size}" viewBox="0 0 {size} {size}">']
+    for poly in polys:
+        pts = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in poly)
+        parts.append(f'<polygon points="{pts}" fill="none" '
+                     f'stroke="steelblue" stroke-width="1"/>')
+    parts.append("</svg>")
+    return "\n".join(parts)

@@ -1,0 +1,817 @@
+"""Two-scale refinement machinery for symbols near a curve's critical point.
+
+Shear/dilation normalizations of multipliers, the critical-point quantity U
+and its quadratic approximation with explicit constants, plate membership of
+the two-scale cutoff pieces, a support census with multiplicity bounds, the
+geometric radius schedule, an FFT kernel-decay probe, and the anisotropic
+rescaling of a curve section.
+"""
+
+from __future__ import annotations
+
+import csv
+import io
+import json
+import math
+from dataclasses import dataclass, field
+from typing import Callable, Optional, Sequence
+
+import numpy as np
+from scipy.optimize import brentq
+
+from .curve_geometry import Curve, frenet_frame
+from .errors import (
+    DegenerateCurvature,
+    DivByZeroGamma2,
+    GridTooLarge,
+    NotConverged,
+    ScheduleEmpty,
+)
+from .symbol_decomposition import build_cutoffs
+
+_CUT = build_cutoffs()
+
+
+def _embed(v: np.ndarray) -> np.ndarray:
+    """Append a zero time-frequency component to a spatial vector."""
+    return np.append(np.asarray(v, dtype=float), 0.0)
+
+
+# ---------------------------------------------------------------------------
+# shear / dilation normalization
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class ShearDilation:
+    """Composition of the time-frequency shear with the anisotropic dilation.
+
+    The shear maps (xi, tau) -> (xi, tau - <gamma(s), xi>); the dilation
+    scales the tau axis by r^2, the tangent direction of the curve by r,
+    and fixes the orthogonal complement of those two directions.
+    """
+
+    curve: Curve
+    s: float
+    r: float
+    L1: np.ndarray = field(init=False, repr=False)
+    L2: np.ndarray = field(init=False, repr=False)
+    L: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        d = 3
+        gam = self.curve.eval(self.s)
+        dgam = self.curve.derivative(self.s, 1)
+        g = _embed(dgam / np.linalg.norm(dgam))
+        e = np.zeros(d + 1)
+        e[d] = 1.0
+        L1 = np.eye(d + 1)
+        L1[d, :d] = -gam
+        L2 = np.eye(d + 1) + (self.r - 1.0) * np.outer(g, g) \
+            + (self.r**2 - 1.0) * np.outer(e, e)
+        object.__setattr__(self, "L1", L1)
+        object.__setattr__(self, "L2", L2)
+        object.__setattr__(self, "L", L1 @ L2)
+
+    def apply(self, Xi: np.ndarray) -> np.ndarray:
+        return np.asarray(Xi, dtype=float) @ self.L.T
+
+    def inverse_apply(self, Xi: np.ndarray) -> np.ndarray:
+        return np.asarray(Xi, dtype=float) @ np.linalg.inv(self.L).T
+
+    def basis_residual(self) -> float:
+        """Max deviation of the defining actions on the distinguished vectors."""
+        d = 3
+        gam = self.curve.eval(self.s)
+        dgam = self.curve.derivative(self.s, 1)
+        g = _embed(dgam / np.linalg.norm(dgam))
+        e = np.zeros(d + 1)
+        e[d] = 1.0
+        devs = [
+            np.max(np.abs(self.L2 @ e - self.r**2 * e)),
+            np.max(np.abs(self.L2 @ g - self.r * g)),
+        ]
+        # complement vectors: complete {g, e} to an orthonormal basis
+        basis = np.linalg.qr(
+            np.column_stack([g, e, np.eye(d + 1)])
+        )[0][:, 2:]
+        for j in range(basis.shape[1]):
+            v = basis[:, j]
+            devs.append(np.max(np.abs(self.L2 @ v - v)))
+        # shear action on a generic vector
+        Xi = np.array([0.3, -1.2, 0.7, 0.25])
+        out = self.L1 @ Xi
+        expect = Xi.copy()
+        expect[d] = Xi[d] - float(np.dot(gam, Xi[:d]))
+        devs.append(np.max(np.abs(out - expect)))
+        return float(max(devs))
+
+
+def pullback_bump(shear: ShearDilation, k: int) -> Callable:
+    """Canonical multiplier adapted to the shear: a tensor bump in the
+    annulus, the tangent pairing, and the sheared time frequency."""
+    curve, s, r = shear.curve, shear.s, shear.r
+    gam = curve.eval(s)
+    dgam = curve.derivative(s, 1)
+    g1 = dgam / np.linalg.norm(dgam)
+    eta0 = _CUT.eta0
+
+    def m(xi, tau):
+        xi = np.asarray(xi, dtype=float)
+        tau = np.asarray(tau, dtype=float)
+        norm = np.linalg.norm(xi, axis=-1)
+        v1 = xi @ g1
+        v4 = tau + xi @ gam
+        return (eta0((norm * 2.0**-k - 1.25) / 0.75)
+                * eta0(v1 / (2.0**(k + 2) * r))
+                * eta0(v4 / (2.0**(k + 3) * r**2)))
+
+    return m
+
+
+def sample_symbol_support(shear: ShearDilation, k: int, n: int,
+                          rng: np.random.Generator) -> np.ndarray:
+    """Random points (xi, tau) inside the support box of the pulled-back bump."""
+    curve, s, r = shear.curve, shear.s, shear.r
+    gam = curve.eval(s)
+    dgam = curve.derivative(s, 1)
+    g1 = dgam / np.linalg.norm(dgam)
+    # orthonormal complement of g1
+    q = np.linalg.qr(np.column_stack([g1, np.eye(3)]))[0][:, 1:]
+    out = np.empty((n, 4))
+    for i in range(n):
+        rho = rng.uniform(0.6, 1.9) * 2.0**k
+        v1 = rng.uniform(-1.0, 1.0) * 2.0**(k + 1) * r
+        v1 = np.clip(v1, -0.5 * rho, 0.5 * rho)
+        w = np.sqrt(rho**2 - v1**2)
+        ang = rng.uniform(0.0, 2.0 * np.pi)
+        xi = v1 * g1 + w * (np.cos(ang) * q[:, 0] + np.sin(ang) * q[:, 1])
+        tau = -float(np.dot(gam, xi)) + rng.uniform(-1, 1) * 2.0**(k + 2) * r**2
+        out[i, :3] = xi
+        out[i, 3] = tau
+    return out
+
+
+def hormander_constant(shear: ShearDilation, m: Callable, k: int,
+                       n_samples: int = 60, seed: int = 0,
+                       step: float = 1e-3) -> float:
+    """Max of |Xi|^{|alpha|} |d^alpha (m o L)(Xi)| over sampled support points
+    and multi-indices |alpha| <= 2, by central finite differences."""
+    rng = np.random.default_rng(seed)
+    pts = sample_symbol_support(shear, k, n_samples, rng)
+    Linv = np.linalg.inv(shear.L)
+
+    def g(Xi):
+        Y = shear.L @ Xi
+        return float(m(Y[:3], Y[3]))
+
+    h = step * 2.0**k
+    worst = 0.0
+    eye = np.eye(4)
+    for row in pts:
+        Xi = Linv @ row
+        scale = np.linalg.norm(Xi)
+        g0 = g(Xi)
+        worst = max(worst, abs(g0))
+        for i in range(4):
+            gp = g(Xi + h * eye[i])
+            gm = g(Xi - h * eye[i])
+            worst = max(worst, abs(gp - gm) / (2 * h) * scale)
+            worst = max(worst, abs(gp - 2 * g0 + gm) / h**2 * scale**2)
+        for i in range(4):
+            for j in range(i + 1, 4):
+                gpp = g(Xi + h * (eye[i] + eye[j]))
+                gpm = g(Xi + h * (eye[i] - eye[j]))
+                gmp = g(Xi - h * (eye[i] - eye[j]))
+                gmm = g(Xi - h * (eye[i] + eye[j]))
+                worst = max(worst,
+                            abs(gpp - gpm - gmp + gmm) / (4 * h**2) * scale**2)
+    return worst
+
+
+# ---------------------------------------------------------------------------
+# critical point, U and its approximation
+# ---------------------------------------------------------------------------
+
+
+def critical_s(curve: Curve, xi: np.ndarray,
+               lo: Optional[float] = None, hi: Optional[float] = None,
+               grid_points: int = 129) -> float:
+    """Unique root of <gamma'(s), xi> = 0 in the given (or full) interval."""
+    xi = np.asarray(xi, dtype=float)
+    dom_lo, dom_hi = curve.domain
+    lo = dom_lo if lo is None else max(lo, dom_lo)
+    hi = dom_hi if hi is None else min(hi, dom_hi)
+
+    def f(s):
+        return float(np.dot(curve.derivative(s, 1), xi))
+
+    grid = np.linspace(lo, hi, grid_points)
+    vals = np.array([f(s) for s in grid])
+    for i in range(grid_points - 1):
+        if vals[i] == 0.0:
+            return float(grid[i])
+        if vals[i] * vals[i + 1] < 0.0:
+            return float(brentq(f, grid[i], grid[i + 1],
+                                xtol=1e-15, rtol=8.9e-16))
+    if vals[-1] == 0.0:
+        return float(grid[-1])
+    raise NotConverged("no sign change of <gamma'(s), xi> in the interval")
+
+
+def u_mu(curve: Curve, s_mu: float, xi: np.ndarray, tau,
+         floor: float = 1e-10):
+    """tau + <gamma(s_mu), xi> - <gamma'(s_mu), xi>^2 / (2 <gamma''(s_mu), xi>)."""
+    xi = np.asarray(xi, dtype=float)
+    gam = curve.eval(s_mu)
+    d1 = curve.derivative(s_mu, 1)
+    d2 = curve.derivative(s_mu, 2)
+    g2 = xi @ d2
+    norm = np.linalg.norm(xi, axis=-1)
+    if np.any(np.abs(g2) < floor * norm):
+        raise DivByZeroGamma2("second-derivative pairing below floor")
+    return tau + xi @ gam - 0.5 * (xi @ d1) ** 2 / g2
+
+
+def _perp_frame_sample(curve: Curve, s_star: float, psi: float,
+                       rho: float) -> np.ndarray:
+    """A frequency direction in span{N, B} at s_star: makes s_star critical."""
+    fr = frenet_frame(curve, s_star)
+    return rho * (np.cos(psi) * fr.N + np.sin(psi) * fr.B)
+
+
+def verify_umu_approximation(curve: Curve, s_mu: float = 0.0,
+                             r0: float = 2.0**-4, n_samples: int = 10_000,
+                             M: float = 10.0, seed: int = 0) -> dict:
+    """Sample constrained frequencies and check the two quadratic-approximation
+    bounds with their explicit constants 6M and 13M; report max ratios."""
+    rng = np.random.default_rng(seed)
+    max_ratio_one = 0.0
+    max_ratio_two = 0.0
+    gam_mu = curve.eval(s_mu)
+    for _ in range(n_samples):
+        s_star = s_mu + rng.uniform(-2.0 * r0, 2.0 * r0)
+        psi = rng.uniform(-np.pi / 3, np.pi / 3)
+        rho = rng.uniform(0.55, 1.9)
+        xi = _perp_frame_sample(curve, s_star, psi, rho)
+        scr = critical_s(curve, xi, s_star - 4 * r0, s_star + 4 * r0,
+                         grid_points=9)
+        # first bound, at s = s_mu and at a random admissible s
+        for s in (s_mu, scr + rng.uniform(-2.0 * r0, 2.0 * r0)):
+            g1 = float(np.dot(curve.derivative(s, 1), xi))
+            g2 = float(np.dot(curve.derivative(s, 2), xi))
+            err = abs((s - scr) - g1 / g2)
+            bound = 6.0 * M * (s - scr) ** 2
+            if bound > 1e-30:
+                max_ratio_one = max(max_ratio_one, err / bound)
+        # second bound
+        tau = -float(np.dot(gam_mu, xi)) + rng.uniform(-1, 1) * 8.0 * r0**2
+        u_val = float(u_mu(curve, s_mu, xi, tau))
+        target = tau + float(np.dot(curve.eval(scr), xi))
+        err2 = abs(u_val - target)
+        bound2 = 13.0 * M * abs(scr - s_mu) ** 3 * float(np.linalg.norm(xi))
+        if bound2 > 1e-30:
+            max_ratio_two = max(max_ratio_two, err2 / bound2)
+    return {
+        "n_samples": n_samples,
+        "r0": r0,
+        "M": M,
+        "max_ratio_one": max_ratio_one,
+        "max_ratio_two": max_ratio_two,
+        "pass": bool(max_ratio_one <= 1.0 and max_ratio_two <= 1.0),
+    }
+
+
+# ---------------------------------------------------------------------------
+# frequency-side map with the three distinguished rows
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class OmegaMap:
+    """Linear map R^4 -> R^3 with rows <gamma'(s_mu), xi>,
+    tau + <gamma(s_mu), xi>, <gamma''(s_mu), xi>."""
+
+    curve: Curve
+    s_mu: float
+    matrix: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        c, s = self.curve, self.s_mu
+        mat = np.zeros((3, 4))
+        mat[0, :3] = c.derivative(s, 1)
+        mat[1, :3] = c.eval(s)
+        mat[1, 3] = 1.0
+        mat[2, :3] = c.derivative(s, 2)
+        object.__setattr__(self, "matrix", mat)
+
+    def apply(self, xi, tau) -> np.ndarray:
+        xi = np.asarray(xi, dtype=float)
+        Xi = np.concatenate([xi, np.atleast_1d(float(tau))], axis=-1)
+        return self.matrix @ Xi
+
+    def smallest_singular_value(self) -> float:
+        return float(np.linalg.svd(self.matrix, compute_uv=False)[-1])
+
+
+def _u_vectors(abar: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    u1 = np.array([abar, abar**2 / 2.0, 1.0])
+    u2 = np.array([1.0, abar, 0.0])
+    u3 = np.array([-abar, 1.0, abar**2 / 2.0])
+    return u1, u2, u3
+
+
+def pl_plate_membership(omega: OmegaMap, s_nnu: float, n: int, r1: float,
+                        k: int, xi, tau) -> bool:
+    """Test the three plate inequalities for the given frequency point."""
+    abar = omega.s_mu - s_nnu
+    u1, u2, u3 = _u_vectors(abar)
+    w = omega.apply(xi, tau)
+    c1 = abs(float(u1 @ w)) <= 2.0**(k + 2)
+    c2 = abs(float(u2 @ (w - w[2] * u1))) <= 2.0**(k + 4) * 2.0**n * r1
+    c3 = abs(float(u3 @ w)) <= 2.0**(k + 3) * 2.0**(2 * n) * r1**2
+    return bool(c1 and c2 and c3)
+
+
+# ---------------------------------------------------------------------------
+# support census for the two-scale cutoff pieces
+# ---------------------------------------------------------------------------
+
+
+def support_census(curve: Curve, k: int = 48, r0: float = 2.0**-22,
+                   r1: float = 2.0**-23, sample_count: int = 300,
+                   M: float = 10.0, seed: int = 0, n_cap: int = 12,
+                   s_grid_size: int = 41, tol: float = 1e-12,
+                   n_anchors: int = 9) -> dict:
+    """Build the two-scale cutoff pieces around a family of anchor points,
+    sample frequency points, and report vanishing thresholds, multiplicity,
+    reconstruction error, and plate membership.
+
+    Frequencies are handled in scale-normalized form (divided by 2^k); every
+    quantity entering the cutoffs and plate inequalities is homogeneous of
+    degree one, so the normalization is exact. Multiplicity is counted at
+    fixed (s, xi, tau) and maximized over an s-grid: at a fixed point the
+    anchor separation, the dyadic shells, and the window partition each give
+    a finite overlap, which is what the 75 ceiling packages.
+    """
+    if r1 > r0:
+        raise ValueError("need r1 <= r0")
+    if r1 < 100.0 * M * r0**1.5:
+        raise ValueError("need r1 >= 100 M r0^(3/2)")
+    rng = np.random.default_rng(seed)
+    eta0, eta1, zeta = _CUT.eta0, _CUT.eta1, _CUT.zeta
+    half = n_anchors // 2
+    s_mu_list = r0 * np.arange(-half, n_anchors - half)
+    anchors = []
+    for s_mu in s_mu_list:
+        anchors.append({
+            "s_mu": float(s_mu),
+            "gam": curve.eval(s_mu),
+            "d1": curve.derivative(s_mu, 1),
+            "omega": OmegaMap(curve, float(s_mu)),
+        })
+
+    max_n_a = -1
+    max_n_b = -1
+    max_mult_a = 0
+    max_mult_b = 0
+    recon_err = 0.0
+    plate_checked = 0
+    plate_failures = 0
+
+    for _ in range(sample_count):
+        s_star = rng.uniform(-3.0 * r0, 3.0 * r0)
+        psi = rng.uniform(-np.pi / 3, np.pi / 3)
+        rho = rng.uniform(0.55, 1.9)
+        xi = _perp_frame_sample(curve, s_star, psi, rho)
+        tau = -float(np.dot(curve.eval(s_star), xi)) \
+            + rng.uniform(-1, 1) * 8.0 * r0**2
+        scr = critical_s(curve, xi, s_star - 10 * r0, s_star + 10 * r0,
+                         grid_points=5)
+        s_grid = np.linspace(s_mu_list[0] - 2.2 * r0,
+                             s_mu_list[-1] + 2.2 * r0,
+                             s_grid_size * 4 + 1)
+        mult_a = np.zeros_like(s_grid, dtype=int)
+        mult_b = np.zeros_like(s_grid, dtype=int)
+        for anc in anchors:
+            s_mu = anc["s_mu"]
+            g1 = float(np.dot(anc["d1"], xi))
+            t_arg = tau + float(np.dot(anc["gam"], xi))
+            scalar = (eta0(g1 / (8.0 * r0))
+                      * eta0(t_arg / (16.0 * r0**2))
+                      * eta0((np.linalg.norm(xi) - 1.25) / 0.75))
+            if scalar < tol:
+                continue
+            amu = scalar * eta0((s_grid - s_mu) / (2.0 * r0))
+            u_hat = float(u_mu(curve, s_mu, xi, tau))
+            ds2 = (s_grid - scr) ** 2
+            base = (abs(u_hat) + ds2) / r1**2
+            with np.errstate(divide="ignore", invalid="ignore"):
+                split_arg = np.divide(
+                    ds2 * 2.0**8, u_hat,
+                    out=np.full_like(ds2, np.inf),
+                    where=(u_hat != 0.0))
+            split_arg = np.where(ds2 == 0.0, 0.0, split_arg)
+            split = eta0(split_arg)
+            recon = np.zeros_like(s_grid)
+            for n in range(n_cap + 1):
+                if n == 0:
+                    shell = eta0(base)
+                    win = s_grid / r1
+                else:
+                    shell = eta1(2.0**(2 - 2 * n) * base)
+                    win = s_grid / (2.0**n * r1)
+                if np.max(amu * shell) < tol:
+                    recon += amu * shell
+                    continue
+                nus = range(int(np.floor(win.min())) - 1,
+                            int(np.ceil(win.max())) + 2)
+                for nu in nus:
+                    zf = zeta(win - nu)
+                    if n == 0:
+                        a_piece = amu * shell * zf
+                        b_piece = np.zeros_like(a_piece)
+                    else:
+                        a_piece = amu * shell * split * zf
+                        b_piece = amu * shell * (1.0 - split) * zf
+                    recon += a_piece + b_piece
+                    s_nnu = 2.0**n * r1 * nu
+                    if np.max(a_piece) > tol:
+                        mult_a += (a_piece > tol).astype(int)
+                        max_n_a = max(max_n_a, n)
+                        plate_checked += 1
+                        if not pl_plate_membership(
+                                anc["omega"], s_nnu, n, r1, 0, xi, tau):
+                            plate_failures += 1
+                    if np.max(b_piece) > tol:
+                        mult_b += (b_piece > tol).astype(int)
+                        max_n_b = max(max_n_b, n)
+                        plate_checked += 1
+                        if not pl_plate_membership(
+                                anc["omega"], s_nnu, n, r1, 0, xi, tau):
+                            plate_failures += 1
+            recon_err = max(recon_err, float(np.max(np.abs(recon - amu))))
+        max_mult_a = max(max_mult_a, int(mult_a.max()))
+        max_mult_b = max(max_mult_b, int(mult_b.max()))
+
+    a_threshold_ok = (max_n_a < 0) or (2.0**max_n_a * r1 <= 2.0**4 * r0)
+    b_threshold_ok = (max_n_b < 0) or (2.0**max_n_b * r1 <= 2.0**7 * r0)
+    return {
+        "k": k, "r0": r0, "r1": r1, "M": M,
+        "sample_count": sample_count,
+        "max_n_a": max_n_a, "max_n_b": max_n_b,
+        "a_vanishing_ok": bool(a_threshold_ok),
+        "b_vanishing_ok": bool(b_threshold_ok),
+        "max_multiplicity_a": max_mult_a,
+        "max_multiplicity_b": max_mult_b,
+        "multiplicity_ok": bool(max_mult_a <= 75 and max_mult_b <= 75),
+        "reconstruction_error": recon_err,
+        "plate_checked": plate_checked,
+        "plate_failures": plate_failures,
+    }
+
+
+def census_to_json(report: dict) -> str:
+    return json.dumps(report, indent=2, sort_keys=True)
+
+
+# ---------------------------------------------------------------------------
+# radius schedule
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class RSchedule:
+    """Two-scale radius schedule with exact log2 bookkeeping."""
+
+    k: int
+    eps0: float
+    eps1: float
+    M: float
+    d: int
+    N: int
+    capped: bool
+    descending: bool
+    log2_r0: tuple
+    log2_r1: tuple
+    r0: tuple
+    r1: tuple
+    hypothesis_ok: bool
+    terminal_lower_ok: bool
+    terminal_upper_ok: bool
+    c_over_eps1: float
+
+    def to_csv(self) -> str:
+        buf = io.StringIO()
+        w = csv.writer(buf)
+        w.writerow(["n", "log2_r0", "log2_r1", "r0", "r1", "ratio_check"])
+        for n in range(self.N + 1):
+            ratio_ok = self.log2_r1[n] - 1.5 * self.log2_r0[n] \
+                >= math.log2(100.0 * self.M) - 1e-9
+            w.writerow([n, self.log2_r0[n], self.log2_r1[n],
+                        self.r0[n], self.r1[n], ratio_ok])
+        return buf.getvalue()
+
+
+def _pow2_or_inf(x: float) -> float:
+    try:
+        return 2.0**x
+    except OverflowError:
+        return math.inf
+
+
+def r_schedule(k: int, eps0: float, M: float, d: int = 3,
+               n_cap: int = 64) -> RSchedule:
+    """Geometric radius schedule r0(n), r1(n) with exponent (3/2)^n.
+
+    All arithmetic is carried in log2 space. N is the largest n <= n_cap
+    whose fine radius stays above the terminal scale 2^{-k(1/2 - eps1)};
+    when the base exceeds 1 (small k) the sequence never descends and the
+    cap binds, which is reported via the `capped`/`descending` flags.
+    """
+    if k < 10:
+        raise ValueError("need k >= 10")
+    eps1 = eps0**2 / (d * M)
+    base0 = math.log2(M) - k * eps1
+    base1 = math.log2(100.0 * M) - k * eps1
+    threshold = -k * (0.5 - eps1)
+    log2_r0 = [(1.5**n) * base0 for n in range(n_cap + 1)]
+    log2_r1 = [(1.5**(n + 1)) * base1 for n in range(n_cap + 1)]
+    qual = [n for n in range(n_cap + 1) if log2_r1[n] >= threshold]
+    if not qual:
+        raise ScheduleEmpty("fine radius starts below the terminal scale")
+    N = max(qual)
+    hyp_ok = all(
+        log2_r1[n] - 1.5 * log2_r0[n] >= math.log2(100.0 * M) - 1e-9
+        for n in range(N + 1)
+    )
+    return RSchedule(
+        k=k, eps0=eps0, eps1=eps1, M=M, d=d, N=N,
+        capped=(N == n_cap),
+        descending=(base1 < 0.0),
+        log2_r0=tuple(log2_r0[: N + 1]),
+        log2_r1=tuple(log2_r1[: N + 1]),
+        r0=tuple(_pow2_or_inf(x) for x in log2_r0[: N + 1]),
+        r1=tuple(_pow2_or_inf(x) for x in log2_r1[: N + 1]),
+        hypothesis_ok=hyp_ok,
+        terminal_lower_ok=(log2_r1[N] >= threshold),
+        terminal_upper_ok=(log2_r1[N] <= -k / 2.0 + 2.0 * k * eps1),
+        c_over_eps1=N * eps1,
+    )
+
+
+# ---------------------------------------------------------------------------
+# kernel decay probe
+# ---------------------------------------------------------------------------
+
+
+def _bump_transform(width: float, args: np.ndarray, nodes: int,
+                    max_nodes: int) -> np.ndarray:
+    """Numerical 1-D Fourier transform of eta0(v / width) at the given args."""
+    if nodes > max_nodes:
+        raise GridTooLarge(f"{nodes} frequency nodes exceed budget {max_nodes}")
+    v = np.linspace(-width, width, nodes)
+    w = np.full(nodes, v[1] - v[0])
+    w[0] *= 0.5
+    w[-1] *= 0.5
+    vals = _CUT.eta0(v / width) * w
+    return np.exp(1j * np.outer(args, v)) @ vals
+
+
+def _half_width(lam: np.ndarray, mag: np.ndarray) -> float:
+    """First crossing of |K| below half its value at 0 (linear interp)."""
+    target = 0.5 * mag[0]
+    below = np.nonzero(mag < target)[0]
+    if len(below) == 0:
+        return float(lam[-1])
+    i = below[0]
+    if i == 0:
+        return float(lam[0])
+    frac = (mag[i - 1] - target) / (mag[i - 1] - mag[i])
+    return float(lam[i - 1] + frac * (lam[i] - lam[i - 1]))
+
+
+def _unit_half_position(nodes: int, max_nodes: int) -> float:
+    y = np.linspace(0.0, 6.0, 601)
+    mag = np.abs(_bump_transform(1.0, y, nodes, max_nodes))
+    return _half_width(y, mag)
+
+
+def kernel_decay_probe(curve: Curve, k: int, r: float, s: float = 0.0,
+                       t_center: float = 1.25, nodes: int = 513,
+                       t_nodes: int = 65, n_ray: int = 81,
+                       max_nodes: int = 2**20) -> dict:
+    """Evaluate the space-time kernel of a canonical class multiplier along
+    three distinguished rays and measure its decay scales.
+
+    The multiplier is a tensor bump in the frame coordinates built from the
+    tangent at s, the in-plane unit vector along the curve point, their cross
+    product, and the sheared time frequency. The kernel is computed by exact
+    1-D transforms of the bump factors and an adapted quadrature in the time
+    variable. Reported fitted scales are normalized by the half-max position
+    of the unit bump transform, a declared shape constant of the probe.
+    """
+    gam = curve.eval(s)
+    d1 = curve.derivative(s, 1)
+    g1 = d1 / np.linalg.norm(d1)
+    gperp = gam - np.dot(gam, g1) * g1
+    a2 = float(np.linalg.norm(gperp))
+    if a2 < 1e-3:
+        raise ValueError("curve point too close to the tangent line; "
+                         "time pinning unavailable at this s")
+    g2 = gperp / a2
+    ep = np.cross(g1, g2)
+    a1 = float(np.dot(gam, g1))
+
+    W1 = 2.0**(k + 2) * r
+    W2 = 2.0**(k - 2)
+    W3 = 2.0**(k - 2)
+    W4 = 2.0**(k + 3) * r**2
+
+    c_ref = _unit_half_position(nodes, max_nodes)
+    chi = _CUT.eta0
+
+    # time quadrature adapted to the narrowest factor in t
+    pin = max(W2 * a2, W4)
+    gl_x, gl_w = np.polynomial.legendre.leggauss(t_nodes)
+    half_win = 60.0 / pin
+    t_q = t_center + half_win * gl_x
+    t_w = half_win * gl_w
+
+    def kernel_on_rays(x_pts: np.ndarray, tprime: np.ndarray) -> np.ndarray:
+        # coordinates of x - t*gamma(s) in the frame, per (ray point, t node)
+        c1 = x_pts @ g1
+        c2 = x_pts @ g2
+        c3 = x_pts @ ep
+        A1 = c1[:, None] - np.outer(np.ones(len(x_pts)), t_q) * a1
+        A2 = c2[:, None] - np.outer(np.ones(len(x_pts)), t_q) * a2
+        A3 = np.repeat(c3[:, None], t_nodes, axis=1)
+        Aw = tprime[:, None] - t_q[None, :]
+        f1 = _bump_transform(W1, A1.ravel(), nodes, max_nodes)
+        f2 = _bump_transform(W2, A2.ravel(), nodes, max_nodes)
+        f3 = (_bump_transform(W3, A3.ravel(), nodes, max_nodes)
+              * np.exp(1j * 0.85 * 2.0**k * A3.ravel()))
+        f4 = _bump_transform(W4, Aw.ravel(), nodes, max_nodes)
+        prod = (f1 * f2 * f3 * f4).reshape(len(x_pts), t_nodes)
+        return prod @ (chi((t_q - 1.25) / 0.75) * t_w)
+
+    x0 = t_center * gam
+    results = {}
+    for name, direction, width in (
+        ("gamma1", g1, W1),
+        ("perp", ep, W3),
+    ):
+        lam = np.linspace(0.0, 8.0 * c_ref / width, n_ray)
+        pts = x0[None, :] + lam[:, None] * direction[None, :]
+        mag = np.abs(kernel_on_rays(pts, np.full(n_ray, t_center)))
+        w_half = _half_width(lam, mag)
+        results[name] = {"half_width": w_half,
+                         "fitted_scale": c_ref / w_half,
+                         "target_scale": width}
+    lam_t = np.linspace(0.0, 8.0 * c_ref / W4, n_ray)
+    pts = np.repeat(x0[None, :], n_ray, axis=0)
+    mag = np.abs(kernel_on_rays(pts, t_center + lam_t))
+    w_half = _half_width(lam_t, mag)
+    results["time"] = {"half_width": w_half,
+                       "fitted_scale": c_ref / w_half,
+                       "target_scale": W4}
+
+    # integrable-kernel constant: Fubini product of 1-D transform masses
+    def l1_mass(width):
+        y = np.linspace(-40.0 / width, 40.0 / width, 1601)
+        mag = np.abs(_bump_transform(width, y, nodes, max_nodes))
+        return float(np.trapezoid(mag, y))
+
+    l1_bound = l1_mass(W4) * l1_mass(W1) * l1_mass(W2) * l1_mass(W3) \
+        / (2.0 * np.pi) ** 4
+    sup_center = float(np.abs(kernel_on_rays(x0[None, :],
+                                             np.array([t_center])))[0])
+    return {"k": k, "r": r, "s": s,
+            "scales": {name: v["fitted_scale"] for name, v in results.items()},
+            "targets": {name: v["target_scale"] for name, v in results.items()},
+            "detail": results,
+            "l1_bound": l1_bound,
+            "sup_center": sup_center}
+
+
+def kernel_decay_sweep(curve: Curve, k_list: Sequence[int],
+                       r_list: Sequence[float], s: float = 0.0,
+                       **kwargs) -> dict:
+    """Fit the decay-scale exponents of the probe against r (at fixed k) and
+    against k (at fixed r); targets are (1, 0, 2) in r and 1 in k."""
+    k_fix = k_list[len(k_list) // 2]
+    r_fix = r_list[len(r_list) // 2]
+    names = ("gamma1", "perp", "time")
+    out = {"r_slopes": {}, "k_slopes": {}, "k_fixed": k_fix, "r_fixed": r_fix}
+    logs = {nm: [] for nm in names}
+    for r in r_list:
+        rep = kernel_decay_probe(curve, k_fix, r, s=s, **kwargs)
+        for nm in names:
+            logs[nm].append(math.log2(rep["scales"][nm]))
+    lr = np.log2(np.asarray(r_list, dtype=float))
+    for nm in names:
+        out["r_slopes"][nm] = float(np.polyfit(lr, logs[nm], 1)[0])
+    logs = {nm: [] for nm in names}
+    for k in k_list:
+        rep = kernel_decay_probe(curve, k, r_fix, s=s, **kwargs)
+        for nm in names:
+            logs[nm].append(math.log2(rep["scales"][nm]))
+    kk = np.asarray(k_list, dtype=float)
+    for nm in names:
+        out["k_slopes"][nm] = float(np.polyfit(kk, logs[nm], 1)[0])
+    out["r_targets"] = {"gamma1": 1.0, "perp": 0.0, "time": 2.0}
+    out["k_targets"] = {"gamma1": 1.0, "perp": 1.0, "time": 1.0}
+    return out
+
+
+# ---------------------------------------------------------------------------
+# anisotropic rescaling of a curve section
+# ---------------------------------------------------------------------------
+
+
+def delta_dilation(eta, l: int) -> np.ndarray:
+    """Component-wise dyadic dilation (2^l, 2^{2l}, 2^{3l})."""
+    eta = np.asarray(eta, dtype=float)
+    exps = np.array([l, 2 * l, 3 * l])
+    return np.ldexp(eta, exps) if eta.ndim == 1 else np.ldexp(eta, exps[None, :])
+
+
+@dataclass(frozen=True)
+class SectionRescaling:
+    """Rotation-plus-dilation normalization of a curve section at s_nu."""
+
+    curve: Curve
+    l: int
+    nu: int
+    s_nu: float
+    U: np.ndarray
+    L: np.ndarray
+
+    def map(self, eta) -> np.ndarray:
+        return np.asarray(eta, dtype=float) @ self.L.T
+
+    def gamma(self, u: float) -> np.ndarray:
+        s = self.s_nu + 2.0**-self.l * u
+        return delta_dilation(self.U.T @ self.curve.eval(s), self.l)
+
+    def gamma_derivative(self, u: float, order: int) -> np.ndarray:
+        s = self.s_nu + 2.0**-self.l * u
+        vec = self.U.T @ self.curve.derivative(s, order)
+        return 2.0**(-self.l * order) * delta_dilation(vec, self.l)
+
+    def curvature_pairing(self, u: float, eta) -> float:
+        eta = np.asarray(eta, dtype=float)
+        g2 = self.gamma_derivative(u, 2)
+        return abs(float(g2 @ eta)) / float(np.linalg.norm(eta))
+
+    def c5_norm(self, u_grid: Optional[np.ndarray] = None) -> float:
+        """Translation-invariant C^5 size: sup over |u| <= 1 of the rescaled
+        displacement from u = 0 and of the derivatives up to order 5."""
+        if u_grid is None:
+            u_grid = np.linspace(-1.0, 1.0, 21)
+        origin = self.gamma(0.0)
+        worst = 0.0
+        for u in u_grid:
+            worst = max(worst, float(np.linalg.norm(self.gamma(u) - origin)))
+            for j in range(1, 6):
+                worst = max(worst, float(np.linalg.norm(
+                    self.gamma_derivative(u, j))))
+        return worst
+
+
+def rescale_llnu(curve: Curve, l: int, nu: int) -> SectionRescaling:
+    """Rotation U at s_nu = 2^{-l} nu composed with the dyadic dilation."""
+    s_nu = 2.0**-l * nu
+    fr = frenet_frame(curve, s_nu)  # raises DegenerateCurvature via floor
+    U = np.column_stack([fr.T, fr.N, fr.B])
+    L = U @ np.diag([2.0**l, 2.0**(2 * l), 2.0**(3 * l)])
+    return SectionRescaling(curve=curve, l=l, nu=nu, s_nu=s_nu, U=U, L=L)
+
+
+def curvature_band(resc: SectionRescaling, n_samples: int = 500,
+                   seed: int = 0) -> dict:
+    """Ratio |<Gamma''(u), eta>| / |eta| over sampled support-style (u, eta).
+
+    eta is the exact image under the inverse rescaling of frequency points
+    near the binormal cone, with the curve offset u kept a definite distance
+    (in rescaled units) from the cone tangency parameter, matching where the
+    localized shell pieces carry their mass.
+    """
+    rng = np.random.default_rng(seed)
+    curve, l, s_nu = resc.curve, resc.l, resc.s_nu
+    exps = np.array([-l, -2 * l, -3 * l])
+    lo = math.inf
+    hi = 0.0
+    for _ in range(n_samples):
+        u = rng.uniform(-1.0, 1.0)
+        w = u + rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 1.5)
+        sigma = s_nu + 2.0**-l * w
+        fr = frenet_frame(curve, sigma)
+        uhat = rng.choice([-1.0, 1.0]) * rng.uniform(0.0, 1.0) * 2.0**(-2 * l)
+        rhat = rng.uniform(0.9, 1.6)
+        xi = rhat * fr.B + uhat * fr.T
+        eta = np.ldexp(resc.U.T @ xi, exps)
+        ratio = resc.curvature_pairing(u, eta)
+        lo = min(lo, ratio)
+        hi = max(hi, ratio)
+    return {"min_ratio": lo, "max_ratio": hi, "n_samples": n_samples}
