@@ -21,7 +21,8 @@ from scipy import fft as sfft
 
 from .cone_plates import Plate, PlateFamily, make_family
 from .curve_geometry import Curve
-from .errors import GridTooLarge, PlateUnresolved, WraparoundRisk
+from .errors import (GridTooLarge, PlateUnresolved, QuadratureFailure,
+                     WraparoundRisk)
 from .symbol_decomposition import build_cutoffs
 
 _CUT = build_cutoffs()
@@ -340,28 +341,88 @@ def _check_wraparound(curve: Curve, chi: Callable, t: float, grid: Grid3,
             "scaled curve spread exceeds half the periodic box")
 
 
-def mu_hat(curve: Curve, chi: Callable, t: float, Xi: np.ndarray,
-           nodes: Optional[int] = None) -> np.ndarray:
-    """Oscillatory averages int exp(-i t <gamma(s), xi>) chi(s) ds per row.
+_MAX_NODES = 4000
+_CHUNK = 2**22  # complex elements per intermediate array
+_NODE_BLOCK = 128  # inner dimension of each symbol matrix product
 
-    Gauss-Legendre over the cutoff's support; node count tracks the phase
-    range (a few nodes per radian) so the quadrature stays spectrally
-    accurate for band-limited frequency sets.
+
+def _curve_quadrature(curve: Curve, chi: Callable,
+                      t_kmax: float) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes gamma(s_j) (nodes x 3) and weights chi(s_j) ds_j.
+
+    The rule covers the cutoff's support; its node count tracks the phase
+    range t * max|xi| * max|gamma| (a few nodes per radian), so the
+    quadrature stays spectrally accurate for frequencies up to kmax at
+    dilation t.  A phase range that needs more than _MAX_NODES nodes
+    raises QuadratureFailure rather than being under-resolved.
     """
-    Xi = np.atleast_2d(np.asarray(Xi, dtype=float))
     lo, hi = _chi_support(curve, chi)
-    if nodes is None:
-        kmax = float(np.max(np.linalg.norm(Xi, axis=1))) if Xi.size else 0.0
-        gmax = max(float(np.linalg.norm(curve.eval(s)))
-                   for s in np.linspace(lo, hi, 65))
-        nodes = int(max(201, 4.0 * abs(t) * gmax * kmax))
-    x, w = leggauss(min(nodes, 4000))
+    gmax = max(float(np.linalg.norm(curve.eval(s)))
+               for s in np.linspace(lo, hi, 65))
+    nodes = int(max(201, 4.0 * abs(t_kmax) * gmax))
+    if nodes > _MAX_NODES:
+        raise QuadratureFailure(
+            f"curve average needs {nodes} Gauss-Legendre nodes, more than "
+            f"the limit of {_MAX_NODES}")
+    x, w = leggauss(nodes)
     s = 0.5 * (hi + lo) + 0.5 * (hi - lo) * x
     w = 0.5 * (hi - lo) * w * np.asarray(chi(s))
-    gam = np.array([curve.eval(si) for si in s])  # (nodes, 3)
+    gam = np.array([curve.eval(si) for si in s])
+    return gam, w
+
+
+def _kmax(Xi: np.ndarray) -> float:
+    """Largest |xi| over the frequency rows of Xi (0 if there are none)."""
+    return float(np.max(np.linalg.norm(Xi, axis=1))) if Xi.size else 0.0
+
+
+def _lattice_symbol(grid: Grid3, mask: np.ndarray, gam: np.ndarray,
+                    w: np.ndarray, t: float) -> np.ndarray:
+    """Curve-average symbol at the mask's lattice points, in nonzero order.
+
+    On the lattice the phase separates, exp(-i t <xi, gamma(s)>) =
+    prod_d exp(-i t xi_d gamma_d(s)), so the symbol on the mask's bounding
+    box is S[a,b,c] = sum_s w_s E_0[a,s] E_1[b,s] E_2[c,s] with per-axis
+    tables E_d built from the lattice rows the mask uses on axis d.  S is
+    contracted by matrix products over chunks of axis-0 rows, each
+    intermediate holding at most _CHUNK elements, and then sampled at the
+    mask points.
+    """
+    ax = grid.freq_axis()
+    idx = np.nonzero(mask)
+    rows = [np.unique(i) for i in idx]
+    e0, e1, e2 = (np.exp(-1j * t * np.outer(ax[r], gam[:, d]))
+                  for d, r in enumerate(rows))
+    e0 = e0 * w
+    n0, n1, n2 = (r.size for r in rows)
+    nodes = gam.shape[0]
+    box = np.zeros((n0, n1, n2), dtype=complex)
+    step = max(1, _CHUNK // max(1, n1 * max(n2, nodes)))
+    for i in range(0, n0, step):
+        pair = (e0[i:i + step, None, :] * e1[None]).reshape(-1, nodes)
+        acc = box[i:i + step].reshape(-1, n2)  # a view into box
+        # BLAS may split a longer inner dimension differently per thread
+        # count; fixed node blocks keep the summation order, and so the
+        # last bits, independent of it
+        for j in range(0, nodes, _NODE_BLOCK):
+            acc += pair[:, j:j + _NODE_BLOCK] @ e2[:, j:j + _NODE_BLOCK].T
+    return box[tuple(np.searchsorted(r, i) for r, i in zip(rows, idx))]
+
+
+def mu_hat(curve: Curve, chi: Callable, t: float,
+           Xi: np.ndarray) -> np.ndarray:
+    """Oscillatory averages int exp(-i t <gamma(s), xi>) chi(s) ds per row.
+
+    Works for arbitrary frequency rows at one complex exp per (row, node)
+    pair; lattice supports go through _lattice_symbol instead, whose cost
+    is (per-axis rows x nodes) exps plus one contraction over the
+    support's bounding box.  The quadrature is _curve_quadrature's.
+    """
+    Xi = np.atleast_2d(np.asarray(Xi, dtype=float))
+    gam, w = _curve_quadrature(curve, chi, t * _kmax(Xi))
     # chunk the (m, nodes) phase matrix so memory stays bounded
     out = np.empty(Xi.shape[0], dtype=complex)
-    step = max(1, 2**22 // max(1, gam.shape[0]))
+    step = max(1, _CHUNK // gam.shape[0])
     for i in range(0, Xi.shape[0], step):
         phase = Xi[i:i + step] @ gam.T
         out[i:i + step] = np.exp(-1j * t * phase) @ w
@@ -372,18 +433,19 @@ def averaging_operator(f: Field3, curve: Curve, chi: Callable,
                        t: float) -> Field3:
     """A_t f: frequency multiplication by the curve-average symbol.
 
-    The symbol is evaluated only on the support of f-hat, so band-limited
-    inputs cost (support size) x (quadrature nodes).
+    The symbol is evaluated only on the support of f-hat, from per-axis
+    phase tables: the cost is (per-axis support rows x quadrature nodes)
+    complex exps plus one contraction over the support's bounding box.
     """
     if not (0.5 <= t <= 2.0):
         raise ValueError("require t in [1/2, 2]")
     _check_wraparound(curve, chi, t, f.grid)
     g = f.to_frequency()
     mask = g.values != 0
-    Xi = f.grid.freq_points(mask)
+    gam, w = _curve_quadrature(curve, chi,
+                               t * _kmax(f.grid.freq_points(mask)))
     vals = np.zeros_like(g.values)
-    if Xi.shape[0]:
-        vals[np.nonzero(mask)] = g.values[mask] * mu_hat(curve, chi, t, Xi)
+    vals[mask] = g.values[mask] * _lattice_symbol(f.grid, mask, gam, w, t)
     return Field3(f.grid, vals, "frequency")
 
 
@@ -396,42 +458,27 @@ def default_t_samples(n_equi: int = 65) -> np.ndarray:
 
 def maximal_operator(f: Field3, curve: Curve, chi: Callable,
                      t_samples: Sequence[float]) -> Field3:
-    """Pointwise max over the sampled dilations of |A_t f|."""
+    """Pointwise max over the sampled dilations of |A_t f|.
+
+    One quadrature, sized for the largest t, serves every sample; each t
+    contracts its own set of per-axis phase tables.
+    """
     t_samples = np.asarray(t_samples, dtype=float)
     if t_samples.size == 0:
         raise ValueError("need at least one t sample")
     grid = f.grid
-    for t in t_samples:
-        _check_wraparound(curve, chi, float(t), grid)
+    t_max = float(t_samples.max())
+    # t * diameter grows with t, so the largest sample decides
+    _check_wraparound(curve, chi, t_max, grid)
     g = f.to_frequency()
     mask = g.values != 0
-    idx = np.nonzero(mask)
-    Xi = grid.freq_points(mask)
-    lo, hi = _chi_support(curve, chi)
-    kmax = float(np.max(np.linalg.norm(Xi, axis=1))) if Xi.shape[0] else 0.0
-    gmax = max(float(np.linalg.norm(curve.eval(s)))
-               for s in np.linspace(lo, hi, 65))
-    nodes = int(max(201, 4.0 * float(t_samples.max()) * gmax * kmax))
-    x, w = leggauss(min(nodes, 4000))
-    s = 0.5 * (hi + lo) + 0.5 * (hi - lo) * x
-    w = 0.5 * (hi - lo) * w * np.asarray(chi(s))
-    gam = np.array([curve.eval(si) for si in s])
-    out = np.zeros((grid.n,) * 3, dtype=float)
+    gam, w = _curve_quadrature(curve, chi,
+                               t_max * _kmax(grid.freq_points(mask)))
     coeffs = g.values[mask]
-    m = Xi.shape[0]
-    step = max(1, 2**22 // max(1, gam.shape[0]))
-    if m <= step:
-        phase_full = Xi @ gam.T  # shared across all t samples
+    out = np.zeros((grid.n,) * 3, dtype=float)
     for t in t_samples:
-        sym = np.empty(m, dtype=complex)
-        if m <= step:
-            sym[:] = np.exp(-1j * float(t) * phase_full) @ w
-        else:
-            for i in range(0, m, step):
-                ph = Xi[i:i + step] @ gam.T
-                sym[i:i + step] = np.exp(-1j * float(t) * ph) @ w
         vals = np.zeros_like(g.values)
-        vals[idx] = coeffs * sym
+        vals[mask] = coeffs * _lattice_symbol(grid, mask, gam, w, float(t))
         phys = Field3(grid, vals, "frequency").to_physical()
         np.maximum(out, np.abs(phys.values), out=out)
     return Field3(grid, out.astype(complex), "physical")

@@ -1,6 +1,9 @@
 """Tests for the FFT field engine and averaging-operator experiments."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -12,6 +15,7 @@ from conewolff.curve_geometry import helix, unit_circle_generator
 from conewolff.errors import (
     GridTooLarge,
     PlateUnresolved,
+    QuadratureFailure,
     WraparoundRisk,
 )
 
@@ -163,6 +167,75 @@ def test_averaging_dc_component():
     # mu-hat at the origin is the quadrature's own chi-integral
     mu0 = ol.mu_hat(HELIX, chi, 1.0, np.zeros((1, 3)))[0]
     assert abs(mu0 - integral) <= 1e-8
+
+
+def _assert_lattice_matches_rows(grid, mask, curve, chi, t):
+    # the per-axis table contraction against the row-wise reference
+    Xi = grid.freq_points(mask)
+    gam, w = ol._curve_quadrature(curve, chi, t * ol._kmax(Xi))
+    got = ol._lattice_symbol(grid, mask, gam, w, t)
+    ref = ol.mu_hat(curve, chi, t, Xi)
+    assert got.shape == ref.shape
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("t", [0.5, 1.3, 2.0])
+def test_lattice_symbol_matches_mu_hat_on_band(t):
+    g = ol.Grid3(32, 8.0)
+    mask = ol.random_band_field(g, 3, 0).values != 0
+    _assert_lattice_matches_rows(g, mask, HELIX, ol.default_chi(HELIX), t)
+
+
+def test_lattice_symbol_matches_mu_hat_on_plate_support():
+    # sparse, asymmetric and far from its bounding box
+    g = ol.Grid3(64, 8.0)
+    idx, _ = ol._plate_envelope(make_plate(CIRCLE, 0.7, 2.0**-2, 8.0), g)
+    mask = np.zeros((g.n,) * 3, dtype=bool)
+    mask[idx] = True
+    assert 0 < mask.sum() < 0.5 * np.prod([np.ptp(i) + 1 for i in idx])
+    _assert_lattice_matches_rows(g, mask, HELIX, ol.default_chi(HELIX), 1.3)
+
+
+def test_lattice_symbol_matches_mu_hat_on_full_axis(monkeypatch):
+    # a small chunk budget makes every axis-0 row its own chunk
+    monkeypatch.setattr(ol, "_CHUNK", 2**10)
+    g = ol.Grid3(16, 8.0)
+    mask = np.zeros((g.n,) * 3, dtype=bool)
+    mask[:, 3, 12] = True
+    mask[5, 0, 7] = True
+    mask[9, 15, 8] = True
+    _assert_lattice_matches_rows(g, mask, HELIX, ol.default_chi(HELIX), 1.7)
+
+
+_SYMBOL_DIGEST = """
+import hashlib
+import numpy as np
+from conewolff import operator_lab as ol
+rng = np.random.default_rng(0)
+gam, w = rng.uniform(-1.0, 1.0, (300, 3)), rng.uniform(0.0, 1.0, 300)
+g = ol.Grid3(32, 8.0)
+sym = ol._lattice_symbol(g, np.ones((32,) * 3, bool), gam, w, 1.3)
+print(hashlib.sha1(sym.tobytes()).hexdigest())
+"""
+
+
+def test_lattice_symbol_independent_of_blas_threads():
+    # report.json must not change with the machine's core count; 300 nodes
+    # is an inner dimension that OpenBLAS splits by thread count
+    digests = {
+        subprocess.run([sys.executable, "-c", _SYMBOL_DIGEST],
+                       env={**os.environ, "OPENBLAS_NUM_THREADS": str(k),
+                            "OMP_NUM_THREADS": str(k)},
+                       capture_output=True, text=True, check=True,
+                       timeout=120).stdout
+        for k in (1, 2)}
+    assert len(digests) == 1
+
+
+def test_mu_hat_refuses_unresolvable_phase():
+    chi = ol.default_chi(HELIX)
+    with pytest.raises(QuadratureFailure, match=r"needs \d+ Gauss"):
+        ol.mu_hat(HELIX, chi, 1.0, np.array([[1.0e4, 0.0, 0.0]]))
 
 
 def test_averaging_real_in_real_out():
