@@ -56,45 +56,50 @@ def nested_diff(f: Callable[[float], np.ndarray], x: float, order: int, h: float
 # truncated Taylor series arithmetic (for exact chain-rule reparametrization)
 # ---------------------------------------------------------------------------
 
+# Coefficients run along the last axis; leading axes broadcast, so one call
+# handles the series of many points at once.
 _SERIES_LEN = 6  # coefficients 0..5: enough for derivatives up to order 5
+_FACTORIALS = np.array([factorial(j) for j in range(_SERIES_LEN)], dtype=float)
+# _CAUCHY[j * len + k, i] = 1 where j + k == i: the truncated product of two
+# series is their flattened outer product times this matrix
+_CAUCHY = (np.add.outer(np.arange(_SERIES_LEN), np.arange(_SERIES_LEN))
+           .reshape(-1, 1) == np.arange(_SERIES_LEN)).astype(float)
 
 
 def _ser_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    n = _SERIES_LEN
-    out = np.zeros(n)
-    for i in range(n):
-        out[i] = np.dot(a[: i + 1], b[i::-1])
-    return out
+    prod = a[..., :, None] * b[..., None, :]
+    return prod.reshape(prod.shape[:-2] + (_SERIES_LEN**2,)) @ _CAUCHY
 
 
 def _ser_sqrt(a: np.ndarray) -> np.ndarray:
     n = _SERIES_LEN
-    c = np.zeros(n)
-    c[0] = np.sqrt(a[0])
+    c = np.zeros(a.shape)
+    c[..., 0] = np.sqrt(a[..., 0])
     for k in range(1, n):
-        acc = sum(c[i] * c[k - i] for i in range(1, k))
-        c[k] = (a[k] - acc) / (2.0 * c[0])
+        acc = sum(c[..., i] * c[..., k - i] for i in range(1, k))
+        c[..., k] = (a[..., k] - acc) / (2.0 * c[..., 0])
     return c
 
 
 def _ser_compose(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a(b(x)) for truncated series, requires b[0] == 0."""
+    """a(b(x)) for truncated series, requires b[..., 0] == 0."""
     n = _SERIES_LEN
-    out = np.zeros(n)
-    out[0] = a[n - 1]
+    out = np.zeros(np.broadcast_shapes(a.shape, b.shape))
+    out[..., 0] = a[..., n - 1]
     for k in range(n - 2, -1, -1):  # Horner in the series algebra
         out = _ser_mul(out, b)
-        out[0] += a[k]
+        out[..., 0] += a[..., k]
     return out
 
 
 def _ser_invert(s: np.ndarray) -> np.ndarray:
-    """Compositional inverse t(y) of y = s(x), requires s[0]=0, s[1] != 0."""
+    """Compositional inverse t(y) of y = s(x), requires s[..., 0] = 0 and
+    s[..., 1] != 0."""
     n = _SERIES_LEN
-    t = np.zeros(n)
-    t[1] = 1.0 / s[1]
+    t = np.zeros(s.shape)
+    t[..., 1] = 1.0 / s[..., 1]
     for k in range(2, n):
-        t[k] = -_ser_compose(s, t)[k] / s[1]
+        t[..., k] = -_ser_compose(s, t)[..., k] / s[..., 1]
     return t
 
 
@@ -104,33 +109,42 @@ def _ser_invert(s: np.ndarray) -> np.ndarray:
 
 
 class Curve:
-    """A C^5 space curve with derivative access.
+    """A C^5 space curve with derivative access on scalars or arrays of s.
 
-    eval_fn: s -> point in R^3.  deriv_fn(s, j) may supply analytic
-    derivatives up to analytic_order; higher orders fall back to
-    Richardson-extrapolated central differences.
+    eval_fn(s) and deriv_fn(s, j) take a scalar or an array of parameters
+    and return shape (3, *s.shape); deriv_fn supplies analytic derivatives
+    up to analytic_order, and higher orders fall back to
+    Richardson-extrapolated central differences.  jet_fn(s, n), if given,
+    returns the derivatives of orders 0..n, shape (n + 1, 3, *s.shape), from
+    one computation.  A call on an array of s costs a handful of numpy
+    operations on that array, so callers should evaluate many parameters
+    per call rather than loop over scalars.
     """
 
     def __init__(
         self,
-        eval_fn: Callable[[float], np.ndarray],
-        deriv_fn: Optional[Callable[[float, int], np.ndarray]] = None,
+        eval_fn: Callable,
+        deriv_fn: Optional[Callable] = None,
         domain: tuple[float, float] = (-1.0, 1.0),
         arclength: bool = False,
         analytic_order: int = 0,
         name: str = "curve",
+        jet_fn: Optional[Callable] = None,
     ):
         self._eval = eval_fn
         self._deriv = deriv_fn
+        self._jet = jet_fn
         self.domain = (float(domain[0]), float(domain[1]))
         self.arclength_flag = bool(arclength)
         self.analytic_order = int(analytic_order)
         self.name = name
 
-    def eval(self, s: float) -> np.ndarray:
+    def eval(self, s) -> np.ndarray:
+        """gamma(s), shape (3, *np.shape(s))."""
         return np.asarray(self._eval(s), dtype=float)
 
-    def derivative(self, s: float, order: int) -> np.ndarray:
+    def derivative(self, s, order: int) -> np.ndarray:
+        """gamma^(order)(s), shape (3, *np.shape(s))."""
         if order == 0:
             return self.eval(s)
         if self._deriv is not None and order <= self.analytic_order:
@@ -140,65 +154,72 @@ class Curve:
             return nested_diff(self._eval, s, order)
         return nested_diff(lambda t: self._deriv(t, base), s, order - base)
 
+    def derivatives(self, s, orders: Sequence[int]) -> list[np.ndarray]:
+        """gamma^(j)(s) for each j in orders, each of shape (3, *np.shape(s));
+        a curve with a jet function computes all of them from one jet."""
+        top = max(orders)
+        if self._jet is not None and top <= self.analytic_order:
+            jet = self._jet(s, top)
+            return [jet[j] for j in orders]
+        return [self.derivative(s, j) for j in orders]
+
 
 # ---------------------------------------------------------------------------
 # benchmark curves
 # ---------------------------------------------------------------------------
 
 
+def vec3(s, x, y, z) -> np.ndarray:
+    """Components that are scalars or arrays of s's shape, as (3, *s.shape)."""
+    if np.ndim(s) == 0:
+        return np.array([x, y, z], dtype=float)
+    out = np.empty((3,) + np.shape(s))
+    out[0], out[1], out[2] = x, y, z
+    return out
+
+
+def trig_cycle(u, j: int):
+    """(d^j/du^j cos u, d^j/du^j sin u)."""
+    c, s = np.cos(u), np.sin(u)
+    return ((c, s), (-s, c), (-c, -s), (s, -c))[j % 4]
+
+
 def helix(a: float = 1.0, b: float = 1.0, domain=(-1.0, 1.0)) -> Curve:
     """Circular helix (a cos u, a sin u, b u) parametrized by arclength."""
     c = np.hypot(a, b)
 
-    def ev(s):
-        u = s / c
-        return np.array([a * np.cos(u), a * np.sin(u), b * u])
-
     def dv(s, j):
         u = s / c
         w = 1.0 / c**j
-        # derivatives of cos/sin cycle with period 4
-        cyc = [(np.cos(u), np.sin(u)), (-np.sin(u), np.cos(u)),
-               (-np.cos(u), -np.sin(u)), (np.sin(u), -np.cos(u))]
-        cx, sx = cyc[j % 4]
+        cx, sx = trig_cycle(u, j)
         z = b * u if j == 0 else (b / c if j == 1 else 0.0)
-        return np.array([a * cx * w, a * sx * w, z])
+        return vec3(u, a * cx * w, a * sx * w, z)
 
-    return Curve(ev, dv, domain=domain, arclength=True, analytic_order=5,
-                 name=f"helix({a},{b})")
+    return Curve(lambda s: dv(s, 0), dv, domain=domain, arclength=True,
+                 analytic_order=5, name=f"helix({a},{b})")
 
 
 def planar_circle(domain=(-1.0, 1.0)) -> Curve:
-    def ev(s):
-        return np.array([np.cos(s), np.sin(s), 0.0])
-
     def dv(s, j):
-        cyc = [(np.cos(s), np.sin(s)), (-np.sin(s), np.cos(s)),
-               (-np.cos(s), -np.sin(s)), (np.sin(s), -np.cos(s))]
-        cx, sx = cyc[j % 4]
-        return np.array([cx, sx, 0.0])
+        cx, sx = trig_cycle(s, j)
+        return vec3(s, cx, sx, 0.0)
 
-    return Curve(ev, dv, domain=domain, arclength=True, analytic_order=5,
-                 name="circle")
+    return Curve(lambda s: dv(s, 0), dv, domain=domain, arclength=True,
+                 analytic_order=5, name="circle")
 
 
 def line(domain=(-1.0, 1.0)) -> Curve:
     def dv(s, j):
-        if j == 0:
-            return np.array([s, 0.0, 0.0])
-        if j == 1:
-            return np.array([1.0, 0.0, 0.0])
-        return np.zeros(3)
+        x = s if j == 0 else (1.0 if j == 1 else 0.0)
+        return vec3(s, x, 0.0, 0.0)
 
-    return Curve(lambda s: np.array([s, 0.0, 0.0]), dv, domain=domain,
-                 arclength=True, analytic_order=5, name="line")
+    return Curve(lambda s: dv(s, 0), dv, domain=domain, arclength=True,
+                 analytic_order=5, name="line")
 
 
 def _poly_curve(powers, domain, name) -> Curve:
-    coeffs = {}
-
     def dv(s, j):
-        out = np.zeros(3)
+        out = np.zeros((3,) + np.shape(s))
         for axis, p in enumerate(powers):
             if j <= p:
                 fall = 1.0
@@ -222,60 +243,56 @@ def quartic_curve(domain=(-1.0, 1.0)) -> Curve:
 def reparametrize_arclength(curve: Curve, nodes: int = 1024) -> Curve:
     """Reparametrize by arclength (centered so that parameter 0 maps to 0).
 
-    Arclength is accumulated by Gauss-Legendre panels; the inverse map uses
-    monotone interpolation refined by Newton, and derivatives are obtained by
-    exact chain rule via truncated Taylor series of the original curve.
+    Arclength is accumulated by Gauss-Legendre panels (one derivative call
+    for all nodes x 10 points); the inverse map uses monotone interpolation
+    refined by Newton, and derivatives are obtained by exact chain rule via
+    truncated Taylor series of the original curve.  The new curve takes
+    arrays of s, and one jet (six derivative calls of the original curve on
+    the array) gives all its derivatives up to order 5.
     """
     t0, t1 = curve.domain
     gx, gw = leggauss(10)
 
     def speed(t):
-        return float(np.linalg.norm(curve.derivative(t, 1)))
+        return np.linalg.norm(curve.derivative(t, 1), axis=0)
 
     grid = np.linspace(t0, t1, nodes + 1)
-    seg = np.empty(nodes)
-    for i in range(nodes):
-        a, b = grid[i], grid[i + 1]
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        seg[i] = half * sum(w * speed(mid + half * x) for x, w in zip(gx, gw))
+    mid, half = 0.5 * (grid[:-1] + grid[1:]), 0.5 * np.diff(grid)
+    seg = half * (speed(mid[:, None] + half[:, None] * gx) @ gw)
     cum = np.concatenate([[0.0], np.cumsum(seg)])
     s_of_t = PchipInterpolator(grid, cum)
     t_of_s = PchipInterpolator(cum, grid)
     s_center = float(s_of_t(0.0)) if t0 <= 0.0 <= t1 else float(cum[0])
 
     def param_at(s):
-        target = s + s_center
-        t = float(np.clip(t_of_s(target), t0, t1))
+        target = np.asarray(s, dtype=float) + s_center
+        t = np.clip(t_of_s(target), t0, t1)
         for _ in range(4):  # Newton refinement to machine precision
-            t -= (float(s_of_t(t)) - target) / speed(t)
-            t = float(np.clip(t, t0, t1))
+            t = np.clip(t - (s_of_t(t) - target) / speed(t), t0, t1)
         return t
 
-    def taylor_at(t):
-        """Taylor coefficients of each coordinate of the new curve at arclength s(t)."""
-        g = np.zeros((3, _SERIES_LEN))
-        for j in range(_SERIES_LEN):
-            g[:, j] = curve.derivative(t, j) / factorial(j)
-        v = np.zeros((3, _SERIES_LEN))
-        v[:, :-1] = g[:, 1:] * np.arange(1, _SERIES_LEN)
-        w = _ser_sqrt(_ser_mul(v[0], v[0]) + _ser_mul(v[1], v[1]) + _ser_mul(v[2], v[2]))
-        s_ser = np.zeros(_SERIES_LEN)  # arclength increment series, s(t0+x)-s(t0)
-        s_ser[1:] = w[:-1] / np.arange(1, _SERIES_LEN)
-        t_ser = _ser_invert(s_ser)
-        return np.array([_ser_compose(g[i], t_ser) for i in range(3)])
-
-    def ev(s):
+    def jet(s, top):
+        """Derivatives 0..top of the new curve at s, (top + 1, 3, *s.shape),
+        from the Taylor coefficients of each coordinate at t(s)."""
         t = param_at(s)
-        return curve.eval(t)
+        g = np.stack([curve.derivative(t, j) for j in range(_SERIES_LEN)],
+                     axis=-1) / _FACTORIALS  # (3, *s.shape, series)
+        v = np.zeros(g.shape)
+        v[..., :-1] = g[..., 1:] * np.arange(1, _SERIES_LEN)
+        w = _ser_sqrt(_ser_mul(v, v).sum(axis=0))
+        s_ser = np.zeros(w.shape)  # arclength increment series, s(t0+x)-s(t0)
+        s_ser[..., 1:] = w[..., :-1] / np.arange(1, _SERIES_LEN)
+        coef = _ser_compose(g, _ser_invert(s_ser))
+        coef = coef[..., : top + 1] * _FACTORIALS[: top + 1]
+        return np.moveaxis(coef, -1, 0)
 
     def dv(s, j):
-        t = param_at(s)
-        coef = taylor_at(t)
-        return coef[:, j] * factorial(j)
+        return jet(s, j)[j]
 
     new_domain = (cum[0] - s_center, cum[-1] - s_center)
-    return Curve(ev, dv, domain=new_domain, arclength=True, analytic_order=5,
-                 name=curve.name + "_arclen")
+    return Curve(lambda s: curve.eval(param_at(s)), dv, domain=new_domain,
+                 arclength=True, analytic_order=5,
+                 name=curve.name + "_arclen", jet_fn=jet)
 
 
 _BENCHMARKS = {
@@ -303,38 +320,59 @@ def benchmark_curve(name: str, **params) -> Curve:
 
 @dataclass(frozen=True)
 class FrenetFrame:
+    """Frame at one parameter (T, N, B of shape (3,); kappa, tau, s floats)
+    or at n parameters (T, N, B of shape (n, 3); kappa, tau, s of shape
+    (n,))."""
+
     T: np.ndarray
     N: np.ndarray
     B: np.ndarray
-    kappa: float
-    tau: float
-    s: float
+    kappa: float | np.ndarray
+    tau: float | np.ndarray
+    s: float | np.ndarray
+
+
+def _dot3(a: np.ndarray, b: np.ndarray):
+    """Inner product of component-first arrays (3, ...) over the first axis."""
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
 
 
 def _cross3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # np.cross carries heavy axis-handling overhead for single 3-vectors
+    """Cross product of component-first arrays (3, ...); np.cross carries
+    heavy axis-handling overhead for single 3-vectors."""
     return np.array([a[1] * b[2] - a[2] * b[1],
                      a[2] * b[0] - a[0] * b[2],
                      a[0] * b[1] - a[1] * b[0]])
 
 
-def frenet_frame(curve: Curve, s: float, floor: float = CURVATURE_FLOOR) -> FrenetFrame:
-    """Orthonormal (T, N, B) with curvature and torsion at parameter s."""
-    d1 = curve.derivative(s, 1)
-    d2 = curve.derivative(s, 2)
-    d3 = curve.derivative(s, 3)
-    speed = np.linalg.norm(d1)
+def frenet_frame(curve: Curve, s,
+                 floor: float = CURVATURE_FLOOR) -> FrenetFrame:
+    """Orthonormal (T, N, B) with curvature and torsion at s.
+
+    s is a scalar or a 1-d array of n parameters; an array gives T, N, B of
+    shape (n, 3) and kappa, tau of shape (n,) from one derivatives call
+    (orders 1-3) on the whole array.  Raises DegenerateCurvature naming the
+    first parameter whose |gamma' x gamma''| is below the floor.
+    """
+    s = np.asarray(s, dtype=float)
+    d1, d2, d3 = curve.derivatives(s, (1, 2, 3))
+    speed = np.sqrt(_dot3(d1, d1))
     cross = _cross3(d1, d2)
-    cn = np.linalg.norm(cross)
-    if cn < floor * max(1.0, speed**2):
+    cn = np.sqrt(_dot3(cross, cross))
+    low = cn < floor * np.maximum(1.0, speed**2)
+    if low.any():
+        i = np.argmax(low) if s.ndim else ()
         raise DegenerateCurvature(
-            f"|gamma' x gamma''| = {cn:.3e} below floor at s={s}")
+            f"|gamma' x gamma''| = {cn[i]:.3e} below floor at s={s[i]}")
     T = d1 / speed
     B = cross / cn
     N = _cross3(B, T)
     kappa = cn / speed**3
-    tau = float(np.dot(cross, d3)) / cn**2
-    return FrenetFrame(T=T, N=N, B=B, kappa=float(kappa), tau=tau, s=float(s))
+    tau = _dot3(cross, d3) / cn**2
+    if s.ndim == 0:
+        return FrenetFrame(T=T, N=N, B=B, kappa=float(kappa), tau=float(tau),
+                           s=float(s))
+    return FrenetFrame(T=T.T, N=N.T, B=B.T, kappa=kappa, tau=tau, s=s)
 
 
 # ---------------------------------------------------------------------------
@@ -457,10 +495,7 @@ class GeneratorCurve:
 
 def unit_circle_generator(domain=(-np.pi, np.pi)) -> GeneratorCurve:
     def dv(a, j):
-        cyc = [(np.cos(a), np.sin(a)), (-np.sin(a), np.cos(a)),
-               (-np.cos(a), -np.sin(a)), (np.sin(a), -np.cos(a))]
-        cx, sx = cyc[j % 4]
-        return np.array([cx, sx])
+        return np.array(trig_cycle(a, j))
 
     return GeneratorCurve(lambda a: dv(a, 0), dv, domain=domain, kind="circle")
 
@@ -481,9 +516,7 @@ def parabola_generator(domain=(-1.0, 1.0)) -> GeneratorCurve:
 def tilted_circle_generator(a: float, b: float, rho: float,
                             domain=(-np.pi, np.pi)) -> GeneratorCurve:
     def dv(al, j):
-        cyc = [(np.cos(al), np.sin(al)), (-np.sin(al), np.cos(al)),
-               (-np.cos(al), -np.sin(al)), (np.sin(al), -np.cos(al))]
-        cx, sx = cyc[j % 4]
+        cx, sx = trig_cycle(al, j)
         if j == 0:
             return np.array([a + rho * cx, b + rho * sx])
         return np.array([rho * cx, rho * sx])
@@ -497,12 +530,14 @@ def binormal_generator(curve: Curve, interval: Optional[tuple[float, float]] = N
     """Level-curve generator g = (B1/B3, B2/B3) of the binormal cone."""
     lo, hi = interval if interval is not None else curve.domain
     grid = np.linspace(lo, hi, samples)
-    for s in grid:
-        fr = frenet_frame(curve, s)
-        if abs(fr.tau) < CURVATURE_FLOOR:
-            raise DegenerateCurvature(f"torsion {fr.tau:.3e} below floor at s={s}")
-        if fr.B[2] <= 0.5:
-            raise B3TooSmall(f"B3(s) = {fr.B[2]:.4f} <= 1/2 at s={s}")
+    fr = frenet_frame(curve, grid)
+    bad = (np.abs(fr.tau) < CURVATURE_FLOOR) | (fr.B[:, 2] <= 0.5)
+    if bad.any():
+        i = np.argmax(bad)
+        if abs(fr.tau[i]) < CURVATURE_FLOOR:
+            raise DegenerateCurvature(
+                f"torsion {fr.tau[i]:.3e} below floor at s={grid[i]}")
+        raise B3TooSmall(f"B3(s) = {fr.B[i, 2]:.4f} <= 1/2 at s={grid[i]}")
 
     def ev(s):
         B = frenet_frame(curve, s).B
@@ -557,7 +592,7 @@ def cone_coordinates(
     xi = np.asarray(xi, dtype=float)
     lo, hi = curve.domain
     grid = np.linspace(lo, hi, grid_points)
-    vals = np.array([np.dot(xi, frenet_frame(curve, s).N) for s in grid])
+    vals = frenet_frame(curve, grid).N @ xi
 
     def fN(s):
         return float(np.dot(xi, frenet_frame(curve, s).N))

@@ -20,7 +20,7 @@ from numpy.polynomial.legendre import leggauss
 from scipy import fft as sfft
 
 from .cone_plates import Plate, PlateFamily, make_family
-from .curve_geometry import Curve
+from .curve_geometry import Curve, vec3, trig_cycle
 from .errors import (GridTooLarge, PlateUnresolved, QuadratureFailure,
                      WraparoundRisk)
 from .symbol_decomposition import build_cutoffs
@@ -330,7 +330,7 @@ def _chi_support(curve: Curve, chi: Callable, probes: int = 257):
 
 def curve_diameter(curve: Curve, chi: Callable, probes: int = 257) -> float:
     lo, hi = _chi_support(curve, chi)
-    pts = np.array([curve.eval(s) for s in np.linspace(lo, hi, probes)])
+    pts = curve.eval(np.linspace(lo, hi, probes)).T
     return float(np.max(np.linalg.norm(pts[:, None] - pts[None, :], axis=2)))
 
 
@@ -357,8 +357,8 @@ def _curve_quadrature(curve: Curve, chi: Callable,
     raises QuadratureFailure rather than being under-resolved.
     """
     lo, hi = _chi_support(curve, chi)
-    gmax = max(float(np.linalg.norm(curve.eval(s)))
-               for s in np.linspace(lo, hi, 65))
+    gmax = float(np.linalg.norm(curve.eval(np.linspace(lo, hi, 65)),
+                                axis=0).max())
     nodes = int(max(201, 4.0 * abs(t_kmax) * gmax))
     if nodes > _MAX_NODES:
         raise QuadratureFailure(
@@ -367,8 +367,7 @@ def _curve_quadrature(curve: Curve, chi: Callable,
     x, w = leggauss(nodes)
     s = 0.5 * (hi + lo) + 0.5 * (hi - lo) * x
     w = 0.5 * (hi - lo) * w * np.asarray(chi(s))
-    gam = np.array([curve.eval(si) for si in s])
-    return gam, w
+    return curve.eval(s).T, w
 
 
 def _kmax(Xi: np.ndarray) -> float:
@@ -591,13 +590,9 @@ def helix_family_curve(a: float, b: float, domain=(-1.0, 1.0)) -> Curve:
 
     def dv(s, j):
         w = tp**j
-        cyc = [(np.cos(tp * s), np.sin(tp * s)),
-               (-np.sin(tp * s), np.cos(tp * s)),
-               (-np.cos(tp * s), -np.sin(tp * s)),
-               (np.sin(tp * s), -np.cos(tp * s))]
-        cx, sx = cyc[j % 4]
+        cx, sx = trig_cycle(tp * s, j)
         z = b * s if j == 0 else (b if j == 1 else 0.0)
-        return np.array([a * cx * w, a * sx * w, z])
+        return vec3(s, a * cx * w, a * sx * w, z)
 
     return Curve(lambda s: dv(s, 0), dv, domain=domain, analytic_order=5,
                  name=f"helix_family({a},{b})")

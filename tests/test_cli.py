@@ -84,6 +84,15 @@ def test_selftest_passes():
     assert cli.selftest() == 0
 
 
+def test_selftest_fails_loudly(monkeypatch, capsys):
+    monkeypatch.setattr(cli.ol, "helix_phase_identity",
+                        lambda *args: (0.0, 1.0))
+    assert cli.selftest() == 2
+    err = capsys.readouterr().err
+    assert "selftest failed: helix-family phase identity" in err
+    assert err.count("selftest failed") == 1
+
+
 # ---------------------------------------------------------------------------
 # run dispatch and reports
 # ---------------------------------------------------------------------------

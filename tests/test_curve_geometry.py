@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conewolff import curve_geometry as cg
+from conewolff import operator_lab as ol
 from conewolff.errors import (
     B3TooSmall,
     DegenerateCurvature,
@@ -59,6 +60,39 @@ def test_reparametrization_preserves_image():
         assert abs(np.linalg.norm(arc.derivative(s, 1)) - 1.0) < 1e-10
 
 
+@pytest.mark.parametrize("name", sorted(cg._BENCHMARKS))
+def test_array_evaluation_matches_scalar(name):
+    c = cg.benchmark_curve(name)
+    lo, hi = c.domain
+    s = np.linspace(lo + 0.01, hi - 0.01, 17)
+    for j in range(6):
+        arr = c.derivative(s, j)
+        assert arr.shape == (3, 17)
+        scalar = np.stack([c.derivative(x, j) for x in s], axis=-1)
+        np.testing.assert_allclose(arr, scalar, rtol=1e-13, atol=1e-13)
+    np.testing.assert_array_equal(c.eval(s), c.derivative(s, 0))
+    assert c.eval(s.reshape(1, 17)).shape == (3, 1, 17)
+    if name == "line":
+        return
+    fr = cg.frenet_frame(c, s)
+    assert fr.T.shape == fr.N.shape == fr.B.shape == (17, 3)
+    assert fr.kappa.shape == fr.tau.shape == (17,)
+    one = [cg.frenet_frame(c, x) for x in s]
+    for field in ("T", "N", "B", "kappa", "tau"):
+        scalar = np.array([getattr(f, field) for f in one])
+        np.testing.assert_allclose(getattr(fr, field), scalar,
+                                   rtol=1e-13, atol=1e-13)
+
+
+def test_helix_family_curve_takes_arrays():
+    c = ol.helix_family_curve(1.5, 1.3)
+    s = np.linspace(-0.9, 0.9, 11)
+    for j in range(6):
+        scalar = np.stack([c.derivative(x, j) for x in s], axis=-1)
+        np.testing.assert_allclose(c.derivative(s, j), scalar,
+                                   rtol=1e-13, atol=1e-13)
+
+
 # ---------------------------------------------------------------------------
 # frenet_frame
 # ---------------------------------------------------------------------------
@@ -76,6 +110,16 @@ def test_helix_closed_forms():
 def test_line_degenerate():
     with pytest.raises(DegenerateCurvature):
         cg.frenet_frame(cg.line(), 0.1)
+
+
+def test_array_frame_degenerate_names_first_parameter():
+    with pytest.raises(DegenerateCurvature, match=r"at s=-1\.0$"):
+        cg.frenet_frame(cg.line(), np.linspace(-1.0, 1.0, 5))
+    # gamma = (s, s^3, s^4) has gamma'' = 0 only at s = 0
+    flat = cg._poly_curve((1, 3, 4), (-1.0, 1.0), "flat_at_zero")
+    with pytest.raises(DegenerateCurvature, match=r"at s=0\.0$"):
+        cg.frenet_frame(flat, np.linspace(-1.0, 1.0, 5))
+    assert cg.frenet_frame(flat, np.array([-0.5, 0.5])).kappa.min() > 0.0
 
 
 def test_circle_planar():

@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from conewolff import curve_geometry as cg
 from conewolff import symbol_decomposition as sd
-from conewolff.errors import GridTooLarge, TypeExceedsNMax
+from conewolff.errors import GridTooLarge, QuadratureFailure, TypeExceedsNMax
 
 
 HELIX = cg.helix(1.0, 1.0)
@@ -274,6 +275,53 @@ def test_quadrature_matches_dense_riemann():
         oracle = (amp * np.exp(-1j * gam @ xi)).mean() * (hi - lo)
         m = sd.mk_multiplier(piece, xi, tol=1e-10)
         assert abs(m.value - oracle) < 1e-8
+
+
+def _scipy_multiplier(piece, xi):
+    """mk_multiplier's integral by scalar scipy quad at tolerance 1e-11."""
+    xin = np.ldexp(xi, -piece.k)
+    r, u, sg = cg.cone_coordinates(piece.curve, xin)
+    norm = float(np.linalg.norm(xin))
+
+    def f(s):
+        amp = float(piece.coord_eval(s, r, u, sg, norm))
+        return amp * np.exp(-1j * float(piece.curve.eval(s) @ xi))
+
+    a, b = piece.s_interval()
+    kw = dict(epsabs=1e-11, epsrel=0.0, limit=400,
+              points=[sg] if a < sg < b else None)
+    re = quad(lambda s: f(s).real, a, b, **kw)[0]
+    im = quad(lambda s: f(s).imag, a, b, **kw)[0]
+    return complex(re, im)
+
+
+@pytest.mark.parametrize("curve_name,kind,k,n_xi", [
+    ("helix", "a", 12, 4), ("helix", "b", 12, 4), ("helix", "atilde", 12, 4),
+    ("twisted_cubic", "a", 10, 2), ("twisted_cubic", "atilde", 10, 2),
+])
+def test_multiplier_matches_tight_scipy_quad(curve_name, kind, k, n_xi):
+    curve = cg.benchmark_curve(curve_name)
+    A0 = sd.default_a0(curve)
+    piece = sd._sweep_piece(curve, kind, k, 2, A0, 0)
+    hats = sd._sweep_xi_hats(curve, kind, 2, n_xi, np.random.default_rng(3),
+                             A0, k=k)
+    for hat in hats:
+        xi = np.ldexp(hat, k)
+        m = sd.mk_multiplier(piece, xi)
+        assert abs(m.value) > 1e-6
+        assert abs(m.value - _scipy_multiplier(piece, xi)) < 1e-10
+        assert m.quadrature_error <= 2 * 1e-3 * 1e-8  # two sides of sigma
+
+
+def test_panel_cap_raises_quadrature_failure(monkeypatch):
+    ak = sd.make_ak(HELIX, 12)
+    piece = sd.nu_localize(
+        sd._shell_piece(ak, "a_{k,l}", 2, sd.default_a0(HELIX)), [0])[0]
+    xi = np.ldexp(cg.cone_point(HELIX, 1.2, -0.03, 0.05), 12)
+    assert abs(sd.mk_multiplier(piece, xi).value) > 1e-6
+    monkeypatch.setattr(sd, "_MAX_PANELS", 4)
+    with pytest.raises(QuadratureFailure, match="4 Gauss-Legendre panels"):
+        sd.mk_multiplier(piece, xi)
 
 
 # ---------------------------------------------------------------------------
