@@ -89,6 +89,13 @@ _LIST_INT_KEYS = {"k_list"}
 _STR_KEYS = {"experiment", "curve", "generator", "outdir"}
 
 
+def _finite_float(val: str) -> float:
+    x = float(val)
+    if not math.isfinite(x):
+        raise ValueError(f"non-finite value {val!r}")
+    return x
+
+
 def parse_config(text: str) -> Config:
     """Parse key=value lines ('#' comments, optional [section] headers)."""
     values: dict = {}
@@ -105,9 +112,10 @@ def parse_config(text: str) -> Config:
             if key in _INT_KEYS:
                 values[key] = int(val)
             elif key in _FLOAT_KEYS:
-                values[key] = float(val)
+                values[key] = _finite_float(val)
             elif key in _LIST_FLOAT_KEYS:
-                values[key] = tuple(float(v) for v in val.split(",") if v)
+                values[key] = tuple(_finite_float(v) for v in val.split(",")
+                                    if v)
             elif key in _LIST_INT_KEYS:
                 values[key] = tuple(int(v) for v in val.split(",") if v)
             elif key in _STR_KEYS:

@@ -3,7 +3,8 @@
 Provides the Curve / FrenetFrame / GeneratorCurve / FiniteTypeReport types,
 benchmark curve constructors, arclength reparametrization, and the chart
 (r, u, sigma) on the cone of binormal directions together with its gradient
-formulas.
+formulas.  The chart has one inversion, cone_chart, which resolves many
+frequencies in one call; cone_coordinates is its scalar form.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.interpolate import PchipInterpolator
-from scipy.optimize import brentq
 
 from .errors import (
     B3TooSmall,
@@ -581,50 +581,88 @@ def cone_point(curve: Curve, r: float, u: float, sigma: float) -> np.ndarray:
     return r * fr.B + u * fr.T
 
 
-def cone_coordinates(
-    curve: Curve,
-    xi: np.ndarray,
-    u_over_r_cap: float = 0.2,
-    grid_points: int = 64,
-    max_iter: int = 60,
-) -> tuple[float, float, float]:
-    """Invert xi = r B(sigma) + u T(sigma): bracketed root of <xi, N(sigma)> = 0."""
-    xi = np.asarray(xi, dtype=float)
+_CHART_SCAN = 64  # bracket-scan points over the curve's domain
+_CHART_CAP = 0.2  # an admissible root has |u| <= _CHART_CAP * r
+_CHART_TOL = 1e-9  # reconstruction residual allowed, relative to |xi|
+_NEWTON_MAX = 60  # enough to bisect a scan cell down to a few ulps
+
+
+def cone_chart(curve: Curve, xi: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Invert xi = r B(sigma) + u T(sigma) for every row of xi, shape (n, 3).
+
+    Returns r, u, sigma and the mask inside, each of shape (n,).  The roots
+    of f(sigma) = <xi, N(sigma)> are bracketed on a _CHART_SCAN-point grid
+    of the domain (one frame call for all rows), and all brackets are
+    polished together by Newton with the Frenet slope f' = tau r - kappa u
+    (exact for an arclength parameter), bisecting whenever a step leaves
+    its bracket, until a step of a few ulps.  Per row the root with r > 0,
+    |u| <= _CHART_CAP r and the smallest |u| is kept; inside marks the rows
+    that have one, and r, u, sigma are nan on the others.  Raises
+    NotConverged if the reconstruction r B + u T of a kept root, in its
+    last Newton frame, is farther than _CHART_TOL |xi| from xi.
+    """
+    xi = np.asarray(xi, dtype=float).reshape(-1, 3)
     lo, hi = curve.domain
-    grid = np.linspace(lo, hi, grid_points)
-    vals = frenet_frame(curve, grid).N @ xi
+    grid = np.linspace(lo, hi, _CHART_SCAN)
+    vals = xi @ frenet_frame(curve, grid).N.T
+    # one bracket per exact zero on a node and per sign change in a cell
+    zero = vals == 0.0
+    start = zero.copy()
+    start[:, :-1] |= vals[:, :-1] * vals[:, 1:] < 0.0
+    row, j = np.nonzero(start)
+    jb = np.where(zero[row, j], j, j + 1)
+    a, b, fa, fb = grid[j], grid[jb], vals[row, j], vals[row, jb]
+    sig = a + fa / np.where(zero[row, j], 1.0, fa - fb) * (b - a)
+    # r, u and f come from the frame at the last evaluated point, at
+    x, (r, u, f_at, at) = xi[row], np.empty((4, len(row)))
+    tol = 4.0 * np.finfo(float).eps * max(1.0, abs(lo), abs(hi))
+    act = np.arange(len(row))
+    for _ in range(_NEWTON_MAX):
+        if not act.size:
+            break
+        s, xa = sig[act], x[act]
+        fr = frenet_frame(curve, s)
+        f, ra, ua = (np.einsum("ij,ij->i", xa, e) for e in (fr.N, fr.B, fr.T))
+        r[act], u[act], f_at[act], at[act] = ra, ua, f, s
+        left = np.sign(f) == np.sign(fa[act])  # the root lies right of s
+        a[act[left]], fa[act[left]] = s[left], f[left]
+        b[act[~left]] = s[~left]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            nxt = s - f / (fr.tau * ra - fr.kappa * ua)
+        lo_b, hi_b = a[act], b[act]
+        nxt = np.where((nxt >= lo_b) & (nxt <= hi_b), nxt, 0.5 * (lo_b + hi_b))
+        sig[act] = nxt
+        act = act[np.abs(nxt - s) > tol]
 
-    def fN(s):
-        return float(np.dot(xi, frenet_frame(curve, s).N))
+    key = np.where((r > 0.0) & (np.abs(u) <= _CHART_CAP * r), np.abs(u),
+                   np.inf)
+    order = np.lexsort((key, row))  # by row, then |u|, then sigma
+    best = order[np.diff(row[order], prepend=-1) != 0]
+    best = best[np.isfinite(key[best])]
+    # |r B + u T - xi| = |<xi, N>| in the orthonormal frame at sigma
+    rel = np.abs(f_at[best]) / np.linalg.norm(x[best], axis=1)
+    if (rel > _CHART_TOL).any():
+        i = np.argmax(rel)
+        raise NotConverged(f"chart reconstruction residual {rel[i]:.3e} |xi| "
+                           f"at sigma={at[best[i]]}")
+    out = np.full((3, len(xi)), np.nan)
+    out[:, row[best]] = r[best], u[best], at[best]
+    inside = np.zeros(len(xi), dtype=bool)
+    inside[row[best]] = True
+    return out[0], out[1], out[2], inside
 
-    candidates = []
-    for i in range(grid_points - 1):
-        a, b = grid[i], grid[i + 1]
-        if vals[i] == 0.0:
-            candidates.append(a)
-        elif vals[i] * vals[i + 1] < 0.0:
-            candidates.append(brentq(fN, a, b, maxiter=max_iter, xtol=1e-14))
-    if vals[-1] == 0.0:
-        candidates.append(hi)
 
-    best = None
-    for sig in candidates:
-        fr = frenet_frame(curve, sig)
-        r = float(np.dot(xi, fr.B))
-        u = float(np.dot(xi, fr.T))
-        if r <= 0.0 or abs(u) > u_over_r_cap * r:
-            continue
-        if best is None or abs(u) < abs(best[1]):
-            best = (r, u, float(sig))
-    if best is None:
+def cone_coordinates(curve: Curve, xi: np.ndarray) -> tuple[float, float, float]:
+    """(r, u, sigma) of one frequency: the scalar form of cone_chart.
+
+    Raises OutsideCone when no root is admissible and NotConverged when the
+    reconstruction check fails.
+    """
+    r, u, sigma, inside = cone_chart(curve, xi)
+    if not inside[0]:
         raise OutsideCone("no root of <xi, N(sigma)> with r > 0 and |u|/r "
-                          f"<= {u_over_r_cap} in {curve.domain}")
-    r, u, sigma = best
-    recon = cone_point(curve, r, u, sigma)
-    if np.linalg.norm(recon - xi) > 1e-9 * np.linalg.norm(xi):
-        raise NotConverged(
-            f"chart reconstruction residual {np.linalg.norm(recon - xi):.3e}")
-    return r, u, sigma
+                          f"<= {_CHART_CAP} in {curve.domain}")
+    return float(r[0]), float(u[0]), float(sigma[0])
 
 
 def scr_gradients(curve: Curve, xi: np.ndarray,

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -469,10 +468,6 @@ def support_census(curve: Curve, k: int = 48, r0: float = 2.0**-22,
         "plate_checked": plate_checked,
         "plate_failures": plate_failures,
     }
-
-
-def census_to_json(report: dict) -> str:
-    return json.dumps(report, indent=2, sort_keys=True)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,9 @@ Cutoff systems (eta0/eta1/zeta), the splitting of a dyadic symbol a_k into a
 near-cone piece plus dyadic shell pieces, nu-localization in the curve
 parameter, plate-support verification, oscillatory quadrature for the
 multiplier samples, decay-rate sweeps, an FFT-based L^1 kernel bound, and
-the finite-type rescaling of a curve at a point.
+the finite-type rescaling of a curve at a point.  Frequencies are placed in
+the cone chart by curve_geometry's one inversion: cone_chart for arrays of
+frequencies, cone_coordinates for a single one.
 """
 
 from __future__ import annotations
@@ -19,10 +21,10 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 # unused here; kept as a module attribute because perfbench/tracing.py wraps it
 from scipy.integrate import quad  # noqa: F401
-from scipy.interpolate import CubicSpline
 
 from .curve_geometry import (
     Curve,
+    cone_chart,
     cone_coordinates,
     cone_point,
     exponent_triple,
@@ -110,8 +112,9 @@ def default_a0(curve: Curve, samples: int = 64, factor: float = 16.0) -> float:
 class SymbolPiece:
     """One piece of the dyadic symbol, evaluated in cone-chart coordinates.
 
-    coord_eval(s, r, u, sigma, xinorm) is the core (vectorized) evaluator;
-    eval(s, xi) resolves the chart for a single ambient frequency first.
+    coord_eval(s, r, u, sigma, xinorm) is the (vectorized) evaluator; callers
+    resolve the chart of ambient frequencies with cone_chart or
+    cone_coordinates first.
     """
 
     kind: str
@@ -121,17 +124,6 @@ class SymbolPiece:
     l: Optional[int] = None
     nu: Optional[int] = None
     s_support: tuple[float, float] = (-np.inf, np.inf)
-
-    def eval(self, s, xi: np.ndarray) -> np.ndarray:
-        r, u, sigma = cone_coordinates(self.curve, np.asarray(xi, float))
-        return self.coord_eval(np.asarray(s, float), r, u, sigma,
-                               float(np.linalg.norm(xi)))
-
-    def profile(self, xi: np.ndarray) -> Callable:
-        """s-profile at fixed xi with the chart resolved once."""
-        r, u, sigma = cone_coordinates(self.curve, np.asarray(xi, float))
-        norm = float(np.linalg.norm(xi))
-        return lambda s: self.coord_eval(np.asarray(s, float), r, u, sigma, norm)
 
     def s_interval(self) -> tuple[float, float]:
         lo, hi = self.curve.domain
@@ -261,7 +253,8 @@ def tube_sample(curve: Curve, n: int, u_scale: float,
     if signed:
         u *= rng.choice([-1.0, 1.0], n)
     sigma = rng.uniform(*sigma_window, n)
-    xi = np.array([cone_point(curve, r[i], u[i], sigma[i]) for i in range(n)])
+    fr = frenet_frame(curve, sigma)
+    xi = r[:, None] * fr.B + u[:, None] * fr.T
     return r, u, sigma, xi
 
 
@@ -283,9 +276,7 @@ def verify_plate_support(piece: SymbolPiece, C: Optional[float] = None,
                                   win, rng, u_band=(0.0, 1.0))
     s = rng.uniform(max(lo, s_nu - 1 / scale), min(hi, s_nu + 1 / scale),
                     n_samples)
-    vals = np.array([piece.coord_eval(s[i], r[i], u[i], sigma[i],
-                                      float(np.linalg.norm(xi[i])))
-                     for i in range(n_samples)], dtype=float).ravel()
+    vals = piece.coord_eval(s, r, u, sigma, np.linalg.norm(xi, axis=1))
     mask = vals > 1e-12
     report = {"kind": piece.kind, "k": piece.k, "l": piece.l, "nu": piece.nu,
               "n_support": int(mask.sum())}
@@ -309,24 +300,23 @@ def verify_plate_support(piece: SymbolPiece, C: Optional[float] = None,
 
 def _support_derivative_constant(piece, xis, ss, fr, l_eff) -> float:
     """Finite-difference directional derivatives of xi -> piece(s, xi) along
-    the anchor frame, normalized by the expected growth rates."""
-    dirs = [(fr.T, 2.0 ** (2 * l_eff)), (fr.N, 2.0**l_eff), (fr.B, 1.0)]
-    worst = 0.0
-    for xi, s in zip(xis, ss):
-        def f(x):
-            try:
-                r, u, sg = cone_coordinates(piece.curve, x)
-            except OutsideCone:
-                return 0.0
-            return float(piece.coord_eval(s, r, u, sg, float(np.linalg.norm(x))))
-
-        for e, rate in dirs:
-            h = 0.05 / rate
-            f0, fp, fm = f(xi), f(xi + h * e), f(xi - h * e)
-            d1 = abs(fp - fm) / (2 * h)
-            d2 = abs(fp - 2 * f0 + fm) / h**2
-            worst = max(worst, d1 / rate, d2 / rate**2)
-    return float(worst)
+    the anchor frame, normalized by the expected growth rates.  One
+    cone_chart call places every difference point; a point outside the
+    cone contributes 0."""
+    rates = 2.0 ** np.array([2 * l_eff, l_eff, 0.0])
+    h = 0.05 / rates
+    steps = h[:, None] * np.array([fr.T, fr.N, fr.B])
+    # per xi: xi itself, then xi + h e and xi - h e for e = T, N, B
+    pts = xis[:, None] + np.concatenate([np.zeros((1, 3)), steps, -steps])
+    pts = pts.reshape(-1, 3)
+    r, u, sg, ok = cone_chart(piece.curve, pts)
+    vals = np.zeros(len(pts))
+    vals[ok] = piece.coord_eval(np.repeat(ss, 7)[ok], r[ok], u[ok], sg[ok],
+                                np.linalg.norm(pts[ok], axis=1))
+    f0, fp, fm = np.split(vals.reshape(-1, 7), [1, 4], axis=1)
+    d1 = np.abs(fp - fm) / (2 * h) / rates
+    d2 = np.abs(fp - 2 * f0 + fm) / h**2 / rates**2
+    return float(max(d1.max(), d2.max()))
 
 
 # ---------------------------------------------------------------------------
@@ -516,53 +506,18 @@ def sweep_to_csv(report: dict) -> str:
     return buf.getvalue()
 
 
-def sweep_to_json(report: dict) -> str:
-    return json.dumps(report, indent=2, sort_keys=True)
-
-
 # ---------------------------------------------------------------------------
 # L^1 kernel bound on the anisotropically rescaled frame
 # ---------------------------------------------------------------------------
-
-
-class _FrameChart:
-    """Vectorized cone chart near an anchor parameter, built on splines of
-    the moving frame."""
-
-    def __init__(self, curve: Curve, lo: float, hi: float, n: int = 257):
-        clo, chi = curve.domain
-        lo, hi = max(clo, lo), min(chi, hi)
-        grid = np.linspace(lo, hi, n)
-        fr = frenet_frame(curve, grid)
-        self.lo, self.hi = lo, hi
-        self.T = CubicSpline(grid, fr.T, axis=0)
-        self.N = CubicSpline(grid, fr.N, axis=0)
-        self.B = CubicSpline(grid, fr.B, axis=0)
-        self._dN = self.N.derivative()
-
-    def coords(self, xi: np.ndarray, sigma0: float, iters: int = 40):
-        """Solve <xi, N(sigma)> = 0 by Newton for each row of xi."""
-        xi = np.atleast_2d(xi)
-        sigma = np.full(len(xi), float(sigma0))
-        for _ in range(iters):
-            f = np.einsum("ij,ij->i", xi, self.N(sigma))
-            df = np.einsum("ij,ij->i", xi, self._dN(sigma))
-            step = f / np.where(np.abs(df) > 1e-14, df, 1e-14)
-            sigma = np.clip(sigma - step, self.lo, self.hi)
-        resid = np.abs(np.einsum("ij,ij->i", xi, self.N(sigma)))
-        r = np.einsum("ij,ij->i", xi, self.B(sigma))
-        u = np.einsum("ij,ij->i", xi, self.T(sigma))
-        ok = (resid < 1e-8 * np.linalg.norm(xi, axis=1)) & (r > 1e-6)
-        ok &= (sigma > self.lo + 1e-9) & (sigma < self.hi - 1e-9)
-        ok &= np.abs(u) < 0.19 * np.abs(r)
-        return r, u, sigma, ok
 
 
 def l1_kernel_bound(piece: SymbolPiece, n: int = 32, box: float = 4.0,
                     s_nodes: int = 20, max_points: int = 2**21) -> dict:
     """Upper bound on the L^1 norm of the inverse Fourier transform of the
     multiplier: per-parameter kernel slices are computed by 3-D FFT on a grid
-    adapted to the (2^{-2l}, 2^{-l}, 1) frame and integrated in s."""
+    adapted to the (2^{-2l}, 2^{-l}, 1) frame and integrated in s.  The grid
+    rows are placed in the chart by one cone_chart call over the whole
+    parameter domain; rows outside the cone contribute 0."""
     if piece.nu is None or piece.l is None:
         raise ValueError("kernel bound needs a nu-localized shell piece")
     if n**3 > max_points:
@@ -574,14 +529,13 @@ def l1_kernel_bound(piece: SymbolPiece, n: int = 32, box: float = 4.0,
     l, scale = piece.l, _nu_scale(piece)
     s_nu = piece.nu / scale
     fr = frenet_frame(piece.curve, s_nu)
-    chart = _FrameChart(piece.curve, s_nu - 0.35, s_nu + 0.35)
 
     ax = np.linspace(-box, box, n, endpoint=False)
     e1, e2, e3 = np.meshgrid(ax, ax, ax, indexing="ij")
     xi = (np.ldexp(e1.ravel()[:, None], -2 * l) * fr.T
           + np.ldexp(e2.ravel()[:, None], -l) * fr.N
           + e3.ravel()[:, None] * fr.B)
-    r, u, sigma, ok = chart.coords(xi, s_nu)
+    r, u, sigma, ok = cone_chart(piece.curve, xi)
     norm = np.linalg.norm(xi, axis=1)
 
     lo, hi = piece.s_interval()

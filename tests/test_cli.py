@@ -51,6 +51,18 @@ def test_parse_config_diagnostics():
         cli.parse_config("experiment = frobnicate\n")
 
 
+@pytest.mark.parametrize("key,val", [("p", "nan"), ("alpha", "inf")])
+def test_parse_config_rejects_non_finite(tmp_path, monkeypatch, key, val):
+    text = f"experiment = schedule\n{key} = {val}\n"
+    with pytest.raises(ConfigError, match=f"line 2: field '{key}'"):
+        cli.parse_config(text)
+    monkeypatch.setenv("OUTPUT_DIR", str(tmp_path))
+    cfg_file = tmp_path / "bad.cfg"
+    cfg_file.write_text(text)
+    assert cli.main(["run", str(cfg_file)]) == 1
+    assert not [p for p in tmp_path.iterdir() if p != cfg_file]
+
+
 def test_validate_scale_constraints():
     with pytest.raises(ConfigError, match="sigma"):
         cli.parse_config(_cfg_text(experiment="plates", deltas="0.0625",

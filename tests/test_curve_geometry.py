@@ -7,6 +7,7 @@ from conewolff import operator_lab as ol
 from conewolff.errors import (
     B3TooSmall,
     DegenerateCurvature,
+    NotConverged,
     OutsideCone,
     SingularJacobian,
     TypeExceedsNMax,
@@ -313,6 +314,48 @@ def test_singular_jacobian():
 # ---------------------------------------------------------------------------
 # property-based chart roundtrip
 # ---------------------------------------------------------------------------
+
+
+def test_cone_chart_array_roundtrip():
+    # one call over draws that reach |sigma| = 0.95, near the domain's ends
+    h = cg.helix(1, 1)
+    rng = np.random.default_rng(3)
+    r = rng.uniform(0.5, 4.0, 2000)
+    u = rng.uniform(-0.15, 0.15, 2000) * r
+    sig = rng.uniform(-0.95, 0.95, 2000)
+    xi = np.array([cg.cone_point(h, *p) for p in zip(r, u, sig)])
+    got = cg.cone_chart(h, xi)
+    assert got[3].all()
+    assert np.abs(sig).max() > 0.94
+    for g, want in zip(got, (r, u, sig)):
+        assert np.abs(g - want).max() < 1e-8
+
+
+def test_cone_chart_flags_rows_outside():
+    h = cg.helix(1, 1)
+    fr = cg.frenet_frame(h, 0.2)
+    rows = np.array([fr.B + 0.1 * fr.T,   # inside
+                     fr.B + 0.3 * fr.T,   # |u|/r = 0.3 above the 0.2 cap
+                     -fr.B,               # r < 0
+                     2.0 * fr.B - 0.5 * fr.T,  # |u|/r = 0.25
+                     fr.B - 0.19 * fr.T])  # inside, near the cap
+    r, u, sig, inside = cg.cone_chart(h, rows)
+    assert inside.tolist() == [True, False, False, False, True]
+    assert np.isnan(r[~inside]).all()
+    assert abs(sig[0] - 0.2) < 1e-12 and abs(u[4] + 0.19) < 1e-12
+    for xi in rows[~inside]:
+        with pytest.raises(OutsideCone):
+            cg.cone_coordinates(h, xi)
+
+
+def test_cone_chart_reconstruction_failure(monkeypatch):
+    h = cg.helix(1, 1)
+    xi = cg.cone_point(h, 1.3, 0.05, 0.4)
+    monkeypatch.setattr(cg, "_CHART_TOL", -1.0)  # no residual passes
+    with pytest.raises(NotConverged):
+        cg.cone_chart(h, xi[None])
+    with pytest.raises(NotConverged):
+        cg.cone_coordinates(h, xi)
 
 
 @settings(max_examples=40, deadline=None)

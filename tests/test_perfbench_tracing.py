@@ -1,0 +1,53 @@
+"""The benchmark's tracer wraps program functions by name: a rename or an
+inlined call makes its counters read 0 without failing anything.  These
+tests load perfbench/tracing.py by path and check that it still sees the
+functions it is meant to count."""
+
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+
+from conewolff import curve_geometry as cg
+from conewolff import symbol_decomposition as sd
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def _load_tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing",
+                                                  TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_counts_cone_coordinates_in_mk_multiplier():
+    tracing = _load_tracing()
+    helix = cg.helix(1.0, 1.0)
+    piece = sd.nu_localize(
+        sd._shell_piece(sd.make_ak(helix, 8), "a_{k,l}", 2,
+                        sd.default_a0(helix)), [0])[0]
+    xi = np.ldexp(cg.cone_point(helix, 1.2, -0.03, 0.05), 8)
+    originals = {
+        (cg, "cone_coordinates"): cg.cone_coordinates,
+        (sd, "cone_coordinates"): sd.cone_coordinates,
+        (cg, "frenet_frame"): cg.frenet_frame,
+        (sd, "frenet_frame"): sd.frenet_frame,
+        (sd, "mk_multiplier"): sd.mk_multiplier,
+        (cg.Curve, "eval"): cg.Curve.eval,
+        (cg.Curve, "derivative"): cg.Curve.derivative,
+    }
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert sd.mk_multiplier is not originals[(sd, "mk_multiplier")]
+        sample = sd.mk_multiplier(piece, xi)
+    finally:
+        tracer.uninstall()
+    assert sample.value != 0
+    assert tracer.calls["symbol_decomposition.mk_multiplier"] == 1
+    assert tracer.calls["curve_geometry.cone_coordinates"] == 1
+    assert tracer.calls["curve_geometry.frenet_frame"] >= 1
+    for (owner, attr), fn in originals.items():
+        assert getattr(owner, attr) is fn, attr

@@ -1,6 +1,5 @@
 """Tests for the two-scale refinement machinery."""
 
-import json
 import math
 
 import numpy as np
@@ -244,12 +243,6 @@ def test_support_census_preconditions():
         si.support_census(HELIX, r0=2.0**-22, r1=2.0**-40)
     with pytest.raises(ValueError):
         si.support_census(HELIX, r0=2.0**-23, r1=2.0**-22)
-
-
-def test_census_json_roundtrip():
-    report = si.support_census(HELIX, sample_count=10, seed=1)
-    blob = si.census_to_json(report)
-    assert json.loads(blob)["plate_failures"] == report["plate_failures"]
 
 
 # ---------------------------------------------------------------------------

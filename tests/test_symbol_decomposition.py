@@ -6,7 +6,12 @@ from scipy.integrate import quad
 
 from conewolff import curve_geometry as cg
 from conewolff import symbol_decomposition as sd
-from conewolff.errors import GridTooLarge, QuadratureFailure, TypeExceedsNMax
+from conewolff.errors import (
+    GridTooLarge,
+    NotConverged,
+    QuadratureFailure,
+    TypeExceedsNMax,
+)
 
 
 HELIX = cg.helix(1.0, 1.0)
@@ -362,8 +367,6 @@ def test_sweep_reports():
     csv = sd.sweep_to_csv(rep)
     assert csv.splitlines()[0] == "k,l,sup,slope,constant"
     assert len(csv.splitlines()) == 3
-    import json
-    assert json.loads(sd.sweep_to_json(rep))["kind"] == "atilde"
 
 
 # ---------------------------------------------------------------------------
@@ -382,6 +385,30 @@ def test_l1_kernel_bound_scaling():
         assert rep["value"] <= 16.0 * 2.0**-l
     # doubling the shell index halves the bound within a factor of 2
     assert 1.0 <= vals[2] / vals[3] <= 4.0
+
+
+def test_l1_kernel_bound_whole_domain_chart():
+    # frozen values: l = 3 is unchanged from the spline chart on s +- 0.35;
+    # l = 2 counts the grid rows with |sigma| > 0.35 that chart dropped
+    # (it gave 1.5980854795)
+    ak = sd.make_ak(HELIX, 12)
+    A0 = sd.default_a0(HELIX)
+    for l, want in ((2, 1.6499831923464), (3, 0.9440362713557)):
+        piece = sd.nu_localize(sd._shell_piece(ak, "a_{k,l}", l, A0), [0])[0]
+        got = sd.l1_kernel_bound(piece, n=32)["value"]
+        assert abs(got - want) <= 1e-10 * want
+
+
+def test_chart_failures_raise(monkeypatch):
+    # a row whose chart fails to reconstruct is an error, not a zero
+    piece = sd.nu_localize(
+        sd._shell_piece(sd.make_ak(HELIX, 12), "a_{k,l}", 3,
+                        sd.default_a0(HELIX)), [0])[0]
+    monkeypatch.setattr(cg, "_CHART_TOL", -1.0)  # no residual passes
+    with pytest.raises(NotConverged):
+        sd.l1_kernel_bound(piece, n=16)
+    with pytest.raises(NotConverged):
+        sd.verify_plate_support(piece, n_samples=500, seed=0)
 
 
 def test_l1_kernel_grid_cap():
