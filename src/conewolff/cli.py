@@ -5,9 +5,10 @@ scale constraints, dispatches one named experiment across the library
 modules, and writes `<outdir>/<experiment>-<timestamp>/` containing a
 deterministic `report.json` (same config + seed => byte-identical), a
 `data.csv`, log-log SVG plots, the echoed config, and a `metadata.json`
-holding the wall-clock information that is deliberately kept out of the
-report.  `conewolff list` prints the experiment catalogue; `conewolff
-selftest` runs a quick suite of exact identities.
+holding the wall-clock information and the config's unknown keys, both
+deliberately kept out of the report.  `conewolff list` prints the
+experiment catalogue; `conewolff selftest` runs a quick suite of exact
+identities.
 """
 
 from __future__ import annotations
@@ -97,7 +98,10 @@ def _finite_float(val: str) -> float:
 
 
 def parse_config(text: str) -> Config:
-    """Parse key=value lines ('#' comments, optional [section] headers)."""
+    """Parse key=value lines ('#' comments, optional [section] headers).
+
+    Unknown keys are kept in `extras` and each is warned about on stderr.
+    """
     values: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -121,7 +125,11 @@ def parse_config(text: str) -> Config:
             elif key in _STR_KEYS:
                 values[key] = val
             else:
+                # kept for callers that read extras, but no experiment uses
+                # it, so a typo such as k_lst is named rather than ignored
                 values.setdefault("extras", {})[key] = val
+                print(f"warning: line {lineno}: unknown config key {key!r} "
+                      "is ignored", file=sys.stderr)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: field {key!r}: {exc}") from None
     if "experiment" not in values:
@@ -234,8 +242,8 @@ def _write_bundle(cfg: Config, bundle: ReportBundle) -> str:
         json.dump(bundle.report, fh, indent=2, sort_keys=True)
         fh.write("\n")
     with open(os.path.join(run_dir, "metadata.json"), "w") as fh:
-        json.dump({"written_utc": stamp, "unix_time": time.time()}, fh,
-                  indent=2)
+        json.dump({"written_utc": stamp, "unix_time": time.time(),
+                   "unknown_keys": list(cfg.extras)}, fh, indent=2)
         fh.write("\n")
     with open(os.path.join(run_dir, "data.csv"), "w") as fh:
         fh.write(bundle.csv_text)

@@ -104,7 +104,8 @@ class Field3:
 
     def l2(self) -> float:
         """Physical-box L2 norm, computable in either space (Parseval)."""
-        ss = float(np.sum(np.abs(self.values) ** 2))
+        ss = sum(_power_sum(self.values[s], 2.0)
+                 for s in _slabs(self.values))
         if self.space == "physical":
             return math.sqrt(self.grid.cell_volume * ss)
         return math.sqrt(self.grid.box**3 * ss) / self.grid.n**3
@@ -121,20 +122,52 @@ def apply_multiplier(f: Field3, m: Callable) -> Field3:
     return Field3(f.grid, g.values * m(kx, ky, kz), "frequency")
 
 
+_SLAB = 2**14  # elements per slab of axis-0 planes in the L^p reductions
+
+
+def _slabs(vals: np.ndarray) -> list[slice]:
+    """Slices of whole axis-0 planes holding at most _SLAB elements each
+    (one plane if a plane alone is larger)."""
+    step = max(1, _SLAB // max(1, vals[0].size))
+    return [slice(i, i + step) for i in range(0, vals.shape[0], step)]
+
+
+def _abs2(slab: np.ndarray) -> np.ndarray:
+    """|z|^2 = re^2 + im^2 of a complex slab, as a new float array."""
+    m2 = np.square(slab.real)
+    m2 += np.square(slab.imag)
+    return m2
+
+
+def _power_sum(slab: np.ndarray, p: float) -> float:
+    """sum |z|^p over a slab; even integer powers by squaring in place."""
+    m2 = _abs2(slab)
+    half = p / 2.0
+    while half > 1.0 and half % 2.0 == 0.0:
+        m2 *= m2
+        half /= 2.0
+    if half != 1.0:
+        np.power(m2, half, out=m2)
+    return float(np.sum(m2))
+
+
 def lp_norm(f: Field3, p: float) -> float:
-    """Riemann-sum L^p norm over the physical box; max for p = inf."""
+    """Riemann-sum L^p norm over the physical box; max for p = inf.
+
+    A frequency field costs one inverse FFT.  The reduction runs over
+    slabs of axis-0 planes (_SLAB elements), so its float temporaries are
+    slab-sized, never grid-sized; p = 2 is Parseval in either space.
+    """
     if p < 1.0:
         raise ValueError("require p >= 1")
     if p == 2.0:
         return f.l2()
     vals = f.to_physical().values
-    m2 = vals.real**2 + vals.imag**2
     if math.isinf(p):
-        return float(np.sqrt(m2.max()))
-    half = p / 2.0
-    if half == int(half):
-        half = int(half)  # integer powers are much cheaper elementwise
-    return float((f.grid.cell_volume * np.sum(m2**half)) ** (1.0 / p))
+        return math.sqrt(max(float(_abs2(vals[s]).max())
+                             for s in _slabs(vals)))
+    total = sum(_power_sum(vals[s], p) for s in _slabs(vals))
+    return float((f.grid.cell_volume * total) ** (1.0 / p))
 
 
 # ---------------------------------------------------------------------------
@@ -227,6 +260,63 @@ def _fit_slope(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.polyfit(x, y, 1)[0])
 
 
+def _disjoint_pieces(pieces, n: int) -> list:
+    """Give each lattice point to the plate with the largest envelope there.
+
+    `pieces` holds one (index triple, envelope) pair per plate.  One
+    lexsort of all their entries by (flat index, -envelope, plate) puts
+    each point's winner first: the largest envelope, the earlier plate on
+    a tie, and a point whose envelope is 0 belongs to no plate.  So the
+    kept pieces have pairwise disjoint supports and the p = 2 ratio is 1
+    up to rounding.  Returns one (index triple, envelope) pair per plate,
+    in ascending flat-index order.
+    """
+    flat = np.concatenate([np.ravel_multi_index(idx, (n,) * 3)
+                           for idx, _ in pieces])
+    env = np.concatenate([e for _, e in pieces])
+    plate = np.repeat(np.arange(len(pieces)), [e.size for _, e in pieces])
+    order = np.lexsort((plate, -env, flat))
+    flat, env, plate = flat[order], env[order], plate[order]
+    keep = env > 0
+    keep[1:] &= flat[1:] != flat[:-1]
+    flat, env, plate = flat[keep], env[keep], plate[keep]
+    by_plate = np.argsort(plate, kind="stable")
+    cuts = np.cumsum(np.bincount(plate, minlength=len(pieces)))[:-1]
+    return [(np.unravel_index(fl, (n,) * 3), e)
+            for fl, e in zip(np.split(flat[by_plate], cuts),
+                             np.split(env[by_plate], cuts))]
+
+
+def _along(axis: int, rows: np.ndarray) -> tuple:
+    """Index selecting `rows` on one axis of a 3-D array, all of the rest."""
+    return tuple(rows if d == axis else slice(None) for d in range(3))
+
+
+def _pruned_ifftn(rows, box: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """sfft.ifftn of a field supported on rows[0] x rows[1] x rows[2].
+
+    `box` holds the field on those lattice rows (ascending indices per
+    axis); `out` is an n^3 complex buffer.  1-D inverse transforms run one
+    axis at a time, the axis of widest support first, so a pass only
+    touches lines that can be nonzero: with row counts ra >= rb >= rc the
+    passes cost rb*rc, n*rc and n*n lines of length n.  The last pass runs
+    in `out`'s memory (overwrite_x) and its result is returned.
+    """
+    n = out.shape[0]
+    axes = sorted(range(3), key=lambda d: -rows[d].size)
+    stage = box
+    for d in axes[:-1]:
+        shape = list(stage.shape)
+        shape[d] = n
+        wide = np.zeros(shape, dtype=complex)
+        wide[_along(d, rows[d])] = stage
+        stage = sfft.ifft(wide, axis=d, overwrite_x=True, workers=_WORKERS)
+    last = axes[-1]
+    out.fill(0)
+    out[_along(last, rows[last])] = stage
+    return sfft.ifft(out, axis=last, overwrite_x=True, workers=_WORKERS)
+
+
 def decoupling_ratio(exp: DecouplingExperiment) -> dict:
     """Measure D = ||sum_R c_R f_R||_p / (sum_R ||f_R||_p^p)^{1/p} per delta.
 
@@ -235,34 +325,40 @@ def decoupling_ratio(exp: DecouplingExperiment) -> dict:
     D(delta) * delta^{1/2 - 2/p} whose spread tracks the sharp-exponent
     prediction.  Seeding is hierarchical (seed, delta index, trial, plate)
     so reruns are bit-identical.
+
+    The work follows the plate supports: overlaps are resolved on the
+    union of supports (_disjoint_pieces), each piece is inverted by a
+    pruned transform into one reused n^3 buffer (_pruned_ifftn), and one
+    pass over axis-0 slabs adds it into a physical-space accumulator and
+    sums its |f|^p (for p = 2 both sums stay in frequency space, by
+    Parseval).  At most two n^3 complex grids are held at once; a grid
+    whose two arrays exceed the machine's physical memory raises
+    GridTooLarge before anything is built.
     """
     grid = Grid3(exp.n, exp.box)
+    n = grid.n
+    need = 2 * 16 * n**3  # the accumulator and the buffer, complex128
+    have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if need > have:
+        raise GridTooLarge(
+            f"decoupling on a {n}^3 grid needs {need} bytes, more than the "
+            f"{have} bytes of physical memory")
     g = exp.family.generator
     lam, theta = exp.family.lam, exp.family.theta
+    # p = 2 is Parseval: the pieces' coefficients are summed in frequency
+    # space and no transform is needed
+    parseval = exp.p == 2.0
+    space = "frequency" if parseval else "physical"
+    acc = np.empty((n,) * 3, dtype=complex)
+    buf = None if parseval else np.empty((n,) * 3, dtype=complex)
     per_delta = []
     for di, delta in enumerate(exp.deltas):
         fam = make_family(g, delta, lam, theta, math.sqrt(delta))
-        # disjointify overlapping plate bumps: each lattice point belongs
-        # to the plate whose envelope is largest there, so the pieces have
-        # pairwise disjoint supports and the p = 2 ratio is exactly 1
-        pieces = []
-        best_env = np.zeros((grid.n,) * 3)
-        owner = np.full((grid.n,) * 3, -1, dtype=np.int16)
-        for pi, plate in enumerate(fam.plates):
-            idx, env = _plate_envelope(plate, grid)
-            pieces.append((idx, env))
-            better = env > best_env[idx]
-            sel = tuple(ix[better] for ix in idx)
-            best_env[sel] = env[better]
-            owner[sel] = pi
-        kept = [(tuple(ix[owner[idx] == pi] for ix in idx),
-                 env[owner[idx] == pi])
-                for pi, (idx, env) in enumerate(pieces)]
-        del best_env, owner, pieces
-
+        kept = _disjoint_pieces(
+            [_plate_envelope(plate, grid) for plate in fam.plates], n)
         best = 0.0
         for trial in range(exp.trials):
-            acc = np.zeros((grid.n,) * 3, dtype=complex)
+            acc.fill(0)
             piece_p = 0.0
             crng = np.random.default_rng([exp.seed, di, trial, 10_007])
             for pi, (idx, env) in enumerate(kept):
@@ -272,13 +368,23 @@ def decoupling_ratio(exp: DecouplingExperiment) -> dict:
                     c = 1.0 if crng.random() < 0.5 else -1.0
                 else:
                     c = 1.0
-                vals = np.zeros((grid.n,) * 3, dtype=complex)
-                vals[idx] = env * phases
-                acc[idx] += c * env * phases
-                piece_p += lp_norm(Field3(grid, vals, "frequency"),
-                                   exp.p) ** exp.p
-            total = lp_norm(Field3(grid, acc, "frequency"), exp.p)
-            best = max(best, total / piece_p ** (1.0 / exp.p))
+                vals = env * phases
+                if parseval:
+                    acc[idx] += c * vals
+                    piece_p += _power_sum(vals, 2.0) / n**3
+                    continue
+                rows = [np.unique(i) for i in idx]
+                box = np.zeros([r.size for r in rows], dtype=complex)
+                box[tuple(np.searchsorted(r, i)
+                          for r, i in zip(rows, idx))] = vals
+                f = _pruned_ifftn(rows, box, buf)
+                add = np.add if c > 0 else np.subtract
+                for s in _slabs(f):
+                    add(acc[s], f[s], out=acc[s])
+                    piece_p += _power_sum(f[s], exp.p)
+            total = lp_norm(Field3(grid, acc, space), exp.p)
+            best = max(best, total
+                       / (grid.cell_volume * piece_p) ** (1.0 / exp.p))
         per_delta.append(best)
     d_arr = np.asarray(per_delta)
     deltas = np.asarray(exp.deltas, dtype=float)

@@ -135,6 +135,30 @@ def test_run_geometry_reports(tmp_path, monkeypatch):
     assert len(rows) == 41
 
 
+def test_unknown_keys_warned_and_listed_in_metadata(tmp_path, monkeypatch,
+                                                   capsys):
+    base = _cfg_text(experiment="schedule", p=74, eps=0.1, k=20)
+    typo = base + "k_lst = 9,10\nnote = x\n"
+    cfg = cli.parse_config(typo)
+    err = capsys.readouterr().err
+    assert cfg.extras == {"k_lst": "9,10", "note": "x"}
+    assert err.count("warning") == 2
+    assert "line 5: unknown config key 'k_lst'" in err
+    assert "line 6: unknown config key 'note'" in err
+    cli.parse_config(base)
+    assert capsys.readouterr().err == ""
+
+    reports, unknown = [], []
+    for i, text in enumerate((base, typo)):
+        code, (run_dir,) = _run_to(tmp_path / str(i), monkeypatch, text)
+        assert code == 0
+        reports.append((run_dir / "report.json").read_bytes())
+        meta = json.loads((run_dir / "metadata.json").read_text())
+        unknown.append(meta["unknown_keys"])
+    assert unknown == [[], ["k_lst", "note"]]
+    assert reports[0] == reports[1]
+
+
 def test_run_schedule_n_star(tmp_path, monkeypatch):
     code, dirs = _run_to(tmp_path, monkeypatch, _cfg_text(
         experiment="schedule", p=74, eps=0.1, k=20, eps0=0.3, M=10))

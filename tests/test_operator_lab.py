@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -149,6 +150,133 @@ def test_decoupling_global_phase_invariance():
     r1 = ol.decoupling_ratio(e)
     r2 = ol.decoupling_ratio(e)
     assert r1["D"] == r2["D"]
+
+
+def _boxes(n, seed):
+    """Seeded row sets: short runs that wrap past index 0 into the negative
+    frequencies, a whole axis, and a single point."""
+    rng = np.random.default_rng(seed)
+    for _ in range(3):
+        rows = []
+        for _ in range(3):
+            start = int(rng.integers(n - 6, n))
+            rows.append(np.unique((start + np.arange(rng.integers(3, 12)))
+                                  % n))
+        yield rows
+    yield [np.arange(n), np.array([3, 4]), np.array([0, 1, n - 1])]
+    yield [np.array([5]), np.array([n - 2]), np.array([0])]
+
+
+@pytest.mark.parametrize("n", [32, 64])
+def test_pruned_ifftn_matches_full_ifftn(n):
+    rng = np.random.default_rng(n)
+    out = np.empty((n,) * 3, dtype=complex)
+    boxes = list(_boxes(n, n))
+    # the seeded boxes wrap: their rows hold both index 0 and index n - 1
+    assert any(r[0] == 0 and r[-1] == n - 1
+               for rows in boxes[:3] for r in rows)
+    for rows in boxes:
+        shape = [r.size for r in rows]
+        box = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        full = np.zeros((n,) * 3, dtype=complex)
+        full[np.ix_(*rows)] = box
+        want = ol.sfft.ifftn(full)
+        got = ol._pruned_ifftn(rows, box, out)
+        assert np.shares_memory(got, out)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def _owner_reference(pieces, n):
+    """The full-grid rule: plates in order, a strictly larger envelope
+    takes a lattice point over from the plates before it."""
+    best_env = np.zeros((n,) * 3)
+    owner = np.full((n,) * 3, -1)
+    for pi, (idx, env) in enumerate(pieces):
+        better = env > best_env[idx]
+        sel = tuple(ix[better] for ix in idx)
+        best_env[sel] = env[better]
+        owner[sel] = pi
+    return [(tuple(ix[owner[idx] == pi] for ix in idx), env[owner[idx] == pi])
+            for pi, (idx, env) in enumerate(pieces)]
+
+
+def _assert_same_pieces(got, want):
+    assert len(got) == len(want)
+    for (gi, ge), (wi, we) in zip(got, want):
+        for a, b in zip(gi, wi):
+            assert np.array_equal(a, b)
+        assert np.array_equal(ge, we)
+
+
+@pytest.mark.parametrize("delta", [2.0**-4, 2.0**-5, 2.0**-6])
+def test_disjoint_pieces_match_full_grid_rule(delta):
+    grid = ol.Grid3(128, 8.0)
+    fam = make_family(CIRCLE, delta, 24.0, 1.0, math.sqrt(delta))
+    pieces = [ol._plate_envelope(plate, grid) for plate in fam.plates]
+    got = ol._disjoint_pieces(pieces, grid.n)
+    # the plates overlap, so the rule has work to do
+    assert sum(e.size for _, e in got) < sum(e.size for _, e in pieces)
+    _assert_same_pieces(got, _owner_reference(pieces, grid.n))
+
+
+def test_disjoint_pieces_ties_and_zero_envelope():
+    n = 8
+    a = (np.array([1, 2, 3]), np.array([0, 0, 0]), np.array([5, 5, 5]))
+    b = (np.array([2, 3, 4]), np.array([0, 0, 0]), np.array([5, 5, 5]))
+    pieces = [(a, np.array([0.5, 0.25, 0.0])),
+              (b, np.array([0.25, 0.75, 0.0]))]
+    got = ol._disjoint_pieces(pieces, n)
+    # point 2: equal envelopes, the earlier piece keeps it; point 3: the
+    # larger envelope wins; point 4: envelope 0 belongs to no piece
+    assert [list(idx[0]) for idx, _ in got] == [[1, 2], [3]]
+    assert [list(env) for _, env in got] == [[0.5, 0.25], [0.75]]
+    _assert_same_pieces(got, _owner_reference(pieces, n))
+
+
+def test_decoupling_refuses_grid_beyond_memory(monkeypatch):
+    def untouched(*args, **kwargs):
+        raise AssertionError("built before the memory check")
+
+    monkeypatch.setattr(ol, "make_family", untouched)
+    monkeypatch.setattr(ol, "_plate_envelope", untouched)
+    fam = make_family(CIRCLE, 2.0**-4, 24.0, 1.0, 0.25)
+    e = ol.DecouplingExperiment(fam, 8.0, [2.0**-4], 1, "all_ones", n=4096)
+    with pytest.raises(GridTooLarge, match="4096"):
+        ol.decoupling_ratio(e)
+
+
+def test_lp_norm_reduces_without_grid_sized_temporaries():
+    g = ol.Grid3(64, 8.0)
+    f = _random_field(g, 4)
+    vol = g.cell_volume
+    m2 = np.abs(f.values) ** 2
+    want = {p: (vol * np.sum(m2 ** (p / 2))) ** (1 / p) for p in (3.0, 8.0)}
+    tracemalloc.start()
+    try:
+        got = {p: ol.lp_norm(f, p) for p in want}
+        sup = ol.lp_norm(f, math.inf)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    for p in want:
+        assert abs(got[p] - want[p]) <= 1e-12 * want[p]
+    assert abs(sup - math.sqrt(m2.max())) <= 1e-15 * sup
+    # an n^3 float temporary alone would be 4x this
+    assert peak < g.n**3 * 8 / 4
+
+
+def test_decoupling_holds_two_complex_grids():
+    n = 128
+    fam = make_family(CIRCLE, 2.0**-4, 24.0, 1.0, 0.25)
+    e = ol.DecouplingExperiment(fam, 8.0, [2.0**-4], 1, "all_ones", n=n)
+    tracemalloc.start()
+    try:
+        ol.decoupling_ratio(e)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # accumulator + transform buffer, plus the pruned intermediate stages
+    assert peak < 2.5 * 16 * n**3
 
 
 # ---------------------------------------------------------------------------

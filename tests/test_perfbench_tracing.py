@@ -9,7 +9,9 @@ from pathlib import Path
 import numpy as np
 
 from conewolff import curve_geometry as cg
+from conewolff import operator_lab as ol
 from conewolff import symbol_decomposition as sd
+from conewolff.cone_plates import make_family
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -49,5 +51,34 @@ def test_tracer_counts_cone_coordinates_in_mk_multiplier():
     assert tracer.calls["symbol_decomposition.mk_multiplier"] == 1
     assert tracer.calls["curve_geometry.cone_coordinates"] == 1
     assert tracer.calls["curve_geometry.frenet_frame"] >= 1
+    for (owner, attr), fn in originals.items():
+        assert getattr(owner, attr) is fn, attr
+
+
+def test_tracer_counts_transforms_in_decoupling_ratio():
+    # the pruned transforms must go through operator_lab.sfft, the
+    # attribute the tracer replaces
+    tracing = _load_tracing()
+    fam = make_family(cg.unit_circle_generator(), 2.0**-4, 24.0, 1.0, 0.25)
+    e = ol.DecouplingExperiment(fam, 8.0, [2.0**-4], 1, "all_ones", n=128)
+    untraced = ol.decoupling_ratio(e)
+    originals = {
+        (ol, "sfft"): ol.sfft,
+        (ol, "lp_norm"): ol.lp_norm,
+        (ol, "decoupling_ratio"): ol.decoupling_ratio,
+        (ol, "make_family"): ol.make_family,
+    }
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert ol.sfft is not originals[(ol, "sfft")]
+        traced = ol.decoupling_ratio(e)
+    finally:
+        tracer.uninstall()
+    assert traced["D"] == untraced["D"]
+    assert tracer.calls["operator_lab.decoupling_ratio"] == 1
+    # three 1-D passes per plate, every one through the proxy
+    assert tracer.calls["operator_lab.fft"] == 3 * len(fam.plates) > 0
+    assert tracer.calls["operator_lab.lp_norm"] >= 1
     for (owner, attr), fn in originals.items():
         assert getattr(owner, attr) is fn, attr
