@@ -160,6 +160,12 @@ def validate_config(cfg: Config) -> None:
         raise ConfigError(f"grid size n={cfg.n} is not a power of two")
     if cfg.trials < 1 or cfg.samples < 1:
         raise ConfigError("trials and samples must be positive")
+    for key in ("eps", "eps0", "M", "L"):
+        if getattr(cfg, key) <= 0.0:
+            raise ConfigError(
+                f"field {key!r} must be positive, got {getattr(cfg, key)}")
+    if cfg.p < 1.0:
+        raise ConfigError(f"field 'p' must be at least 1, got {cfg.p}")
 
 
 def _parse_curve(spec: str) -> cg.Curve:

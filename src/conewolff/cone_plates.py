@@ -12,7 +12,6 @@ A-extension scales each bound by A (and the lower bound by 1/A).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -380,12 +379,6 @@ class BumpFunction:
         return float(_mollifier((t[0] - self.plate.lam) / (self.plate.lam / 2.0))
                      * _mollifier(t[1] / b[1]) * _mollifier(t[2] / b[2]))
 
-    def eval_many(self, xis: np.ndarray) -> np.ndarray:
-        t = xis @ self.plate._M.T
-        b = self.plate.bounds
-        return (_mollifier((t[:, 0] - self.plate.lam) / (self.plate.lam / 2.0))
-                * _mollifier(t[:, 1] / b[1]) * _mollifier(t[:, 2] / b[2]))
-
     def verify_derivative_bounds(self, grid_n: int = 5, max_order: int = 2,
                                  rng: Optional[np.random.Generator] = None) -> dict:
         """Max ratio of |<u1,grad>^n1 <u2,grad>^n2 <u3,grad>^n3 eval| to the
@@ -428,27 +421,6 @@ class BumpFunction:
 # ---------------------------------------------------------------------------
 # exports
 # ---------------------------------------------------------------------------
-
-
-def family_to_json(family: PlateFamily) -> str:
-    data = {
-        "delta": family.delta,
-        "lambda": family.lam,
-        "theta": family.theta,
-        "sigma": family.sigma,
-        "generator": family.generator.kind,
-        "plates": [
-            {
-                "alpha": p.alpha,
-                "u1": p.u1.tolist(),
-                "u2": p.u2.tolist(),
-                "u3": p.u3.tolist(),
-                "A": p.A,
-            }
-            for p in family.plates
-        ],
-    }
-    return json.dumps(data, indent=2, sort_keys=True)
 
 
 def _slice_polygon(plate: Plate, xi3: float) -> list[tuple[float, float]]:

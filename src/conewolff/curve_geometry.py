@@ -9,8 +9,6 @@ frequencies in one call; cone_coordinates is its scalar form.
 
 from __future__ import annotations
 
-import io
-import csv
 from math import factorial
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -674,25 +672,3 @@ def scr_gradients(curve: Curve, xi: np.ndarray,
     if abs(denom) < floor:
         raise SingularJacobian(f"u*kappa - r*tau = {denom:.3e} below floor")
     return fr.B.copy(), fr.T.copy(), fr.N / denom
-
-
-# ---------------------------------------------------------------------------
-# CSV export
-# ---------------------------------------------------------------------------
-
-
-def curve_samples_csv(curve: Curve, n: int = 100) -> str:
-    """CSV with columns (s, x, y, z, kappa, tau) on a uniform parameter grid."""
-    lo, hi = curve.domain
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["s", "x", "y", "z", "kappa", "tau"])
-    for s in np.linspace(lo, hi, n):
-        p = curve.eval(s)
-        try:
-            fr = frenet_frame(curve, s)
-            kappa, tau = fr.kappa, fr.tau
-        except DegenerateCurvature:
-            kappa, tau = float("nan"), float("nan")
-        writer.writerow([f"{v:.12g}" for v in (s, p[0], p[1], p[2], kappa, tau)])
-    return buf.getvalue()

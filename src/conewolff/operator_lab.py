@@ -66,13 +66,9 @@ class Grid3:
 
     def freq_points(self, mask: np.ndarray) -> np.ndarray:
         """(m, 3) array of the frequency lattice points selected by mask."""
-        kx, ky, kz = self.freq_mesh()
         idx = np.nonzero(mask)
         ax = self.freq_axis()
         return np.stack([ax[idx[0]], ax[idx[1]], ax[idx[2]]], axis=1)
-
-    def phys_axis(self) -> np.ndarray:
-        return np.arange(self.n) * self.spacing
 
 
 @dataclass(frozen=True)
@@ -434,19 +430,6 @@ def _chi_support(curve: Curve, chi: Callable, probes: int = 257):
     return max(lo, s[live[0]] - pad), min(hi, s[live[-1]] + pad)
 
 
-def curve_diameter(curve: Curve, chi: Callable, probes: int = 257) -> float:
-    lo, hi = _chi_support(curve, chi)
-    pts = curve.eval(np.linspace(lo, hi, probes)).T
-    return float(np.max(np.linalg.norm(pts[:, None] - pts[None, :], axis=2)))
-
-
-def _check_wraparound(curve: Curve, chi: Callable, t: float, grid: Grid3,
-                      margin: float = 0.5):
-    if t * curve_diameter(curve, chi) > grid.box / 2.0 - margin:
-        raise WraparoundRisk(
-            "scaled curve spread exceeds half the periodic box")
-
-
 _MAX_NODES = 4000
 _CHUNK = 2**22  # complex elements per intermediate array
 _NODE_BLOCK = 128  # inner dimension of each symbol matrix product
@@ -534,24 +517,39 @@ def mu_hat(curve: Curve, chi: Callable, t: float,
     return out
 
 
-def averaging_operator(f: Field3, curve: Curve, chi: Callable,
-                       t: float) -> Field3:
-    """A_t f: frequency multiplication by the curve-average symbol.
+def _averages(f: Field3, curve: Curve, chi: Callable, ts):
+    """Yield the frequency values of A_t f for each t of `ts`, in order.
 
-    The symbol is evaluated only on the support of f-hat, from per-axis
-    phase tables: the cost is (per-axis support rows x quadrature nodes)
-    complex exps plus one contraction over the support's bounding box.
+    The range and wraparound checks, the transform of f, its support mask
+    and the quadrature (sized for the largest t) are set up once; each t
+    then costs one _lattice_symbol contraction on the support of f-hat.
     """
-    if not (0.5 <= t <= 2.0):
-        raise ValueError("require t in [1/2, 2]")
-    _check_wraparound(curve, chi, t, f.grid)
+    ts = [float(t) for t in ts]
+    if not ts or not all(0.5 <= t <= 2.0 for t in ts):
+        raise ValueError("need one or more t samples, each in [1/2, 2]")
+    # the scaled curve's spread grows with t, so the largest t decides
+    lo, hi = _chi_support(curve, chi)
+    pts = curve.eval(np.linspace(lo, hi, 257)).T
+    diameter = np.linalg.norm(pts[:, None] - pts[None, :], axis=2).max()
+    if max(ts) * diameter > f.grid.box / 2.0 - 0.5:
+        raise WraparoundRisk(
+            "scaled curve spread exceeds half the periodic box")
     g = f.to_frequency()
     mask = g.values != 0
+    coeffs = g.values[mask]
     gam, w = _curve_quadrature(curve, chi,
-                               t * _kmax(f.grid.freq_points(mask)))
-    vals = np.zeros_like(g.values)
-    vals[mask] = g.values[mask] * _lattice_symbol(f.grid, mask, gam, w, t)
-    return Field3(f.grid, vals, "frequency")
+                               max(ts) * _kmax(f.grid.freq_points(mask)))
+    for t in ts:
+        vals = np.zeros_like(g.values)
+        vals[mask] = coeffs * _lattice_symbol(f.grid, mask, gam, w, t)
+        yield vals
+
+
+def averaging_operator(f: Field3, curve: Curve, chi: Callable,
+                       t: float) -> Field3:
+    """A_t f: frequency multiplication by the curve-average symbol, on the
+    support of f-hat (the one-sample t-set of _averages)."""
+    return Field3(f.grid, next(_averages(f, curve, chi, [t])), "frequency")
 
 
 def default_t_samples(n_equi: int = 65) -> np.ndarray:
@@ -563,30 +561,12 @@ def default_t_samples(n_equi: int = 65) -> np.ndarray:
 
 def maximal_operator(f: Field3, curve: Curve, chi: Callable,
                      t_samples: Sequence[float]) -> Field3:
-    """Pointwise max over the sampled dilations of |A_t f|.
-
-    One quadrature, sized for the largest t, serves every sample; each t
-    contracts its own set of per-axis phase tables.
-    """
-    t_samples = np.asarray(t_samples, dtype=float)
-    if t_samples.size == 0:
-        raise ValueError("need at least one t sample")
-    grid = f.grid
-    t_max = float(t_samples.max())
-    # t * diameter grows with t, so the largest sample decides
-    _check_wraparound(curve, chi, t_max, grid)
-    g = f.to_frequency()
-    mask = g.values != 0
-    gam, w = _curve_quadrature(curve, chi,
-                               t_max * _kmax(grid.freq_points(mask)))
-    coeffs = g.values[mask]
-    out = np.zeros((grid.n,) * 3, dtype=float)
-    for t in t_samples:
-        vals = np.zeros_like(g.values)
-        vals[mask] = coeffs * _lattice_symbol(grid, mask, gam, w, float(t))
-        phys = Field3(grid, vals, "frequency").to_physical()
-        np.maximum(out, np.abs(phys.values), out=out)
-    return Field3(grid, out.astype(complex), "physical")
+    """Pointwise max over the sampled dilations of |A_t f|: the samples are
+    one t-set of _averages, each A_t f inverted by one FFT."""
+    out = np.zeros((f.grid.n,) * 3, dtype=float)
+    for vals in _averages(f, curve, chi, t_samples):
+        np.maximum(out, np.abs(sfft.ifftn(vals, workers=_WORKERS)), out=out)
+    return Field3(f.grid, out.astype(complex), "physical")
 
 
 def random_band_field(grid: Grid3, k: int, seed,
@@ -638,43 +618,45 @@ def sobolev_sweep(curve: Curve, chi: Callable, p: float, alpha: float,
     }
 
 
+_SMOOTHING_CELLS = 2**24  # largest space-time grid n_t * n^3
+
+
 def local_smoothing_probe(curve: Curve, chi: Callable, p: float,
                           alpha: float, k_list: Sequence[int],
                           n: int = 32, box: float = 6.0, n_t: int = 17,
-                          seed: int = 0, max_cells: int = 2**24) -> dict:
+                          seed: int = 0) -> dict:
     """Space-time smoothing probe: weighted norm of (x,t) -> A_t f(x).
 
-    For each band k a random field is averaged over sampled t in [1, 2],
-    a smooth t-window is applied, the 4-D Fourier weight
-    (1+|xi|^2+tau^2)^{alpha/2} is applied (FFT in t over the sampled
-    window), and the mixed-norm ratio against ||f||_p is recorded with a
+    For each band k a random field is averaged over n_t equispaced t in
+    [1, 2], one t-set of _averages.  The (tau, xi) spectrum is built in
+    frequency space (the t-windowed A_t f-hat, then one FFT in t), the
+    weight (1+|xi|^2+tau^2)^{alpha/2} is applied, and after one inverse
+    4-D FFT the mixed-norm ratio against ||f||_p is recorded with a
     fitted slope in k.  Report-only: downstream suites assert only the
     alpha = 0 uniformity.
     """
-    if n**3 * n_t > max_cells:
+    if n**3 * n_t > _SMOOTHING_CELLS:
         raise GridTooLarge("space-time grid exceeds the cell budget")
     grid = Grid3(n, box)
     t_grid = np.linspace(1.0, 2.0, n_t)
+    dt = t_grid[1] - t_grid[0]
     t_window = _CUT.eta0((t_grid - 1.5) / 0.5)
-    tau = 2.0 * np.pi * np.fft.fftfreq(n_t, d=t_grid[1] - t_grid[0])
+    tau = 2.0 * np.pi * np.fft.fftfreq(n_t, d=dt)
     kx, ky, kz = grid.freq_mesh()
     xi2 = kx**2 + ky**2 + kz**2
     ratios = []
     for k in k_list:
         f = random_band_field(grid, k, [seed, k])
-        stack = np.empty((n_t, n, n, n), dtype=complex)
-        for i, t in enumerate(t_grid):
-            phys = averaging_operator(f, curve, chi, float(t)).to_physical()
-            stack[i] = t_window[i] * phys.values
-        spec = sfft.fft(sfft.fftn(stack, axes=(1, 2, 3), workers=_WORKERS),
-                        axis=0)
-        weight = (1.0 + xi2[None] + tau[:, None, None, None] ** 2) \
-            ** (alpha / 2.0)
-        back = sfft.ifftn(sfft.ifft(spec * weight, axis=0),
-                          axes=(1, 2, 3), workers=_WORKERS)
-        dt = t_grid[1] - t_grid[0]
-        mixed = (np.sum(np.abs(back) ** p) * grid.cell_volume * dt) \
-            ** (1.0 / p)
+        spec = np.empty((n_t, n, n, n), dtype=complex)
+        for i, vals in enumerate(_averages(f, curve, chi, t_grid)):
+            spec[i] = t_window[i] * vals
+        spec = sfft.fft(spec, axis=0, overwrite_x=True, workers=_WORKERS)
+        for i in range(n_t):
+            spec[i] *= (1.0 + xi2 + tau[i] ** 2) ** (alpha / 2.0)
+        planes = sfft.ifftn(spec, overwrite_x=True,
+                            workers=_WORKERS).reshape(-1, n, n)
+        total = sum(_power_sum(planes[s], p) for s in _slabs(planes))
+        mixed = (total * grid.cell_volume * dt) ** (1.0 / p)
         ratios.append(mixed / lp_norm(f, p))
     ratios = np.asarray(ratios)
     return {

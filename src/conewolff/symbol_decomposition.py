@@ -11,8 +11,6 @@ frequencies, cone_coordinates for a single one.
 
 from __future__ import annotations
 
-import io
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -128,11 +126,6 @@ class SymbolPiece:
     def s_interval(self) -> tuple[float, float]:
         lo, hi = self.curve.domain
         return max(lo, self.s_support[0]), min(hi, self.s_support[1])
-
-    def to_json(self) -> str:
-        return json.dumps({"kind": self.kind, "k": self.k, "l": self.l,
-                           "nu": self.nu, "curve": self.curve.name,
-                           "s_support": list(self.s_interval())})
 
 
 def make_ak(curve: Curve, k: int, s_center: float = 0.0,
@@ -495,15 +488,6 @@ def vdc_decay_sweep(curve: Curve, kind: str, l: int, k_list: Sequence[int],
             "k_list": list(k_list), "sups": [float(v) for v in sups],
             "slope": float(slope), "constant": float(2.0**intercept),
             "n_xi": n_xi, "seed": seed}
-
-
-def sweep_to_csv(report: dict) -> str:
-    buf = io.StringIO()
-    buf.write("k,l,sup,slope,constant\n")
-    for k, sup in zip(report["k_list"], report["sups"]):
-        buf.write(f"{k},{report['l']},{sup:.12e},"
-                  f"{report['slope']:.6f},{report['constant']:.6e}\n")
-    return buf.getvalue()
 
 
 # ---------------------------------------------------------------------------

@@ -51,16 +51,30 @@ def test_parse_config_diagnostics():
         cli.parse_config("experiment = frobnicate\n")
 
 
-@pytest.mark.parametrize("key,val", [("p", "nan"), ("alpha", "inf")])
-def test_parse_config_rejects_non_finite(tmp_path, monkeypatch, key, val):
+def _assert_refused(tmp_path, monkeypatch, key, val, match):
+    # refused while parsing, and `conewolff run` exits 1 writing nothing
     text = f"experiment = schedule\n{key} = {val}\n"
-    with pytest.raises(ConfigError, match=f"line 2: field '{key}'"):
+    with pytest.raises(ConfigError, match=match):
         cli.parse_config(text)
     monkeypatch.setenv("OUTPUT_DIR", str(tmp_path))
     cfg_file = tmp_path / "bad.cfg"
     cfg_file.write_text(text)
     assert cli.main(["run", str(cfg_file)]) == 1
     assert not [p for p in tmp_path.iterdir() if p != cfg_file]
+
+
+@pytest.mark.parametrize("key,val", [("p", "nan"), ("alpha", "inf")])
+def test_parse_config_rejects_non_finite(tmp_path, monkeypatch, key, val):
+    _assert_refused(tmp_path, monkeypatch, key, val,
+                    f"line 2: field '{key}'")
+
+
+@pytest.mark.parametrize("key,val", [("M", "0"), ("M", "-1"),
+                                     ("eps0", "0"), ("eps", "0"),
+                                     ("p", "0.5"), ("L", "0")])
+def test_parse_config_rejects_out_of_range(tmp_path, monkeypatch, key,
+                                           val):
+    _assert_refused(tmp_path, monkeypatch, key, val, f"field '{key}'")
 
 
 def test_validate_scale_constraints():

@@ -355,17 +355,6 @@ def test_bump_derivative_scalings():
 # ---------------------------------------------------------------------------
 
 
-def test_json_export_roundtrip():
-    import json
-
-    fam = cp.make_family(CIRCLE, 2**-6, 1.0, 0.5, 2**-3, alpha0=0.0)
-    data = json.loads(cp.family_to_json(fam))
-    assert data["delta"] == 2**-6
-    assert len(data["plates"]) == len(fam.plates)
-    p0 = data["plates"][0]
-    assert np.allclose(p0["u3"], np.cross(p0["u1"], p0["u2"]))
-
-
 def test_svg_export():
     fam = cp.make_family(CIRCLE, 2**-6, 1.0, 0.5, 2**-3, alpha0=0.0)
     svg = cp.family_svg_cross_section(fam)

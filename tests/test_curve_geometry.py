@@ -365,18 +365,3 @@ def test_chart_roundtrip_property(r, ur, sig):
     xi = cg.cone_point(h, r, ur * r, sig)
     r2, u2, s2 = cg.cone_coordinates(h, xi)
     assert np.linalg.norm(cg.cone_point(h, r2, u2, s2) - xi) < 1e-9 * np.linalg.norm(xi)
-
-
-# ---------------------------------------------------------------------------
-# CSV export
-# ---------------------------------------------------------------------------
-
-
-def test_csv_export():
-    text = cg.curve_samples_csv(cg.helix(1, 1), n=10)
-    lines = text.strip().splitlines()
-    assert lines[0] == "s,x,y,z,kappa,tau"
-    assert len(lines) == 11
-    row = lines[5].split(",")
-    assert abs(float(row[4]) - 0.5) < 1e-9  # kappa
-    assert abs(float(row[5]) - 0.5) < 1e-9  # tau

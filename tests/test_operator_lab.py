@@ -447,6 +447,15 @@ def test_maximal_sublinear():
     assert np.all(m_sum <= m_sep + 1e-12)
 
 
+def test_maximal_t_range():
+    g = ol.Grid3(16, 8.0)
+    f = ol.random_band_field(g, 2, 0)
+    with pytest.raises(ValueError, match=r"\[1/2, 2\]"):
+        ol.maximal_operator(f, HELIX, ol.default_chi(HELIX), [0.25, 1.0])
+    with pytest.raises(ValueError):
+        ol.maximal_operator(f, HELIX, ol.default_chi(HELIX), [])
+
+
 def test_default_t_samples():
     ts = ol.default_t_samples()
     assert ts[0] == 0.5 and ts[-1] == 2.0
@@ -512,6 +521,43 @@ def test_local_smoothing_alpha0_uniform():
     assert all(b >= a for a, b in zip(rep["ratios"], rep_up["ratios"]))
     with pytest.raises(GridTooLarge):
         ol.local_smoothing_probe(HELIX, chi, 6.0, 0.0, [3], n=256, n_t=65)
+
+
+def _smoothing_round_trip(curve, chi, p, alpha, k_list, n, box, n_t, seed):
+    # the space-time ratio by the physical round trip: each A_t f taken to
+    # physical space and windowed, a 4-D forward FFT, the weight, a 4-D
+    # inverse FFT and the mixed norm over the whole array
+    grid = ol.Grid3(n, box)
+    t_grid = np.linspace(1.0, 2.0, n_t)
+    dt = t_grid[1] - t_grid[0]
+    window = ol._CUT.eta0((t_grid - 1.5) / 0.5)
+    tau = 2.0 * np.pi * np.fft.fftfreq(n_t, d=dt)
+    kx, ky, kz = grid.freq_mesh()
+    weight = (1.0 + (kx**2 + ky**2 + kz**2)[None]
+              + tau[:, None, None, None] ** 2) ** (alpha / 2.0)
+    ratios = []
+    for k in k_list:
+        f = ol.random_band_field(grid, k, [seed, k])
+        stack = np.stack([
+            wt * ol.averaging_operator(f, curve, chi, t).to_physical().values
+            for wt, t in zip(window, t_grid)])
+        spec = np.fft.fft(np.fft.fftn(stack, axes=(1, 2, 3)), axis=0)
+        back = np.fft.ifftn(np.fft.ifft(spec * weight, axis=0),
+                            axes=(1, 2, 3))
+        mixed = (np.sum(np.abs(back) ** p) * grid.cell_volume * dt) \
+            ** (1.0 / p)
+        ratios.append(mixed / ol.lp_norm(f, p))
+    return ratios
+
+
+@pytest.mark.parametrize("n,k_list", [(16, [2, 3]), (32, [2, 3, 4])])
+@pytest.mark.parametrize("alpha", [0.0, 1.0])
+def test_local_smoothing_matches_round_trip(n, k_list, alpha):
+    chi = ol.default_chi(HELIX, shrink=0.5)
+    rep = ol.local_smoothing_probe(HELIX, chi, 6.0, alpha, k_list, n=n,
+                                   box=6.0, n_t=9, seed=3)
+    ref = _smoothing_round_trip(HELIX, chi, 6.0, alpha, k_list, n, 6.0, 9, 3)
+    assert np.allclose(rep["ratios"], ref, rtol=1e-12, atol=0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -82,3 +82,42 @@ def test_tracer_counts_transforms_in_decoupling_ratio():
     assert tracer.calls["operator_lab.lp_norm"] >= 1
     for (owner, attr), fn in originals.items():
         assert getattr(owner, attr) is fn, attr
+
+
+def test_tracer_counts_transforms_in_curve_averages():
+    # the maximal function and the smoothing probe transform through
+    # operator_lab.sfft; install() also looks up mu_hat, lp_norm and
+    # leggauss by name, so a rename of any of them fails here
+    tracing = _load_tracing()
+    helix = cg.helix(0.5, 0.5)
+    f = ol.random_band_field(ol.Grid3(16, 8.0), 2, 0)
+    ts = ol.default_t_samples(5)
+    k_list = [2, 3]
+
+    def run():
+        m = ol.maximal_operator(f, helix, ol.default_chi(helix), ts)
+        rep = ol.local_smoothing_probe(
+            helix, ol.default_chi(helix, shrink=0.5), 6.0, 0.5, k_list,
+            n=16, n_t=5)
+        return m.values, rep
+
+    untraced = run()
+    originals = {name: getattr(ol, name) for name in
+                 ("mu_hat", "maximal_operator", "lp_norm", "leggauss",
+                  "sfft")}
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert ol.maximal_operator is not originals["maximal_operator"]
+        assert ol.sfft is not originals["sfft"]
+        traced = run()
+    finally:
+        tracer.uninstall()
+    assert np.array_equal(traced[0], untraced[0])
+    assert traced[1] == untraced[1]
+    assert tracer.calls["operator_lab.maximal_operator"] == 1
+    # one inverse FFT per t sample; per band of the probe one FFT in t,
+    # one inverse 4-D FFT and the inverse FFT inside lp_norm(f)
+    assert tracer.calls["operator_lab.fft"] == len(ts) + 3 * len(k_list)
+    for name, fn in originals.items():
+        assert getattr(ol, name) is fn, name

@@ -362,13 +362,6 @@ def test_sweep_l_cap():
         sd.vdc_decay_sweep(HELIX, "a", 3, [8, 10])
 
 
-def test_sweep_reports():
-    rep = sd.vdc_decay_sweep(HELIX, "atilde", 2, [8, 10], n_xi=2, seed=0)
-    csv = sd.sweep_to_csv(rep)
-    assert csv.splitlines()[0] == "k,l,sup,slope,constant"
-    assert len(csv.splitlines()) == 3
-
-
 # ---------------------------------------------------------------------------
 # kernel bound
 # ---------------------------------------------------------------------------
@@ -483,12 +476,9 @@ def test_degenerate_curve_rejected():
         sd.finite_type_rescale(cg.line(), 0.0, 1)
 
 
-def test_piece_json():
-    import json
-
+def test_nu_localize_labels():
     ak = sd.make_ak(HELIX, 12)
     piece = sd.nu_localize(
         sd._shell_piece(ak, "b_{k,l}", 3, sd.default_a0(HELIX)), [1])[0]
-    data = json.loads(piece.to_json())
-    assert data["kind"] == "b_{k,l,nu}"
-    assert data["k"] == 12 and data["l"] == 3 and data["nu"] == 1
+    assert piece.kind == "b_{k,l,nu}"
+    assert piece.k == 12 and piece.l == 3 and piece.nu == 1
