@@ -373,7 +373,12 @@ def _exp_schedule(cfg: Config) -> ReportBundle:
         "terminal_lower_ok": rs.terminal_lower_ok,
         "terminal_upper_ok": rs.terminal_upper_ok,
     }
-    csv_text = rs.to_csv()
+    floor = math.log2(100.0 * rs.M) - 1e-9
+    csv_text = _rows_to_csv(
+        ["n", "log2_r0", "log2_r1", "r0", "r1", "ratio_check"],
+        [[n, rs.log2_r0[n], rs.log2_r1[n], rs.r0[n], rs.r1[n],
+          rs.log2_r1[n] - 1.5 * rs.log2_r0[n] >= floor]
+         for n in range(rs.N + 1)])
     plot = _svg_line_plot(np.arange(len(es.betas)) + 1.0,
                           np.asarray(es.betas) + 1.0,
                           "exponent recursion trajectory")

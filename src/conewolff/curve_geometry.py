@@ -585,60 +585,77 @@ _CHART_TOL = 1e-9  # reconstruction residual allowed, relative to |xi|
 _NEWTON_MAX = 60  # enough to bisect a scan cell down to a few ulps
 
 
-def cone_chart(curve: Curve, xi: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Invert xi = r B(sigma) + u T(sigma) for every row of xi, shape (n, 3).
+def _bracket_roots(grid: np.ndarray, vals: np.ndarray, f_slope: Callable
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Roots of one function per row, from its values vals at grid, (m, G).
 
-    Returns r, u, sigma and the mask inside, each of shape (n,).  The roots
-    of f(sigma) = <xi, N(sigma)> are bracketed on a _CHART_SCAN-point grid
-    of the domain (one frame call for all rows), and all brackets are
-    polished together by Newton with the Frenet slope f' = tau r - kappa u
-    (exact for an arclength parameter), bisecting whenever a step leaves
-    its bracket, until a step of a few ulps.  Per row the root with r > 0,
-    |u| <= _CHART_CAP r and the smallest |u| is kept; inside marks the rows
-    that have one, and r, u, sigma are nan on the others.  Raises
-    NotConverged if the reconstruction r B + u T of a kept root, in its
-    last Newton frame, is farther than _CHART_TOL |xi| from xi.
+    One bracket per exact zero on a node and per sign change in a cell, in
+    row-major order; f_slope(rows, s) gives f and f' of row rows[i] at s[i].
+    All brackets take Newton steps together, bisecting when a step leaves
+    its bracket, until a step of 4 ulps or _NEWTON_MAX steps.  Returns per
+    bracket its row, its last evaluated point and f there.
     """
-    xi = np.asarray(xi, dtype=float).reshape(-1, 3)
-    lo, hi = curve.domain
-    grid = np.linspace(lo, hi, _CHART_SCAN)
-    vals = xi @ frenet_frame(curve, grid).N.T
-    # one bracket per exact zero on a node and per sign change in a cell
     zero = vals == 0.0
     start = zero.copy()
     start[:, :-1] |= vals[:, :-1] * vals[:, 1:] < 0.0
     row, j = np.nonzero(start)
     jb = np.where(zero[row, j], j, j + 1)
-    a, b, fa, fb = grid[j], grid[jb], vals[row, j], vals[row, jb]
+    a, b, fa, fb = grid[row, j], grid[row, jb], vals[row, j], vals[row, jb]
     sig = a + fa / np.where(zero[row, j], 1.0, fa - fb) * (b - a)
-    # r, u and f come from the frame at the last evaluated point, at
-    x, (r, u, f_at, at) = xi[row], np.empty((4, len(row)))
-    tol = 4.0 * np.finfo(float).eps * max(1.0, abs(lo), abs(hi))
+    at, f_at = np.empty((2, len(row)))
+    tol = 4.0 * np.finfo(float).eps * max(1.0, np.abs(grid).max(initial=0.0))
     act = np.arange(len(row))
     for _ in range(_NEWTON_MAX):
         if not act.size:
             break
-        s, xa = sig[act], x[act]
-        fr = frenet_frame(curve, s)
-        f, ra, ua = (np.einsum("ij,ij->i", xa, e) for e in (fr.N, fr.B, fr.T))
-        r[act], u[act], f_at[act], at[act] = ra, ua, f, s
+        s = sig[act]
+        f, slope = f_slope(row[act], s)
+        at[act], f_at[act] = s, f
         left = np.sign(f) == np.sign(fa[act])  # the root lies right of s
         a[act[left]], fa[act[left]] = s[left], f[left]
         b[act[~left]] = s[~left]
         with np.errstate(divide="ignore", invalid="ignore"):
-            nxt = s - f / (fr.tau * ra - fr.kappa * ua)
+            nxt = s - f / slope
         lo_b, hi_b = a[act], b[act]
         nxt = np.where((nxt >= lo_b) & (nxt <= hi_b), nxt, 0.5 * (lo_b + hi_b))
         sig[act] = nxt
         act = act[np.abs(nxt - s) > tol]
+    return row, at, f_at
 
+
+def cone_chart(curve: Curve, xi: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Invert xi = r B(sigma) + u T(sigma) for every row of xi, shape (n, 3).
+
+    Returns r, u, sigma and the mask inside, each of shape (n,).  The roots
+    of f(sigma) = <xi, N(sigma)> on a _CHART_SCAN-point grid of the domain
+    go through _bracket_roots with the Frenet slope f' = tau r - kappa u
+    (exact for an arclength parameter).  Per row the root with r > 0,
+    |u| <= _CHART_CAP r and the smallest |u| (the first in sigma on a tie)
+    is kept; inside marks the rows that have one, and r, u, sigma are nan
+    on the others.  Raises NotConverged if a kept root's reconstruction
+    r B + u T is farther than _CHART_TOL |xi| from xi.
+    """
+    xi = np.asarray(xi, dtype=float).reshape(-1, 3)
+    grid = np.linspace(*curve.domain, _CHART_SCAN)
+    vals = xi @ frenet_frame(curve, grid).N.T
+
+    def f_slope(rows, s):
+        fr = frenet_frame(curve, s)
+        f, r, u = (np.einsum("ij,ij->i", xi[rows], e)
+                   for e in (fr.N, fr.B, fr.T))
+        return f, fr.tau * r - fr.kappa * u
+
+    row, at, f_at = _bracket_roots(np.broadcast_to(grid, vals.shape), vals,
+                                   f_slope)
+    fr = frenet_frame(curve, at)
+    r, u = (np.einsum("ij,ij->i", xi[row], e) for e in (fr.B, fr.T))
     key = np.where((r > 0.0) & (np.abs(u) <= _CHART_CAP * r), np.abs(u),
                    np.inf)
     order = np.lexsort((key, row))  # by row, then |u|, then sigma
     best = order[np.diff(row[order], prepend=-1) != 0]
     best = best[np.isfinite(key[best])]
     # |r B + u T - xi| = |<xi, N>| in the orthonormal frame at sigma
-    rel = np.abs(f_at[best]) / np.linalg.norm(x[best], axis=1)
+    rel = np.abs(f_at[best]) / np.linalg.norm(xi[row[best]], axis=1)
     if (rel > _CHART_TOL).any():
         i = np.argmax(rel)
         raise NotConverged(f"chart reconstruction residual {rel[i]:.3e} |xi| "

@@ -9,18 +9,14 @@ rescaling of a curve section.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 
-from .curve_geometry import Curve, frenet_frame
+from .curve_geometry import Curve, _bracket_roots, _dot3, frenet_frame
 from .errors import (
-    DegenerateCurvature,
     DivByZeroGamma2,
     GridTooLarge,
     NotConverged,
@@ -193,29 +189,40 @@ def hormander_constant(shear: ShearDilation, m: Callable, k: int,
 # ---------------------------------------------------------------------------
 
 
-def critical_s(curve: Curve, xi: np.ndarray,
-               lo: Optional[float] = None, hi: Optional[float] = None,
-               grid_points: int = 129) -> float:
-    """Unique root of <gamma'(s), xi> = 0 in the given (or full) interval."""
+_ROOT_SCAN = 9  # bracket-scan points per critical_s window
+
+
+def critical_s(curve: Curve, xi: np.ndarray, lo=None, hi=None):
+    """First root of <gamma'(s), xi> = 0 in each window [lo, hi] (scalars
+    or (m,) arrays, default and clipped to the domain): a float for xi of
+    shape (3,), shape (m,) for xi (m, 3).  Each window is scanned at
+    _ROOT_SCAN points and its brackets polished by _bracket_roots with the
+    slope <gamma''(s), xi>.  Raises NotConverged naming the first row with
+    no zero and no sign change in its scan.
+    """
     xi = np.asarray(xi, dtype=float)
+    rows = xi.reshape(-1, 3)
+    m = len(rows)
     dom_lo, dom_hi = curve.domain
-    lo = dom_lo if lo is None else max(lo, dom_lo)
-    hi = dom_hi if hi is None else min(hi, dom_hi)
+    lo = np.broadcast_to(np.maximum(dom_lo if lo is None else lo, dom_lo), m)
+    hi = np.broadcast_to(np.minimum(dom_hi if hi is None else hi, dom_hi), m)
+    grid = np.linspace(lo, hi, _ROOT_SCAN, axis=1)
+    vals = np.einsum("mi,img->mg", rows, curve.derivative(grid, 1))
 
-    def f(s):
-        return float(np.dot(curve.derivative(s, 1), xi))
+    def f_slope(r, s):
+        d1, d2 = curve.derivatives(s, (1, 2))
+        x = rows[r].T
+        return _dot3(d1, x), _dot3(d2, x)
 
-    grid = np.linspace(lo, hi, grid_points)
-    vals = np.array([f(s) for s in grid])
-    for i in range(grid_points - 1):
-        if vals[i] == 0.0:
-            return float(grid[i])
-        if vals[i] * vals[i + 1] < 0.0:
-            return float(brentq(f, grid[i], grid[i + 1],
-                                xtol=1e-15, rtol=8.9e-16))
-    if vals[-1] == 0.0:
-        return float(grid[-1])
-    raise NotConverged("no sign change of <gamma'(s), xi> in the interval")
+    row, at, _ = _bracket_roots(grid, vals, f_slope)
+    missing = np.setdiff1d(np.arange(m), row)
+    if missing.size:
+        i = missing[0]
+        raise NotConverged(f"no sign change of <gamma'(s), xi> in "
+                           f"[{lo[i]}, {hi[i]}] (row {i})")
+    # brackets come in row-major scan order: a row's first is its first root
+    roots = at[np.searchsorted(row, np.arange(m))]
+    return float(roots[0]) if xi.ndim == 1 else roots
 
 
 def u_mu(curve: Curve, s_mu: float, xi: np.ndarray, tau,
@@ -232,45 +239,48 @@ def u_mu(curve: Curve, s_mu: float, xi: np.ndarray, tau,
     return tau + xi @ gam - 0.5 * (xi @ d1) ** 2 / g2
 
 
-def _perp_frame_sample(curve: Curve, s_star: float, psi: float,
-                       rho: float) -> np.ndarray:
-    """A frequency direction in span{N, B} at s_star: makes s_star critical."""
+def _uniform_draws(seed: int, m: int, *bounds) -> np.ndarray:
+    """m rounds of Generator.uniform(lo, hi) over bounds, in order, from
+    one block of random() draws (bit for bit); row j holds bound j."""
+    lo, hi = np.array(bounds, dtype=float).T
+    return (lo + (hi - lo) * np.random.default_rng(seed).random(
+        (m, len(bounds)))).T
+
+
+def _critical_frequencies(curve: Curve, s_star, psi, rho) -> np.ndarray:
+    """rho (cos psi N + sin psi B) at s_star, (m, 3): makes s_star critical."""
     fr = frenet_frame(curve, s_star)
-    return rho * (np.cos(psi) * fr.N + np.sin(psi) * fr.B)
+    return (rho * (np.cos(psi) * fr.N.T + np.sin(psi) * fr.B.T)).T
 
 
 def verify_umu_approximation(curve: Curve, s_mu: float = 0.0,
                              r0: float = 2.0**-4, n_samples: int = 10_000,
                              M: float = 10.0, seed: int = 0) -> dict:
     """Sample constrained frequencies and check the two quadratic-approximation
-    bounds with their explicit constants 6M and 13M; report max ratios."""
-    rng = np.random.default_rng(seed)
-    max_ratio_one = 0.0
-    max_ratio_two = 0.0
-    gam_mu = curve.eval(s_mu)
-    for _ in range(n_samples):
-        s_star = s_mu + rng.uniform(-2.0 * r0, 2.0 * r0)
-        psi = rng.uniform(-np.pi / 3, np.pi / 3)
-        rho = rng.uniform(0.55, 1.9)
-        xi = _perp_frame_sample(curve, s_star, psi, rho)
-        scr = critical_s(curve, xi, s_star - 4 * r0, s_star + 4 * r0,
-                         grid_points=9)
-        # first bound, at s = s_mu and at a random admissible s
-        for s in (s_mu, scr + rng.uniform(-2.0 * r0, 2.0 * r0)):
-            g1 = float(np.dot(curve.derivative(s, 1), xi))
-            g2 = float(np.dot(curve.derivative(s, 2), xi))
-            err = abs((s - scr) - g1 / g2)
-            bound = 6.0 * M * (s - scr) ** 2
-            if bound > 1e-30:
-                max_ratio_one = max(max_ratio_one, err / bound)
-        # second bound
-        tau = -float(np.dot(gam_mu, xi)) + rng.uniform(-1, 1) * 8.0 * r0**2
-        u_val = float(u_mu(curve, s_mu, xi, tau))
-        target = tau + float(np.dot(curve.eval(scr), xi))
-        err2 = abs(u_val - target)
-        bound2 = 13.0 * M * abs(scr - s_mu) ** 3 * float(np.linalg.norm(xi))
-        if bound2 > 1e-30:
-            max_ratio_two = max(max_ratio_two, err2 / bound2)
+    bounds with their explicit constants 6M and 13M; report max ratios.
+    All samples are evaluated on arrays, with one critical_s call."""
+    ds, psi, rho, ds_test, dtau = _uniform_draws(
+        seed, n_samples, (-2.0 * r0, 2.0 * r0), (-np.pi / 3, np.pi / 3),
+        (0.55, 1.9), (-2.0 * r0, 2.0 * r0), (-1, 1))
+    s_star = s_mu + ds
+    xi = _critical_frequencies(curve, s_star, psi, rho)
+    scr = critical_s(curve, xi, s_star - 4 * r0, s_star + 4 * r0)
+    # first bound, at s = s_mu and at a random admissible s
+    s = np.stack([np.full(n_samples, s_mu), scr + ds_test])
+    d1, d2 = curve.derivatives(s, (1, 2))
+    err = np.abs((s - scr) - _dot3(d1, xi.T) / _dot3(d2, xi.T))
+    bound = 6.0 * M * (s - scr) ** 2
+    ratio_one = np.divide(err, bound, out=np.zeros_like(err),
+                          where=bound > 1e-30)
+    # second bound
+    tau = -(xi @ curve.eval(s_mu)) + dtau * 8.0 * r0**2
+    err2 = np.abs(u_mu(curve, s_mu, xi, tau)
+                  - (tau + _dot3(curve.eval(scr), xi.T)))
+    bound2 = 13.0 * M * np.abs(scr - s_mu) ** 3 * np.linalg.norm(xi, axis=1)
+    ratio_two = np.divide(err2, bound2, out=np.zeros_like(err2),
+                          where=bound2 > 1e-30)
+    max_ratio_one = float(np.max(ratio_one, initial=0.0))
+    max_ratio_two = float(np.max(ratio_two, initial=0.0))
     return {
         "n_samples": n_samples,
         "r0": r0,
@@ -305,9 +315,11 @@ class OmegaMap:
         object.__setattr__(self, "matrix", mat)
 
     def apply(self, xi, tau) -> np.ndarray:
-        xi = np.asarray(xi, dtype=float)
-        Xi = np.concatenate([xi, np.atleast_1d(float(tau))], axis=-1)
-        return self.matrix @ Xi
+        """The three rows at one point (xi of shape (3,), tau a float),
+        shape (3,), or at m points (xi (m, 3), tau (m,)), shape (m, 3)."""
+        Xi = np.concatenate([np.asarray(xi, dtype=float),
+                             np.asarray(tau, dtype=float)[..., None]], axis=-1)
+        return Xi @ self.matrix.T
 
     def smallest_singular_value(self) -> float:
         return float(np.linalg.svd(self.matrix, compute_uv=False)[-1])
@@ -321,15 +333,16 @@ def _u_vectors(abar: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def pl_plate_membership(omega: OmegaMap, s_nnu: float, n: int, r1: float,
-                        k: int, xi, tau) -> bool:
-    """Test the three plate inequalities for the given frequency point."""
+                        k: int, xi, tau):
+    """Test the three plate inequalities at one frequency point, giving a
+    bool, or at the rows of xi (m, 3) and tau (m,), giving m bools."""
     abar = omega.s_mu - s_nnu
     u1, u2, u3 = _u_vectors(abar)
     w = omega.apply(xi, tau)
-    c1 = abs(float(u1 @ w)) <= 2.0**(k + 2)
-    c2 = abs(float(u2 @ (w - w[2] * u1))) <= 2.0**(k + 4) * 2.0**n * r1
-    c3 = abs(float(u3 @ w)) <= 2.0**(k + 3) * 2.0**(2 * n) * r1**2
-    return bool(c1 and c2 and c3)
+    c1 = np.abs(w @ u1) <= 2.0**(k + 2)
+    c2 = np.abs((w - w[..., 2, None] * u1) @ u2) <= 2.0**(k + 4) * 2.0**n * r1
+    c3 = np.abs(w @ u3) <= 2.0**(k + 3) * 2.0**(2 * n) * r1**2
+    return c1 & c2 & c3
 
 
 # ---------------------------------------------------------------------------
@@ -352,106 +365,78 @@ def support_census(curve: Curve, k: int = 48, r0: float = 2.0**-22,
     fixed (s, xi, tau) and maximized over an s-grid: at a fixed point the
     anchor separation, the dyadic shells, and the window partition each give
     a finite overlap, which is what the 75 ceiling packages.
+
+    One critical_s call resolves all samples; each anchor, shell n and
+    window nu then acts on (samples, s-grid) arrays.  A sample is masked
+    out of an anchor whose cutoff, or of a shell whose mass, stays below
+    tol: none of its pieces there could exceed tol and be counted.
     """
     if r1 > r0:
         raise ValueError("need r1 <= r0")
     if r1 < 100.0 * M * r0**1.5:
         raise ValueError("need r1 >= 100 M r0^(3/2)")
-    rng = np.random.default_rng(seed)
     eta0, eta1, zeta = _CUT.eta0, _CUT.eta1, _CUT.zeta
+    s_star, psi, rho, dtau = _uniform_draws(
+        seed, sample_count, (-3.0 * r0, 3.0 * r0), (-np.pi / 3, np.pi / 3),
+        (0.55, 1.9), (-1, 1))
+    xi = _critical_frequencies(curve, s_star, psi, rho)
+    tau = -_dot3(curve.eval(s_star), xi.T) + dtau * 8.0 * r0**2
+    scr = critical_s(curve, xi, s_star - 10 * r0, s_star + 10 * r0)
     half = n_anchors // 2
     s_mu_list = r0 * np.arange(-half, n_anchors - half)
-    anchors = []
-    for s_mu in s_mu_list:
-        anchors.append({
-            "s_mu": float(s_mu),
-            "gam": curve.eval(s_mu),
-            "d1": curve.derivative(s_mu, 1),
-            "omega": OmegaMap(curve, float(s_mu)),
-        })
-
-    max_n_a = -1
-    max_n_b = -1
-    max_mult_a = 0
-    max_mult_b = 0
+    s_grid = np.linspace(s_mu_list[0] - 2.2 * r0, s_mu_list[-1] + 2.2 * r0,
+                         s_grid_size * 4 + 1)
+    max_n = [-1, -1]  # a and b pieces
+    mult = np.zeros((2, sample_count, len(s_grid)), dtype=int)
     recon_err = 0.0
     plate_checked = 0
     plate_failures = 0
 
-    for _ in range(sample_count):
-        s_star = rng.uniform(-3.0 * r0, 3.0 * r0)
-        psi = rng.uniform(-np.pi / 3, np.pi / 3)
-        rho = rng.uniform(0.55, 1.9)
-        xi = _perp_frame_sample(curve, s_star, psi, rho)
-        tau = -float(np.dot(curve.eval(s_star), xi)) \
-            + rng.uniform(-1, 1) * 8.0 * r0**2
-        scr = critical_s(curve, xi, s_star - 10 * r0, s_star + 10 * r0,
-                         grid_points=5)
-        s_grid = np.linspace(s_mu_list[0] - 2.2 * r0,
-                             s_mu_list[-1] + 2.2 * r0,
-                             s_grid_size * 4 + 1)
-        mult_a = np.zeros_like(s_grid, dtype=int)
-        mult_b = np.zeros_like(s_grid, dtype=int)
-        for anc in anchors:
-            s_mu = anc["s_mu"]
-            g1 = float(np.dot(anc["d1"], xi))
-            t_arg = tau + float(np.dot(anc["gam"], xi))
-            scalar = (eta0(g1 / (8.0 * r0))
-                      * eta0(t_arg / (16.0 * r0**2))
-                      * eta0((np.linalg.norm(xi) - 1.25) / 0.75))
-            if scalar < tol:
+    for s_mu in s_mu_list:
+        omega = OmegaMap(curve, float(s_mu))
+        scalar = (eta0(xi @ curve.derivative(s_mu, 1) / (8.0 * r0))
+                  * eta0((tau + xi @ curve.eval(s_mu)) / (16.0 * r0**2))
+                  * eta0((np.linalg.norm(xi, axis=1) - 1.25) / 0.75))
+        live = np.nonzero(scalar >= tol)[0]
+        x, t = xi[live], tau[live]
+        amu = scalar[live, None] * eta0((s_grid - s_mu) / (2.0 * r0))
+        u_hat = u_mu(curve, s_mu, x, t)[:, None]
+        ds2 = (s_grid - scr[live, None]) ** 2
+        base = (np.abs(u_hat) + ds2) / r1**2
+        with np.errstate(divide="ignore", invalid="ignore"):
+            split_arg = np.divide(ds2 * 2.0**8, u_hat, where=(u_hat != 0.0),
+                                  out=np.full_like(ds2, np.inf))
+        split = eta0(np.where(ds2 == 0.0, 0.0, split_arg))
+        recon = np.zeros_like(amu)
+        for n in range(n_cap + 1):
+            shell = eta0(base) if n == 0 else eta1(2.0**(2 - 2 * n) * base)
+            win = s_grid / (2.0**n * r1)
+            split_n = 1.0 if n == 0 else split  # no b piece at n = 0
+            mass = amu * shell
+            skip = np.max(mass, axis=1, initial=0.0) < tol
+            kept = np.where(skip[:, None], 0.0, mass)
+            recon += mass - kept  # skipped rows take their mass whole
+            if skip.all():
                 continue
-            amu = scalar * eta0((s_grid - s_mu) / (2.0 * r0))
-            u_hat = float(u_mu(curve, s_mu, xi, tau))
-            ds2 = (s_grid - scr) ** 2
-            base = (abs(u_hat) + ds2) / r1**2
-            with np.errstate(divide="ignore", invalid="ignore"):
-                split_arg = np.divide(
-                    ds2 * 2.0**8, u_hat,
-                    out=np.full_like(ds2, np.inf),
-                    where=(u_hat != 0.0))
-            split_arg = np.where(ds2 == 0.0, 0.0, split_arg)
-            split = eta0(split_arg)
-            recon = np.zeros_like(s_grid)
-            for n in range(n_cap + 1):
-                if n == 0:
-                    shell = eta0(base)
-                    win = s_grid / r1
-                else:
-                    shell = eta1(2.0**(2 - 2 * n) * base)
-                    win = s_grid / (2.0**n * r1)
-                if np.max(amu * shell) < tol:
-                    recon += amu * shell
-                    continue
-                nus = range(int(np.floor(win.min())) - 1,
-                            int(np.ceil(win.max())) + 2)
-                for nu in nus:
-                    zf = zeta(win - nu)
-                    if n == 0:
-                        a_piece = amu * shell * zf
-                        b_piece = np.zeros_like(a_piece)
-                    else:
-                        a_piece = amu * shell * split * zf
-                        b_piece = amu * shell * (1.0 - split) * zf
-                    recon += a_piece + b_piece
-                    s_nnu = 2.0**n * r1 * nu
-                    if np.max(a_piece) > tol:
-                        mult_a += (a_piece > tol).astype(int)
-                        max_n_a = max(max_n_a, n)
-                        plate_checked += 1
-                        if not pl_plate_membership(
-                                anc["omega"], s_nnu, n, r1, 0, xi, tau):
-                            plate_failures += 1
-                    if np.max(b_piece) > tol:
-                        mult_b += (b_piece > tol).astype(int)
-                        max_n_b = max(max_n_b, n)
-                        plate_checked += 1
-                        if not pl_plate_membership(
-                                anc["omega"], s_nnu, n, r1, 0, xi, tau):
-                            plate_failures += 1
-            recon_err = max(recon_err, float(np.max(np.abs(recon - amu))))
-        max_mult_a = max(max_mult_a, int(mult_a.max()))
-        max_mult_b = max(max_mult_b, int(mult_b.max()))
+            for nu in range(int(np.floor(win.min())) - 1,
+                            int(np.ceil(win.max())) + 2):
+                zf = zeta(win - nu)
+                pieces = (kept * split_n * zf, kept * (1.0 - split_n) * zf)
+                recon += pieces[0] + pieces[1]
+                outside = ~pl_plate_membership(omega, 2.0**n * r1 * nu, n,
+                                               r1, 0, x, t)
+                for i, piece in enumerate(pieces):
+                    hit = piece > tol
+                    rows = hit.any(axis=1)
+                    if rows.any():
+                        mult[i, live] += hit
+                        max_n[i] = max(max_n[i], n)
+                        plate_checked += int(rows.sum())
+                        plate_failures += int((rows & outside).sum())
+        recon_err = max(recon_err,
+                        float(np.max(np.abs(recon - amu), initial=0.0)))
+    max_n_a, max_n_b = max_n
+    max_mult_a, max_mult_b = mult.max(axis=(1, 2), initial=0).tolist()
 
     a_threshold_ok = (max_n_a < 0) or (2.0**max_n_a * r1 <= 2.0**4 * r0)
     b_threshold_ok = (max_n_b < 0) or (2.0**max_n_b * r1 <= 2.0**7 * r0)
@@ -495,17 +480,6 @@ class RSchedule:
     terminal_lower_ok: bool
     terminal_upper_ok: bool
     c_over_eps1: float
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        w = csv.writer(buf)
-        w.writerow(["n", "log2_r0", "log2_r1", "r0", "r1", "ratio_check"])
-        for n in range(self.N + 1):
-            ratio_ok = self.log2_r1[n] - 1.5 * self.log2_r0[n] \
-                >= math.log2(100.0 * self.M) - 1e-9
-            w.writerow([n, self.log2_r0[n], self.log2_r1[n],
-                        self.r0[n], self.r1[n], ratio_ok])
-        return buf.getvalue()
 
 
 def _pow2_or_inf(x: float) -> float:

@@ -182,6 +182,17 @@ def test_run_schedule_n_star(tmp_path, monkeypatch):
     assert rep["hypothesis_ok"] is True
 
 
+def test_run_schedule_csv(tmp_path, monkeypatch):
+    code, dirs = _run_to(tmp_path, monkeypatch, _cfg_text(
+        experiment="schedule", p=74, eps=0.1, k=20, eps0=0.3, M=10))
+    assert code == 0
+    rep = json.loads((dirs[0] / "report.json").read_text())
+    lines = (dirs[0] / "data.csv").read_text().strip().splitlines()
+    assert lines[0] == "n,log2_r0,log2_r1,r0,r1,ratio_check"
+    assert len(lines) == rep["N"] + 2
+    assert all(row.endswith("True") for row in lines[1:])
+
+
 def test_run_reports_byte_identical(tmp_path, monkeypatch):
     text = _cfg_text(experiment="decompose", curve="helix(0.5,0.5)",
                      k=10, samples=50, seed=7)

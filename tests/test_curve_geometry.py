@@ -348,6 +348,23 @@ def test_cone_chart_flags_rows_outside():
             cg.cone_coordinates(h, xi)
 
 
+def test_cone_chart_keeps_smallest_u():
+    # a flat helix over one and a half turns: xi = B(0) is also nearly
+    # binormal at the parameters of u = -pi and pi, where |u| is about
+    # 0.1 r, so three roots are admissible and sigma = 0 (u = 0) must win
+    flat = cg.helix(1.0, 0.05, domain=(-4.0, 4.0))
+    xi = cg.frenet_frame(flat, 0.0).B
+    r, u, sig, inside = cg.cone_chart(flat, xi)
+    assert inside[0] and abs(r[0] - 1.0) < 1e-12
+    assert abs(sig[0]) < 1e-12 and abs(u[0]) < 1e-12
+    for side in ((-4.0, -2.0), (2.0, 4.0)):  # each rival root on its own
+        r, u, sig, inside = cg.cone_chart(cg.helix(1.0, 0.05, domain=side),
+                                          xi)
+        assert inside[0] and abs(abs(sig[0]) - np.pi * np.hypot(1, 0.05)) \
+            < 1e-12
+        assert 0.09 < abs(u[0]) / r[0] < 0.11
+
+
 def test_cone_chart_reconstruction_failure(monkeypatch):
     h = cg.helix(1, 1)
     xi = cg.cone_point(h, 1.3, 0.05, 0.4)

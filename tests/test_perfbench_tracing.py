@@ -10,6 +10,7 @@ import numpy as np
 
 from conewolff import curve_geometry as cg
 from conewolff import operator_lab as ol
+from conewolff import scale_induction as si
 from conewolff import symbol_decomposition as sd
 from conewolff.cone_plates import make_family
 
@@ -121,3 +122,31 @@ def test_tracer_counts_transforms_in_curve_averages():
     assert tracer.calls["operator_lab.fft"] == len(ts) + 3 * len(k_list)
     for name, fn in originals.items():
         assert getattr(ol, name) is fn, name
+
+
+def test_tracer_counts_one_critical_s_call_per_sample_job():
+    # the umu check and the census resolve all their samples' critical
+    # points in one array call of scale_induction.critical_s
+    tracing = _load_tracing()
+    jobs = {
+        "verify_umu_approximation": lambda: si.verify_umu_approximation(
+            cg.helix(1.0, 1.0), n_samples=200, seed=3),
+        "support_census": lambda: si.support_census(
+            cg.helix(0.5, 0.5), sample_count=20, seed=3),
+    }
+    originals = {name: getattr(si, name) for name in
+                 ("critical_s", "frenet_frame", *jobs)}
+    for name, job in jobs.items():
+        untraced = job()
+        tracer = tracing.Tracer()
+        tracer.install()
+        try:
+            assert getattr(si, name) is not originals[name]
+            traced = job()
+        finally:
+            tracer.uninstall()
+        assert traced == untraced, name
+        assert tracer.calls[f"scale_induction.{name}"] == 1
+        assert tracer.calls["scale_induction.critical_s"] == 1, name
+        for attr, fn in originals.items():
+            assert getattr(si, attr) is fn, attr

@@ -8,11 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conewolff import scale_induction as si
-from conewolff.curve_geometry import Curve, helix, line
+from conewolff.curve_geometry import Curve, frenet_frame, helix, line, vec3
 from conewolff.errors import (
     DegenerateCurvature,
     DivByZeroGamma2,
     GridTooLarge,
+    NotConverged,
     ScheduleEmpty,
 )
 
@@ -156,16 +157,22 @@ def test_umu_approximation_explicit_constants():
     assert report["max_ratio_two"] <= 0.01
 
 
+def test_umu_approximation_frozen_draws():
+    # seed 0 pins the draw order (s_star, psi, rho, second s, tau offset)
+    report = si.verify_umu_approximation(helix(1.0, 1.0), r0=2.0**-4,
+                                         n_samples=10_000, M=10.0, seed=0)
+    assert report["max_ratio_one"] == pytest.approx(0.008491529497151727,
+                                                    rel=1e-9)
+    assert report["max_ratio_two"] == pytest.approx(0.002228728550169398,
+                                                    rel=1e-9)
+
+
 def test_umu_approximation_quadratic_exact():
     # planar quadratic normal form: the first-order identity is exact
     def dv(s, j):
-        if j == 0:
-            return np.array([s, s**2 / 2.0, 0.0])
-        if j == 1:
-            return np.array([1.0, s, 0.0])
-        if j == 2:
-            return np.array([0.0, 1.0, 0.0])
-        return np.zeros(3)
+        x = (s, 1.0, 0.0, 0.0, 0.0, 0.0)[j]
+        y = (s**2 / 2.0, s, 1.0, 0.0, 0.0, 0.0)[j]
+        return vec3(s, x, y, 0.0)
 
     quad = Curve(lambda s: dv(s, 0), dv, domain=(-1.0, 1.0),
                  analytic_order=5, name="quadratic")
@@ -184,6 +191,35 @@ def test_critical_s_no_root():
     xi = np.array([0.0, 0.0, 1.0])  # pairs with constant sign for the helix
     with pytest.raises(Exception):
         si.critical_s(HELIX, xi)
+
+
+def _two_root_frequency():
+    # on helix(1,1) this xi in span{N(0.2), B(0.2)} makes <gamma', xi>
+    # vanish at s = 0.2 and again at s = -0.4767
+    fr = frenet_frame(helix(1.0, 1.0), 0.2)
+    return np.cos(1.4) * fr.N + np.sin(1.4) * fr.B
+
+
+def test_critical_s_first_root():
+    h11 = helix(1.0, 1.0)
+    xi = _two_root_frequency()
+    first = si.critical_s(h11, xi)
+    assert isinstance(first, float)
+    assert abs(first + 0.4767) <= 1e-4
+    assert abs(si.critical_s(h11, xi, lo=0.0) - 0.2) <= 1e-14
+    # row form: per-row windows, the same roots as the scalar form
+    roots = si.critical_s(h11, np.stack([xi, xi, xi]),
+                          lo=np.array([-1.0, 0.0, -1.0]), hi=1.0)
+    assert roots.shape == (3,)
+    assert np.abs(roots[[0, 2]] - first).max() <= 1e-14
+    assert abs(roots[1] - 0.2) <= 1e-14
+
+
+def test_critical_s_names_row_without_root():
+    rows = np.stack([_two_root_frequency(), [0.0, 0.0, 1.0],
+                     [0.0, 0.0, -1.0]])
+    with pytest.raises(NotConverged, match=r"\(row 1\)"):
+        si.critical_s(helix(1.0, 1.0), rows)
 
 
 # ---------------------------------------------------------------------------
@@ -238,6 +274,17 @@ def test_support_census_thresholds_and_multiplicity():
     assert 2.0 ** report["max_n_b"] * report["r1"] <= 128 * report["r0"]
 
 
+def test_support_census_frozen_draws():
+    # seed 0 pins the draw order (s_star, psi, rho, tau offset per sample)
+    report = si.support_census(helix(0.5, 0.5), sample_count=300, seed=0)
+    assert report["plate_checked"] == 17285
+    assert report["max_n_a"] == 3
+    assert report["max_n_b"] == 5
+    assert report["max_multiplicity_a"] == 16
+    assert report["max_multiplicity_b"] == 16
+    assert report["plate_failures"] == 0
+
+
 def test_support_census_preconditions():
     with pytest.raises(ValueError):
         si.support_census(HELIX, r0=2.0**-22, r1=2.0**-40)
@@ -286,14 +333,9 @@ def test_r_schedule_empty():
         si.r_schedule(100, 3.0, 10.0)
 
 
-def test_r_schedule_validation_and_csv():
+def test_r_schedule_validation():
     with pytest.raises(ValueError):
         si.r_schedule(5, 0.3, 10.0)
-    rs = si.r_schedule(20, 0.3, 10.0, n_cap=8)
-    lines = rs.to_csv().strip().splitlines()
-    assert lines[0].startswith("n,log2_r0,log2_r1")
-    assert len(lines) == rs.N + 2
-    assert all(row.endswith("True") for row in lines[1:])
 
 
 # ---------------------------------------------------------------------------

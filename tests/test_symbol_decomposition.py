@@ -82,13 +82,12 @@ def test_reconstruction(k):
     pieces = sd.decompose(ak)
     rng = np.random.default_rng(k)
     r, u, sg, s = _chart_draws(rng, 2000)
-    for i in range(2000):
-        xi = cg.cone_point(HELIX, r[i], u[i], sg[i])
-        nm = float(np.linalg.norm(xi))
-        tot = sum(float(p.coord_eval(s[i], r[i], u[i], sg[i], nm))
-                  for p in pieces)
-        base = float(ak.coord_eval(s[i], r[i], u[i], sg[i], nm))
-        assert abs(tot - base) < 1e-12
+    fr = cg.frenet_frame(HELIX, sg)
+    nm = np.linalg.norm(r[:, None] * fr.B + u[:, None] * fr.T, axis=1)
+    tot = sum(p.coord_eval(s, r, u, sg, nm) for p in pieces)
+    base = ak.coord_eval(s, r, u, sg, nm)
+    assert tot.shape == base.shape == (2000,)
+    assert np.abs(tot - base).max() < 1e-12
 
 
 def test_shell_index_structural_cap():
