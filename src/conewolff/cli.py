@@ -34,20 +34,24 @@ from . import symbol_decomposition as sd
 from .errors import ConewolffError, ConfigError
 
 EXPERIMENTS = (
-    ("geometry", "curve", "moving-frame curvature/torsion sweep", "§3"),
-    ("plates", "generator delta lam theta sigma", "cone plate family build",
+    ("geometry", "curve samples", "moving-frame curvature/torsion sweep",
+     "§3"),
+    ("plates", "generator deltas lam theta sigma", "cone plate family build",
      "§2"),
-    ("decompose", "curve k", "dyadic symbol split + reconstruction", "§3"),
-    ("umu", "curve r0", "critical-phase approximation bounds", "§4"),
+    ("decompose", "curve k samples", "dyadic symbol split + reconstruction",
+     "§3"),
+    ("umu", "curve r0 samples M", "critical-phase approximation bounds",
+     "§4"),
     ("census", "curve samples", "two-scale support census", "§4"),
     ("schedule", "p eps k eps0 M", "exponent and radius schedules", "§5"),
-    ("decouple", "generator p deltas trials", "plate decoupling ratios",
-     "§2"),
-    ("sobolev", "curve p alpha k_list", "fixed-time regularity sweep", "§3"),
-    ("smoothing", "curve p alpha k_list", "space-time regularity probe",
+    ("decouple", "generator p deltas lam theta trials n L",
+     "plate decoupling ratios", "§2"),
+    ("sobolev", "curve p alpha k_list n L", "fixed-time regularity sweep",
+     "§3"),
+    ("smoothing", "curve p alpha k_list n", "space-time regularity probe",
      "§5"),
-    ("maximal", "curve p n", "sampled dilation-maximal norms", "§6"),
-    ("helix2", "samples seed", "two-parameter helix family checks", "§6"),
+    ("maximal", "curve n L", "sampled dilation-maximal norms", "§6"),
+    ("helix2", "samples L", "two-parameter helix family checks", "§6"),
 )
 _NAMES = tuple(e[0] for e in EXPERIMENTS)
 
@@ -60,7 +64,6 @@ class Config:
     curve: str = "helix(0.5,0.5)"
     generator: str = "circle"
     k: int = 10
-    l: int = 2
     deltas: tuple = (2.0**-4, 2.0**-5)
     theta: float = 1.0
     sigma: Optional[float] = None
@@ -82,7 +85,7 @@ class Config:
     extras: dict = field(default_factory=dict)
 
 
-_INT_KEYS = {"k", "l", "n", "trials", "samples", "seed"}
+_INT_KEYS = {"k", "n", "trials", "samples", "seed"}
 _FLOAT_KEYS = {"theta", "sigma", "lam", "p", "eps", "eps0", "M", "r0",
                "alpha", "L"}
 _LIST_FLOAT_KEYS = {"deltas"}
@@ -154,8 +157,6 @@ def validate_config(cfg: Config) -> None:
         if root > cfg.theta + 1e-12:
             raise ConfigError(
                 f"sqrt(delta)={root} exceeds window theta={cfg.theta}")
-    if cfg.l > cfg.k / 3.0:
-        raise ConfigError(f"shell index l={cfg.l} exceeds k/3={cfg.k / 3.0}")
     if cfg.n < 2 or (cfg.n & (cfg.n - 1)) != 0:
         raise ConfigError(f"grid size n={cfg.n} is not a power of two")
     if cfg.trials < 1 or cfg.samples < 1:
@@ -179,7 +180,7 @@ def _parse_curve(spec: str) -> cg.Curve:
     return cg.benchmark_curve(spec)
 
 
-def _parse_generator(spec: str) -> cg.GeneratorCurve:
+def _parse_generator(spec: str) -> cg.Curve:
     gens = {"circle": cg.unit_circle_generator,
             "parabola": cg.parabola_generator}
     if spec not in gens:

@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .curve_geometry import GeneratorCurve, unit_circle_generator
+from .curve_geometry import Curve, _circle
 from .errors import DegenerateCurvature, EmptyFamily, NotCircular
 
 TWO_PI = 2.0 * math.pi
@@ -95,7 +95,7 @@ class Plate:
         return (np.stack([t1, t2, t3], axis=1) @ self._Minv.T)
 
 
-def make_plate(g: GeneratorCurve, alpha: float, delta: float, lam: float,
+def make_plate(g: Curve, alpha: float, delta: float, lam: float,
                A: float = 1.0) -> Plate:
     if not (g.domain[0] <= alpha <= g.domain[1]):
         raise ValueError(f"alpha={alpha} outside generator domain {g.domain}")
@@ -130,7 +130,7 @@ class PlateFamily:
     lam: float
     theta: float
     sigma: float
-    generator: GeneratorCurve
+    generator: Curve
 
     def __post_init__(self):
         alphas = sorted(p.alpha for p in self.plates)
@@ -145,7 +145,7 @@ class PlateFamily:
             raise ValueError("plate anchors exceed the theta-window")
 
 
-def make_family(g: GeneratorCurve, delta: float, lam: float, theta: float,
+def make_family(g: Curve, delta: float, lam: float, theta: float,
                 sigma: float, alpha0: Optional[float] = None) -> PlateFamily:
     """Anchors on a uniform sigma-grid inside a theta-window starting at alpha0."""
     lo, hi = g.domain
@@ -171,11 +171,11 @@ def make_family(g: GeneratorCurve, delta: float, lam: float, theta: float,
 def rotate_step1(family: PlateFamily, alpha0: float) -> PlateFamily:
     """Rotate every plate frame about the xi3 axis by the angle alpha0.
 
-    For the circular generator this maps the plate at alpha to the plate at
-    alpha + alpha0; the geometry is congruent.
+    For the unit circle generator this maps the plate at alpha to the plate
+    at alpha + alpha0; the geometry is congruent.
     """
-    if family.generator.kind != "circle":
-        raise NotCircular("rotation step requires the circular generator")
+    if family.generator.name != "unit_circle":
+        raise NotCircular("rotation step requires the unit circle generator")
     c, s = math.cos(alpha0), math.sin(alpha0)
     R = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
     plates = [Plate(alpha=p.alpha + alpha0, u1=R @ p.u1, u2=R @ p.u2,
@@ -208,11 +208,10 @@ def tilt_normalize(a: float, b: float, rho: float, K: float = 10.0) -> np.ndarra
                      [0.0, 0.0, 1.0]])
 
 
-def osculating_circle(g: GeneratorCurve, alpha_mu: float,
-                      floor: float = 1e-10):
+def osculating_circle(g: Curve, alpha_mu: float, floor: float = 1e-10):
     """Second-order circular approximation of g at alpha_mu.
 
-    Returns (center, rho, phi_mu, circle) where circle is the GeneratorCurve
+    Returns (center, rho, phi_mu, circle) where circle is the plane Curve
 
         g_mu(alpha) = g(alpha_mu) + rho n(alpha_mu)
                       + rho (cos((alpha - alpha_mu - phi_mu)/rho),
@@ -238,26 +237,12 @@ def osculating_circle(g: GeneratorCurve, alpha_mu: float,
     # phase: |g'| sin(phi/rho) = g1', |g'| cos(phi/rho) = g2'
     phi = rho * math.atan2(g1[0], g1[1])
     phi %= TWO_PI * abs(rho)
-
-    def ev(alpha):
-        ang = (alpha - alpha_mu - phi) / rho
-        return center + rho * np.array([math.cos(ang), math.sin(ang)])
-
-    def dv(alpha, j):
-        ang = (alpha - alpha_mu - phi) / rho
-        scale = rho ** (1 - j)
-        cyc = [(math.cos(ang), math.sin(ang)), (-math.sin(ang), math.cos(ang)),
-               (-math.cos(ang), -math.sin(ang)), (math.sin(ang), -math.cos(ang))]
-        cx, sx = cyc[j % 4]
-        if j == 0:
-            return ev(alpha)
-        return scale * np.array([cx, sx])
-
-    circle = GeneratorCurve(ev, dv, domain=g.domain, kind="osculating_circle")
+    circle = _circle(center, rho, 1.0 / rho, alpha_mu + phi, g.domain,
+                     "osculating_circle")
     return center, rho, phi, circle
 
 
-def osculating_deviation_sweep(g: GeneratorCurve, alpha_mu: float,
+def osculating_deviation_sweep(g: Curve, alpha_mu: float,
                                deltas: Sequence[float], samples: int = 400) -> dict:
     """Max |g - g_mu| over |alpha - alpha_mu| <= delta^{1/3} per delta, with a
     log-log slope fit and the fitted constant C = max dev/delta."""
@@ -268,8 +253,8 @@ def osculating_deviation_sweep(g: GeneratorCurve, alpha_mu: float,
         lo = max(g.domain[0], alpha_mu - w)
         hi = min(g.domain[1], alpha_mu + w)
         grid = np.linspace(lo, hi, samples)
-        dev = max(float(np.linalg.norm(g.eval(a) - circle.eval(a))) for a in grid)
-        devs.append(dev)
+        devs.append(float(np.linalg.norm(g.eval(grid) - circle.eval(grid),
+                                         axis=0).max()))
     logs_d = np.log2(np.asarray(deltas, dtype=float))
     logs_v = np.log2(np.maximum(devs, 1e-300))
     slope, intercept = np.polyfit(logs_d, logs_v, 1)
@@ -423,23 +408,18 @@ class BumpFunction:
 # ---------------------------------------------------------------------------
 
 
+# edges of the box whose corners Plate.corners lists as bits (t1, t2, t3):
+# the pairs i < j that differ in one bit
+_BOX_EDGES = [(i, j) for i in range(8) for j in range(i + 1, 8)
+              if bin(i ^ j).count("1") == 1]
+
+
 def _slice_polygon(plate: Plate, xi3: float) -> list[tuple[float, float]]:
     """Cross-section polygon of the (positive-branch) plate at fixed xi3."""
-    b = plate.bounds
-    lo = np.array([plate.lam / 2.0, -b[1], -b[2]])
-    hi = np.array([2.0 * plate.lam, b[1], b[2]])
-    corners_t = [np.array([x, y, z]) for x in (lo[0], hi[0])
-                 for y in (lo[1], hi[1]) for z in (lo[2], hi[2])]
-    edges = [(i, j) for i in range(8) for j in range(i + 1, 8)
-             if sum(a != b for a, b in zip(
-                 [(0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 1),
-                  (1, 0, 0), (1, 0, 1), (1, 1, 0), (1, 1, 1)][i],
-                 [(0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 1),
-                  (1, 0, 0), (1, 0, 1), (1, 1, 0), (1, 1, 1)][j])) == 1]
+    corners = plate.corners()
     pts = []
-    for i, j in edges:
-        a = plate.point(corners_t[i])
-        c = plate.point(corners_t[j])
+    for i, j in _BOX_EDGES:
+        a, c = corners[i], corners[j]
         da, dc = a[2] - xi3, c[2] - xi3
         if da == dc:
             continue

@@ -1,10 +1,14 @@
 """Space curves, Frenet data, finite type, and the binormal cone chart.
 
-Provides the Curve / FrenetFrame / GeneratorCurve / FiniteTypeReport types,
-benchmark curve constructors, arclength reparametrization, and the chart
-(r, u, sigma) on the cone of binormal directions together with its gradient
-formulas.  The chart has one inversion, cone_chart, which resolves many
-frequencies in one call; cone_coordinates is its scalar form.
+Provides the Curve / FrenetFrame / FiniteTypeReport types, benchmark curve
+constructors, arclength reparametrization, the plane generator curves of
+the cone, and the chart (r, u, sigma) on the cone of binormal directions
+together with its gradient formulas.  A Curve has d components: space
+curves have 3, and the plane generators (unit, tilted and osculating
+circles, the parabola, the binormal generator) are 2-component Curves,
+all evaluated on scalars or arrays of the parameter.  The chart has one
+inversion, cone_chart, which resolves many frequencies in one call;
+cone_coordinates is its scalar form.
 """
 
 from __future__ import annotations
@@ -107,13 +111,14 @@ def _ser_invert(s: np.ndarray) -> np.ndarray:
 
 
 class Curve:
-    """A C^5 space curve with derivative access on scalars or arrays of s.
+    """A C^5 curve of d components with derivative access on scalars or
+    arrays of s.
 
     eval_fn(s) and deriv_fn(s, j) take a scalar or an array of parameters
-    and return shape (3, *s.shape); deriv_fn supplies analytic derivatives
+    and return shape (d, *s.shape); deriv_fn supplies analytic derivatives
     up to analytic_order, and higher orders fall back to
     Richardson-extrapolated central differences.  jet_fn(s, n), if given,
-    returns the derivatives of orders 0..n, shape (n + 1, 3, *s.shape), from
+    returns the derivatives of orders 0..n, shape (n + 1, d, *s.shape), from
     one computation.  A call on an array of s costs a handful of numpy
     operations on that array, so callers should evaluate many parameters
     per call rather than loop over scalars.
@@ -138,11 +143,11 @@ class Curve:
         self.name = name
 
     def eval(self, s) -> np.ndarray:
-        """gamma(s), shape (3, *np.shape(s))."""
+        """gamma(s), shape (d, *np.shape(s))."""
         return np.asarray(self._eval(s), dtype=float)
 
     def derivative(self, s, order: int) -> np.ndarray:
-        """gamma^(order)(s), shape (3, *np.shape(s))."""
+        """gamma^(order)(s), shape (d, *np.shape(s))."""
         if order == 0:
             return self.eval(s)
         if self._deriv is not None and order <= self.analytic_order:
@@ -153,7 +158,7 @@ class Curve:
         return nested_diff(lambda t: self._deriv(t, base), s, order - base)
 
     def derivatives(self, s, orders: Sequence[int]) -> list[np.ndarray]:
-        """gamma^(j)(s) for each j in orders, each of shape (3, *np.shape(s));
+        """gamma^(j)(s) for each j in orders, each of shape (d, *np.shape(s));
         a curve with a jet function computes all of them from one jet."""
         top = max(orders)
         if self._jet is not None and top <= self.analytic_order:
@@ -167,12 +172,14 @@ class Curve:
 # ---------------------------------------------------------------------------
 
 
-def vec3(s, x, y, z) -> np.ndarray:
-    """Components that are scalars or arrays of s's shape, as (3, *s.shape)."""
+def vec(s, *comps) -> np.ndarray:
+    """Components that are scalars or arrays of s's shape, as
+    (len(comps), *s.shape)."""
     if np.ndim(s) == 0:
-        return np.array([x, y, z], dtype=float)
-    out = np.empty((3,) + np.shape(s))
-    out[0], out[1], out[2] = x, y, z
+        return np.array(comps, dtype=float)
+    out = np.empty((len(comps),) + np.shape(s))
+    for i, c in enumerate(comps):
+        out[i] = c
     return out
 
 
@@ -191,7 +198,7 @@ def helix(a: float = 1.0, b: float = 1.0, domain=(-1.0, 1.0)) -> Curve:
         w = 1.0 / c**j
         cx, sx = trig_cycle(u, j)
         z = b * u if j == 0 else (b / c if j == 1 else 0.0)
-        return vec3(u, a * cx * w, a * sx * w, z)
+        return vec(u, a * cx * w, a * sx * w, z)
 
     return Curve(lambda s: dv(s, 0), dv, domain=domain, arclength=True,
                  analytic_order=5, name=f"helix({a},{b})")
@@ -200,7 +207,7 @@ def helix(a: float = 1.0, b: float = 1.0, domain=(-1.0, 1.0)) -> Curve:
 def planar_circle(domain=(-1.0, 1.0)) -> Curve:
     def dv(s, j):
         cx, sx = trig_cycle(s, j)
-        return vec3(s, cx, sx, 0.0)
+        return vec(s, cx, sx, 0.0)
 
     return Curve(lambda s: dv(s, 0), dv, domain=domain, arclength=True,
                  analytic_order=5, name="circle")
@@ -209,7 +216,7 @@ def planar_circle(domain=(-1.0, 1.0)) -> Curve:
 def line(domain=(-1.0, 1.0)) -> Curve:
     def dv(s, j):
         x = s if j == 0 else (1.0 if j == 1 else 0.0)
-        return vec3(s, x, 0.0, 0.0)
+        return vec(s, x, 0.0, 0.0)
 
     return Curve(lambda s: dv(s, 0), dv, domain=domain, arclength=True,
                  analytic_order=5, name="line")
@@ -437,95 +444,57 @@ def exponent_triple(curve: Curve, s0: float, n_max: int = 5,
 
 
 # ---------------------------------------------------------------------------
-# generator curve of the binormal cone
+# plane generator curves of the cone
 # ---------------------------------------------------------------------------
 
 
-class GeneratorCurve:
-    """A plane curve alpha -> g(alpha) with derivatives to order 3 and the
-    sampled bounds b0 (C^3 norm), b1 (min speed), b2 (min |g1'g2'' - g2'g1''|)."""
+def _circle(center, rho: float, speed: float, alpha0: float, domain,
+            name: str) -> Curve:
+    """The plane circle center + rho (cos, sin)(speed (alpha - alpha0)); its
+    j-th derivative is rho speed^j trig_cycle(speed (alpha - alpha0), j),
+    plus center at j = 0."""
+    c0, c1 = center
 
-    def __init__(
-        self,
-        eval_fn: Callable[[float], np.ndarray],
-        deriv_fn: Optional[Callable[[float, int], np.ndarray]] = None,
-        domain: tuple[float, float] = (-1.0, 1.0),
-        kind: str = "generic",
-        bound_samples: int = 129,
-    ):
-        self._eval = eval_fn
-        self._deriv = deriv_fn
-        self.domain = (float(domain[0]), float(domain[1]))
-        self.kind = kind
-        self._sample_bounds(bound_samples)
-
-    def eval(self, alpha: float) -> np.ndarray:
-        return np.asarray(self._eval(alpha), dtype=float)
-
-    def derivative(self, alpha: float, order: int) -> np.ndarray:
-        if order == 0:
-            return self.eval(alpha)
-        if self._deriv is not None:
-            return np.asarray(self._deriv(alpha, order), dtype=float)
-        return nested_diff(self._eval, alpha, order)
-
-    def _sample_bounds(self, n: int) -> None:
-        lo, hi = self.domain
-        pad = 2 * FD_STEP
-        alphas = np.linspace(lo + pad, hi - pad, n)
-        c3 = 0.0
-        b1 = np.inf
-        b2 = np.inf
-        for a in alphas:
-            ds = [self.derivative(a, j) for j in range(4)]
-            c3 = max(c3, max(np.linalg.norm(d) for d in ds))
-            g1, g2 = ds[1], ds[2]
-            b1 = min(b1, float(np.linalg.norm(g1)))
-            b2 = min(b2, abs(float(g1[0] * g2[1] - g1[1] * g2[0])))
-        self.b0, self.b1, self.b2 = float(c3), float(b1), float(b2)
-
-    def det2(self, alpha: float) -> float:
-        """g1'g2'' - g2'g1'' at alpha."""
-        g1 = self.derivative(alpha, 1)
-        g2 = self.derivative(alpha, 2)
-        return float(g1[0] * g2[1] - g1[1] * g2[0])
-
-
-def unit_circle_generator(domain=(-np.pi, np.pi)) -> GeneratorCurve:
     def dv(a, j):
-        return np.array(trig_cycle(a, j))
-
-    return GeneratorCurve(lambda a: dv(a, 0), dv, domain=domain, kind="circle")
-
-
-def parabola_generator(domain=(-1.0, 1.0)) -> GeneratorCurve:
-    def dv(a, j):
+        cx, sx = trig_cycle(speed * (a - alpha0), j)
+        w = rho * speed**j
         if j == 0:
-            return np.array([a, a * a / 2.0])
-        if j == 1:
-            return np.array([1.0, a])
-        if j == 2:
-            return np.array([0.0, 1.0])
-        return np.zeros(2)
+            return np.array([c0 + w * cx, c1 + w * sx])
+        return np.array([w * cx, w * sx])
 
-    return GeneratorCurve(lambda a: dv(a, 0), dv, domain=domain, kind="parabola")
+    return Curve(lambda a: dv(a, 0), dv, domain=domain, analytic_order=5,
+                 name=name)
+
+
+def unit_circle_generator(domain=(-np.pi, np.pi)) -> Curve:
+    return _circle((0.0, 0.0), 1.0, 1.0, 0.0, domain, "unit_circle")
+
+
+def parabola_generator(domain=(-1.0, 1.0)) -> Curve:
+    def dv(a, j):
+        j = min(j, 3)
+        return vec(a, (a, 1.0, 0.0, 0.0)[j], (a * a / 2.0, a, 1.0, 0.0)[j])
+
+    return Curve(lambda a: dv(a, 0), dv, domain=domain, analytic_order=5,
+                 name="parabola")
 
 
 def tilted_circle_generator(a: float, b: float, rho: float,
-                            domain=(-np.pi, np.pi)) -> GeneratorCurve:
-    def dv(al, j):
-        cx, sx = trig_cycle(al, j)
-        if j == 0:
-            return np.array([a + rho * cx, b + rho * sx])
-        return np.array([rho * cx, rho * sx])
+                            domain=(-np.pi, np.pi)) -> Curve:
+    return _circle((a, b), rho, 1.0, 0.0, domain,
+                   f"tilted_circle({a},{b},{rho})")
 
-    return GeneratorCurve(lambda al: dv(al, 0), dv, domain=domain,
-                          kind="tilted_circle")
+
+def _binormal_ratio(curve: Curve, s) -> np.ndarray:
+    """g(s) = (B1/B3, B2/B3), shape (2, *np.shape(s))."""
+    B = frenet_frame(curve, s).B.T
+    return B[:2] / B[2]
 
 
 def binormal_generator(curve: Curve, interval: Optional[tuple[float, float]] = None,
-                       samples: int = 257) -> GeneratorCurve:
-    """Level-curve generator g = (B1/B3, B2/B3) of the binormal cone."""
+                       samples: int = 257) -> Curve:
+    """Level-curve generator g = (B1/B3, B2/B3) of the binormal cone; its
+    derivatives are finite differences of g."""
     lo, hi = interval if interval is not None else curve.domain
     grid = np.linspace(lo, hi, samples)
     fr = frenet_frame(curve, grid)
@@ -536,12 +505,8 @@ def binormal_generator(curve: Curve, interval: Optional[tuple[float, float]] = N
             raise DegenerateCurvature(
                 f"torsion {fr.tau[i]:.3e} below floor at s={grid[i]}")
         raise B3TooSmall(f"B3(s) = {fr.B[i, 2]:.4f} <= 1/2 at s={grid[i]}")
-
-    def ev(s):
-        B = frenet_frame(curve, s).B
-        return np.array([B[0] / B[2], B[1] / B[2]])
-
-    return GeneratorCurve(ev, None, domain=(lo, hi), kind="binormal")
+    return Curve(lambda s: _binormal_ratio(curve, s), domain=(lo, hi),
+                 name=f"binormal({curve.name})")
 
 
 def generator_det_identity(curve: Curve, s: float) -> tuple[float, float, float]:
@@ -554,13 +519,8 @@ def generator_det_identity(curve: Curve, s: float) -> tuple[float, float, float]
     fr = frenet_frame(curve, s)
     if abs(fr.tau) < CURVATURE_FLOOR:
         raise DegenerateCurvature(f"torsion below floor at s={s}")
-
-    def g(sig):
-        B = frenet_frame(curve, sig).B
-        return np.array([B[0] / B[2], B[1] / B[2]])
-
-    g1 = nested_diff(g, s, 1)
-    g2 = nested_diff(g, s, 2)
+    g1, g2 = (nested_diff(lambda sig: _binormal_ratio(curve, sig), s, j)
+              for j in (1, 2))
     lhs = float(g1[0] * g2[1] - g1[1] * g2[0])
     b3 = fr.B[2]
     rhs_alt = fr.kappa * fr.tau / b3**3

@@ -20,7 +20,7 @@ from numpy.polynomial.legendre import leggauss
 from scipy import fft as sfft
 
 from .cone_plates import Plate, PlateFamily, make_family
-from .curve_geometry import Curve, vec3, trig_cycle
+from .curve_geometry import Curve, vec, trig_cycle
 from .errors import (GridTooLarge, PlateUnresolved, QuadratureFailure,
                      WraparoundRisk)
 from .symbol_decomposition import build_cutoffs
@@ -243,13 +243,23 @@ class DecouplingExperiment:
     n: int = 256
     box: float = 8.0
     seed: int = 0
-    results: Optional[dict] = None
 
     def __post_init__(self):
         if self.p < 2.0:
             raise ValueError("require p >= 2")
         if self.coefficient_mode not in ("random_sign", "all_ones"):
             raise ValueError("unknown coefficient mode")
+
+
+def _require_memory(what: str, n: int, grids: int) -> None:
+    """Raise GridTooLarge if `grids` complex n^3 arrays held at once exceed
+    the machine's physical memory; called before any of them is built."""
+    need = grids * 16 * n**3
+    have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if need > have:
+        raise GridTooLarge(
+            f"{what} on a {n}^3 grid needs {need} bytes, more than the "
+            f"{have} bytes of physical memory")
 
 
 def _fit_slope(x: np.ndarray, y: np.ndarray) -> float:
@@ -333,12 +343,7 @@ def decoupling_ratio(exp: DecouplingExperiment) -> dict:
     """
     grid = Grid3(exp.n, exp.box)
     n = grid.n
-    need = 2 * 16 * n**3  # the accumulator and the buffer, complex128
-    have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    if need > have:
-        raise GridTooLarge(
-            f"decoupling on a {n}^3 grid needs {need} bytes, more than the "
-            f"{have} bytes of physical memory")
+    _require_memory("decoupling", n, 2)  # the accumulator and the buffer
     g = exp.family.generator
     lam, theta = exp.family.lam, exp.family.theta
     # p = 2 is Parseval: the pieces' coefficients are summed in frequency
@@ -399,7 +404,6 @@ def decoupling_ratio(exp: DecouplingExperiment) -> dict:
         "trials": exp.trials,
         "seed": exp.seed,
     }
-    exp.results = report
     return report
 
 
@@ -520,13 +524,16 @@ def mu_hat(curve: Curve, chi: Callable, t: float,
 def _averages(f: Field3, curve: Curve, chi: Callable, ts):
     """Yield the frequency values of A_t f for each t of `ts`, in order.
 
-    The range and wraparound checks, the transform of f, its support mask
-    and the quadrature (sized for the largest t) are set up once; each t
-    then costs one _lattice_symbol contraction on the support of f-hat.
+    The range, memory and wraparound checks, the transform of f, its
+    support mask and the quadrature (sized for the largest t) are set up
+    once; each t then costs one _lattice_symbol contraction on the support
+    of f-hat.
     """
     ts = [float(t) for t in ts]
     if not ts or not all(0.5 <= t <= 2.0 for t in ts):
         raise ValueError("need one or more t samples, each in [1/2, 2]")
+    # f-hat, one A_t f-hat and the caller's transform of it
+    _require_memory("averaging", f.grid.n, 3)
     # the scaled curve's spread grows with t, so the largest t decides
     lo, hi = _chi_support(curve, chi)
     pts = curve.eval(np.linspace(lo, hi, 257)).T
@@ -572,6 +579,7 @@ def maximal_operator(f: Field3, curve: Curve, chi: Callable,
 def random_band_field(grid: Grid3, k: int, seed,
                       real: bool = False) -> Field3:
     """Random-phase field supported on the dyadic annulus 2^{k-1} <= |xi| <= 2^k."""
+    _require_memory("a band field", grid.n, 2)  # |xi| and the values
     kx, ky, kz = grid.freq_mesh()
     r = np.sqrt(kx**2 + ky**2 + kz**2)
     kmax = np.pi * grid.n / grid.box
@@ -680,7 +688,7 @@ def helix_family_curve(a: float, b: float, domain=(-1.0, 1.0)) -> Curve:
         w = tp**j
         cx, sx = trig_cycle(tp * s, j)
         z = b * s if j == 0 else (b if j == 1 else 0.0)
-        return vec3(s, a * cx * w, a * sx * w, z)
+        return vec(s, a * cx * w, a * sx * w, z)
 
     return Curve(lambda s: dv(s, 0), dv, domain=domain, analytic_order=5,
                  name=f"helix_family({a},{b})")

@@ -579,6 +579,9 @@ def kernel_decay_probe(curve: Curve, k: int, r: float, s: float = 0.0,
     1-D transforms of the bump factors and an adapted quadrature in the time
     variable. Reported fitted scales are normalized by the half-max position
     of the unit bump transform, a declared shape constant of the probe.
+    l1_bound is the product of the four factors' transform masses over
+    (2 pi)^4; each mass is scale-free, so l1_bound is a shape constant too
+    and does not depend on k, r or s.
     """
     gam = curve.eval(s)
     d1 = curve.derivative(s, 1)
@@ -645,14 +648,12 @@ def kernel_decay_probe(curve: Curve, k: int, r: float, s: float = 0.0,
                        "fitted_scale": c_ref / w_half,
                        "target_scale": W4}
 
-    # integrable-kernel constant: Fubini product of 1-D transform masses
-    def l1_mass(width):
-        y = np.linspace(-40.0 / width, 40.0 / width, 1601)
-        mag = np.abs(_bump_transform(width, y, nodes, max_nodes))
-        return float(np.trapezoid(mag, y))
-
-    l1_bound = l1_mass(W4) * l1_mass(W1) * l1_mass(W2) * l1_mass(W3) \
-        / (2.0 * np.pi) ** 4
+    # integrable-kernel constant: z = W y makes each factor's mass the unit
+    # bump's
+    y = np.linspace(-40.0, 40.0, 1601)
+    mass = float(np.trapezoid(np.abs(_bump_transform(1.0, y, nodes,
+                                                     max_nodes)), y))
+    l1_bound = mass**4 / (2.0 * np.pi) ** 4
     sup_center = float(np.abs(kernel_on_rays(x0[None, :],
                                              np.array([t_center])))[0])
     return {"k": k, "r": r, "s": s,

@@ -77,15 +77,17 @@ def test_parse_config_rejects_out_of_range(tmp_path, monkeypatch, key,
     _assert_refused(tmp_path, monkeypatch, key, val, f"field '{key}'")
 
 
-def test_validate_scale_constraints():
+def test_validate_scale_constraints(capsys):
     with pytest.raises(ConfigError, match="sigma"):
         cli.parse_config(_cfg_text(experiment="plates", deltas="0.0625",
                                    sigma=0.5))
     with pytest.raises(ConfigError, match="theta"):
         cli.parse_config(_cfg_text(experiment="plates", deltas="0.25",
                                    theta=0.1))
-    with pytest.raises(ConfigError, match="k/3"):
-        cli.parse_config(_cfg_text(experiment="decompose", k=6, l=4))
+    # no experiment reads a shell index l, so it is an unknown key
+    cfg = cli.parse_config(_cfg_text(experiment="decompose", k=6, l=4))
+    assert "line 3: unknown config key 'l'" in capsys.readouterr().err
+    assert cfg.extras == {"l": "4"}
     with pytest.raises(ConfigError, match="power of two"):
         cli.parse_config(_cfg_text(experiment="sobolev", n=48))
 
@@ -104,6 +106,44 @@ def test_list_experiments_contents_and_stability():
                  "helix2"):
         assert name in out
     assert out == cli.list_experiments()
+
+
+class _RecordingConfig:
+    """A Config stand-in that records which fields are read."""
+
+    def __init__(self, cfg):
+        self._cfg = cfg
+        self.reads = set()
+
+    def __getattr__(self, name):
+        self.reads.add(name)
+        return getattr(self._cfg, name)
+
+
+# a small config per experiment; every key not given keeps its default
+_SMALL = {
+    "geometry": {"samples": 8},
+    "plates": {},
+    "decompose": {"k": 9, "samples": 8},
+    "umu": {"samples": 8},
+    "census": {"samples": 4},
+    "schedule": {},
+    "decouple": {"n": 64, "lam": 16, "trials": 1, "deltas": 0.0625},
+    "sobolev": {"n": 16, "k_list": "2,3"},
+    "smoothing": {"n": 8, "k_list": "1,2"},
+    "maximal": {"n": 32},
+    "helix2": {"samples": 4},
+}
+
+
+@pytest.mark.parametrize("name,keys,desc,section", cli.EXPERIMENTS,
+                         ids=[e[0] for e in cli.EXPERIMENTS])
+def test_list_names_the_fields_each_experiment_reads(name, keys, desc,
+                                                     section):
+    rec = _RecordingConfig(
+        cli.parse_config(_cfg_text(experiment=name, **_SMALL[name])))
+    cli._DISPATCH[name](rec)
+    assert rec.reads - {"seed"} == set(keys.split())
 
 
 def test_selftest_passes():
@@ -214,6 +254,20 @@ def test_run_invalid_config_exit_code(tmp_path, monkeypatch):
                                   sigma=0.9))
     assert cli.main(["run", str(cfg_file)]) == 1
     assert cli.main(["run", str(tmp_path / "missing.cfg")]) == 1
+
+
+@pytest.mark.parametrize("experiment", ["sobolev", "decouple"])
+def test_run_refuses_grid_beyond_memory(tmp_path, monkeypatch, capsys,
+                                        experiment):
+    # one complex 4096^3 grid is about 1.1 TB: refused before allocation
+    monkeypatch.setenv("OUTPUT_DIR", str(tmp_path))
+    cfg_file = tmp_path / "big.cfg"
+    cfg_file.write_text(_cfg_text(experiment=experiment, n=2**12))
+    assert cli.main(["run", str(cfg_file)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "4096^3 grid" in err
+    assert "Traceback" not in err
+    assert not [p for p in tmp_path.iterdir() if p != cfg_file]
 
 
 def test_run_assertion_failure_exit_code(tmp_path, monkeypatch):

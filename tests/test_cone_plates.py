@@ -14,6 +14,28 @@ PARABOLA = cg.parabola_generator()
 
 
 # ---------------------------------------------------------------------------
+# generators on arrays
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", ["unit", "parabola", "tilted", "binormal",
+                                  "osculating"])
+def test_generator_arrays_equal_scalar_calls(name):
+    g = {"unit": lambda: CIRCLE, "parabola": lambda: PARABOLA,
+         "tilted": lambda: cg.tilted_circle_generator(0.5, -0.4, 0.9),
+         "binormal": lambda: cg.binormal_generator(cg.helix(1, 1)),
+         "osculating": lambda: cp.osculating_circle(PARABOLA, 0.3)[3]}[name]()
+    alphas = np.linspace(g.domain[0] + 0.01, g.domain[1] - 0.01, 17)
+    assert np.array_equal(g.eval(alphas),
+                          np.stack([g.eval(a) for a in alphas], axis=1))
+    for j in range(4):
+        got = g.derivative(alphas, j)
+        assert got.shape == (2, alphas.size)
+        assert np.array_equal(
+            got, np.stack([g.derivative(a, j) for a in alphas], axis=1)), j
+
+
+# ---------------------------------------------------------------------------
 # make_plate / plate_contains
 # ---------------------------------------------------------------------------
 
@@ -23,6 +45,14 @@ def test_parabola_frame_at_zero():
     assert np.allclose(pl.u1, [0, 0, 1])
     assert np.allclose(pl.u2, [1, 0, 0])
     assert np.allclose(pl.u3, [0, 1, 0])
+
+
+def test_unit_circle_plate_frames_exact():
+    fam = cp.make_family(CIRCLE, 2**-6, 24.0, 1.0, 2**-3)
+    for p in fam.plates:
+        c, s = np.cos(p.alpha), np.sin(p.alpha)
+        assert np.array_equal(p.u1, [c, s, 1.0])
+        assert np.array_equal(p.u2, [-s, c, 0.0])
 
 
 def test_u3_is_cross_product():
@@ -120,9 +150,11 @@ def test_rotation_is_isometry():
 
 
 def test_rotation_requires_circle():
-    fam = cp.make_family(PARABOLA, 2**-6, 1.0, 0.5, 2**-3, alpha0=-0.25)
-    with pytest.raises(NotCircular):
-        cp.rotate_step1(fam, 0.3)
+    # only the unit circle: a circle of another center and radius is refused
+    for g in (PARABOLA, cg.tilted_circle_generator(0.5, -0.4, 0.9)):
+        fam = cp.make_family(g, 2**-6, 1.0, 0.5, 2**-3, alpha0=-0.25)
+        with pytest.raises(NotCircular):
+            cp.rotate_step1(fam, 0.3)
 
 
 # ---------------------------------------------------------------------------
@@ -223,9 +255,9 @@ def test_deviation_sweep_slope():
 
 
 def test_osculating_degenerate():
-    flat = cg.GeneratorCurve(lambda a: np.array([a, 0.0]),
-                             lambda a, j: np.array([1.0, 0.0]) if j == 1
-                             else np.zeros(2), domain=(-1, 1), kind="line")
+    flat = cg.Curve(lambda a: np.array([a, 0.0]),
+                    lambda a, j: np.array([1.0, 0.0]) if j == 1
+                    else np.zeros(2), domain=(-1, 1), analytic_order=5)
     with pytest.raises(DegenerateCurvature):
         cp.osculating_circle(flat, 0.0)
 

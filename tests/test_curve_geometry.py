@@ -214,7 +214,10 @@ def test_helix_generator_is_unit_circle():
     for s in np.linspace(-0.9, 0.9, 7):
         expected = np.array([np.sin(s / np.sqrt(2)), -np.cos(s / np.sqrt(2))])
         assert np.allclose(g.eval(s), expected, atol=1e-10)
-    assert abs(g.b1 - 1 / np.sqrt(2)) < 1e-8
+    lo, hi = g.domain
+    alphas = np.linspace(lo + 2e-4, hi - 2e-4, 129)
+    min_speed = np.linalg.norm(g.derivative(alphas, 1), axis=0).min()
+    assert abs(min_speed - 1 / np.sqrt(2)) < 1e-8
 
 
 def test_circle_generator_rejected():

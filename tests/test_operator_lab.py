@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -490,6 +491,17 @@ def test_random_band_field_support():
     assert np.all((r >= 4.0 - 1e-12) & (r <= 8.0 + 1e-12))
     with pytest.raises(GridTooLarge):
         ol.random_band_field(g, 9, 0)
+
+
+def test_band_field_and_averages_check_memory_first(monkeypatch):
+    # on a machine of one page both refuse a 16^3 grid before building it
+    g = ol.Grid3(16, 8.0)
+    f = ol.random_band_field(g, 2, 0)
+    monkeypatch.setattr(ol, "os", types.SimpleNamespace(sysconf=lambda k: 1))
+    with pytest.raises(GridTooLarge, match="band field on a 16"):
+        ol.random_band_field(g, 2, 0)
+    with pytest.raises(GridTooLarge, match="averaging on a 16"):
+        ol.maximal_operator(f, HELIX, ol.default_chi(HELIX), [1.0])
 
 
 def test_sobolev_alpha0_bounded_by_chi_mass():

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conewolff import scale_induction as si
-from conewolff.curve_geometry import Curve, frenet_frame, helix, line, vec3
+from conewolff.curve_geometry import Curve, frenet_frame, helix, line, vec
 from conewolff.errors import (
     DegenerateCurvature,
     DivByZeroGamma2,
@@ -172,7 +172,7 @@ def test_umu_approximation_quadratic_exact():
     def dv(s, j):
         x = (s, 1.0, 0.0, 0.0, 0.0, 0.0)[j]
         y = (s**2 / 2.0, s, 1.0, 0.0, 0.0, 0.0)[j]
-        return vec3(s, x, y, 0.0)
+        return vec(s, x, y, 0.0)
 
     quad = Curve(lambda s: dv(s, 0), dv, domain=(-1.0, 1.0),
                  analytic_order=5, name="quadratic")
@@ -359,6 +359,14 @@ def test_kernel_probe_doubling_r():
     ratio = rep1["scales"]["gamma1"] / rep2["scales"]["gamma1"]
     assert abs(ratio - 2.0) <= 0.4
     assert abs(rep1["l1_bound"] - rep2["l1_bound"]) <= 0.2 * rep1["l1_bound"]
+
+
+def test_kernel_probe_l1_bound_is_a_shape_constant():
+    # z = W y turns each factor's transform mass into the unit bump's, so
+    # the bound cannot move with k or r, down to the last bit
+    a = si.kernel_decay_probe(HELIX, 10, 2.0**-3, t_nodes=9, n_ray=9)
+    b = si.kernel_decay_probe(HELIX, 8, 0.3, t_nodes=9, n_ray=9)
+    assert a["l1_bound"] == b["l1_bound"]
 
 
 def test_kernel_decay_sweep_exponents():
