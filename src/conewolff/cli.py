@@ -167,6 +167,8 @@ def validate_config(cfg: Config) -> None:
                 f"field {key!r} must be positive, got {getattr(cfg, key)}")
     if cfg.p < 1.0:
         raise ConfigError(f"field 'p' must be at least 1, got {cfg.p}")
+    if not 0.0 <= cfg.alpha <= 1.0:
+        raise ConfigError(f"field 'alpha' must lie in [0, 1], got {cfg.alpha}")
 
 
 def _parse_curve(spec: str) -> cg.Curve:

@@ -19,7 +19,6 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.interpolate import PchipInterpolator
 
 from .errors import (
     B3TooSmall,
@@ -245,15 +244,66 @@ def quartic_curve(domain=(-1.0, 1.0)) -> Curve:
     return _poly_curve((1, 2, 4), domain, "quartic")
 
 
+def _pchip_end_slope(h0, h1, m0, m1):
+    """One-sided three-point slope at an end, set to 0 where its sign
+    differs from m0 and to 3 m0 where it exceeds 3|m0| across a sign
+    change of the data (Moler, Numerical Computing with MATLAB, 3.6)."""
+    d = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
+
+
+def _pchip(x: np.ndarray, y: np.ndarray) -> Callable:
+    """Monotone piecewise-cubic Hermite interpolant of (x, y), x increasing:
+    scipy's PchipInterpolator, with its arithmetic.  Interior slopes are
+    Fritsch-Butland weighted harmonic means of the neighbouring secants (0
+    where they differ in sign or one is 0); points beyond either end follow
+    the end cubics.  An array is evaluated by one searchsorted and one
+    gather of (coefficients, left knot) columns."""
+    h = np.diff(x)
+    m = np.diff(y) / h
+    d = np.empty(len(y))
+    if len(m) == 1:  # two points: the line through them
+        d[:] = m[0]
+    else:
+        w1, w2 = 2.0 * h[1:] + h[:-1], h[1:] + 2.0 * h[:-1]
+        flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0) \
+            | (m[:-1] == 0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            d[1:-1] = np.where(
+                flat, 0.0, 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)))
+        d[0] = _pchip_end_slope(h[0], h[1], m[0], m[1])
+        d[-1] = _pchip_end_slope(h[-1], h[-2], m[-1], m[-2])
+    t = (d[:-1] + d[1:] - 2.0 * m) / h
+    # cubic on [x_i, x_i+1] in u = x - x_i: c0 u^3 + c1 u^2 + c2 u + c3
+    table = np.stack([t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1], x[:-1]])
+    inner = x[1:-1]  # a point beyond an end knot falls in that end's cubic
+
+    def interp(xq):
+        xq = np.asarray(xq, dtype=float)
+        c0, c1, c2, c3, left = table.take(
+            np.searchsorted(inner, xq, side="right"), axis=1)
+        u = xq - left
+        u2 = u * u
+        return c3 + c2 * u + c1 * u2 + c0 * (u2 * u)
+
+    return interp
+
+
 def reparametrize_arclength(curve: Curve, nodes: int = 1024) -> Curve:
     """Reparametrize by arclength (centered so that parameter 0 maps to 0).
 
     Arclength is accumulated by Gauss-Legendre panels (one derivative call
-    for all nodes x 10 points); the inverse map uses monotone interpolation
-    refined by Newton, and derivatives are obtained by exact chain rule via
-    truncated Taylor series of the original curve.  The new curve takes
-    arrays of s, and one jet (six derivative calls of the original curve on
-    the array) gives all its derivatives up to order 5.
+    for all nodes x 10 points).  The maps t -> s and s -> t are monotone
+    cubic (PCHIP, `_pchip`) interpolants of the accumulated arclength; the
+    inverse map is refined by four Newton steps on t -> s, and derivatives
+    are obtained by exact chain rule via truncated Taylor series of the
+    original curve.  The new curve takes arrays of s, and one jet (six
+    derivative calls of the original curve on the array) gives all its
+    derivatives up to order 5.
     """
     t0, t1 = curve.domain
     gx, gw = leggauss(10)
@@ -265,8 +315,8 @@ def reparametrize_arclength(curve: Curve, nodes: int = 1024) -> Curve:
     mid, half = 0.5 * (grid[:-1] + grid[1:]), 0.5 * np.diff(grid)
     seg = half * (speed(mid[:, None] + half[:, None] * gx) @ gw)
     cum = np.concatenate([[0.0], np.cumsum(seg)])
-    s_of_t = PchipInterpolator(grid, cum)
-    t_of_s = PchipInterpolator(cum, grid)
+    s_of_t = _pchip(grid, cum)
+    t_of_s = _pchip(cum, grid)
     s_center = float(s_of_t(0.0)) if t0 <= 0.0 <= t1 else float(cum[0])
 
     def param_at(s):

@@ -10,14 +10,16 @@ two-parameter helix family with its exact phase-derivative identity.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
 import os
+import sys
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy import fft as sfft
 
 from .cone_plates import Plate, PlateFamily, make_family
 from .curve_geometry import Curve, vec, trig_cycle
@@ -25,6 +27,27 @@ from .errors import (GridTooLarge, PlateUnresolved, QuadratureFailure,
                      WraparoundRisk)
 from .symbol_decomposition import build_cutoffs
 
+
+def _lazy_import(name: str):
+    """Module `name` of a top-level package, executed at its first
+    attribute access: importing it eagerly costs a few tenths of a second
+    that experiments without a transform never use.  The package is only
+    located, not imported, until then; a module already in sys.modules is
+    returned as it is."""
+    if name in sys.modules:
+        return sys.modules[name]
+    package = importlib.util.find_spec(name.partition(".")[0])
+    spec = importlib.machinery.PathFinder.find_spec(
+        name, package.submodule_search_locations)
+    loader = importlib.util.LazyLoader(spec.loader)
+    spec.loader = loader
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    loader.exec_module(module)
+    return module
+
+
+sfft = _lazy_import("scipy.fft")
 _CUT = build_cutoffs()
 _WORKERS = os.cpu_count() or 1
 

@@ -1,5 +1,7 @@
 """Tests for the batch front-end: config parsing, dispatch, reports."""
 
+import contextlib
+import io
 import json
 import os
 
@@ -52,14 +54,19 @@ def test_parse_config_diagnostics():
 
 
 def _assert_refused(tmp_path, monkeypatch, key, val, match):
-    # refused while parsing, and `conewolff run` exits 1 writing nothing
+    # refused while parsing, and `conewolff run` exits 1 with an error line,
+    # writing nothing
     text = f"experiment = schedule\n{key} = {val}\n"
     with pytest.raises(ConfigError, match=match):
         cli.parse_config(text)
     monkeypatch.setenv("OUTPUT_DIR", str(tmp_path))
     cfg_file = tmp_path / "bad.cfg"
     cfg_file.write_text(text)
-    assert cli.main(["run", str(cfg_file)]) == 1
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        assert cli.main(["run", str(cfg_file)]) == 1
+    assert "error: " in err.getvalue() and match in err.getvalue()
+    assert "Traceback" not in err.getvalue()
     assert not [p for p in tmp_path.iterdir() if p != cfg_file]
 
 
@@ -71,7 +78,8 @@ def test_parse_config_rejects_non_finite(tmp_path, monkeypatch, key, val):
 
 @pytest.mark.parametrize("key,val", [("M", "0"), ("M", "-1"),
                                      ("eps0", "0"), ("eps", "0"),
-                                     ("p", "0.5"), ("L", "0")])
+                                     ("p", "0.5"), ("L", "0"),
+                                     ("alpha", "-0.1"), ("alpha", "1.5")])
 def test_parse_config_rejects_out_of_range(tmp_path, monkeypatch, key,
                                            val):
     _assert_refused(tmp_path, monkeypatch, key, val, f"field '{key}'")
@@ -90,6 +98,9 @@ def test_validate_scale_constraints(capsys):
     assert cfg.extras == {"l": "4"}
     with pytest.raises(ConfigError, match="power of two"):
         cli.parse_config(_cfg_text(experiment="sobolev", n=48))
+    for edge in (0, 1):  # alpha's range is closed
+        assert cli.parse_config(_cfg_text(experiment="sobolev",
+                                          alpha=edge)).alpha == edge
 
 
 # ---------------------------------------------------------------------------

@@ -61,6 +61,79 @@ def test_reparametrization_preserves_image():
         assert abs(np.linalg.norm(arc.derivative(s, 1)) - 1.0) < 1e-10
 
 
+# (x, y) pairs: each end-slope clamp of the PCHIP edge rule is hit by one case
+PCHIP_DATA = {
+    "monotone": ([0.0, 0.3, 1.0, 1.1, 2.5, 4.0],
+                 [-1.0, -0.2, 0.5, 2.0, 2.1, 7.0]),
+    "sign_changing": (np.cumsum(RNG.uniform(0.1, 1.0, 12)),
+                      RNG.normal(size=12)),
+    "flat_segments": ([0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0],
+                      [1.0, 1.0, 1.0, 2.0, 3.0, 3.0, 0.0]),
+    "end_slope_zeroed": ([0.0, 1.0, 2.0, 3.0], [0.0, 0.1, 2.0, 2.5]),
+    "end_slope_three_secants": ([0.0, 10.0, 11.0, 12.0],
+                                [0.0, 10.0, 5.0, 6.0]),
+    "two_points": ([0.0, 2.0], [1.0, -3.0]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PCHIP_DATA))
+def test_pchip_matches_scipy(case):
+    from scipy.interpolate import PchipInterpolator
+
+    x, y = (np.asarray(v, dtype=float) for v in PCHIP_DATA[case])
+    span = x[-1] - x[0]
+    # the knots, points between them, and points beyond both ends
+    xq = np.concatenate([x, np.linspace(x[0] - 0.5 * span,
+                                        x[-1] + 0.5 * span, 301)])
+    got = cg._pchip(x, y)(xq)
+    np.testing.assert_allclose(got, PchipInterpolator(x, y)(xq),
+                               rtol=1e-14, atol=0)
+    np.testing.assert_allclose(got[: len(x)], y, rtol=1e-14, atol=1e-14)
+    assert cg._pchip(x, y)(xq[len(x):].reshape(7, 43)).shape == (7, 43)
+
+
+def test_twisted_cubic_arclength_curve_pinned():
+    # the benchmark twisted cubic by arclength, as it stood with scipy's
+    # PchipInterpolator for the arclength maps
+    c = cg.benchmark_curve("twisted_cubic")
+    assert c.domain == pytest.approx((-0.4468029918549114, 0.4468029918549104),
+                                     rel=1e-12)
+    s = np.array([-0.35, 0.0, 0.2])
+    pinned = {
+        0: [[-0.32544188840854515, 0.10591242273091996, -0.034468338859474715],
+            [0.0, 0.0, 0.0],
+            [0.19492877734014627, 0.037997228235324323, 0.007406753242226253]],
+        1: [[0.8098807816568103, -0.5271382619363619, 0.25732930712545193],
+            [1.0, 0.0, 0.0],
+            [0.9264888622298922, 0.36119868226747226, 0.10561202626690551]],
+        2: [[0.8269560256681884, 0.7735614997455309, -1.0180026943433478],
+            [0.0, 2.0, 0.0],
+            [-0.6727427567473686, 1.4544893775976724, 0.9272525883034072]],
+        3: [[-0.008841867522835839, 4.024169782911151, -0.738852587023035],
+            [-4.0, 0.0, 6.0],
+            [-2.1773535859486093, -4.588589772325915, 2.336541638812105]],
+    }
+    for j, rows in pinned.items():
+        np.testing.assert_allclose(c.derivative(s, j).T, rows,
+                                   rtol=1e-12, atol=1e-12)
+    fr = cg.frenet_frame(c, s)
+    np.testing.assert_allclose(fr.T, pinned[1], rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(
+        fr.N, [[0.5430890901736061, 0.5080231572781341, -0.6685556908766549],
+               [0.0, 1.0, 0.0],
+               [-0.36335715914112865, 0.7855887305276525, 0.5008212469223325]],
+        rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(
+        fr.B, [[0.22169203783031682, 0.6812031447900603, 0.6977212307868907],
+               [0.0, 0.0, 1.0],
+               [0.09792835679642749, -0.5023801930771088, 0.859083336201418]],
+        rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(
+        fr.kappa, [1.5226894456742643, 2.0, 1.8514641581234785], rtol=1e-12)
+    np.testing.assert_allclose(
+        fr.tau, [1.4604447476723212, 3.0, 2.214072535616877], rtol=1e-12)
+
+
 @pytest.mark.parametrize("name", sorted(cg._BENCHMARKS))
 def test_array_evaluation_matches_scalar(name):
     c = cg.benchmark_curve(name)
