@@ -146,6 +146,9 @@ def validate_config(cfg: Config) -> None:
     if cfg.experiment not in _NAMES:
         raise ConfigError(f"unknown experiment {cfg.experiment!r}; "
                           f"choices: {_NAMES}")
+    for key in ("deltas", "k_list"):
+        if not getattr(cfg, key):
+            raise ConfigError(f"field {key!r} must list at least one value")
     for delta in cfg.deltas:
         if not (0.0 < delta <= 1.0):
             raise ConfigError(f"delta {delta} outside (0, 1]")
@@ -161,25 +164,38 @@ def validate_config(cfg: Config) -> None:
         raise ConfigError(f"grid size n={cfg.n} is not a power of two")
     if cfg.trials < 1 or cfg.samples < 1:
         raise ConfigError("trials and samples must be positive")
-    for key in ("eps", "eps0", "M", "L"):
-        if getattr(cfg, key) <= 0.0:
+    for key in ("eps", "eps0", "M", "L", "r0", "sigma"):
+        if getattr(cfg, key) is not None and getattr(cfg, key) <= 0.0:
             raise ConfigError(
                 f"field {key!r} must be positive, got {getattr(cfg, key)}")
     if cfg.p < 1.0:
         raise ConfigError(f"field 'p' must be at least 1, got {cfg.p}")
     if not 0.0 <= cfg.alpha <= 1.0:
         raise ConfigError(f"field 'alpha' must lie in [0, 1], got {cfg.alpha}")
+    _helix_args(cfg.curve)
+
+
+def _helix_args(spec: str):
+    """[a, b] of a helix(a, b) spec (finite, not both 0), None for a name."""
+    name, paren, rest = spec.strip().partition("(")
+    if not paren:
+        return None
+    try:
+        args = [float(v) for v in rest.rstrip(")").split(",") if v.strip()]
+    except ValueError:
+        args = []
+    if name.strip() != "helix" or len(args) != 2 or args == [0.0, 0.0] \
+            or not all(math.isfinite(v) for v in args):
+        raise ConfigError(f"field 'curve': cannot parse {spec!r}; a curve is "
+                          "a name or helix(a, b), a and b finite, not both 0")
+    return args
 
 
 def _parse_curve(spec: str) -> cg.Curve:
-    spec = spec.strip()
-    if "(" in spec:
-        name, _, rest = spec.partition("(")
-        args = [float(v) for v in rest.rstrip(")").split(",") if v.strip()]
-        if name.strip() == "helix" and len(args) == 2:
-            return cg.helix(args[0], args[1])
-        raise ConfigError(f"cannot parse curve spec {spec!r}")
-    return cg.benchmark_curve(spec)
+    args = _helix_args(spec)
+    if args is None:
+        return cg.benchmark_curve(spec.strip())
+    return cg.helix(*args)
 
 
 def _parse_generator(spec: str) -> cg.Curve:
@@ -196,9 +212,9 @@ def _parse_generator(spec: str) -> cg.Curve:
 # ---------------------------------------------------------------------------
 
 
-def _svg_line_plot(xs, ys, title: str, width: int = 480,
-                   height: int = 320) -> str:
+def _svg_line_plot(xs, ys, title: str) -> str:
     """Minimal SVG polyline plot (log2-log2 when the data are positive)."""
+    width, height = 480, 320  # pixels
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     if xs.size == 0:
@@ -547,8 +563,7 @@ def selftest() -> int:
          abs(f.l2() - f.to_frequency().l2()) < 1e-10 * f.l2()),
         ("helix-family phase identity within 1e-12", abs(lhs - rhs) < 1e-12),
         ("dyadic cutoffs telescope to 1 within 1e-12",
-         np.max(np.abs(sd.build_cutoffs().telescope(t, -2, 3) - 1.0))
-         < 1e-12),
+         np.max(np.abs(sd.telescope(t, -2, 3) - 1.0)) < 1e-12),
     ]
     failed = [name for name, ok in checks if not ok]
     for name in failed:

@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .curve_geometry import Curve, _circle
+from .curve_geometry import CURVATURE_FLOOR, Curve, _circle
 from .errors import DegenerateCurvature, EmptyFamily, NotCircular
 
 TWO_PI = 2.0 * math.pi
@@ -208,7 +208,7 @@ def tilt_normalize(a: float, b: float, rho: float, K: float = 10.0) -> np.ndarra
                      [0.0, 0.0, 1.0]])
 
 
-def osculating_circle(g: Curve, alpha_mu: float, floor: float = 1e-10):
+def osculating_circle(g: Curve, alpha_mu: float):
     """Second-order circular approximation of g at alpha_mu.
 
     Returns (center, rho, phi_mu, circle) where circle is the plane Curve
@@ -217,13 +217,14 @@ def osculating_circle(g: Curve, alpha_mu: float, floor: float = 1e-10):
                       + rho (cos((alpha - alpha_mu - phi_mu)/rho),
                              sin((alpha - alpha_mu - phi_mu)/rho))
 
-    with n = (-g2', g1')/|g'| and rho the reciprocal curvature.
+    with n = (-g2', g1')/|g'| and rho the reciprocal curvature.  Raises
+    DegenerateCurvature where |g1'g2'' - g2'g1''| < CURVATURE_FLOOR.
     """
     g0 = g.eval(alpha_mu)
     g1 = g.derivative(alpha_mu, 1)
     g2 = g.derivative(alpha_mu, 2)
     det2 = g1[0] * g2[1] - g1[1] * g2[0]
-    if abs(det2) < floor:
+    if abs(det2) < CURVATURE_FLOOR:
         raise DegenerateCurvature(f"|g1'g2'' - g2'g1''| = {abs(det2):.3e} at "
                                   f"alpha={alpha_mu}")
     speed = float(np.linalg.norm(g1))
@@ -243,16 +244,16 @@ def osculating_circle(g: Curve, alpha_mu: float, floor: float = 1e-10):
 
 
 def osculating_deviation_sweep(g: Curve, alpha_mu: float,
-                               deltas: Sequence[float], samples: int = 400) -> dict:
-    """Max |g - g_mu| over |alpha - alpha_mu| <= delta^{1/3} per delta, with a
-    log-log slope fit and the fitted constant C = max dev/delta."""
+                               deltas: Sequence[float]) -> dict:
+    """Max |g - g_mu| on 400 points of |alpha - alpha_mu| <= delta^{1/3} per
+    delta, a log-log slope fit and the fitted constant C = max dev/delta."""
     _, _, _, circle = osculating_circle(g, alpha_mu)
     devs = []
     for d in deltas:
         w = d ** (1.0 / 3.0)
         lo = max(g.domain[0], alpha_mu - w)
         hi = min(g.domain[1], alpha_mu + w)
-        grid = np.linspace(lo, hi, samples)
+        grid = np.linspace(lo, hi, 400)
         devs.append(float(np.linalg.norm(g.eval(grid) - circle.eval(grid),
                                          axis=0).max()))
     logs_d = np.log2(np.asarray(deltas, dtype=float))
@@ -364,13 +365,14 @@ class BumpFunction:
         return float(_mollifier((t[0] - self.plate.lam) / (self.plate.lam / 2.0))
                      * _mollifier(t[1] / b[1]) * _mollifier(t[2] / b[2]))
 
-    def verify_derivative_bounds(self, grid_n: int = 5, max_order: int = 2,
-                                 rng: Optional[np.random.Generator] = None) -> dict:
+    def verify_derivative_bounds(self, grid_n: int = 5) -> dict:
         """Max ratio of |<u1,grad>^n1 <u2,grad>^n2 <u3,grad>^n3 eval| to the
-        scaling lam^{-n1-n2-n3} delta^{-n2/2 - n3}, orders n1+n2+n3 <= max_order."""
+        scaling lam^{-n1-n2-n3} delta^{-n2/2 - n3}, orders n1+n2+n3 <= 2, at
+        the center and grid_n^3 interior samples (seed 0)."""
         p = self.plate
-        rng = rng or np.random.default_rng(0)
-        pts = np.vstack([p.center(), p.sample(grid_n**3, rng)])
+        max_order = 2
+        pts = np.vstack([p.center(),
+                         p.sample(grid_n**3, np.random.default_rng(0))])
         dirs = [p.u1, p.u2, p.u3]
         steps = [p.lam * 1e-3, p.lam * math.sqrt(p.delta) * 1e-3,
                  p.lam * p.delta * 1e-3]
@@ -378,11 +380,6 @@ class BumpFunction:
         for n1 in range(max_order + 1):
             for n2 in range(max_order + 1 - n1):
                 for n3 in range(max_order + 1 - n1 - n2):
-                    if n1 + n2 + n3 == 0:
-                        bound = 1.0
-                        vals = [abs(self.eval(x)) for x in pts]
-                        worst = max(worst, max(vals) / bound)
-                        continue
                     bound = (p.lam ** -(n1 + n2 + n3)
                              * p.delta ** -(n2 / 2.0 + n3))
                     for x in pts:
@@ -435,12 +432,10 @@ def _slice_polygon(plate: Plate, xi3: float) -> list[tuple[float, float]]:
     return pts
 
 
-def family_svg_cross_section(family: PlateFamily, xi3: Optional[float] = None,
-                             size: int = 600) -> str:
-    """SVG drawing of all plate cross-sections at a fixed xi3 level."""
-    if xi3 is None:
-        xi3 = family.lam
-    polys = [_slice_polygon(p, xi3) for p in family.plates]
+def family_svg_cross_section(family: PlateFamily) -> str:
+    """SVG drawing of all plate cross-sections at the level xi3 = lam."""
+    size = 600  # pixels per side
+    polys = [_slice_polygon(p, family.lam) for p in family.plates]
     polys = [p for p in polys if p]
     allpts = [q for poly in polys for q in poly] or [(0, 0), (1, 1)]
     xs = [q[0] for q in allpts]

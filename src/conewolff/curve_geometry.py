@@ -31,26 +31,28 @@ from .errors import (
 
 CURVATURE_FLOOR = 1e-10
 FD_STEP = 1e-4
+TYPE_FLOOR = 1e-6  # finite_type's lower bound on sum_j |<gamma^(j), xi>|
 
 # ---------------------------------------------------------------------------
 # finite differences (central, Richardson-extrapolated)
 # ---------------------------------------------------------------------------
 
 
-def richardson_diff(f: Callable[[float], np.ndarray], x: float, h: float = FD_STEP):
-    """First derivative of f at x via central differences + one Richardson step."""
+def richardson_diff(f: Callable[[float], np.ndarray], x: float):
+    """f'(x): central differences of step FD_STEP + one Richardson step."""
+    h = FD_STEP
     d_h = (np.asarray(f(x + h)) - np.asarray(f(x - h))) / (2.0 * h)
     d_h2 = (np.asarray(f(x + h / 2)) - np.asarray(f(x - h / 2))) / h
     return (4.0 * d_h2 - d_h) / 3.0
 
 
-def nested_diff(f: Callable[[float], np.ndarray], x: float, order: int, h: float = FD_STEP):
+def nested_diff(f: Callable[[float], np.ndarray], x: float, order: int):
     """order-th derivative by recursively applying richardson_diff."""
     if order == 0:
         return np.asarray(f(x), dtype=float)
     if order == 1:
-        return richardson_diff(f, x, h)
-    return richardson_diff(lambda t: nested_diff(f, t, order - 1, h), x, h)
+        return richardson_diff(f, x)
+    return richardson_diff(lambda t: nested_diff(f, t, order - 1), x)
 
 
 # ---------------------------------------------------------------------------
@@ -203,21 +205,21 @@ def helix(a: float = 1.0, b: float = 1.0, domain=(-1.0, 1.0)) -> Curve:
                  analytic_order=5, name=f"helix({a},{b})")
 
 
-def planar_circle(domain=(-1.0, 1.0)) -> Curve:
+def planar_circle() -> Curve:
     def dv(s, j):
         cx, sx = trig_cycle(s, j)
         return vec(s, cx, sx, 0.0)
 
-    return Curve(lambda s: dv(s, 0), dv, domain=domain, arclength=True,
+    return Curve(lambda s: dv(s, 0), dv, domain=(-1.0, 1.0), arclength=True,
                  analytic_order=5, name="circle")
 
 
-def line(domain=(-1.0, 1.0)) -> Curve:
+def line() -> Curve:
     def dv(s, j):
         x = s if j == 0 else (1.0 if j == 1 else 0.0)
         return vec(s, x, 0.0, 0.0)
 
-    return Curve(lambda s: dv(s, 0), dv, domain=domain, arclength=True,
+    return Curve(lambda s: dv(s, 0), dv, domain=(-1.0, 1.0), arclength=True,
                  analytic_order=5, name="line")
 
 
@@ -240,8 +242,8 @@ def twisted_cubic(domain=(-1.0, 1.0)) -> Curve:
     return _poly_curve((1, 2, 3), domain, "twisted_cubic")
 
 
-def quartic_curve(domain=(-1.0, 1.0)) -> Curve:
-    return _poly_curve((1, 2, 4), domain, "quartic")
+def quartic_curve() -> Curve:
+    return _poly_curve((1, 2, 4), (-1.0, 1.0), "quartic")
 
 
 def _pchip_end_slope(h0, h1, m0, m1):
@@ -293,17 +295,17 @@ def _pchip(x: np.ndarray, y: np.ndarray) -> Callable:
     return interp
 
 
-def reparametrize_arclength(curve: Curve, nodes: int = 1024) -> Curve:
+def reparametrize_arclength(curve: Curve) -> Curve:
     """Reparametrize by arclength (centered so that parameter 0 maps to 0).
 
-    Arclength is accumulated by Gauss-Legendre panels (one derivative call
-    for all nodes x 10 points).  The maps t -> s and s -> t are monotone
-    cubic (PCHIP, `_pchip`) interpolants of the accumulated arclength; the
-    inverse map is refined by four Newton steps on t -> s, and derivatives
-    are obtained by exact chain rule via truncated Taylor series of the
-    original curve.  The new curve takes arrays of s, and one jet (six
-    derivative calls of the original curve on the array) gives all its
-    derivatives up to order 5.
+    Arclength is accumulated over 1024 10-point Gauss-Legendre panels (one
+    derivative call for all their points).  The maps t -> s and s -> t are
+    monotone cubic (PCHIP, `_pchip`) interpolants of the accumulated
+    arclength; the inverse map is refined by four Newton steps on t -> s,
+    and derivatives are obtained by exact chain rule via truncated Taylor
+    series of the original curve.  The new curve takes arrays of s, and one
+    jet (six derivative calls of the original curve on the array) gives all
+    its derivatives up to order 5.
     """
     t0, t1 = curve.domain
     gx, gw = leggauss(10)
@@ -311,7 +313,7 @@ def reparametrize_arclength(curve: Curve, nodes: int = 1024) -> Curve:
     def speed(t):
         return np.linalg.norm(curve.derivative(t, 1), axis=0)
 
-    grid = np.linspace(t0, t1, nodes + 1)
+    grid = np.linspace(t0, t1, 1025)
     mid, half = 0.5 * (grid[:-1] + grid[1:]), 0.5 * np.diff(grid)
     seg = half * (speed(mid[:, None] + half[:, None] * gx) @ gw)
     cum = np.concatenate([[0.0], np.cumsum(seg)])
@@ -351,18 +353,19 @@ def reparametrize_arclength(curve: Curve, nodes: int = 1024) -> Curve:
 
 
 _BENCHMARKS = {
-    "helix": lambda **kw: helix(kw.get("a", 1.0), kw.get("b", 1.0)),
-    "circle": lambda **kw: planar_circle(),
-    "twisted_cubic": lambda **kw: reparametrize_arclength(
-        twisted_cubic(domain=(kw.get("t0", -0.4), kw.get("t1", 0.4)))),
-    "quartic": lambda **kw: quartic_curve(),
-    "line": lambda **kw: line(),
+    "helix": helix,
+    "circle": planar_circle,
+    "twisted_cubic": lambda: reparametrize_arclength(
+        twisted_cubic(domain=(-0.4, 0.4))),
+    "quartic": quartic_curve,
+    "line": line,
 }
 
 
-def benchmark_curve(name: str, **params) -> Curve:
+def benchmark_curve(name: str) -> Curve:
+    """The named curve of _BENCHMARKS, built with its fixed parameters."""
     try:
-        return _BENCHMARKS[name](**params)
+        return _BENCHMARKS[name]()
     except KeyError:
         raise ValueError(f"unknown benchmark curve {name!r}; "
                          f"choices: {sorted(_BENCHMARKS)}") from None
@@ -400,21 +403,20 @@ def _cross3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
                      a[0] * b[1] - a[1] * b[0]])
 
 
-def frenet_frame(curve: Curve, s,
-                 floor: float = CURVATURE_FLOOR) -> FrenetFrame:
+def frenet_frame(curve: Curve, s) -> FrenetFrame:
     """Orthonormal (T, N, B) with curvature and torsion at s.
 
     s is a scalar or a 1-d array of n parameters; an array gives T, N, B of
     shape (n, 3) and kappa, tau of shape (n,) from one derivatives call
     (orders 1-3) on the whole array.  Raises DegenerateCurvature naming the
-    first parameter whose |gamma' x gamma''| is below the floor.
+    first parameter whose |gamma' x gamma''| is below CURVATURE_FLOOR.
     """
     s = np.asarray(s, dtype=float)
     d1, d2, d3 = curve.derivatives(s, (1, 2, 3))
     speed = np.sqrt(_dot3(d1, d1))
     cross = _cross3(d1, d2)
     cn = np.sqrt(_dot3(cross, cross))
-    low = cn < floor * np.maximum(1.0, speed**2)
+    low = cn < CURVATURE_FLOOR * np.maximum(1.0, speed**2)
     if low.any():
         i = np.argmax(low) if s.ndim else ()
         raise DegenerateCurvature(
@@ -440,7 +442,6 @@ class FiniteTypeReport:
     types: list[int]
     max_type: int
     witness_constant: float
-    exponent_triple: Optional[tuple[int, int, int]] = None
 
 
 def finite_type(
@@ -448,9 +449,8 @@ def finite_type(
     s_samples: Sequence[float],
     xi_samples: Sequence[np.ndarray],
     n_max: int,
-    c_floor: float = 1e-6,
 ) -> FiniteTypeReport:
-    """Smallest n per sample point with sum_{j<=n} |<gamma^(j), xi>| >= c_floor."""
+    """Smallest n per point with sum_{j<=n} |<gamma^(j), xi>| >= TYPE_FLOOR."""
     if n_max > 5:
         raise ValueError("n_max must be <= 5 (derivative order available)")
     if not len(s_samples) or not len(xi_samples):
@@ -464,7 +464,7 @@ def finite_type(
         pair = np.abs(xi @ derivs.T)  # (n_xi, n_max)
         sums = np.cumsum(pair, axis=1)
         mins = sums.min(axis=0)
-        ok = np.nonzero(mins >= c_floor)[0]
+        ok = np.nonzero(mins >= TYPE_FLOOR)[0]
         if len(ok) == 0:
             raise TypeExceedsNMax(
                 f"type exceeds n_max={n_max} at s={s} (min sum {mins[-1]:.3e})")
@@ -475,22 +475,22 @@ def finite_type(
                             witness_constant=witness)
 
 
-def exponent_triple(curve: Curve, s0: float, n_max: int = 5,
-                    tol: float = 1e-8) -> tuple[int, int, int]:
-    """Orders (n1 < n2 < n3) at which span{gamma', ..., gamma^(j)} grows at s0."""
+def exponent_triple(curve: Curve, s0: float) -> tuple[int, int, int]:
+    """Orders (n1 < n2 < n3 <= 5) at which span{gamma', ..., gamma^(j)}
+    grows at s0 (by more than 1e-8 max(1, |gamma^(j)|))."""
     basis: list[np.ndarray] = []
     orders: list[int] = []
-    for j in range(1, n_max + 1):
+    for j in range(1, 6):
         v = curve.derivative(s0, j)
         w = v.copy()
         for b in basis:
             w = w - np.dot(w, b) * b
-        if np.linalg.norm(w) > tol * max(1.0, np.linalg.norm(v)):
+        if np.linalg.norm(w) > 1e-8 * max(1.0, np.linalg.norm(v)):
             basis.append(w / np.linalg.norm(w))
             orders.append(j)
         if len(orders) == 3:
             return (orders[0], orders[1], orders[2])
-    raise TypeExceedsNMax(f"derivatives up to order {n_max} do not span R^3 at s={s0}")
+    raise TypeExceedsNMax(f"derivatives to order 5 do not span R^3 at s={s0}")
 
 
 # ---------------------------------------------------------------------------
@@ -520,18 +520,17 @@ def unit_circle_generator(domain=(-np.pi, np.pi)) -> Curve:
     return _circle((0.0, 0.0), 1.0, 1.0, 0.0, domain, "unit_circle")
 
 
-def parabola_generator(domain=(-1.0, 1.0)) -> Curve:
+def parabola_generator() -> Curve:
     def dv(a, j):
         j = min(j, 3)
         return vec(a, (a, 1.0, 0.0, 0.0)[j], (a * a / 2.0, a, 1.0, 0.0)[j])
 
-    return Curve(lambda a: dv(a, 0), dv, domain=domain, analytic_order=5,
+    return Curve(lambda a: dv(a, 0), dv, domain=(-1.0, 1.0), analytic_order=5,
                  name="parabola")
 
 
-def tilted_circle_generator(a: float, b: float, rho: float,
-                            domain=(-np.pi, np.pi)) -> Curve:
-    return _circle((a, b), rho, 1.0, 0.0, domain,
+def tilted_circle_generator(a: float, b: float, rho: float) -> Curve:
+    return _circle((a, b), rho, 1.0, 0.0, (-np.pi, np.pi),
                    f"tilted_circle({a},{b},{rho})")
 
 
@@ -541,12 +540,12 @@ def _binormal_ratio(curve: Curve, s) -> np.ndarray:
     return B[:2] / B[2]
 
 
-def binormal_generator(curve: Curve, interval: Optional[tuple[float, float]] = None,
-                       samples: int = 257) -> Curve:
-    """Level-curve generator g = (B1/B3, B2/B3) of the binormal cone; its
+def binormal_generator(curve: Curve) -> Curve:
+    """Level-curve generator g = (B1/B3, B2/B3) of the binormal cone over
+    the curve's domain (tau and B3 > 1/2 checked at 257 points); its
     derivatives are finite differences of g."""
-    lo, hi = interval if interval is not None else curve.domain
-    grid = np.linspace(lo, hi, samples)
+    lo, hi = curve.domain
+    grid = np.linspace(lo, hi, 257)
     fr = frenet_frame(curve, grid)
     bad = (np.abs(fr.tau) < CURVATURE_FLOOR) | (fr.B[:, 2] <= 0.5)
     if bad.any():

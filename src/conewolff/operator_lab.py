@@ -16,7 +16,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -25,7 +25,7 @@ from .cone_plates import Plate, PlateFamily, make_family
 from .curve_geometry import Curve, vec, trig_cycle
 from .errors import (GridTooLarge, PlateUnresolved, QuadratureFailure,
                      WraparoundRisk)
-from .symbol_decomposition import build_cutoffs
+from .symbol_decomposition import eta0
 
 
 def _lazy_import(name: str):
@@ -48,7 +48,6 @@ def _lazy_import(name: str):
 
 
 sfft = _lazy_import("scipy.fft")
-_CUT = build_cutoffs()
 _WORKERS = os.cpu_count() or 1
 
 
@@ -231,7 +230,7 @@ def _plate_envelope(plate: Plate, grid: Grid3):
         / (plate.lam * plate.delta)
     cand = (np.abs(a1) < 1.0) & (np.abs(a2) < 1.0) & (np.abs(a3) < 1.0)
     idx = np.nonzero(cand)
-    env = (_CUT.eta0(a1[idx]) * _CUT.eta0(a2[idx]) * _CUT.eta0(a3[idx]))
+    env = eta0(a1[idx]) * eta0(a2[idx]) * eta0(a3[idx])
     return (sub[0][idx[0]], sub[1][idx[1]], sub[2][idx[2]]), env
 
 
@@ -286,6 +285,9 @@ def _require_memory(what: str, n: int, grids: int) -> None:
 
 
 def _fit_slope(x: np.ndarray, y: np.ndarray) -> float:
+    """Least-squares slope of y on x; nan without two distinct x values."""
+    if np.unique(x).size < 2:
+        return float("nan")
     return float(np.polyfit(x, y, 1)[0])
 
 
@@ -420,8 +422,7 @@ def decoupling_ratio(exp: DecouplingExperiment) -> dict:
         "D": d_arr.tolist(),
         "normalized": normalized.tolist(),
         "band_ratio": float(normalized.max() / normalized.min()),
-        "slope": (_fit_slope(np.log2(deltas), np.log2(d_arr))
-                  if len(deltas) > 1 else float("nan")),
+        "slope": _fit_slope(np.log2(deltas), np.log2(d_arr)),
         "n": exp.n,
         "box": exp.box,
         "trials": exp.trials,
@@ -441,19 +442,19 @@ def default_chi(curve: Curve, shrink: float = 1.0) -> Callable:
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo) * shrink
 
     def chi(s):
-        return _CUT.eta0((np.asarray(s, dtype=float) - mid) / half)
+        return eta0((np.asarray(s, dtype=float) - mid) / half)
 
     return chi
 
 
-def _chi_support(curve: Curve, chi: Callable, probes: int = 257):
+def _chi_support(curve: Curve, chi: Callable):
+    """Domain interval holding chi's support, found on 257 probes."""
     lo, hi = curve.domain
-    s = np.linspace(lo, hi, probes)
+    s, pad = np.linspace(lo, hi, 257, retstep=True)
     w = np.asarray(chi(s))
     live = np.nonzero(w > 0)[0]
     if live.size == 0:
         raise ValueError("cutoff vanishes on the curve domain")
-    pad = (hi - lo) / (probes - 1)
     return max(lo, s[live[0]] - pad), min(hi, s[live[-1]] + pad)
 
 
@@ -671,7 +672,7 @@ def local_smoothing_probe(curve: Curve, chi: Callable, p: float,
     grid = Grid3(n, box)
     t_grid = np.linspace(1.0, 2.0, n_t)
     dt = t_grid[1] - t_grid[0]
-    t_window = _CUT.eta0((t_grid - 1.5) / 0.5)
+    t_window = eta0((t_grid - 1.5) / 0.5)
     tau = 2.0 * np.pi * np.fft.fftfreq(n_t, d=dt)
     kx, ky, kz = grid.freq_mesh()
     xi2 = kx**2 + ky**2 + kz**2
@@ -703,8 +704,8 @@ def local_smoothing_probe(curve: Curve, chi: Callable, p: float,
 # ---------------------------------------------------------------------------
 
 
-def helix_family_curve(a: float, b: float, domain=(-1.0, 1.0)) -> Curve:
-    """gamma_{a,b}(s) = (a cos 2*pi*s, a sin 2*pi*s, b s)."""
+def helix_family_curve(a: float, b: float) -> Curve:
+    """gamma_{a,b}(s) = (a cos 2*pi*s, a sin 2*pi*s, b s) on [-1, 1]."""
     tp = 2.0 * np.pi
 
     def dv(s, j):
@@ -713,7 +714,7 @@ def helix_family_curve(a: float, b: float, domain=(-1.0, 1.0)) -> Curve:
         z = b * s if j == 0 else (b if j == 1 else 0.0)
         return vec(s, a * cx * w, a * sx * w, z)
 
-    return Curve(lambda s: dv(s, 0), dv, domain=domain, analytic_order=5,
+    return Curve(lambda s: dv(s, 0), dv, domain=(-1.0, 1.0), analytic_order=5,
                  name=f"helix_family({a},{b})")
 
 
@@ -734,9 +735,9 @@ def helix_phase_identity(a: float, b: float, s: float,
 
 
 def two_param_maximal(f: Field3, t_fixed: float,
-                      ab_samples: Sequence[tuple[float, float]],
-                      chi: Optional[Callable] = None) -> Field3:
-    """Pointwise sup over (a,b) of |A_{t_fixed} f| along gamma_{a,b}."""
+                      ab_samples: Sequence[tuple[float, float]]) -> Field3:
+    """Pointwise sup over (a,b) of |A_{t_fixed} f| along gamma_{a,b}, each
+    curve cut off by default_chi(curve, shrink=0.5)."""
     if not ab_samples:
         raise ValueError("need at least one (a, b) sample")
     for a, b in ab_samples:
@@ -745,7 +746,7 @@ def two_param_maximal(f: Field3, t_fixed: float,
     out = np.zeros((f.grid.n,) * 3, dtype=float)
     for a, b in ab_samples:
         curve = helix_family_curve(a, b)
-        cchi = chi if chi is not None else default_chi(curve, shrink=0.5)
-        phys = averaging_operator(f, curve, cchi, t_fixed).to_physical()
+        phys = averaging_operator(f, curve, default_chi(curve, shrink=0.5),
+                                  t_fixed).to_physical()
         np.maximum(out, np.abs(phys.values), out=out)
     return Field3(f.grid, out.astype(complex), "physical")

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -22,9 +22,7 @@ from .errors import (
     NotConverged,
     ScheduleEmpty,
 )
-from .symbol_decomposition import build_cutoffs
-
-_CUT = build_cutoffs()
+from .symbol_decomposition import eta0, eta1, zeta
 
 
 def _embed(v: np.ndarray) -> np.ndarray:
@@ -109,7 +107,6 @@ def pullback_bump(shear: ShearDilation, k: int) -> Callable:
     gam = curve.eval(s)
     dgam = curve.derivative(s, 1)
     g1 = dgam / np.linalg.norm(dgam)
-    eta0 = _CUT.eta0
 
     def m(xi, tau):
         xi = np.asarray(xi, dtype=float)
@@ -148,11 +145,10 @@ def sample_symbol_support(shear: ShearDilation, k: int, n: int,
 
 
 def hormander_constant(shear: ShearDilation, m: Callable, k: int,
-                       n_samples: int = 60, seed: int = 0,
-                       step: float = 1e-3) -> float:
+                       n_samples: int = 60) -> float:
     """Max of |Xi|^{|alpha|} |d^alpha (m o L)(Xi)| over sampled support points
-    and multi-indices |alpha| <= 2, by central finite differences."""
-    rng = np.random.default_rng(seed)
+    (seed 0) and |alpha| <= 2, by central differences of step 2^k / 1000."""
+    rng = np.random.default_rng(0)
     pts = sample_symbol_support(shear, k, n_samples, rng)
     Linv = np.linalg.inv(shear.L)
 
@@ -160,7 +156,7 @@ def hormander_constant(shear: ShearDilation, m: Callable, k: int,
         Y = shear.L @ Xi
         return float(m(Y[:3], Y[3]))
 
-    h = step * 2.0**k
+    h = 1e-3 * 2.0**k
     worst = 0.0
     eye = np.eye(4)
     for row in pts:
@@ -225,8 +221,7 @@ def critical_s(curve: Curve, xi: np.ndarray, lo=None, hi=None):
     return float(roots[0]) if xi.ndim == 1 else roots
 
 
-def u_mu(curve: Curve, s_mu: float, xi: np.ndarray, tau,
-         floor: float = 1e-10):
+def u_mu(curve: Curve, s_mu: float, xi: np.ndarray, tau):
     """tau + <gamma(s_mu), xi> - <gamma'(s_mu), xi>^2 / (2 <gamma''(s_mu), xi>)."""
     xi = np.asarray(xi, dtype=float)
     gam = curve.eval(s_mu)
@@ -234,7 +229,7 @@ def u_mu(curve: Curve, s_mu: float, xi: np.ndarray, tau,
     d2 = curve.derivative(s_mu, 2)
     g2 = xi @ d2
     norm = np.linalg.norm(xi, axis=-1)
-    if np.any(np.abs(g2) < floor * norm):
+    if np.any(np.abs(g2) < 1e-10 * norm):
         raise DivByZeroGamma2("second-derivative pairing below floor")
     return tau + xi @ gam - 0.5 * (xi @ d1) ** 2 / g2
 
@@ -253,30 +248,29 @@ def _critical_frequencies(curve: Curve, s_star, psi, rho) -> np.ndarray:
     return (rho * (np.cos(psi) * fr.N.T + np.sin(psi) * fr.B.T)).T
 
 
-def verify_umu_approximation(curve: Curve, s_mu: float = 0.0,
-                             r0: float = 2.0**-4, n_samples: int = 10_000,
-                             M: float = 10.0, seed: int = 0) -> dict:
+def verify_umu_approximation(curve: Curve, r0: float = 2.0**-4,
+                             n_samples: int = 10_000, M: float = 10.0,
+                             seed: int = 0) -> dict:
     """Sample constrained frequencies and check the two quadratic-approximation
-    bounds with their explicit constants 6M and 13M; report max ratios.
+    bounds at s_mu = 0 with explicit constants 6M and 13M; report max ratios.
     All samples are evaluated on arrays, with one critical_s call."""
-    ds, psi, rho, ds_test, dtau = _uniform_draws(
+    s_star, psi, rho, ds_test, dtau = _uniform_draws(
         seed, n_samples, (-2.0 * r0, 2.0 * r0), (-np.pi / 3, np.pi / 3),
         (0.55, 1.9), (-2.0 * r0, 2.0 * r0), (-1, 1))
-    s_star = s_mu + ds
     xi = _critical_frequencies(curve, s_star, psi, rho)
     scr = critical_s(curve, xi, s_star - 4 * r0, s_star + 4 * r0)
     # first bound, at s = s_mu and at a random admissible s
-    s = np.stack([np.full(n_samples, s_mu), scr + ds_test])
+    s = np.stack([np.zeros(n_samples), scr + ds_test])
     d1, d2 = curve.derivatives(s, (1, 2))
     err = np.abs((s - scr) - _dot3(d1, xi.T) / _dot3(d2, xi.T))
     bound = 6.0 * M * (s - scr) ** 2
     ratio_one = np.divide(err, bound, out=np.zeros_like(err),
                           where=bound > 1e-30)
     # second bound
-    tau = -(xi @ curve.eval(s_mu)) + dtau * 8.0 * r0**2
-    err2 = np.abs(u_mu(curve, s_mu, xi, tau)
+    tau = -(xi @ curve.eval(0.0)) + dtau * 8.0 * r0**2
+    err2 = np.abs(u_mu(curve, 0.0, xi, tau)
                   - (tau + _dot3(curve.eval(scr), xi.T)))
-    bound2 = 13.0 * M * np.abs(scr - s_mu) ** 3 * np.linalg.norm(xi, axis=1)
+    bound2 = 13.0 * M * np.abs(scr) ** 3 * np.linalg.norm(xi, axis=1)
     ratio_two = np.divide(err2, bound2, out=np.zeros_like(err2),
                           where=bound2 > 1e-30)
     max_ratio_one = float(np.max(ratio_one, initial=0.0))
@@ -350,14 +344,19 @@ def pl_plate_membership(omega: OmegaMap, s_nnu: float, n: int, r1: float,
 # ---------------------------------------------------------------------------
 
 
-def support_census(curve: Curve, k: int = 48, r0: float = 2.0**-22,
-                   r1: float = 2.0**-23, sample_count: int = 300,
-                   M: float = 10.0, seed: int = 0, n_cap: int = 12,
-                   s_grid_size: int = 41, tol: float = 1e-12,
-                   n_anchors: int = 9) -> dict:
+_CENSUS_K = 48  # dyadic scale of the census, echoed in its report
+_CENSUS_M = 10.0  # the constant M of the r1 >= 100 M r0^(3/2) hypothesis
+_CENSUS_TOL = 1e-12  # a piece counts where it exceeds this
+
+
+def support_census(curve: Curve, r0: float = 2.0**-22, r1: float = 2.0**-23,
+                   sample_count: int = 300, seed: int = 0) -> dict:
     """Build the two-scale cutoff pieces around a family of anchor points,
     sample frequency points, and report vanishing thresholds, multiplicity,
     reconstruction error, and plate membership.
+
+    It runs at k = _CENSUS_K and M = _CENSUS_M on anchors r0 * (-4..4),
+    shells n = 0..12 and 165 s-grid points.
 
     Frequencies are handled in scale-normalized form (divided by 2^k); every
     quantity entering the cutoffs and plate inequalities is homogeneous of
@@ -369,23 +368,21 @@ def support_census(curve: Curve, k: int = 48, r0: float = 2.0**-22,
     One critical_s call resolves all samples; each anchor, shell n and
     window nu then acts on (samples, s-grid) arrays.  A sample is masked
     out of an anchor whose cutoff, or of a shell whose mass, stays below
-    tol: none of its pieces there could exceed tol and be counted.
+    _CENSUS_TOL: none of its pieces there could exceed it and be counted.
     """
     if r1 > r0:
         raise ValueError("need r1 <= r0")
-    if r1 < 100.0 * M * r0**1.5:
+    if r1 < 100.0 * _CENSUS_M * r0**1.5:
         raise ValueError("need r1 >= 100 M r0^(3/2)")
-    eta0, eta1, zeta = _CUT.eta0, _CUT.eta1, _CUT.zeta
     s_star, psi, rho, dtau = _uniform_draws(
         seed, sample_count, (-3.0 * r0, 3.0 * r0), (-np.pi / 3, np.pi / 3),
         (0.55, 1.9), (-1, 1))
     xi = _critical_frequencies(curve, s_star, psi, rho)
     tau = -_dot3(curve.eval(s_star), xi.T) + dtau * 8.0 * r0**2
     scr = critical_s(curve, xi, s_star - 10 * r0, s_star + 10 * r0)
-    half = n_anchors // 2
-    s_mu_list = r0 * np.arange(-half, n_anchors - half)
+    s_mu_list = r0 * np.arange(-4, 5)
     s_grid = np.linspace(s_mu_list[0] - 2.2 * r0, s_mu_list[-1] + 2.2 * r0,
-                         s_grid_size * 4 + 1)
+                         165)
     max_n = [-1, -1]  # a and b pieces
     mult = np.zeros((2, sample_count, len(s_grid)), dtype=int)
     recon_err = 0.0
@@ -397,7 +394,7 @@ def support_census(curve: Curve, k: int = 48, r0: float = 2.0**-22,
         scalar = (eta0(xi @ curve.derivative(s_mu, 1) / (8.0 * r0))
                   * eta0((tau + xi @ curve.eval(s_mu)) / (16.0 * r0**2))
                   * eta0((np.linalg.norm(xi, axis=1) - 1.25) / 0.75))
-        live = np.nonzero(scalar >= tol)[0]
+        live = np.nonzero(scalar >= _CENSUS_TOL)[0]
         x, t = xi[live], tau[live]
         amu = scalar[live, None] * eta0((s_grid - s_mu) / (2.0 * r0))
         u_hat = u_mu(curve, s_mu, x, t)[:, None]
@@ -408,12 +405,12 @@ def support_census(curve: Curve, k: int = 48, r0: float = 2.0**-22,
                                   out=np.full_like(ds2, np.inf))
         split = eta0(np.where(ds2 == 0.0, 0.0, split_arg))
         recon = np.zeros_like(amu)
-        for n in range(n_cap + 1):
+        for n in range(13):
             shell = eta0(base) if n == 0 else eta1(2.0**(2 - 2 * n) * base)
             win = s_grid / (2.0**n * r1)
             split_n = 1.0 if n == 0 else split  # no b piece at n = 0
             mass = amu * shell
-            skip = np.max(mass, axis=1, initial=0.0) < tol
+            skip = np.max(mass, axis=1, initial=0.0) < _CENSUS_TOL
             kept = np.where(skip[:, None], 0.0, mass)
             recon += mass - kept  # skipped rows take their mass whole
             if skip.all():
@@ -426,7 +423,7 @@ def support_census(curve: Curve, k: int = 48, r0: float = 2.0**-22,
                 outside = ~pl_plate_membership(omega, 2.0**n * r1 * nu, n,
                                                r1, 0, x, t)
                 for i, piece in enumerate(pieces):
-                    hit = piece > tol
+                    hit = piece > _CENSUS_TOL
                     rows = hit.any(axis=1)
                     if rows.any():
                         mult[i, live] += hit
@@ -441,7 +438,7 @@ def support_census(curve: Curve, k: int = 48, r0: float = 2.0**-22,
     a_threshold_ok = (max_n_a < 0) or (2.0**max_n_a * r1 <= 2.0**4 * r0)
     b_threshold_ok = (max_n_b < 0) or (2.0**max_n_b * r1 <= 2.0**7 * r0)
     return {
-        "k": k, "r0": r0, "r1": r1, "M": M,
+        "k": _CENSUS_K, "r0": r0, "r1": r1, "M": _CENSUS_M,
         "sample_count": sample_count,
         "max_n_a": max_n_a, "max_n_b": max_n_b,
         "a_vanishing_ok": bool(a_threshold_ok),
@@ -489,24 +486,26 @@ def _pow2_or_inf(x: float) -> float:
         return math.inf
 
 
-def r_schedule(k: int, eps0: float, M: float, d: int = 3,
-               n_cap: int = 64) -> RSchedule:
-    """Geometric radius schedule r0(n), r1(n) with exponent (3/2)^n.
+_SCHEDULE_CAP = 64  # largest schedule index n
 
-    All arithmetic is carried in log2 space. N is the largest n <= n_cap
-    whose fine radius stays above the terminal scale 2^{-k(1/2 - eps1)};
-    when the base exceeds 1 (small k) the sequence never descends and the
-    cap binds, which is reported via the `capped`/`descending` flags.
+
+def r_schedule(k: int, eps0: float, M: float) -> RSchedule:
+    """Geometric radius schedule r0(n), r1(n) with exponent (3/2)^n, d = 3.
+
+    All arithmetic is carried in log2 space. N is the largest n <=
+    _SCHEDULE_CAP whose fine radius stays above the terminal scale
+    2^{-k(1/2 - eps1)}; when the base exceeds 1 (small k) the sequence never
+    descends and the cap binds (the `capped`/`descending` flags).
     """
     if k < 10:
         raise ValueError("need k >= 10")
-    eps1 = eps0**2 / (d * M)
+    eps1 = eps0**2 / (3 * M)
     base0 = math.log2(M) - k * eps1
     base1 = math.log2(100.0 * M) - k * eps1
     threshold = -k * (0.5 - eps1)
-    log2_r0 = [(1.5**n) * base0 for n in range(n_cap + 1)]
-    log2_r1 = [(1.5**(n + 1)) * base1 for n in range(n_cap + 1)]
-    qual = [n for n in range(n_cap + 1) if log2_r1[n] >= threshold]
+    log2_r0 = [(1.5**n) * base0 for n in range(_SCHEDULE_CAP + 1)]
+    log2_r1 = [(1.5**(n + 1)) * base1 for n in range(_SCHEDULE_CAP + 1)]
+    qual = [n for n in range(_SCHEDULE_CAP + 1) if log2_r1[n] >= threshold]
     if not qual:
         raise ScheduleEmpty("fine radius starts below the terminal scale")
     N = max(qual)
@@ -515,8 +514,8 @@ def r_schedule(k: int, eps0: float, M: float, d: int = 3,
         for n in range(N + 1)
     )
     return RSchedule(
-        k=k, eps0=eps0, eps1=eps1, M=M, d=d, N=N,
-        capped=(N == n_cap),
+        k=k, eps0=eps0, eps1=eps1, M=M, d=3, N=N,
+        capped=(N == _SCHEDULE_CAP),
         descending=(base1 < 0.0),
         log2_r0=tuple(log2_r0[: N + 1]),
         log2_r1=tuple(log2_r1[: N + 1]),
@@ -534,17 +533,22 @@ def r_schedule(k: int, eps0: float, M: float, d: int = 3,
 # ---------------------------------------------------------------------------
 
 
-def _bump_transform(width: float, args: np.ndarray, nodes: int,
-                    max_nodes: int) -> np.ndarray:
-    """Numerical 1-D Fourier transform of eta0(v / width) at the given args."""
-    if nodes > max_nodes:
-        raise GridTooLarge(f"{nodes} frequency nodes exceed budget {max_nodes}")
+_MAX_BUMP_NODES = 2**20  # largest trapezoid rule of _bump_transform
+
+
+def _bump_transform(width: float, args: np.ndarray, nodes: int) -> np.ndarray:
+    """Numerical 1-D Fourier transform of eta0(v / width) at the given args
+    (nodes-point trapezoid rule), once per distinct argument."""
+    if nodes > _MAX_BUMP_NODES:
+        raise GridTooLarge(
+            f"{nodes} frequency nodes exceed budget {_MAX_BUMP_NODES}")
     v = np.linspace(-width, width, nodes)
     w = np.full(nodes, v[1] - v[0])
     w[0] *= 0.5
     w[-1] *= 0.5
-    vals = _CUT.eta0(v / width) * w
-    return np.exp(1j * np.outer(args, v)) @ vals
+    vals = eta0(v / width) * w
+    uniq, inverse = np.unique(args, return_inverse=True)
+    return (np.exp(1j * np.outer(uniq, v)) @ vals)[inverse]
 
 
 def _half_width(lam: np.ndarray, mag: np.ndarray) -> float:
@@ -560,18 +564,21 @@ def _half_width(lam: np.ndarray, mag: np.ndarray) -> float:
     return float(lam[i - 1] + frac * (lam[i] - lam[i - 1]))
 
 
-def _unit_half_position(nodes: int, max_nodes: int) -> float:
+def _unit_half_position(nodes: int) -> float:
     y = np.linspace(0.0, 6.0, 601)
-    mag = np.abs(_bump_transform(1.0, y, nodes, max_nodes))
+    mag = np.abs(_bump_transform(1.0, y, nodes))
     return _half_width(y, mag)
 
 
+_T_CENTER = 1.25  # the probe's rays start at x0 = _T_CENTER gamma(s)
+
+
 def kernel_decay_probe(curve: Curve, k: int, r: float, s: float = 0.0,
-                       t_center: float = 1.25, nodes: int = 513,
-                       t_nodes: int = 65, n_ray: int = 81,
-                       max_nodes: int = 2**20) -> dict:
+                       nodes: int = 513, t_nodes: int = 65,
+                       n_ray: int = 81) -> dict:
     """Evaluate the space-time kernel of a canonical class multiplier along
-    three distinguished rays and measure its decay scales.
+    three distinguished rays from x0 = _T_CENTER gamma(s), at time
+    _T_CENTER, and measure its decay scales.
 
     The multiplier is a tensor bump in the frame coordinates built from the
     tangent at s, the in-plane unit vector along the curve point, their cross
@@ -600,14 +607,13 @@ def kernel_decay_probe(curve: Curve, k: int, r: float, s: float = 0.0,
     W3 = 2.0**(k - 2)
     W4 = 2.0**(k + 3) * r**2
 
-    c_ref = _unit_half_position(nodes, max_nodes)
-    chi = _CUT.eta0
+    c_ref = _unit_half_position(nodes)
 
     # time quadrature adapted to the narrowest factor in t
     pin = max(W2 * a2, W4)
     gl_x, gl_w = np.polynomial.legendre.leggauss(t_nodes)
     half_win = 60.0 / pin
-    t_q = t_center + half_win * gl_x
+    t_q = _T_CENTER + half_win * gl_x
     t_w = half_win * gl_w
 
     def kernel_on_rays(x_pts: np.ndarray, tprime: np.ndarray) -> np.ndarray:
@@ -619,15 +625,15 @@ def kernel_decay_probe(curve: Curve, k: int, r: float, s: float = 0.0,
         A2 = c2[:, None] - np.outer(np.ones(len(x_pts)), t_q) * a2
         A3 = np.repeat(c3[:, None], t_nodes, axis=1)
         Aw = tprime[:, None] - t_q[None, :]
-        f1 = _bump_transform(W1, A1.ravel(), nodes, max_nodes)
-        f2 = _bump_transform(W2, A2.ravel(), nodes, max_nodes)
-        f3 = (_bump_transform(W3, A3.ravel(), nodes, max_nodes)
+        f1 = _bump_transform(W1, A1.ravel(), nodes)
+        f2 = _bump_transform(W2, A2.ravel(), nodes)
+        f3 = (_bump_transform(W3, A3.ravel(), nodes)
               * np.exp(1j * 0.85 * 2.0**k * A3.ravel()))
-        f4 = _bump_transform(W4, Aw.ravel(), nodes, max_nodes)
+        f4 = _bump_transform(W4, Aw.ravel(), nodes)
         prod = (f1 * f2 * f3 * f4).reshape(len(x_pts), t_nodes)
-        return prod @ (chi((t_q - 1.25) / 0.75) * t_w)
+        return prod @ (eta0((t_q - 1.25) / 0.75) * t_w)
 
-    x0 = t_center * gam
+    x0 = _T_CENTER * gam
     results = {}
     for name, direction, width in (
         ("gamma1", g1, W1),
@@ -635,14 +641,14 @@ def kernel_decay_probe(curve: Curve, k: int, r: float, s: float = 0.0,
     ):
         lam = np.linspace(0.0, 8.0 * c_ref / width, n_ray)
         pts = x0[None, :] + lam[:, None] * direction[None, :]
-        mag = np.abs(kernel_on_rays(pts, np.full(n_ray, t_center)))
+        mag = np.abs(kernel_on_rays(pts, np.full(n_ray, _T_CENTER)))
         w_half = _half_width(lam, mag)
         results[name] = {"half_width": w_half,
                          "fitted_scale": c_ref / w_half,
                          "target_scale": width}
     lam_t = np.linspace(0.0, 8.0 * c_ref / W4, n_ray)
     pts = np.repeat(x0[None, :], n_ray, axis=0)
-    mag = np.abs(kernel_on_rays(pts, t_center + lam_t))
+    mag = np.abs(kernel_on_rays(pts, _T_CENTER + lam_t))
     w_half = _half_width(lam_t, mag)
     results["time"] = {"half_width": w_half,
                        "fitted_scale": c_ref / w_half,
@@ -651,11 +657,10 @@ def kernel_decay_probe(curve: Curve, k: int, r: float, s: float = 0.0,
     # integrable-kernel constant: z = W y makes each factor's mass the unit
     # bump's
     y = np.linspace(-40.0, 40.0, 1601)
-    mass = float(np.trapezoid(np.abs(_bump_transform(1.0, y, nodes,
-                                                     max_nodes)), y))
+    mass = float(np.trapezoid(np.abs(_bump_transform(1.0, y, nodes)), y))
     l1_bound = mass**4 / (2.0 * np.pi) ** 4
     sup_center = float(np.abs(kernel_on_rays(x0[None, :],
-                                             np.array([t_center])))[0])
+                                             np.array([_T_CENTER])))[0])
     return {"k": k, "r": r, "s": s,
             "scales": {name: v["fitted_scale"] for name, v in results.items()},
             "targets": {name: v["target_scale"] for name, v in results.items()},
@@ -665,17 +670,16 @@ def kernel_decay_probe(curve: Curve, k: int, r: float, s: float = 0.0,
 
 
 def kernel_decay_sweep(curve: Curve, k_list: Sequence[int],
-                       r_list: Sequence[float], s: float = 0.0,
-                       **kwargs) -> dict:
-    """Fit the decay-scale exponents of the probe against r (at fixed k) and
-    against k (at fixed r); targets are (1, 0, 2) in r and 1 in k."""
+                       r_list: Sequence[float]) -> dict:
+    """Fit the decay-scale exponents of the probe at s = 0 against r (at
+    fixed k) and against k (at fixed r); targets are (1, 0, 2) in r, 1 in k."""
     k_fix = k_list[len(k_list) // 2]
     r_fix = r_list[len(r_list) // 2]
     names = ("gamma1", "perp", "time")
     out = {"r_slopes": {}, "k_slopes": {}, "k_fixed": k_fix, "r_fixed": r_fix}
     logs = {nm: [] for nm in names}
     for r in r_list:
-        rep = kernel_decay_probe(curve, k_fix, r, s=s, **kwargs)
+        rep = kernel_decay_probe(curve, k_fix, r)
         for nm in names:
             logs[nm].append(math.log2(rep["scales"][nm]))
     lr = np.log2(np.asarray(r_list, dtype=float))
@@ -683,7 +687,7 @@ def kernel_decay_sweep(curve: Curve, k_list: Sequence[int],
         out["r_slopes"][nm] = float(np.polyfit(lr, logs[nm], 1)[0])
     logs = {nm: [] for nm in names}
     for k in k_list:
-        rep = kernel_decay_probe(curve, k, r_fix, s=s, **kwargs)
+        rep = kernel_decay_probe(curve, k, r_fix)
         for nm in names:
             logs[nm].append(math.log2(rep["scales"][nm]))
     kk = np.asarray(k_list, dtype=float)
@@ -734,14 +738,13 @@ class SectionRescaling:
         g2 = self.gamma_derivative(u, 2)
         return abs(float(g2 @ eta)) / float(np.linalg.norm(eta))
 
-    def c5_norm(self, u_grid: Optional[np.ndarray] = None) -> float:
-        """Translation-invariant C^5 size: sup over |u| <= 1 of the rescaled
-        displacement from u = 0 and of the derivatives up to order 5."""
-        if u_grid is None:
-            u_grid = np.linspace(-1.0, 1.0, 21)
+    def c5_norm(self) -> float:
+        """Translation-invariant C^5 size: sup over 21 equispaced u in
+        [-1, 1] of the rescaled displacement from u = 0 and of the
+        derivatives up to order 5."""
         origin = self.gamma(0.0)
         worst = 0.0
-        for u in u_grid:
+        for u in np.linspace(-1.0, 1.0, 21):
             worst = max(worst, float(np.linalg.norm(self.gamma(u) - origin)))
             for j in range(1, 6):
                 worst = max(worst, float(np.linalg.norm(

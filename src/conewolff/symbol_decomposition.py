@@ -1,6 +1,7 @@
 """Dyadic symbol decomposition near the binormal cone.
 
-Cutoff systems (eta0/eta1/zeta), the splitting of a dyadic symbol a_k into a
+The cutoffs eta0, eta1 and zeta with their telescoping and partition
+identities, the splitting of a dyadic symbol a_k into a
 near-cone piece plus dyadic shell pieces, nu-localization in the curve
 parameter, plate-support verification, oscillatory quadrature for the
 multiplier samples, decay-rate sweeps, an FFT-based L^1 kernel bound, and
@@ -44,7 +45,7 @@ def quad(*args, **kwargs):
 
 
 # ---------------------------------------------------------------------------
-# cutoff system
+# cutoffs
 # ---------------------------------------------------------------------------
 
 
@@ -58,41 +59,34 @@ def _smoothstep(x):
     return lo / (lo + hi)
 
 
-def _eta0(t):
+def eta0(t):
     """Even bump, 1 on [-1/2,1/2], supported in [-1,1]."""
     return _smoothstep(2.0 * (1.0 - np.abs(np.asarray(t, dtype=float))))
 
 
-def _eta1(t):
-    return _eta0(np.asarray(t) / 4.0) - _eta0(t)
+def eta1(t):
+    """Shell bump eta0(t/4) - eta0(t), supported in 1/2 <= |t| <= 4."""
+    return eta0(np.asarray(t) / 4.0) - eta0(t)
 
 
-def _zeta(t):
+def zeta(t):
     """Bump supported in (-1,1) whose integer translates sum to 1."""
     t = np.asarray(t, dtype=float)
     return _smoothstep(t + 1.0) - _smoothstep(t)
 
 
-@dataclass(frozen=True)
-class CutoffSystem:
-    eta0: Callable = _eta0
-    eta1: Callable = _eta1
-    zeta: Callable = _zeta
-
-    def telescope(self, t, l_min: int, l_max: int):
-        """eta0(2^{2 l_max} t) + sum_{l_min<=l<=l_max} eta1(2^{2l} t)."""
-        total = self.eta0(np.ldexp(1.0, 2 * l_max) * np.asarray(t, float))
-        for l in range(l_min, l_max + 1):
-            total = total + self.eta1(np.ldexp(1.0, 2 * l) * np.asarray(t, float))
-        return total
-
-    def zeta_partition(self, t, nu_lo: int = -3, nu_hi: int = 3):
-        t = np.asarray(t, dtype=float)
-        return sum(self.zeta(t - nu) for nu in range(nu_lo, nu_hi + 1))
+def telescope(t, l_min: int, l_max: int):
+    """eta0(2^{2 l_max} t) + sum_{l_min<=l<=l_max} eta1(2^{2l} t)."""
+    total = eta0(np.ldexp(1.0, 2 * l_max) * np.asarray(t, float))
+    for l in range(l_min, l_max + 1):
+        total = total + eta1(np.ldexp(1.0, 2 * l) * np.asarray(t, float))
+    return total
 
 
-def build_cutoffs() -> CutoffSystem:
-    return CutoffSystem()
+def zeta_partition(t):
+    """sum of zeta(t - nu) over -3 <= nu <= 3: 1 on [-2, 2]."""
+    t = np.asarray(t, dtype=float)
+    return sum(zeta(t - nu) for nu in range(-3, 4))
 
 
 # ---------------------------------------------------------------------------
@@ -100,17 +94,17 @@ def build_cutoffs() -> CutoffSystem:
 # ---------------------------------------------------------------------------
 
 
-def default_a0(curve: Curve, samples: int = 64, factor: float = 16.0) -> float:
-    """Torsion-adapted constant factor*max(1, sup 1/|tau|) over the domain.
+def default_a0(curve: Curve) -> float:
+    """Torsion-adapted constant 16 max(1, sup 1/|tau|) over 64 points.
 
     The factor must be large enough that the complementary ('b') cutoff
     excludes every stationary parameter of the phase; 16 leaves a factor-2
     margin on the benchmark curves."""
     lo, hi = curve.domain
     pad = 0.05 * (hi - lo)
-    tau = frenet_frame(curve, np.linspace(lo + pad, hi - pad, samples)).tau
+    tau = frenet_frame(curve, np.linspace(lo + pad, hi - pad, 64)).tau
     inv_tau = 1.0 / np.maximum(np.abs(tau), 1e-12)
-    return factor * max(1.0, float(inv_tau.max()))
+    return 16.0 * max(1.0, float(inv_tau.max()))
 
 
 @dataclass
@@ -135,19 +129,22 @@ class SymbolPiece:
         return max(lo, self.s_support[0]), min(hi, self.s_support[1])
 
 
-def make_ak(curve: Curve, k: int, s_center: float = 0.0,
-            s_halfwidth: float = 0.4, u_cap: float = 0.1) -> SymbolPiece:
+_S_HALFWIDTH = 0.4  # a_k's parameter window is |s| < _S_HALFWIDTH
+_U_CAP = 0.1  # a_k's tube cutoff is eta0(u / _U_CAP)
+
+
+def make_ak(curve: Curve, k: int) -> SymbolPiece:
     """Base dyadic symbol: radial annulus bump times parameter window times
-    a tube cutoff |u(xi)| <~ u_cap keeping the cone chart valid."""
+    a tube cutoff |u(xi)| <~ _U_CAP keeping the cone chart valid."""
 
     def ev(s, r, u, sigma, xinorm):
-        rad = _eta0((xinorm - 1.25) / 0.75)
-        win = _eta0((np.asarray(s, float) - s_center) / s_halfwidth)
-        tube = _eta0(u / u_cap)
+        rad = eta0((xinorm - 1.25) / 0.75)
+        win = eta0(np.asarray(s, float) / _S_HALFWIDTH)
+        tube = eta0(u / _U_CAP)
         return rad * tube * win
 
     return SymbolPiece("a_k", k, curve, ev,
-                       s_support=(s_center - s_halfwidth, s_center + s_halfwidth))
+                       s_support=(-_S_HALFWIDTH, _S_HALFWIDTH))
 
 
 def _shell_piece(ak: SymbolPiece, kind: str, l: int, A0: float) -> SymbolPiece:
@@ -157,12 +154,12 @@ def _shell_piece(ak: SymbolPiece, kind: str, l: int, A0: float) -> SymbolPiece:
 
     def ev(s, r, u, sigma, xinorm):
         s = np.asarray(s, float)
-        shell = _eta1(np.ldexp(1.0, 2 * l) * (np.abs(u) + (s - sigma) ** 2))
+        shell = eta1(np.ldexp(1.0, 2 * l) * (np.abs(u) + (s - sigma) ** 2))
         ratio = np.divide((s - sigma) ** 2, A0 * u,
                           out=np.full(np.shape(shell) or (1,), np.inf),
                           where=(np.asarray(u) != 0))
         ratio = ratio.reshape(np.shape(shell))
-        near = _eta0(ratio)
+        near = eta0(ratio)
         split = near if kind.startswith("a") else 1.0 - near
         return base(s, r, u, sigma, xinorm) * shell * split
 
@@ -175,16 +172,16 @@ def _tilde_piece(ak: SymbolPiece) -> SymbolPiece:
 
     def ev(s, r, u, sigma, xinorm):
         s = np.asarray(s, float)
-        near = _eta0(scale * (np.abs(u) + (s - sigma) ** 2))
+        near = eta0(scale * (np.abs(u) + (s - sigma) ** 2))
         return base(s, r, u, sigma, xinorm) * near
 
     return SymbolPiece("a~_k", ak.k, ak.curve, ev, s_support=ak.s_support)
 
 
-def decompose(ak: SymbolPiece, l_max: Optional[int] = None,
-              A0: Optional[float] = None, l_min: int = -2) -> list[SymbolPiece]:
-    """Split a_k into the near-cone piece plus shell pieces; the returned
-    pieces sum back to a_k pointwise (telescoping dyadic shells)."""
+def decompose(ak: SymbolPiece,
+              l_max: Optional[int] = None) -> list[SymbolPiece]:
+    """Split a_k into the near-cone piece plus shell pieces -2 <= l <= l_max
+    (A0 = default_a0); they sum back to a_k pointwise (telescoping)."""
     if ak.kind != "a_k":
         raise ValueError("decompose expects a base a_k piece")
     k = ak.k
@@ -192,10 +189,9 @@ def decompose(ak: SymbolPiece, l_max: Optional[int] = None,
         l_max = k // 3
     if l_max > k // 3:
         raise ValueError("shell index must stay below k/3")
-    if A0 is None:
-        A0 = default_a0(ak.curve)
+    A0 = default_a0(ak.curve)
     pieces = [_tilde_piece(ak)]
-    for l in range(l_min, l_max + 1):
+    for l in range(-2, l_max + 1):
         pieces.append(_shell_piece(ak, "a_{k,l}", l, A0))
         pieces.append(_shell_piece(ak, "b_{k,l}", l, A0))
     return pieces
@@ -226,7 +222,7 @@ def nu_localize(piece: SymbolPiece,
     for nu in nu_range:
         def ev(s, r, u, sigma, xinorm, _nu=nu):
             s = np.asarray(s, float)
-            return _zeta(scale * s - _nu) * base(s, r, u, sigma, xinorm)
+            return zeta(scale * s - _nu) * base(s, r, u, sigma, xinorm)
 
         lo_nu = max(lo, (nu - 1) / scale)
         hi_nu = min(hi, (nu + 1) / scale)
@@ -237,32 +233,16 @@ def nu_localize(piece: SymbolPiece,
 
 
 # ---------------------------------------------------------------------------
-# stratified support sampling over the (r,u,sigma) chart
+# plate-support verification over the (r,u,sigma) chart
 # ---------------------------------------------------------------------------
 
 
-def tube_sample(curve: Curve, n: int, u_scale: float,
-                sigma_window: tuple[float, float],
-                rng: np.random.Generator,
-                r_range: tuple[float, float] = (0.6, 1.8),
-                u_band: tuple[float, float] = (0.0, 2.0),
-                signed: bool = True):
-    """Stratified chart samples: arrays (r, u, sigma) and points xi."""
-    r = rng.uniform(*r_range, n)
-    u = u_scale * rng.uniform(*u_band, n)
-    if signed:
-        u *= rng.choice([-1.0, 1.0], n)
-    sigma = rng.uniform(*sigma_window, n)
-    fr = frenet_frame(curve, sigma)
-    xi = r[:, None] * fr.B + u[:, None] * fr.T
-    return r, u, sigma, xi
-
-
 def verify_plate_support(piece: SymbolPiece, C: Optional[float] = None,
-                         n_samples: int = 4000, seed: int = 0,
-                         check_derivatives: bool = True) -> dict:
+                         n_samples: int = 4000, seed: int = 0) -> dict:
     """Sample the support of a nu-localized piece and report the smallest
-    constant making the tangent/normal/binormal frequency bounds hold."""
+    constant making the tangent/normal/binormal frequency bounds hold, and
+    the derivative constant.  Samples: r in [0.6, 1.8), |u| < 4/scale^2,
+    sigma within 4/scale and s within 1/scale of the anchor."""
     if piece.nu is None:
         raise ValueError("plate-support check needs a nu-localized piece")
     scale = _nu_scale(piece)
@@ -271,9 +251,13 @@ def verify_plate_support(piece: SymbolPiece, C: Optional[float] = None,
     fr = frenet_frame(piece.curve, s_nu)
     rng = np.random.default_rng(seed)
     lo, hi = piece.curve.domain
-    win = (max(lo, s_nu - 4 / scale), min(hi, s_nu + 4 / scale))
-    r, u, sigma, xi = tube_sample(piece.curve, n_samples, 4.0 / scale**2,
-                                  win, rng, u_band=(0.0, 1.0))
+    r = rng.uniform(0.6, 1.8, n_samples)
+    u = 4.0 / scale**2 * rng.uniform(0.0, 1.0, n_samples)
+    u *= rng.choice([-1.0, 1.0], n_samples)
+    sigma = rng.uniform(max(lo, s_nu - 4 / scale), min(hi, s_nu + 4 / scale),
+                        n_samples)
+    at = frenet_frame(piece.curve, sigma)
+    xi = r[:, None] * at.B + u[:, None] * at.T
     s = rng.uniform(max(lo, s_nu - 1 / scale), min(hi, s_nu + 1 / scale),
                     n_samples)
     vals = piece.coord_eval(s, r, u, sigma, np.linalg.norm(xi, axis=1))
@@ -289,10 +273,8 @@ def verify_plate_support(piece: SymbolPiece, C: Optional[float] = None,
     b_part = np.abs(xs @ fr.B)
     req = max(t_part.max(), n_part.max(), b_part.max(), (1.0 / b_part).max())
     report["required_C"] = float(req)
-    if check_derivatives:
-        report["derivative_C"] = _support_derivative_constant(
-            piece, xs[: min(40, len(xs))], s[mask][: min(40, len(xs))],
-            fr, l_eff)
+    report["derivative_C"] = _support_derivative_constant(
+        piece, xs[: min(40, len(xs))], s[mask][: min(40, len(xs))], fr, l_eff)
     if C is not None:
         report["pass"] = bool(req <= C)
     return report
@@ -402,12 +384,12 @@ def mk_multiplier(piece: SymbolPiece, xi: np.ndarray,
                             float(err))
 
 
-def oscillatory_selfcheck(lam: float = 100.0, n_riemann: int = 1_000_000):
+def oscillatory_selfcheck(lam: float = 100.0):
     """Model phase integral of exp(i lam s^2) on [0,1]: the panel rule
-    against a dense midpoint-rule oracle."""
+    against a 10^6-point midpoint-rule oracle."""
     val, err = _panel_quad(lambda s: np.exp(1j * lam * s * s), 0.0, 1.0,
                            1e-12)
-    s = (np.arange(n_riemann) + 0.5) / n_riemann
+    s = (np.arange(1_000_000) + 0.5) / 1_000_000
     oracle = np.exp(1j * lam * s * s).mean()
     return complex(val), complex(oracle), float(err)
 
@@ -468,10 +450,10 @@ def _sweep_xi_hats(curve: Curve, kind: str, l: int, n_xi: int,
 
 
 def vdc_decay_sweep(curve: Curve, kind: str, l: int, k_list: Sequence[int],
-                    n_xi: int = 10, seed: int = 0, tol: float = 1e-7,
-                    nu: int = 0) -> dict:
+                    n_xi: int = 10, seed: int = 0) -> dict:
     """Estimate sup |m_k| over stratified frequency samples for each k and
-    fit the dyadic decay rate log2(sup) vs k."""
+    fit the dyadic decay rate log2(sup) vs k.  The piece is the nu = 0
+    translate, and each multiplier is integrated at tol 1e-7."""
     if kind != "atilde" and l > min(k_list) / 3:
         raise ValueError("shell index must satisfy l <= k/3 for every k")
     A0 = default_a0(curve)
@@ -481,13 +463,13 @@ def vdc_decay_sweep(curve: Curve, kind: str, l: int, k_list: Sequence[int],
         fixed_hats = _sweep_xi_hats(curve, kind, l, n_xi, rng, A0)
     sups = []
     for k in k_list:
-        piece = _sweep_piece(curve, kind, k, l, A0, nu)
+        piece = _sweep_piece(curve, kind, k, l, A0, 0)
         hats = fixed_hats if fixed_hats is not None else _sweep_xi_hats(
             curve, kind, l, n_xi, rng, A0, k=k)
         best = 0.0
         for hat in hats:
             best = max(best, abs(mk_multiplier(piece, np.ldexp(hat, k),
-                                               tol).value))
+                                               1e-7).value))
         sups.append(best)
     logs = np.log2(np.maximum(sups, 1e-300))
     slope, intercept = np.polyfit(np.asarray(k_list, float), logs, 1)
@@ -502,17 +484,21 @@ def vdc_decay_sweep(curve: Curve, kind: str, l: int, k_list: Sequence[int],
 # ---------------------------------------------------------------------------
 
 
-def l1_kernel_bound(piece: SymbolPiece, n: int = 32, box: float = 4.0,
-                    s_nodes: int = 20, max_points: int = 2**21) -> dict:
+_KERNEL_POINTS = 2**21  # largest n^3 grid l1_kernel_bound builds
+
+
+def l1_kernel_bound(piece: SymbolPiece, n: int = 32) -> dict:
     """Upper bound on the L^1 norm of the inverse Fourier transform of the
-    multiplier: per-parameter kernel slices are computed by 3-D FFT on a grid
-    adapted to the (2^{-2l}, 2^{-l}, 1) frame and integrated in s.  The grid
-    rows are placed in the chart by one cone_chart call over the whole
-    parameter domain; rows outside the cone contribute 0."""
+    multiplier: per-parameter kernel slices are computed by 3-D FFT on an
+    n^3 grid of [-4, 4)^3 adapted to the (2^{-2l}, 2^{-l}, 1) frame and
+    integrated in s at 20 Gauss-Legendre nodes.  The grid rows are placed
+    in the chart by one cone_chart call over the whole parameter domain;
+    rows outside the cone contribute 0."""
     if piece.nu is None or piece.l is None:
         raise ValueError("kernel bound needs a nu-localized shell piece")
-    if n**3 > max_points:
-        raise GridTooLarge(f"{n}^3 grid exceeds the {max_points}-point budget")
+    if n**3 > _KERNEL_POINTS:
+        raise GridTooLarge(
+            f"{n}^3 grid exceeds the {_KERNEL_POINTS}-point budget")
     lo, hi = piece.s_interval()
     if lo >= hi:
         return {"kind": piece.kind, "k": piece.k, "l": piece.l,
@@ -521,7 +507,7 @@ def l1_kernel_bound(piece: SymbolPiece, n: int = 32, box: float = 4.0,
     s_nu = piece.nu / scale
     fr = frenet_frame(piece.curve, s_nu)
 
-    ax = np.linspace(-box, box, n, endpoint=False)
+    ax = np.linspace(-4.0, 4.0, n, endpoint=False)
     e1, e2, e3 = np.meshgrid(ax, ax, ax, indexing="ij")
     xi = (np.ldexp(e1.ravel()[:, None], -2 * l) * fr.T
           + np.ldexp(e2.ravel()[:, None], -l) * fr.N
@@ -529,8 +515,7 @@ def l1_kernel_bound(piece: SymbolPiece, n: int = 32, box: float = 4.0,
     r, u, sigma, ok = cone_chart(piece.curve, xi)
     norm = np.linalg.norm(xi, axis=1)
 
-    lo, hi = piece.s_interval()
-    nodes, weights = np.polynomial.legendre.leggauss(s_nodes)
+    nodes, weights = np.polynomial.legendre.leggauss(20)
     s_q = 0.5 * (hi - lo) * nodes + 0.5 * (hi + lo)
     w_q = 0.5 * (hi - lo) * weights
 
@@ -579,7 +564,7 @@ class RescaledCurve:
     exponents: tuple[int, int, int]
     betas: np.ndarray
     frame: np.ndarray  # rows: adapted orthonormal coordinates
-    origin: np.ndarray = field(repr=False, default=None)
+    origin: np.ndarray = field(repr=False)
 
     def eval(self, u: float) -> np.ndarray:
         disp = self.curve.eval(self.s0 + np.ldexp(float(u), -self.j)) - self.origin
@@ -608,8 +593,11 @@ class RescaledCurve:
         return float(np.linalg.det(m))
 
 
-def finite_type_rescale(curve: Curve, s0: float, j: int,
-                        beta_floor: float = 1e-8) -> tuple[Dilation, RescaledCurve]:
+_BETA_FLOOR = 1e-8  # smallest adapted direction and leading coefficient
+
+
+def finite_type_rescale(curve: Curve, s0: float,
+                        j: int) -> tuple[Dilation, RescaledCurve]:
     """Adapted dilation and rescaled curve at a finite-type point."""
     n1, n2, n3 = exponent_triple(curve, s0)
     exps = (n1, n2, n3)
@@ -620,14 +608,13 @@ def finite_type_rescale(curve: Curve, s0: float, j: int,
         for w in frame:
             v -= (v @ w) * w
         nv = np.linalg.norm(v)
-        if nv < beta_floor:
+        if nv < _BETA_FLOOR:
             raise DegenerateExpansion(
                 f"adapted direction degenerate at order {exps[len(frame)]}")
         frame.append(v / nv)
     frame = np.array(frame)
     betas = np.array([frame[i] @ derivs[i] for i in range(3)])
-    if np.min(np.abs(betas)) < beta_floor:
+    if np.min(np.abs(betas)) < _BETA_FLOOR:
         raise DegenerateExpansion("leading coefficient below floor")
-    rc = RescaledCurve(curve, s0, j, exps, betas, frame,
-                       origin=curve.eval(s0))
+    rc = RescaledCurve(curve, s0, j, exps, betas, frame, curve.eval(s0))
     return Dilation(j, exps), rc

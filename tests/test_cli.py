@@ -79,7 +79,11 @@ def test_parse_config_rejects_non_finite(tmp_path, monkeypatch, key, val):
 @pytest.mark.parametrize("key,val", [("M", "0"), ("M", "-1"),
                                      ("eps0", "0"), ("eps", "0"),
                                      ("p", "0.5"), ("L", "0"),
-                                     ("alpha", "-0.1"), ("alpha", "1.5")])
+                                     ("alpha", "-0.1"), ("alpha", "1.5"),
+                                     ("deltas", ""), ("k_list", ""),
+                                     ("sigma", "0"), ("r0", "0"),
+                                     ("r0", "-1"), ("curve", "helix(nan,1)"),
+                                     ("curve", "helix(0,0)")])
 def test_parse_config_rejects_out_of_range(tmp_path, monkeypatch, key,
                                            val):
     _assert_refused(tmp_path, monkeypatch, key, val, f"field '{key}'")

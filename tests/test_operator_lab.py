@@ -6,12 +6,14 @@ import subprocess
 import sys
 import tracemalloc
 import types
+import warnings
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 from conewolff import operator_lab as ol
+from conewolff import symbol_decomposition as sd
 from conewolff.cone_plates import make_family, make_plate, plate_contains
 from conewolff.curve_geometry import helix, unit_circle_generator
 from conewolff.errors import (
@@ -542,7 +544,7 @@ def _smoothing_round_trip(curve, chi, p, alpha, k_list, n, box, n_t, seed):
     grid = ol.Grid3(n, box)
     t_grid = np.linspace(1.0, 2.0, n_t)
     dt = t_grid[1] - t_grid[0]
-    window = ol._CUT.eta0((t_grid - 1.5) / 0.5)
+    window = sd.eta0((t_grid - 1.5) / 0.5)
     tau = 2.0 * np.pi * np.fft.fftfreq(n_t, d=dt)
     kx, ky, kz = grid.freq_mesh()
     weight = (1.0 + (kx**2 + ky**2 + kz**2)[None]
@@ -627,3 +629,18 @@ def test_sobolev_sweep_small():
                            n=64, box=3.0, seed=0)
     assert rep["slope"] <= 0.05
     assert all(r > 0 for r in rep["ratios"])
+
+
+def test_slope_needs_two_distinct_abscissae():
+    # one band, or one delta listed twice, determines no slope: the report
+    # says nan instead of fitting a line through one abscissa
+    chi = ol.default_chi(HELIX, shrink=0.5)
+    fam = make_family(CIRCLE, 2.0**-4, 8.0, 1.0, 0.25)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no RankWarning either
+        rep = ol.sobolev_sweep(HELIX, chi, 40.0, 1.0 / 40.0, [4],
+                               n=64, box=3.0, seed=0)
+        dup = ol.decoupling_ratio(ol.DecouplingExperiment(
+            fam, 8.0, [2.0**-4, 2.0**-4], 1, "all_ones", n=64, seed=0))
+    assert len(rep["ratios"]) == 1 and math.isnan(rep["slope"])
+    assert len(dup["D"]) == 2 and math.isnan(dup["slope"])

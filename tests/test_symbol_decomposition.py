@@ -23,41 +23,36 @@ HELIX = cg.helix(1.0, 1.0)
 
 
 def test_eta0_plateau_and_support():
-    cs = sd.build_cutoffs()
-    assert cs.eta0(0.0) == 1.0
+    assert sd.eta0(0.0) == 1.0
     t = np.linspace(-0.5, 0.5, 101)
-    assert np.all(cs.eta0(t) == 1.0)
+    assert np.all(sd.eta0(t) == 1.0)
     t = np.linspace(1.0, 3.0, 50)
-    assert np.all(cs.eta0(t) == 0.0)
-    assert np.all(cs.eta0(-t) == 0.0)
+    assert np.all(sd.eta0(t) == 0.0)
+    assert np.all(sd.eta0(-t) == 0.0)
 
 
 def test_eta1_shell():
-    cs = sd.build_cutoffs()
-    assert np.abs(cs.eta1(np.linspace(-0.5, 0.5, 51))).max() == 0.0
-    assert np.abs(cs.eta1(np.linspace(4.0, 9.0, 51))).max() == 0.0
-    assert cs.eta1(1.5) > 0.0
+    assert np.abs(sd.eta1(np.linspace(-0.5, 0.5, 51))).max() == 0.0
+    assert np.abs(sd.eta1(np.linspace(4.0, 9.0, 51))).max() == 0.0
+    assert sd.eta1(1.5) > 0.0
 
 
 def test_zeta_partition_of_unity():
-    cs = sd.build_cutoffs()
     t = np.linspace(-2, 2, 801)
-    assert np.abs(cs.zeta_partition(t) - 1.0).max() < 1e-12
-    assert abs(cs.zeta_partition(0.3) - 1.0) < 1e-12
-    assert np.all(cs.zeta(np.linspace(1.0, 2.0, 20)) == 0.0)
+    assert np.abs(sd.zeta_partition(t) - 1.0).max() < 1e-12
+    assert abs(sd.zeta_partition(0.3) - 1.0) < 1e-12
+    assert np.all(sd.zeta(np.linspace(1.0, 2.0, 20)) == 0.0)
 
 
 def test_telescoping_identity():
-    cs = sd.build_cutoffs()
     x = np.linspace(0.0, 1.9, 97)
-    total = cs.telescope(x, -2, 4)
-    assert np.abs(total - cs.eta0(2.0**-6 * x)).max() < 1e-12
+    total = sd.telescope(x, -2, 4)
+    assert np.abs(total - sd.eta0(2.0**-6 * x)).max() < 1e-12
 
 
 def test_cutoffs_smooth():
     # no jumps at the glue points of the piecewise construction
-    cs = sd.build_cutoffs()
-    for f in (cs.eta0, cs.zeta):
+    for f in (sd.eta0, sd.zeta):
         t = np.linspace(-1.5, 1.5, 30001)
         v = f(t)
         assert np.abs(np.diff(v)).max() < 5e-4
