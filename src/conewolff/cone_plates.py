@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .curve_geometry import CURVATURE_FLOOR, Curve, _circle
+from .curve_geometry import CURVATURE_FLOOR, Curve, _circle, fit_line
 from .errors import DegenerateCurvature, EmptyFamily, NotCircular
 
 TWO_PI = 2.0 * math.pi
@@ -258,11 +258,10 @@ def osculating_deviation_sweep(g: Curve, alpha_mu: float,
                                          axis=0).max()))
     logs_d = np.log2(np.asarray(deltas, dtype=float))
     logs_v = np.log2(np.maximum(devs, 1e-300))
-    slope, intercept = np.polyfit(logs_d, logs_v, 1)
     return {
         "deltas": list(map(float, deltas)),
         "max_deviation": devs,
-        "slope": float(slope),
+        "slope": fit_line(logs_d, logs_v)[0],
         "fitted_constant": float(max(dv / d for dv, d in zip(devs, deltas))),
     }
 

@@ -8,7 +8,8 @@ curves have 3, and the plane generators (unit, tilted and osculating
 circles, the parabola, the binormal generator) are 2-component Curves,
 all evaluated on scalars or arrays of the parameter.  The chart has one
 inversion, cone_chart, which resolves many frequencies in one call;
-cone_coordinates is its scalar form.
+cone_coordinates is its scalar form.  fit_line is the one least-squares
+line fit behind every sweep's slope.
 """
 
 from __future__ import annotations
@@ -53,6 +54,20 @@ def nested_diff(f: Callable[[float], np.ndarray], x: float, order: int):
     if order == 1:
         return richardson_diff(f, x)
     return richardson_diff(lambda t: nested_diff(f, t, order - 1), x)
+
+
+# ---------------------------------------------------------------------------
+# sweep slopes
+# ---------------------------------------------------------------------------
+
+
+def fit_line(x, y) -> tuple[float, float]:
+    """Least-squares (slope, intercept) of y on x; both nan without two
+    distinct x values, which determine no line."""
+    if np.unique(x).size < 2:
+        return float("nan"), float("nan")
+    slope, intercept = np.polyfit(x, y, 1)
+    return float(slope), float(intercept)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .curve_geometry import Curve, _bracket_roots, _dot3, frenet_frame
+from .curve_geometry import (Curve, _bracket_roots, _dot3, fit_line,
+                             frenet_frame)
 from .errors import (
     DivByZeroGamma2,
     GridTooLarge,
@@ -684,7 +685,7 @@ def kernel_decay_sweep(curve: Curve, k_list: Sequence[int],
             logs[nm].append(math.log2(rep["scales"][nm]))
     lr = np.log2(np.asarray(r_list, dtype=float))
     for nm in names:
-        out["r_slopes"][nm] = float(np.polyfit(lr, logs[nm], 1)[0])
+        out["r_slopes"][nm] = fit_line(lr, logs[nm])[0]
     logs = {nm: [] for nm in names}
     for k in k_list:
         rep = kernel_decay_probe(curve, k, r_fix)
@@ -692,7 +693,7 @@ def kernel_decay_sweep(curve: Curve, k_list: Sequence[int],
             logs[nm].append(math.log2(rep["scales"][nm]))
     kk = np.asarray(k_list, dtype=float)
     for nm in names:
-        out["k_slopes"][nm] = float(np.polyfit(kk, logs[nm], 1)[0])
+        out["k_slopes"][nm] = fit_line(kk, logs[nm])[0]
     out["r_targets"] = {"gamma1": 1.0, "perp": 0.0, "time": 2.0}
     out["k_targets"] = {"gamma1": 1.0, "perp": 1.0, "time": 1.0}
     return out

@@ -25,6 +25,7 @@ from .curve_geometry import (
     cone_coordinates,
     cone_point,
     exponent_triple,
+    fit_line,
     frenet_frame,
 )
 from .errors import (
@@ -472,10 +473,10 @@ def vdc_decay_sweep(curve: Curve, kind: str, l: int, k_list: Sequence[int],
                                                1e-7).value))
         sups.append(best)
     logs = np.log2(np.maximum(sups, 1e-300))
-    slope, intercept = np.polyfit(np.asarray(k_list, float), logs, 1)
+    slope, intercept = fit_line(np.asarray(k_list, float), logs)
     return {"curve": curve.name, "kind": kind, "l": l,
             "k_list": list(k_list), "sups": [float(v) for v in sups],
-            "slope": float(slope), "constant": float(2.0**intercept),
+            "slope": slope, "constant": 2.0**intercept,
             "n_xi": n_xi, "seed": seed}
 
 

@@ -172,21 +172,26 @@ def _boxes(n, seed):
 
 @pytest.mark.parametrize("n", [32, 64])
 def test_pruned_ifftn_matches_full_ifftn(n):
-    rng = np.random.default_rng(n)
-    out = np.empty((n,) * 3, dtype=complex)
     boxes = list(_boxes(n, n))
     # the seeded boxes wrap: their rows hold both index 0 and index n - 1
     assert any(r[0] == 0 and r[-1] == n - 1
                for rows in boxes[:3] for r in rows)
-    for rows in boxes:
-        shape = [r.size for r in rows]
-        box = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-        full = np.zeros((n,) * 3, dtype=complex)
-        full[np.ix_(*rows)] = box
-        want = ol.sfft.ifftn(full)
-        got = ol._pruned_ifftn(rows, box, out)
-        assert np.shares_memory(got, out)
-        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    # complex64 box, buffer and stages against a complex128 ifftn: the
+    # error is at most 2.0e-7 of max|want| on these boxes (float32 epsilon
+    # is 1.2e-7), so 1e-6 is the single-precision bound
+    for dtype, tol in ((complex, 1e-12), (np.complex64, 1e-6)):
+        rng = np.random.default_rng(n)
+        out = np.empty((n,) * 3, dtype=dtype)
+        for rows in boxes:
+            shape = [r.size for r in rows]
+            box = (rng.normal(size=shape)
+                   + 1j * rng.normal(size=shape)).astype(dtype)
+            full = np.zeros((n,) * 3, dtype=complex)
+            full[np.ix_(*rows)] = box
+            want = ol.sfft.ifftn(full)
+            got = ol._pruned_ifftn(rows, box, out)
+            assert np.shares_memory(got, out) and got.dtype == dtype
+            assert np.max(np.abs(got - want)) <= tol * np.max(np.abs(want))
 
 
 def _owner_reference(pieces, n):
@@ -248,6 +253,35 @@ def test_decoupling_refuses_grid_beyond_memory(monkeypatch):
         ol.decoupling_ratio(e)
 
 
+def test_decoupling_memory_guard_counts_complex64(monkeypatch):
+    # 3 * 8 * 64^3 bytes of memory hold the decoupling's two complex64
+    # grids (2 * 8 * 64^3), but not two complex128 ones, and not a band
+    # field's complex128 pair
+    fam = make_family(CIRCLE, 2.0**-4, 8.0, 1.0, 0.25)
+    e = ol.DecouplingExperiment(fam, 8.0, [2.0**-4], 1, "all_ones", n=64)
+    want = ol.decoupling_ratio(e)
+    phys = {"SC_PHYS_PAGES": 3 * 8 * 64**3, "SC_PAGE_SIZE": 1}
+    monkeypatch.setattr(ol, "os", types.SimpleNamespace(
+        sysconf=phys.__getitem__))
+    assert ol.decoupling_ratio(e)["D"] == want["D"]
+    with pytest.raises(GridTooLarge, match=str(2 * 16 * 64**3)):
+        ol._require_memory("decoupling", 64, 2, complex)
+    with pytest.raises(GridTooLarge, match="band field on a 64"):
+        ol.random_band_field(ol.Grid3(64, 8.0), 2, 0)
+
+
+def test_decoupling_frozen_decouple_grid_inputs():
+    # the decouple-grid benchmark's seed-0 inputs; the reference D are the
+    # complex128 transform's, and the complex64 transforms move them by at
+    # most 3.7e-9 relative
+    fam = make_family(CIRCLE, 2.0**-4, 24.0, 1.0, 0.25)
+    e = ol.DecouplingExperiment(fam, 8.0, [2.0**-4, 2.0**-5, 2.0**-6], 1,
+                                "all_ones", n=128, seed=0)
+    rep = ol.decoupling_ratio(e)
+    assert np.allclose(rep["D"], [1.7586908857775454, 1.9653070636515169,
+                                  2.1127896024118593], rtol=1e-6, atol=0.0)
+
+
 def test_lp_norm_reduces_without_grid_sized_temporaries():
     g = ol.Grid3(64, 8.0)
     f = _random_field(g, 4)
@@ -278,8 +312,10 @@ def test_decoupling_holds_two_complex_grids():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # accumulator + transform buffer, plus the pruned intermediate stages
-    assert peak < 2.5 * 16 * n**3
+    # complex64 accumulator + transform buffer, plus the pruned
+    # intermediate stages (2.25 * 8 * n^3 measured; complex128 grids
+    # would need twice that)
+    assert peak < 2.5 * 8 * n**3
 
 
 # ---------------------------------------------------------------------------

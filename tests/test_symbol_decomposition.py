@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -354,6 +355,16 @@ def test_sweep_twisted_cubic_one_sided():
 def test_sweep_l_cap():
     with pytest.raises(ValueError):
         sd.vdc_decay_sweep(HELIX, "a", 3, [8, 10])
+
+
+def test_sweep_one_band_has_no_slope():
+    # one k determines no line: slope and constant are nan, with no
+    # RankWarning from a fit through one abscissa
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = sd.vdc_decay_sweep(HELIX, "b", 2, [8], n_xi=2)
+    assert len(rep["sups"]) == 1 and rep["sups"][0] > 0.0
+    assert math.isnan(rep["slope"]) and math.isnan(rep["constant"])
 
 
 # ---------------------------------------------------------------------------
