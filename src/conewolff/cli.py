@@ -137,6 +137,9 @@ def parse_config(text: str) -> Config:
             raise ConfigError(f"line {lineno}: field {key!r}: {exc}") from None
     if "experiment" not in values:
         raise ConfigError("missing required field 'experiment'")
+    if values["experiment"] == "plates" and len(values.get("deltas", ())) > 1:
+        raise ConfigError("field 'deltas': plates builds one family, so it "
+                          f"takes one delta, not {len(values['deltas'])}")
     cfg = Config(raw_text=text, **values)
     validate_config(cfg)
     return cfg

@@ -2,8 +2,9 @@
 
 Provides a periodic-box spectral toolkit: fields living on a cubic grid in
 either physical or frequency space, pointwise multiplier application,
-seeded plate-supported random fields, decoupling-ratio measurements with
-exponent fits, curve-averaging operators A_t with sampled maximal and
+plate envelopes and decoupling-ratio measurements with exponent fits,
+seeded band fields, curve-averaging operators A_t (computed on the
+bounding box of a field's frequency support) with sampled maximal and
 Sobolev-weighted variants, a space-time smoothing probe, and the
 two-parameter helix family with its exact phase-derivative identity.
 """
@@ -81,16 +82,23 @@ class Grid3:
         """Angular frequencies 2*pi/box * {-n/2 .. n/2-1} in FFT order."""
         return 2.0 * np.pi * np.fft.fftfreq(self.n, d=self.spacing)
 
-    def freq_mesh(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Broadcastable (sparse) frequency meshes kx, ky, kz."""
+    def _axes(self, rows) -> list[np.ndarray]:
         ax = self.freq_axis()
-        return ax[:, None, None], ax[None, :, None], ax[None, None, :]
+        return [ax] * 3 if rows is None else [ax[r] for r in rows]
 
-    def freq_points(self, mask: np.ndarray) -> np.ndarray:
-        """(m, 3) array of the frequency lattice points selected by mask."""
-        idx = np.nonzero(mask)
-        ax = self.freq_axis()
-        return np.stack([ax[idx[0]], ax[idx[1]], ax[idx[2]]], axis=1)
+    def freq_mesh(self, rows=None) -> tuple[np.ndarray, np.ndarray,
+                                            np.ndarray]:
+        """Broadcastable (sparse) frequency meshes kx, ky, kz: of the whole
+        lattice, or of the box on `rows` (ascending indices per axis)."""
+        a = self._axes(rows)
+        return a[0][:, None, None], a[1][None, :, None], a[2][None, None, :]
+
+    def freq_points(self, mask: np.ndarray, rows=None) -> np.ndarray:
+        """(m, 3) array of the frequency lattice points selected by mask, a
+        boolean array on the whole lattice or on the box on `rows`."""
+        a = self._axes(rows)
+        return np.stack([a[d][i] for d, i in enumerate(np.nonzero(mask))],
+                        axis=1)
 
 
 @dataclass(frozen=True)
@@ -127,10 +135,6 @@ class Field3:
         if self.space == "physical":
             return math.sqrt(self.grid.cell_volume * ss)
         return math.sqrt(self.grid.box**3 * ss) / self.grid.n**3
-
-
-def constant_field(grid: Grid3, c: complex) -> Field3:
-    return Field3(grid, np.full((grid.n,) * 3, c, dtype=complex), "physical")
 
 
 def apply_multiplier(f: Field3, m: Callable) -> Field3:
@@ -193,7 +197,7 @@ def lp_norm(f: Field3, p: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# plate-supported random fields
+# plate envelopes
 # ---------------------------------------------------------------------------
 
 
@@ -238,16 +242,6 @@ def _plate_envelope(plate: Plate, grid: Grid3):
     return (sub[0][idx[0]], sub[1][idx[1]], sub[2][idx[2]]), env
 
 
-def random_plate_field(plate: Plate, grid: Grid3, seed) -> Field3:
-    """Frequency-supported plate bump with seeded random phases."""
-    idx, env = _plate_envelope(plate, grid)
-    rng = np.random.default_rng(seed)
-    phases = np.exp(2j * np.pi * rng.random(idx[0].size))
-    vals = np.zeros((grid.n,) * 3, dtype=complex)
-    vals[idx] = env * phases
-    return Field3(grid, vals, "frequency")
-
-
 # ---------------------------------------------------------------------------
 # decoupling experiments
 # ---------------------------------------------------------------------------
@@ -277,11 +271,11 @@ class DecouplingExperiment:
             raise ValueError("unknown coefficient mode")
 
 
-def _require_memory(what: str, n: int, grids: int, dtype) -> None:
+def _require_memory(what: str, n: int, grids: float, dtype) -> None:
     """Raise GridTooLarge if `grids` n^3 arrays of `dtype` held at once
-    exceed the machine's physical memory; called before any of them is
-    built."""
-    need = grids * np.dtype(dtype).itemsize * n**3
+    exceed the machine's physical memory (a smaller array counts as its
+    share of n^3); called before any of them is built."""
+    need = int(grids * np.dtype(dtype).itemsize * n**3)
     have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     if need > have:
         raise GridTooLarge(
@@ -332,7 +326,8 @@ def _pruned_ifftn(rows, box: np.ndarray, out: np.ndarray) -> np.ndarray:
     time, the axis of widest support first, so a pass only touches lines
     that can be nonzero: with row counts ra >= rb >= rc the passes cost
     rb*rc, n*rc and n*n lines of length n.  The last pass runs in `out`'s
-    memory (overwrite_x) and its result is returned.
+    memory (overwrite_x) and its result is returned.  The curve averages
+    invert their boxes with a complex128 buffer.
     """
     n = out.shape[0]
     axes = sorted(range(3), key=lambda d: -rows[d].size)
@@ -499,21 +494,18 @@ def _kmax(Xi: np.ndarray) -> float:
     return float(np.max(np.linalg.norm(Xi, axis=1))) if Xi.size else 0.0
 
 
-def _lattice_symbol(grid: Grid3, mask: np.ndarray, gam: np.ndarray,
-                    w: np.ndarray, t: float) -> np.ndarray:
-    """Curve-average symbol at the mask's lattice points, in nonzero order.
+def _lattice_symbol(grid: Grid3, rows, gam: np.ndarray, w: np.ndarray,
+                    t: float) -> np.ndarray:
+    """Curve-average symbol on the lattice box rows[0] x rows[1] x rows[2].
 
     On the lattice the phase separates, exp(-i t <xi, gamma(s)>) =
-    prod_d exp(-i t xi_d gamma_d(s)), so the symbol on the mask's bounding
-    box is S[a,b,c] = sum_s w_s E_0[a,s] E_1[b,s] E_2[c,s] with per-axis
-    tables E_d built from the lattice rows the mask uses on axis d.  S is
-    contracted by matrix products over chunks of axis-0 rows, each
-    intermediate holding at most _CHUNK elements, and then sampled at the
-    mask points.
+    prod_d exp(-i t xi_d gamma_d(s)), so the symbol on the box is
+    S[a,b,c] = sum_s w_s E_0[a,s] E_1[b,s] E_2[c,s] with per-axis tables
+    E_d built from the box's rows on axis d (ascending lattice indices).
+    S is contracted by matrix products over chunks of axis-0 rows, each
+    intermediate holding at most _CHUNK elements, and returned whole.
     """
     ax = grid.freq_axis()
-    idx = np.nonzero(mask)
-    rows = [np.unique(i) for i in idx]
     e0, e1, e2 = (np.exp(-1j * t * np.outer(ax[r], gam[:, d]))
                   for d, r in enumerate(rows))
     e0 = e0 * w
@@ -529,7 +521,7 @@ def _lattice_symbol(grid: Grid3, mask: np.ndarray, gam: np.ndarray,
         # last bits, independent of it
         for j in range(0, nodes, _NODE_BLOCK):
             acc += pair[:, j:j + _NODE_BLOCK] @ e2[:, j:j + _NODE_BLOCK].T
-    return box[tuple(np.searchsorted(r, i) for r, i in zip(rows, idx))]
+    return box
 
 
 def mu_hat(curve: Curve, chi: Callable, t: float,
@@ -552,42 +544,64 @@ def mu_hat(curve: Curve, chi: Callable, t: float,
     return out
 
 
-def _averages(f: Field3, curve: Curve, chi: Callable, ts):
-    """Yield the frequency values of A_t f for each t of `ts`, in order.
+def _support_box(f: Field3):
+    """(rows, box): the lattice rows that f-hat's support uses on each
+    axis (ascending) and f-hat on rows[0] x rows[1] x rows[2]."""
+    vals = f.to_frequency().values
+    live = vals != 0
+    rows = [np.flatnonzero(live.any(axis=tuple(e for e in range(3) if e != d)))
+            for d in range(3)]
+    return rows, vals[np.ix_(*rows)]
 
-    The range, memory and wraparound checks, the transform of f, its
-    support mask and the quadrature (sized for the largest t) are set up
-    once; each t then costs one _lattice_symbol contraction on the support
-    of f-hat.
+
+def _scatter(grid: Grid3, rows, box: np.ndarray) -> np.ndarray:
+    """The n^3 array that is `box` on the lattice rows `rows`, 0 off them."""
+    vals = np.zeros((grid.n,) * 3, dtype=box.dtype)
+    vals[np.ix_(*rows)] = box
+    return vals
+
+
+def _averages(grid: Grid3, rows, fbox: np.ndarray, curve: Curve,
+              chi: Callable, ts):
+    """Iterator over the t of `ts`, in order, of A_t f-hat on f-hat's box.
+
+    f-hat is `fbox` on the lattice rows `rows` (ascending per axis) and 0
+    off them, and each A_t f-hat is a new array on the same box: no n^3
+    array is built.  The range, memory and wraparound checks, the largest
+    |xi| of f-hat's support and the quadrature (sized for the largest t)
+    run once, when _averages is called; each t then costs one
+    _lattice_symbol contraction of the box and one product with fbox.
+    The memory check counts the two boxes and what a caller inverting
+    A_t f with _pruned_ifftn holds: its n^3 buffer and the two stages
+    that fill it.
     """
     ts = [float(t) for t in ts]
     if not ts or not all(0.5 <= t <= 2.0 for t in ts):
         raise ValueError("need one or more t samples, each in [1/2, 2]")
-    # f-hat, one A_t f-hat and the caller's transform of it
-    _require_memory("averaging", f.grid.n, 3, complex)
+    n = grid.n
+    _, rb, rc = sorted(r.size for r in rows)[::-1]
+    _require_memory("averaging", n,
+                    1 + (2 * fbox.size + n * rc * (rb + n)) / n**3, complex)
     # the scaled curve's spread grows with t, so the largest t decides
     lo, hi = _chi_support(curve, chi)
     pts = curve.eval(np.linspace(lo, hi, 257)).T
     diameter = np.linalg.norm(pts[:, None] - pts[None, :], axis=2).max()
-    if max(ts) * diameter > f.grid.box / 2.0 - 0.5:
+    if max(ts) * diameter > grid.box / 2.0 - 0.5:
         raise WraparoundRisk(
             "scaled curve spread exceeds half the periodic box")
-    g = f.to_frequency()
-    mask = g.values != 0
-    coeffs = g.values[mask]
-    gam, w = _curve_quadrature(curve, chi,
-                               max(ts) * _kmax(f.grid.freq_points(mask)))
-    for t in ts:
-        vals = np.zeros_like(g.values)
-        vals[mask] = coeffs * _lattice_symbol(f.grid, mask, gam, w, t)
-        yield vals
+    gam, w = _curve_quadrature(
+        curve, chi, max(ts) * _kmax(grid.freq_points(fbox != 0, rows)))
+    return (fbox * _lattice_symbol(grid, rows, gam, w, t) for t in ts)
 
 
 def averaging_operator(f: Field3, curve: Curve, chi: Callable,
                        t: float) -> Field3:
-    """A_t f: frequency multiplication by the curve-average symbol, on the
-    support of f-hat (the one-sample t-set of _averages)."""
-    return Field3(f.grid, next(_averages(f, curve, chi, [t])), "frequency")
+    """A_t f: frequency multiplication by the curve-average symbol on the
+    box of f-hat's support (the one-sample t-set of _averages), scattered
+    into the grid."""
+    rows, box = _support_box(f)
+    at = next(_averages(f.grid, rows, box, curve, chi, [t]))
+    return Field3(f.grid, _scatter(f.grid, rows, at), "frequency")
 
 
 def default_t_samples(n_equi: int = 65) -> np.ndarray:
@@ -599,30 +613,54 @@ def default_t_samples(n_equi: int = 65) -> np.ndarray:
 
 def maximal_operator(f: Field3, curve: Curve, chi: Callable,
                      t_samples: Sequence[float]) -> Field3:
-    """Pointwise max over the sampled dilations of |A_t f|: the samples are
-    one t-set of _averages, each A_t f inverted by one FFT."""
+    """Pointwise max over the sampled dilations of |A_t f|.
+
+    The samples are one t-set of _averages on the box of f-hat's support,
+    and each A_t f is inverted from its box by _pruned_ifftn into one
+    reused n^3 buffer.
+    """
+    rows, box = _support_box(f)
+    # _averages checks memory before the buffers below are built
+    ats = _averages(f.grid, rows, box, curve, chi, t_samples)
+    buf = np.empty((f.grid.n,) * 3, dtype=complex)
     out = np.zeros((f.grid.n,) * 3, dtype=float)
-    for vals in _averages(f, curve, chi, t_samples):
-        np.maximum(out, np.abs(sfft.ifftn(vals, workers=_WORKERS)), out=out)
+    for at in ats:
+        np.maximum(out, np.abs(_pruned_ifftn(rows, at, buf)), out=out)
     return Field3(f.grid, out.astype(complex), "physical")
 
 
-def random_band_field(grid: Grid3, k: int, seed,
-                      real: bool = False) -> Field3:
-    """Random-phase field supported on the dyadic annulus 2^{k-1} <= |xi| <= 2^k."""
-    _require_memory("a band field", grid.n, 2, complex)  # |xi| and the values
-    kx, ky, kz = grid.freq_mesh()
-    r = np.sqrt(kx**2 + ky**2 + kz**2)
+def _band_box(grid: Grid3, k: int, seed):
+    """Random phases on the dyadic band 2^{k-1} <= |xi| <= 2^k, on its box.
+
+    Returns (rows, box): the lattice rows with |xi_d| <= 2^k (ascending,
+    the same on each axis) and the field on rows^3.  A band point's phase
+    is drawn in the row-major order of the band's points, which on
+    ascending rows is their order on the whole grid, so the field is the
+    one drawn there.
+    """
     kmax = np.pi * grid.n / grid.box
     if 2.0**k > kmax + 1e-9:
         raise GridTooLarge(
             f"band 2^{k} exceeds the lattice radius {kmax:.1f}")
-    mask = (r >= 2.0 ** (k - 1)) & (r <= 2.0**k)
+    rows = [np.flatnonzero(np.abs(grid.freq_axis()) <= 2.0**k)] * 3
+    _require_memory("a band field", rows[0].size, 2, complex)  # |xi|, values
+    kx, ky, kz = grid.freq_mesh(rows)
+    r = np.sqrt(kx**2 + ky**2 + kz**2)
+    band = (r >= 2.0 ** (k - 1)) & (r <= 2.0**k)
     rng = np.random.default_rng(seed)
-    idx = np.nonzero(mask)
-    vals = np.zeros((grid.n,) * 3, dtype=complex)
-    vals[idx] = np.exp(2j * np.pi * rng.random(idx[0].size))
-    fld = Field3(grid, vals, "frequency")
+    box = np.zeros(band.shape, dtype=complex)
+    box[band] = np.exp(2j * np.pi * rng.random(np.count_nonzero(band)))
+    return rows, box
+
+
+def random_band_field(grid: Grid3, k: int, seed,
+                      real: bool = False) -> Field3:
+    """Random-phase field supported on the dyadic annulus 2^{k-1} <= |xi| <= 2^k
+    (_band_box scattered into the grid)."""
+    # the box (at most n^3) and the grid it is scattered into
+    _require_memory("a band field", grid.n, 2, complex)
+    fld = Field3(grid, _scatter(grid, *_band_box(grid, k, seed)),
+                 "frequency")
     if real:
         phys = fld.to_physical()
         return Field3(grid, phys.values.real.astype(complex),
@@ -630,24 +668,55 @@ def random_band_field(grid: Grid3, k: int, seed,
     return fld
 
 
+def _box_lp_norm(grid: Grid3, rows, box: np.ndarray, p: float,
+                 buf: np.ndarray) -> float:
+    """lp_norm of the frequency field that is `box` on `rows` and 0 off
+    them, inverted by _pruned_ifftn into the n^3 buffer `buf`."""
+    return lp_norm(Field3(grid, _pruned_ifftn(rows, box, buf), "physical"), p)
+
+
+def _box_sobolev_ratio(grid: Grid3, rows, fbox: np.ndarray, curve: Curve,
+                       chi: Callable, p: float, alpha: float,
+                       buf: np.ndarray) -> float:
+    """sobolev_ratio of the field that is `fbox` on `rows`, 0 off them,
+    with `buf` as the n^3 transform buffer."""
+    at = next(_averages(grid, rows, fbox, curve, chi, [1.0]))
+    kx, ky, kz = grid.freq_mesh(rows)
+    at *= (1.0 + kx**2 + ky**2 + kz**2) ** (alpha / 2.0)
+    return (_box_lp_norm(grid, rows, at, p, buf)
+            / _box_lp_norm(grid, rows, fbox, p, buf))
+
+
 def sobolev_ratio(f: Field3, curve: Curve, chi: Callable, p: float,
                   alpha: float) -> float:
-    """||(1+|xi|^2)^{alpha/2} A_1 f||_p / ||f||_p."""
-    af = averaging_operator(f, curve, chi, 1.0)
-    weighted = apply_multiplier(
-        af, lambda kx, ky, kz: (1.0 + kx**2 + ky**2 + kz**2) ** (alpha / 2.0))
-    return lp_norm(weighted, p) / lp_norm(f, p)
+    """||(1+|xi|^2)^{alpha/2} A_1 f||_p / ||f||_p.
+
+    Works on the box of f-hat's support: A_1 f-hat comes from _averages
+    and the weight multiplies that box only; A_1 f and f are inverted by
+    _pruned_ifftn into one n^3 buffer and reduced by lp_norm over its
+    _slabs.
+    """
+    rows, box = _support_box(f)
+    return _box_sobolev_ratio(f.grid, rows, box, curve, chi, p, alpha,
+                              np.empty((f.grid.n,) * 3, dtype=complex))
 
 
 def sobolev_sweep(curve: Curve, chi: Callable, p: float, alpha: float,
                   k_list: Sequence[int], n: int = 128, box: float = 3.0,
                   seed: int = 0) -> dict:
-    """Per-band Sobolev ratios and the fitted log2 slope across bands."""
+    """Per-band Sobolev ratios and the fitted log2 slope across bands.
+
+    Each band field stays on its box (_band_box) from the draw to the
+    L^p sums, as in sobolev_ratio; one n^3 buffer serves every band.
+    """
     grid = Grid3(n, box)
+    _require_memory("a Sobolev sweep", n, 1, complex)  # the buffer
+    buf = np.empty((n,) * 3, dtype=complex)
     ratios = []
     for k in k_list:
-        f = random_band_field(grid, k, [seed, k])
-        ratios.append(sobolev_ratio(f, curve, chi, p, alpha))
+        rows, fbox = _band_box(grid, k, [seed, k])
+        ratios.append(_box_sobolev_ratio(grid, rows, fbox, curve, chi, p,
+                                         alpha, buf))
     ratios = np.asarray(ratios)
     return {
         "p": p, "alpha": alpha, "k_list": list(k_list),
@@ -667,12 +736,14 @@ def local_smoothing_probe(curve: Curve, chi: Callable, p: float,
     """Space-time smoothing probe: weighted norm of (x,t) -> A_t f(x).
 
     For each band k a random field is averaged over n_t equispaced t in
-    [1, 2], one t-set of _averages.  The (tau, xi) spectrum is built in
-    frequency space (the t-windowed A_t f-hat, then one FFT in t), the
-    weight (1+|xi|^2+tau^2)^{alpha/2} is applied, and after one inverse
-    4-D FFT the mixed-norm ratio against ||f||_p is recorded with a
-    fitted slope in k.  Report-only: downstream suites assert only the
-    alpha = 0 uniformity.
+    [1, 2], one t-set of _averages.  The (tau, xi) spectrum is built on the
+    band's box (_band_box): the t-windowed A_t f-hat, then one FFT in t.
+    The weight (1+|xi|^2+tau^2)^{alpha/2} is applied on the box, an
+    inverse FFT in t follows, and each t-plane is inverted by
+    _pruned_ifftn into one n^3 buffer whose |.|^p is summed over _slabs.
+    The mixed-norm ratio against ||f||_p is recorded with a fitted slope
+    in k.  Report-only: downstream suites assert only the alpha = 0
+    uniformity.
     """
     if n**3 * n_t > _SMOOTHING_CELLS:
         raise GridTooLarge("space-time grid exceeds the cell budget")
@@ -681,22 +752,27 @@ def local_smoothing_probe(curve: Curve, chi: Callable, p: float,
     dt = t_grid[1] - t_grid[0]
     t_window = eta0((t_grid - 1.5) / 0.5)
     tau = 2.0 * np.pi * np.fft.fftfreq(n_t, d=dt)
-    kx, ky, kz = grid.freq_mesh()
-    xi2 = kx**2 + ky**2 + kz**2
+    buf = np.empty((n,) * 3, dtype=complex)
     ratios = []
     for k in k_list:
-        f = random_band_field(grid, k, [seed, k])
-        spec = np.empty((n_t, n, n, n), dtype=complex)
-        for i, vals in enumerate(_averages(f, curve, chi, t_grid)):
-            spec[i] = t_window[i] * vals
+        rows, fbox = _band_box(grid, k, [seed, k])
+        spec = np.empty((n_t,) + fbox.shape, dtype=complex)
+        for i, at in enumerate(_averages(grid, rows, fbox, curve, chi,
+                                         t_grid)):
+            spec[i] = t_window[i] * at
         spec = sfft.fft(spec, axis=0, overwrite_x=True, workers=_WORKERS)
+        kx, ky, kz = grid.freq_mesh(rows)
+        xi2 = kx**2 + ky**2 + kz**2
         for i in range(n_t):
             spec[i] *= (1.0 + xi2 + tau[i] ** 2) ** (alpha / 2.0)
-        planes = sfft.ifftn(spec, overwrite_x=True,
-                            workers=_WORKERS).reshape(-1, n, n)
-        total = sum(_power_sum(planes[s], p) for s in _slabs(planes))
+        spec = sfft.ifft(spec, axis=0, overwrite_x=True, workers=_WORKERS)
+        total = 0.0
+        for plane in spec:
+            ft = _pruned_ifftn(rows, plane, buf)
+            for s in _slabs(ft):
+                total += _power_sum(ft[s], p)
         mixed = (total * grid.cell_volume * dt) ** (1.0 / p)
-        ratios.append(mixed / lp_norm(f, p))
+        ratios.append(mixed / _box_lp_norm(grid, rows, fbox, p, buf))
     ratios = np.asarray(ratios)
     return {
         "p": p, "alpha": alpha, "k_list": list(k_list),

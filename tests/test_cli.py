@@ -53,10 +53,11 @@ def test_parse_config_diagnostics():
         cli.parse_config("experiment = frobnicate\n")
 
 
-def _assert_refused(tmp_path, monkeypatch, key, val, match):
+def _assert_refused(tmp_path, monkeypatch, key, val, match,
+                    experiment="schedule"):
     # refused while parsing, and `conewolff run` exits 1 with an error line,
     # writing nothing
-    text = f"experiment = schedule\n{key} = {val}\n"
+    text = f"experiment = {experiment}\n{key} = {val}\n"
     with pytest.raises(ConfigError, match=match):
         cli.parse_config(text)
     monkeypatch.setenv("OUTPUT_DIR", str(tmp_path))
@@ -83,10 +84,14 @@ def test_parse_config_rejects_non_finite(tmp_path, monkeypatch, key, val):
                                      ("deltas", ""), ("k_list", ""),
                                      ("sigma", "0"), ("r0", "0"),
                                      ("r0", "-1"), ("curve", "helix(nan,1)"),
-                                     ("curve", "helix(0,0)")])
+                                     ("curve", "helix(0,0)"),
+                                     ("deltas", "0.0625,0.015625")])
 def test_parse_config_rejects_out_of_range(tmp_path, monkeypatch, key,
                                            val):
-    _assert_refused(tmp_path, monkeypatch, key, val, f"field '{key}'")
+    # every value here is refused whatever the experiment reads; plates,
+    # which builds one family, also refuses a second delta
+    _assert_refused(tmp_path, monkeypatch, key, val, f"field '{key}'",
+                    experiment="plates")
 
 
 def test_validate_scale_constraints(capsys):

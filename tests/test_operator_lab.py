@@ -33,6 +33,21 @@ def _random_field(grid, seed=0):
     return ol.Field3(grid, vals, "physical")
 
 
+def _constant_field(grid, c):
+    return ol.Field3(grid, np.full((grid.n,) * 3, c, dtype=complex),
+                     "physical")
+
+
+def _random_plate_field(plate, grid, seed):
+    # a plate bump with seeded random phases, drawn as the decoupling draws
+    # each piece's phases
+    idx, env = ol._plate_envelope(plate, grid)
+    rng = np.random.default_rng(seed)
+    vals = np.zeros((grid.n,) * 3, dtype=complex)
+    vals[idx] = env * np.exp(2j * np.pi * rng.random(idx[0].size))
+    return ol.Field3(grid, vals, "frequency")
+
+
 # ---------------------------------------------------------------------------
 # grid / field plumbing
 # ---------------------------------------------------------------------------
@@ -85,7 +100,7 @@ def test_apply_multiplier_linear_and_bounded():
 
 def test_lp_norm_constant_and_holder():
     g = ol.Grid3(16, 8.0)
-    c = ol.constant_field(g, 2.0 - 1.0j)
+    c = _constant_field(g, 2.0 - 1.0j)
     vol = 8.0**3
     for p in (1.0, 2.0, 3.0, 8.0):
         assert abs(ol.lp_norm(c, p) - abs(2.0 - 1.0j) * vol ** (1.0 / p)) <= 1e-10
@@ -105,16 +120,16 @@ def test_lp_norm_constant_and_holder():
 def test_random_plate_field_support_and_seeding():
     grid = ol.Grid3(256, 8.0)
     plate = make_plate(CIRCLE, 0.0, 2.0**-4, 64.0)
-    f = ol.random_plate_field(plate, grid, 0)
+    f = _random_plate_field(plate, grid, 0)
     pts = grid.freq_points(f.values != 0)
     assert pts.shape[0] > 1000
     assert all(plate_contains(plate, xi) for xi in pts[::29])
-    g2 = ol.random_plate_field(plate, grid, 1)
+    g2 = _random_plate_field(plate, grid, 1)
     # same envelope, different phases
     assert abs(f.l2() - g2.l2()) <= 0.05 * f.l2()
     assert np.max(np.abs(f.values - g2.values)) > 0
     # deterministic per seed
-    again = ol.random_plate_field(plate, grid, 0)
+    again = _random_plate_field(plate, grid, 0)
     assert np.array_equal(f.values, again.values)
 
 
@@ -122,7 +137,7 @@ def test_random_plate_field_unresolved():
     grid = ol.Grid3(32, 8.0)
     plate = make_plate(CIRCLE, 0.0, 2.0**-8, 4.0)
     with pytest.raises(PlateUnresolved):
-        ol.random_plate_field(plate, grid, 0)
+        _random_plate_field(plate, grid, 0)
 
 
 def test_decoupling_single_plate_and_p2():
@@ -326,7 +341,7 @@ def test_decoupling_holds_two_complex_grids():
 def test_averaging_dc_component():
     g = ol.Grid3(16, 8.0)
     chi = ol.default_chi(HELIX)
-    f = ol.constant_field(g, 1.0)
+    f = _constant_field(g, 1.0)
     af = ol.averaging_operator(f, HELIX, chi, 1.0).to_physical()
     integral = quad(lambda s: float(chi(s)), -1.0, 1.0, limit=400)[0]
     assert np.max(np.abs(af.values - integral)) <= 1e-6
@@ -340,7 +355,10 @@ def _assert_lattice_matches_rows(grid, mask, curve, chi, t):
     # the per-axis table contraction against the row-wise reference
     Xi = grid.freq_points(mask)
     gam, w = ol._curve_quadrature(curve, chi, t * ol._kmax(Xi))
-    got = ol._lattice_symbol(grid, mask, gam, w, t)
+    idx = np.nonzero(mask)
+    rows = [np.unique(i) for i in idx]
+    box = ol._lattice_symbol(grid, rows, gam, w, t)
+    got = box[tuple(np.searchsorted(r, i) for r, i in zip(rows, idx))]
     ref = ol.mu_hat(curve, chi, t, Xi)
     assert got.shape == ref.shape
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
@@ -381,7 +399,7 @@ from conewolff import operator_lab as ol
 rng = np.random.default_rng(0)
 gam, w = rng.uniform(-1.0, 1.0, (300, 3)), rng.uniform(0.0, 1.0, 300)
 g = ol.Grid3(32, 8.0)
-sym = ol._lattice_symbol(g, np.ones((32,) * 3, bool), gam, w, 1.3)
+sym = ol._lattice_symbol(g, [np.arange(32)] * 3, gam, w, 1.3)
 print(hashlib.sha1(sym.tobytes()).hexdigest())
 """
 
@@ -445,14 +463,14 @@ def test_averaging_lipschitz_in_t():
 def test_averaging_wraparound_risk():
     g = ol.Grid3(16, 2.0)
     chi = ol.default_chi(HELIX)
-    f = ol.constant_field(g, 1.0)
+    f = _constant_field(g, 1.0)
     with pytest.raises(WraparoundRisk):
         ol.averaging_operator(f, HELIX, chi, 2.0)
 
 
 def test_averaging_t_range():
     g = ol.Grid3(16, 8.0)
-    f = ol.constant_field(g, 1.0)
+    f = _constant_field(g, 1.0)
     with pytest.raises(ValueError):
         ol.averaging_operator(f, HELIX, ol.default_chi(HELIX), 0.1)
 
@@ -558,6 +576,92 @@ def test_sobolev_weight_monotone_in_alpha():
     r0 = ol.sobolev_ratio(f, HELIX, chi, 4.0, 0.0)
     r1 = ol.sobolev_ratio(f, HELIX, chi, 4.0, 0.5)
     assert r1 >= r0
+
+
+# the curve-averages benchmark's sobolev inputs: helix(1,1), chi shrunk by
+# 1/2, p = 40, alpha = 1/40, n = 128, box 3
+BENCH_HELIX = helix(1.0, 1.0)
+BENCH_CHI = ol.default_chi(BENCH_HELIX, shrink=0.5)
+
+
+def _dense_band(grid, k, seed):
+    # the band drawn on the whole grid: |xi| at every lattice point and one
+    # phase per band point, in row-major order
+    kx, ky, kz = grid.freq_mesh()
+    r = np.sqrt(kx**2 + ky**2 + kz**2)
+    idx = np.nonzero((r >= 2.0 ** (k - 1)) & (r <= 2.0**k))
+    rng = np.random.default_rng(seed)
+    vals = np.zeros((grid.n,) * 3, dtype=complex)
+    vals[idx] = np.exp(2j * np.pi * rng.random(idx[0].size))
+    return ol.Field3(grid, vals, "frequency")
+
+
+def _dense_lp_norm(f, p):
+    # the whole frequency grid, the full inverse FFT, then lp_norm
+    phys = ol.sfft.ifftn(f.values)
+    return ol.lp_norm(ol.Field3(f.grid, phys, "physical"), p)
+
+
+def _dense_sobolev_ratio(f, curve, chi, p, alpha):
+    af = ol.averaging_operator(f, curve, chi, 1.0)
+    weighted = ol.apply_multiplier(
+        af, lambda kx, ky, kz: (1.0 + kx**2 + ky**2 + kz**2) ** (alpha / 2.0))
+    return _dense_lp_norm(weighted, p) / _dense_lp_norm(f, p)
+
+
+@pytest.mark.parametrize("k", [5, 6])
+def test_sobolev_box_path_matches_dense_path(k):
+    grid = ol.Grid3(128, 3.0)
+    f = _dense_band(grid, k, [0, k])
+    assert np.array_equal(ol.random_band_field(grid, k, [0, k]).values,
+                          f.values)
+    want = _dense_sobolev_ratio(f, BENCH_HELIX, BENCH_CHI, 40.0, 0.025)
+    got = ol.sobolev_ratio(f, BENCH_HELIX, BENCH_CHI, 40.0, 0.025)
+    swept = ol.sobolev_sweep(BENCH_HELIX, BENCH_CHI, 40.0, 0.025, [k],
+                             n=128, box=3.0, seed=0)["ratios"][0]
+    assert abs(got - want) <= 1e-12 * want
+    assert abs(swept - want) <= 1e-12 * want
+
+
+def test_sobolev_frozen_curve_averages_inputs():
+    rep = ol.sobolev_sweep(BENCH_HELIX, BENCH_CHI, 40.0, 0.025, [5, 6],
+                           n=128, box=3.0, seed=0)
+    assert np.allclose(rep["ratios"], [0.2971696593367626,
+                                       0.2266336174223032],
+                       rtol=1e-12, atol=0.0)
+
+
+def test_sobolev_sweep_holds_one_complex_grid():
+    n = 128
+    tracemalloc.start()
+    try:
+        ol.sobolev_sweep(BENCH_HELIX, BENCH_CHI, 40.0, 0.025, [5], n=n,
+                         box=3.0, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the n^3 transform buffer, the pruned stage that fills it (n*n*31)
+    # and the 31^3 band boxes (1.33 * 16 * n^3 measured; the dense path
+    # held 4.0 * 16 * n^3)
+    assert peak < 1.4 * 16 * n**3
+
+
+def test_maximal_and_smoothing_box_paths_match_dense_paths():
+    # the n = 16 cases of the tracer's transform count
+    f = ol.random_band_field(ol.Grid3(16, 8.0), 2, 0)
+    ts = ol.default_t_samples(5)
+    chi = ol.default_chi(HELIX)
+    dense = np.zeros((16,) * 3)
+    for t in ts:
+        at = ol.averaging_operator(f, HELIX, chi, t)
+        dense = np.maximum(dense, np.abs(ol.sfft.ifftn(at.values)))
+    got = ol.maximal_operator(f, HELIX, chi, ts).values.real
+    assert np.max(np.abs(got - dense)) <= 1e-12 * np.max(dense)
+    chi = ol.default_chi(HELIX, shrink=0.5)
+    rep = ol.local_smoothing_probe(HELIX, chi, 6.0, 0.5, [2, 3], n=16,
+                                   n_t=5)
+    ref = _smoothing_round_trip(HELIX, chi, 6.0, 0.5, [2, 3], 16, 6.0, 5, 0)
+    assert np.allclose(rep["ratios"], ref, rtol=1e-12, atol=0.0)
 
 
 def test_local_smoothing_alpha0_uniform():

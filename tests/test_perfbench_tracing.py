@@ -94,12 +94,13 @@ def test_tracer_counts_transforms_in_curve_averages():
     f = ol.random_band_field(ol.Grid3(16, 8.0), 2, 0)
     ts = ol.default_t_samples(5)
     k_list = [2, 3]
+    n_t = 5
 
     def run():
         m = ol.maximal_operator(f, helix, ol.default_chi(helix), ts)
         rep = ol.local_smoothing_probe(
             helix, ol.default_chi(helix, shrink=0.5), 6.0, 0.5, k_list,
-            n=16, n_t=5)
+            n=16, n_t=n_t)
         return m.values, rep
 
     untraced = run()
@@ -117,9 +118,11 @@ def test_tracer_counts_transforms_in_curve_averages():
     assert np.array_equal(traced[0], untraced[0])
     assert traced[1] == untraced[1]
     assert tracer.calls["operator_lab.maximal_operator"] == 1
-    # one inverse FFT per t sample; per band of the probe one FFT in t,
-    # one inverse 4-D FFT and the inverse FFT inside lp_norm(f)
-    assert tracer.calls["operator_lab.fft"] == len(ts) + 3 * len(k_list)
+    # every 3-D inverse is a pruned one of three 1-D passes: one per t
+    # sample; per band of the probe one FFT and one inverse FFT in t, one
+    # inverse per t-plane and one of f for ||f||_p
+    assert tracer.calls["operator_lab.fft"] == (
+        3 * len(ts) + len(k_list) * (2 + 3 * n_t + 3))
     for name, fn in originals.items():
         assert getattr(ol, name) is fn, name
 
