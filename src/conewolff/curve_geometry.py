@@ -1,20 +1,22 @@
 """Space curves, Frenet data, finite type, and the binormal cone chart.
 
 Provides the Curve / FrenetFrame / FiniteTypeReport types, benchmark curve
-constructors, arclength reparametrization, the plane generator curves of
-the cone, and the chart (r, u, sigma) on the cone of binormal directions
-together with its gradient formulas.  A Curve has d components: space
-curves have 3, and the plane generators (unit, tilted and osculating
-circles, the parabola, the binormal generator) are 2-component Curves,
-all evaluated on scalars or arrays of the parameter.  The chart has one
-inversion, cone_chart, which resolves many frequencies in one call;
-cone_coordinates is its scalar form.  fit_line is the one least-squares
-line fit behind every sweep's slope.
+constructors, arclength reparametrization, the finite-type rescaling of a
+curve at a point, the plane generator curves of the cone, and the chart
+(r, u, sigma) on the cone of binormal directions together with its
+gradient formulas.  A Curve has d components: space curves have 3, and
+the plane generators (unit, tilted and osculating circles, the parabola,
+the binormal generator) are 2-component Curves, all evaluated on scalars
+or arrays of the parameter.  finite_type_rescale returns a RescaledCurve,
+itself a Curve, whose case n = (1, 2, 3) is the (l, nu) section
+rescaling.  The chart has one inversion, cone_chart, which resolves many
+frequencies in one call; cone_coordinates is its scalar form.  fit_line
+is the one least-squares line fit behind every sweep's slope.
 """
 
 from __future__ import annotations
 
-from math import factorial
+from math import factorial, perm
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -24,6 +26,7 @@ from numpy.polynomial.legendre import leggauss
 from .errors import (
     B3TooSmall,
     DegenerateCurvature,
+    DegenerateExpansion,
     NotConverged,
     OutsideCone,
     SingularJacobian,
@@ -506,6 +509,103 @@ def exponent_triple(curve: Curve, s0: float) -> tuple[int, int, int]:
         if len(orders) == 3:
             return (orders[0], orders[1], orders[2])
     raise TypeExceedsNMax(f"derivatives to order 5 do not span R^3 at s={s0}")
+
+
+@dataclass(frozen=True)
+class Dilation:
+    """x -> (2^{j n1} x1, 2^{j n2} x2, 2^{j n3} x3) on the last axis of x."""
+
+    j: int
+    exponents: tuple[int, int, int]
+
+    def __call__(self, x):
+        x = np.asarray(x, dtype=float)
+        scales = np.ldexp(np.ones(3), [self.j * n for n in self.exponents])
+        return x * scales
+
+    def inverse(self) -> "Dilation":
+        return Dilation(-self.j, self.exponents)
+
+
+class RescaledCurve(Curve):
+    """curve near s0 in adapted coordinates, dilated so that component i,
+    Gamma_i(u) = 2^{j n_i} <frame_i, gamma(s0 + 2^-j u) - gamma(s0)>,
+    behaves like betas_i u^{n_i} (1 + O(2^-j)).
+
+    Gamma^(m) is 2^{j (n_i - m)} <frame_i, gamma^(m)> for every order m,
+    from the parent's derivative.  u takes scalars or arrays, and the
+    domain is the unit section |u| <= 1 clipped to the parent's domain.
+    """
+
+    def __init__(self, curve: Curve, s0: float, j: int,
+                 exponents: tuple[int, int, int], betas: np.ndarray,
+                 frame: np.ndarray):
+        lo, hi = np.ldexp(np.subtract(curve.domain, s0), j)
+        super().__init__(lambda u: self.derivative(u, 0),
+                         domain=(max(lo, -1.0), min(hi, 1.0)),
+                         analytic_order=5, name=f"{curve.name}@{s0:g},j={j}")
+        self.curve, self.s0, self.j = curve, float(s0), int(j)
+        self.exponents, self.betas = exponents, betas
+        self.frame = frame  # rows: adapted orthonormal coordinates
+        self.origin = curve.eval(s0)
+
+    def derivative(self, u, order: int) -> np.ndarray:
+        u = np.asarray(u, dtype=float)
+        axis = (3,) + (1,) * u.ndim  # broadcasts a 3-vector over u
+        d = self.curve.derivative(self.s0 + np.ldexp(u, -self.j), order)
+        if order == 0:
+            d = d - self.origin.reshape(axis)
+        shift = self.j * (np.array(self.exponents) - order)
+        return np.ldexp(np.tensordot(self.frame, d, axes=1),
+                        shift.reshape(axis))
+
+    def det(self, u: float) -> float:
+        m = np.column_stack([self.derivative(u, m) for m in (1, 2, 3)])
+        return float(np.linalg.det(m))
+
+    def limit_det(self, u: float) -> float:
+        """Determinant of the monomial limit curve (beta_i u^{n_i})."""
+        m = [[b * perm(n, k) * float(u) ** max(n - k, 0) for k in (1, 2, 3)]
+             for n, b in zip(self.exponents, self.betas)]
+        return float(np.linalg.det(np.array(m)))
+
+    def c5_norm(self) -> float:
+        """Translation-invariant C^5 size: the sup over 21 equispaced u of
+        the domain of |Gamma(u)| (the displacement from u = 0) and of
+        |Gamma^(m)(u)| for m = 1..5, one array call per order."""
+        u = np.linspace(*self.domain, 21)
+        return max(float(np.linalg.norm(self.derivative(u, m), axis=0).max())
+                   for m in range(6))
+
+
+_BETA_FLOOR = 1e-8  # smallest adapted direction and leading coefficient
+
+
+def finite_type_rescale(curve: Curve, s0: float,
+                        j: int) -> tuple[Dilation, RescaledCurve]:
+    """Adapted dilation and rescaled curve at a point s0 of curve's domain.
+
+    The frame is Gram-Schmidt (a QR) on gamma^(n_i)(s0) for the exponent
+    triple (n1, n2, n3) of s0, and beta_i is the component of
+    gamma^(n_i)(s0) / n_i! along frame row i.  At a type-(1, 2, 3) point
+    the frame is (T, N, sign(tau) B) and the dilation is the (l, nu)
+    section rescaling's (2^j, 2^2j, 2^3j).  Raises ValueError for s0
+    outside the domain and DegenerateExpansion when a beta_i is below
+    _BETA_FLOOR.
+    """
+    if not curve.domain[0] <= s0 <= curve.domain[1]:
+        raise ValueError(f"rescaling point s0={s0} lies outside the domain "
+                         f"{curve.domain} of {curve.name}")
+    exps = exponent_triple(curve, s0)
+    q, r = np.linalg.qr(np.column_stack(
+        [curve.derivative(s0, n) / factorial(n) for n in exps]))
+    betas, signs = np.abs(np.diag(r)), np.sign(np.diag(r))
+    low = betas < _BETA_FLOOR
+    if low.any():
+        raise DegenerateExpansion(f"adapted direction degenerate at order "
+                                  f"{exps[np.argmax(low)]}")
+    frame = (q * signs).T
+    return Dilation(j, exps), RescaledCurve(curve, s0, j, exps, betas, frame)
 
 
 # ---------------------------------------------------------------------------

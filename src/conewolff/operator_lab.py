@@ -657,8 +657,10 @@ def random_band_field(grid: Grid3, k: int, seed,
                       real: bool = False) -> Field3:
     """Random-phase field supported on the dyadic annulus 2^{k-1} <= |xi| <= 2^k
     (_band_box scattered into the grid)."""
-    # the box (at most n^3) and the grid it is scattered into
-    _require_memory("a band field", grid.n, 2, complex)
+    # the box (at most n^3) and the grid it is scattered into; a real field
+    # also holds the physical inverse, its real part as complex and the
+    # forward transform of that
+    _require_memory("a band field", grid.n, 4 if real else 2, complex)
     fld = Field3(grid, _scatter(grid, *_band_box(grid, k, seed)),
                  "frequency")
     if real:

@@ -3,8 +3,9 @@
 Shear/dilation normalizations of multipliers, the critical-point quantity U
 and its quadratic approximation with explicit constants, plate membership of
 the two-scale cutoff pieces, a support census with multiplicity bounds, the
-geometric radius schedule, an FFT kernel-decay probe, and the anisotropic
-rescaling of a curve section.
+geometric radius schedule, an FFT kernel-decay probe, and the curvature
+band of a curve section's (l, nu) rescaling, the curve that
+curve_geometry.finite_type_rescale returns.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .curve_geometry import (Curve, _bracket_roots, _dot3, fit_line,
-                             frenet_frame)
+from .curve_geometry import (Curve, Dilation, RescaledCurve, _bracket_roots,
+                             _dot3, fit_line, frenet_frame)
 from .errors import (
     DivByZeroGamma2,
     GridTooLarge,
@@ -700,92 +701,34 @@ def kernel_decay_sweep(curve: Curve, k_list: Sequence[int],
 
 
 # ---------------------------------------------------------------------------
-# anisotropic rescaling of a curve section
+# the (l, nu) section rescaling
 # ---------------------------------------------------------------------------
 
 
-def delta_dilation(eta, l: int) -> np.ndarray:
-    """Component-wise dyadic dilation (2^l, 2^{2l}, 2^{3l})."""
-    eta = np.asarray(eta, dtype=float)
-    exps = np.array([l, 2 * l, 3 * l])
-    return np.ldexp(eta, exps) if eta.ndim == 1 else np.ldexp(eta, exps[None, :])
-
-
-@dataclass(frozen=True)
-class SectionRescaling:
-    """Rotation-plus-dilation normalization of a curve section at s_nu."""
-
-    curve: Curve
-    l: int
-    nu: int
-    s_nu: float
-    U: np.ndarray
-    L: np.ndarray
-
-    def map(self, eta) -> np.ndarray:
-        return np.asarray(eta, dtype=float) @ self.L.T
-
-    def gamma(self, u: float) -> np.ndarray:
-        s = self.s_nu + 2.0**-self.l * u
-        return delta_dilation(self.U.T @ self.curve.eval(s), self.l)
-
-    def gamma_derivative(self, u: float, order: int) -> np.ndarray:
-        s = self.s_nu + 2.0**-self.l * u
-        vec = self.U.T @ self.curve.derivative(s, order)
-        return 2.0**(-self.l * order) * delta_dilation(vec, self.l)
-
-    def curvature_pairing(self, u: float, eta) -> float:
-        eta = np.asarray(eta, dtype=float)
-        g2 = self.gamma_derivative(u, 2)
-        return abs(float(g2 @ eta)) / float(np.linalg.norm(eta))
-
-    def c5_norm(self) -> float:
-        """Translation-invariant C^5 size: sup over 21 equispaced u in
-        [-1, 1] of the rescaled displacement from u = 0 and of the
-        derivatives up to order 5."""
-        origin = self.gamma(0.0)
-        worst = 0.0
-        for u in np.linspace(-1.0, 1.0, 21):
-            worst = max(worst, float(np.linalg.norm(self.gamma(u) - origin)))
-            for j in range(1, 6):
-                worst = max(worst, float(np.linalg.norm(
-                    self.gamma_derivative(u, j))))
-        return worst
-
-
-def rescale_llnu(curve: Curve, l: int, nu: int) -> SectionRescaling:
-    """Rotation U at s_nu = 2^{-l} nu composed with the dyadic dilation."""
-    s_nu = 2.0**-l * nu
-    fr = frenet_frame(curve, s_nu)  # raises DegenerateCurvature via floor
-    U = np.column_stack([fr.T, fr.N, fr.B])
-    L = U @ np.diag([2.0**l, 2.0**(2 * l), 2.0**(3 * l)])
-    return SectionRescaling(curve=curve, l=l, nu=nu, s_nu=s_nu, U=U, L=L)
-
-
-def curvature_band(resc: SectionRescaling, n_samples: int = 500,
+def curvature_band(rc: RescaledCurve, n_samples: int = 500,
                    seed: int = 0) -> dict:
     """Ratio |<Gamma''(u), eta>| / |eta| over sampled support-style (u, eta).
 
-    eta is the exact image under the inverse rescaling of frequency points
-    near the binormal cone, with the curve offset u kept a definite distance
-    (in rescaled units) from the cone tangency parameter, matching where the
-    localized shell pieces carry their mass.
+    rc is the (l, nu) section rescaling finite_type_rescale(curve,
+    nu 2^-l, l).  eta is the exact image, under rc.frame and then
+    Dilation(-l, rc.exponents), of frequency points near the binormal cone,
+    with the curve offset u kept a definite distance (in rescaled units)
+    from the cone tangency parameter, matching where the localized shell
+    pieces carry their mass.
     """
     rng = np.random.default_rng(seed)
-    curve, l, s_nu = resc.curve, resc.l, resc.s_nu
-    exps = np.array([-l, -2 * l, -3 * l])
-    lo = math.inf
-    hi = 0.0
-    for _ in range(n_samples):
+    l = rc.j
+    draws = np.empty((4, n_samples))
+    for i in range(n_samples):
         u = rng.uniform(-1.0, 1.0)
         w = u + rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 1.5)
-        sigma = s_nu + 2.0**-l * w
-        fr = frenet_frame(curve, sigma)
         uhat = rng.choice([-1.0, 1.0]) * rng.uniform(0.0, 1.0) * 2.0**(-2 * l)
-        rhat = rng.uniform(0.9, 1.6)
-        xi = rhat * fr.B + uhat * fr.T
-        eta = np.ldexp(resc.U.T @ xi, exps)
-        ratio = resc.curvature_pairing(u, eta)
-        lo = min(lo, ratio)
-        hi = max(hi, ratio)
-    return {"min_ratio": lo, "max_ratio": hi, "n_samples": n_samples}
+        draws[:, i] = u, w, uhat, rng.uniform(0.9, 1.6)
+    u, w, uhat, rhat = draws
+    fr = frenet_frame(rc.curve, rc.s0 + np.ldexp(w, -l))
+    xi = rhat[:, None] * fr.B + uhat[:, None] * fr.T
+    eta = Dilation(-l, rc.exponents)(xi @ rc.frame.T)
+    ratio = (np.abs(_dot3(rc.derivative(u, 2), eta.T))
+             / np.linalg.norm(eta, axis=1))
+    return {"min_ratio": float(ratio.min()), "max_ratio": float(ratio.max()),
+            "n_samples": n_samples}

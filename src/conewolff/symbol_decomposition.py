@@ -4,16 +4,16 @@ The cutoffs eta0, eta1 and zeta with their telescoping and partition
 identities, the splitting of a dyadic symbol a_k into a
 near-cone piece plus dyadic shell pieces, nu-localization in the curve
 parameter, plate-support verification, oscillatory quadrature for the
-multiplier samples, decay-rate sweeps, an FFT-based L^1 kernel bound, and
-the finite-type rescaling of a curve at a point.  Frequencies are placed in
-the cone chart by curve_geometry's one inversion: cone_chart for arrays of
-frequencies, cone_coordinates for a single one.
+multiplier samples, decay-rate sweeps and an FFT-based L^1 kernel bound.
+Frequencies are placed in the cone chart by curve_geometry's one
+inversion: cone_chart for arrays of frequencies, cone_coordinates for a
+single one.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -24,12 +24,10 @@ from .curve_geometry import (
     cone_chart,
     cone_coordinates,
     cone_point,
-    exponent_triple,
     fit_line,
     frenet_frame,
 )
 from .errors import (
-    DegenerateExpansion,
     GridTooLarge,
     OutsideCone,
     QuadratureFailure,
@@ -532,90 +530,3 @@ def l1_kernel_bound(piece: SymbolPiece, n: int = 32) -> dict:
         total += w * np.abs(np.fft.ifftn(slab)).sum()
     return {"kind": piece.kind, "k": piece.k, "l": l, "nu": piece.nu,
             "value": float(total), "bound_constant": float(total * scale)}
-
-
-# ---------------------------------------------------------------------------
-# finite-type rescaling
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Dilation:
-    j: int
-    exponents: tuple[int, int, int]
-
-    def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        scales = np.ldexp(np.ones(3), [self.j * n for n in self.exponents])
-        return x * scales
-
-    def inverse(self) -> "Dilation":
-        return Dilation(-self.j, self.exponents)
-
-
-@dataclass
-class RescaledCurve:
-    """Curve re-expanded at a point in adapted coordinates and rescaled so
-    each component has unit dyadic size: component i behaves like
-    beta_i * u^{n_i} * (1 + O(2^{-j}))."""
-
-    curve: Curve
-    s0: float
-    j: int
-    exponents: tuple[int, int, int]
-    betas: np.ndarray
-    frame: np.ndarray  # rows: adapted orthonormal coordinates
-    origin: np.ndarray = field(repr=False)
-
-    def eval(self, u: float) -> np.ndarray:
-        disp = self.curve.eval(self.s0 + np.ldexp(float(u), -self.j)) - self.origin
-        comps = self.frame @ disp
-        return np.ldexp(comps, [self.j * n for n in self.exponents])
-
-    def derivative(self, u: float, order: int = 1) -> np.ndarray:
-        d = self.curve.derivative(self.s0 + np.ldexp(float(u), -self.j), order)
-        comps = self.frame @ d
-        return np.ldexp(comps, [self.j * (n - order) for n in self.exponents])
-
-    def det(self, u: float) -> float:
-        m = np.column_stack([self.derivative(u, m) for m in (1, 2, 3)])
-        return float(np.linalg.det(m))
-
-    def limit_det(self, u: float) -> float:
-        """Determinant of the monomial limit curve (beta_i u^{n_i})."""
-        n = self.exponents
-        m = np.zeros((3, 3))
-        for i in range(3):
-            for col, order in enumerate((1, 2, 3)):
-                c = 1.0
-                for q in range(order):
-                    c *= n[i] - q
-                m[i, col] = self.betas[i] * c * float(u) ** max(n[i] - order, 0)
-        return float(np.linalg.det(m))
-
-
-_BETA_FLOOR = 1e-8  # smallest adapted direction and leading coefficient
-
-
-def finite_type_rescale(curve: Curve, s0: float,
-                        j: int) -> tuple[Dilation, RescaledCurve]:
-    """Adapted dilation and rescaled curve at a finite-type point."""
-    n1, n2, n3 = exponent_triple(curve, s0)
-    exps = (n1, n2, n3)
-    derivs = [curve.derivative(s0, n) / math.factorial(n) for n in exps]
-    frame = []
-    for d in derivs:
-        v = d.astype(float).copy()
-        for w in frame:
-            v -= (v @ w) * w
-        nv = np.linalg.norm(v)
-        if nv < _BETA_FLOOR:
-            raise DegenerateExpansion(
-                f"adapted direction degenerate at order {exps[len(frame)]}")
-        frame.append(v / nv)
-    frame = np.array(frame)
-    betas = np.array([frame[i] @ derivs[i] for i in range(3)])
-    if np.min(np.abs(betas)) < _BETA_FLOOR:
-        raise DegenerateExpansion("leading coefficient below floor")
-    rc = RescaledCurve(curve, s0, j, exps, betas, frame, curve.eval(s0))
-    return Dilation(j, exps), rc

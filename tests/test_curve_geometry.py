@@ -134,9 +134,26 @@ def test_twisted_cubic_arclength_curve_pinned():
         fr.tau, [1.4604447476723212, 3.0, 2.214072535616877], rtol=1e-12)
 
 
-@pytest.mark.parametrize("name", sorted(cg._BENCHMARKS))
-def test_array_evaluation_matches_scalar(name):
-    c = cg.benchmark_curve(name)
+def _rescaled(build, s0, j):
+    return lambda: cg.finite_type_rescale(build(), s0, j)[1]
+
+
+# the registry curves and rescaled pieces at finite-type points
+_ARRAY_CURVES = [
+    pytest.param(lambda name=name: cg.benchmark_curve(name), id=name)
+    for name in sorted(cg._BENCHMARKS)
+] + [
+    pytest.param(_rescaled(cg.twisted_cubic, 0.0, 3),
+                 id="rescaled_twisted_cubic"),
+    pytest.param(_rescaled(cg.quartic_curve, 0.0, 2), id="rescaled_quartic"),
+    pytest.param(_rescaled(lambda: cg.helix(0.5, 0.5), 0.25, 2),
+                 id="rescaled_helix"),
+]
+
+
+@pytest.mark.parametrize("build", _ARRAY_CURVES)
+def test_array_evaluation_matches_scalar(build):
+    c = build()
     lo, hi = c.domain
     s = np.linspace(lo + 0.01, hi - 0.01, 17)
     for j in range(6):
@@ -146,7 +163,7 @@ def test_array_evaluation_matches_scalar(name):
         np.testing.assert_allclose(arr, scalar, rtol=1e-13, atol=1e-13)
     np.testing.assert_array_equal(c.eval(s), c.derivative(s, 0))
     assert c.eval(s.reshape(1, 17)).shape == (3, 1, 17)
-    if name == "line":
+    if c.name == "line":
         return
     fr = cg.frenet_frame(c, s)
     assert fr.T.shape == fr.N.shape == fr.B.shape == (17, 3)
@@ -268,6 +285,26 @@ def test_type_monotone_in_nmax():
 def test_line_exceeds_nmax():
     with pytest.raises(TypeExceedsNMax):
         cg.finite_type(cg.line(), [0.0], [np.array([0.0, 1.0, 0.0])], 5)
+
+
+def test_rescaled_curve_is_a_curve_on_the_unit_section():
+    _, rc = cg.finite_type_rescale(cg.helix(0.5, 0.5), 0.25, 2)
+    assert isinstance(rc, cg.Curve)
+    # the parent's (-1, 1) is (-5, 3) in u = 4 (s - 0.25), clipped to |u| <= 1
+    assert rc.domain == (-1.0, 1.0)
+    # near the parent's end: (-1, 1) is (-31.5, 0.5) in u = 16 (s - 31/32)
+    _, edge = cg.finite_type_rescale(cg.twisted_cubic(), 0.96875, 4)
+    assert edge.domain == (-1.0, 0.5)
+
+
+def test_rescale_point_outside_domain_refused():
+    # s0 = 3 on the twisted cubic, and the (l, nu) = (0, 5) section point
+    # s_nu = 5 on the helix; both domains are (-1, 1)
+    for curve, s0, j in ((cg.twisted_cubic(), 3.0, 1),
+                         (cg.helix(0.5, 0.5), 5.0, 0)):
+        with pytest.raises(ValueError,
+                           match=rf"s0={s0} .*\(-1\.0, 1\.0\)"):
+            cg.finite_type_rescale(curve, s0, j)
 
 
 def test_exponent_triples():

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from conewolff import curve_geometry as cg
 from conewolff import operator_lab as ol
 from conewolff import symbol_decomposition as sd
 from conewolff.cone_plates import make_family, make_plate, plate_contains
@@ -417,6 +418,21 @@ def test_lattice_symbol_independent_of_blas_threads():
     assert len(digests) == 1
 
 
+def test_mu_hat_on_rescaled_quartic_piece():
+    # the rescaled piece is a Curve with a domain, so default_chi and the
+    # quadrature apply to it; adaptive quadrature is the reference
+    _, piece = cg.finite_type_rescale(cg.quartic_curve(), 0.0, 2)
+    chi = ol.default_chi(piece)
+    Xi = np.array([[0.0, 0.0, 0.0], [3.0, -5.0, 7.0], [-20.0, 10.0, 30.0]])
+    got = ol.mu_hat(piece, chi, 1.3, Xi)
+    for xi, m in zip(Xi, got):
+        re, im = (quad(lambda u: float(chi(u))
+                       * f(1.3 * float(xi @ piece.eval(u))),
+                       -1.0, 1.0, limit=400, epsabs=1e-13)[0]
+                  for f in (math.cos, math.sin))
+        assert abs(m - (re - 1j * im)) <= 1e-12
+
+
 def test_mu_hat_refuses_unresolvable_phase():
     chi = ol.default_chi(HELIX)
     with pytest.raises(QuadratureFailure, match=r"needs \d+ Gauss"):
@@ -558,6 +574,18 @@ def test_band_field_and_averages_check_memory_first(monkeypatch):
         ol.random_band_field(g, 2, 0)
     with pytest.raises(GridTooLarge, match="averaging on a 16"):
         ol.maximal_operator(f, HELIX, ol.default_chi(HELIX), [1.0])
+
+
+def test_real_band_field_counts_its_four_grids(monkeypatch):
+    # with room for three complex 16^3 grids, the complex field (box and
+    # grid) is built and the real one (four grids at once) is refused
+    g = ol.Grid3(16, 8.0)
+    page = 16 * 16**3
+    monkeypatch.setattr(ol, "os", types.SimpleNamespace(
+        sysconf=lambda k: 3 if k == "SC_PHYS_PAGES" else page))
+    assert ol.random_band_field(g, 2, 0).space == "frequency"
+    with pytest.raises(GridTooLarge, match="band field on a 16"):
+        ol.random_band_field(g, 2, 0, real=True)
 
 
 def test_sobolev_alpha0_bounded_by_chi_mass():

@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conewolff import scale_induction as si
-from conewolff.curve_geometry import Curve, frenet_frame, helix, line, vec
+from conewolff.curve_geometry import (Curve, finite_type_rescale, frenet_frame,
+                                      helix, line, vec)
 from conewolff.errors import (
-    DegenerateCurvature,
     DivByZeroGamma2,
     GridTooLarge,
     NotConverged,
@@ -395,44 +395,62 @@ def test_kernel_probe_degenerate_point():
 # ---------------------------------------------------------------------------
 
 
+def _section(l, nu):
+    """The (l, nu) section rescaling of HELIX at s_nu = nu 2^-l."""
+    return finite_type_rescale(HELIX, nu * 2.0**-l, l)[1]
+
+
 def test_rescale_l0_isometry():
-    rc = si.rescale_llnu(HELIX, 0, 0)
+    rc = _section(0, 0)
     for u in (-0.5, 0.1, 0.8):
         for j in range(1, 6):
-            lhs = np.linalg.norm(rc.gamma_derivative(u, j))
+            lhs = np.linalg.norm(rc.derivative(u, j))
             rhs = np.linalg.norm(HELIX.derivative(u, j))
             assert abs(lhs - rhs) <= 1e-10 * (1 + rhs)
-
-
-def test_delta_dilation_roundtrip():
-    rng = np.random.default_rng(5)
-    eta = rng.normal(size=(10, 3))
-    back = si.delta_dilation(si.delta_dilation(eta, 3), -3)
-    assert np.array_equal(back, eta)
 
 
 def test_rescale_curvature_band():
     for l in (2, 3, 4, 5):
         for nu in (-1, 0, 1):
-            rc = si.rescale_llnu(HELIX, l, nu)
-            band = si.curvature_band(rc, n_samples=400, seed=10 * l + nu)
+            band = si.curvature_band(_section(l, nu), n_samples=400,
+                                     seed=10 * l + nu)
             assert band["min_ratio"] >= 1.0 / 8.0
             assert band["max_ratio"] <= 8.0
 
 
 def test_rescale_c5_uniform_in_l():
-    norms = [si.rescale_llnu(HELIX, l, 0).c5_norm() for l in (2, 3, 4, 5)]
+    norms = [_section(l, 0).c5_norm() for l in (2, 3, 4, 5)]
     assert max(norms) / min(norms) <= 4.0
     assert max(norms) <= 8.0  # frozen: ~1.5 observed
 
 
-def test_rescale_degenerate_curvature():
-    with pytest.raises(DegenerateCurvature):
-        si.rescale_llnu(line(), 2, 0)
+# frozen from the section rescaling built as the Frenet rotation (T, N, B)
+# at s_nu followed by the dilation (2^l, 2^2l, 2^3l): c5_norm at nu = 0 for
+# l = 2..5, and per l the curvature band (min, max) at nu = -1, 0, 1
+_C5_FROZEN = [1.4638874872020344, 1.4909070961179922, 1.4977227101605584,
+              1.4994304233073625]
+_BAND_FROZEN = {
+    2: [(0.22245123512260678, 1.1881195488752727),
+        (0.2018900030180491, 1.2081923155010197),
+        (0.23999865579064467, 1.24300704860361)],
+    3: [(0.20776387128705023, 1.2795069251908462),
+        (0.20662324897167145, 1.2167653326221544),
+        (0.2150512955342245, 1.2094236635844842)],
+    4: [(0.23349225263128287, 1.2483008225485814),
+        (0.20968391971402284, 1.3103332131845964),
+        (0.21308037882698294, 1.2264835049125133)],
+    5: [(0.23326319872365434, 1.2798195934326877),
+        (0.2144488866679849, 1.2507085581269486),
+        (0.2164899790576842, 1.2805986077013634)],
+}
 
 
-def test_rescale_map_matches_components():
-    rc = si.rescale_llnu(HELIX, 3, 1)
-    eta = np.array([0.2, -0.5, 1.0])
-    direct = rc.U @ si.delta_dilation(eta, 3)
-    assert np.allclose(rc.map(eta), direct, atol=1e-12)
+def test_rescale_frozen_c5_and_band():
+    norms = [_section(l, 0).c5_norm() for l in (2, 3, 4, 5)]
+    np.testing.assert_allclose(norms, _C5_FROZEN, rtol=1e-12, atol=0)
+    for l, frozen in _BAND_FROZEN.items():
+        for nu, (lo, hi) in zip((-1, 0, 1), frozen):
+            band = si.curvature_band(_section(l, nu), n_samples=400,
+                                     seed=10 * l + nu)
+            assert band["min_ratio"] == pytest.approx(lo, rel=1e-12, abs=0)
+            assert band["max_ratio"] == pytest.approx(hi, rel=1e-12, abs=0)

@@ -427,13 +427,13 @@ def test_l1_kernel_zero_piece():
 
 
 # ---------------------------------------------------------------------------
-# finite-type rescaling
+# finite-type rescaling (curve_geometry.finite_type_rescale)
 # ---------------------------------------------------------------------------
 
 
 def test_cubic_rescale_exact():
     cub = cg.twisted_cubic()
-    dil, rc = sd.finite_type_rescale(cub, 0.0, 3)
+    dil, rc = cg.finite_type_rescale(cub, 0.0, 3)
     assert rc.exponents == (1, 2, 3)
     assert np.allclose(rc.betas, 1.0, atol=1e-12)
     for u in (-0.7, 0.3, 0.9):
@@ -443,15 +443,19 @@ def test_cubic_rescale_exact():
 
 
 def test_quartic_exponents():
-    _, rq = sd.finite_type_rescale(cg.quartic_curve(), 0.0, 2)
+    _, rq = cg.finite_type_rescale(cg.quartic_curve(), 0.0, 2)
     assert rq.exponents == (1, 2, 4)
 
 
 def test_dilation_roundtrip():
-    dil, _ = sd.finite_type_rescale(cg.quartic_curve(), 0.0, 3)
+    dil, _ = cg.finite_type_rescale(cg.quartic_curve(), 0.0, 3)
     x = np.array([3.0, -2.0, 5.0])
     assert np.allclose(dil(dil.inverse()(x)), x, atol=0)
     assert np.allclose(dil.inverse()(dil(x)), x, atol=0)
+    # the (l, nu) section rescaling's dilation (2^l, 2^2l, 2^3l) on rows
+    eta = np.random.default_rng(5).normal(size=(10, 3))
+    cubic = cg.Dilation(3, (1, 2, 3))
+    assert np.array_equal(cubic.inverse()(cubic(eta)), eta)
 
 
 def test_det_deviation_decays_in_j():
@@ -468,7 +472,7 @@ def test_det_deviation_decays_in_j():
     c = cg.Curve(ev, dv, domain=(-1, 1), analytic_order=4, name="pq")
     devs = []
     for j in (0, 2, 4, 6):
-        _, rc = sd.finite_type_rescale(c, 0.0, j)
+        _, rc = cg.finite_type_rescale(c, 0.0, j)
         devs.append(max(abs(rc.det(u) - rc.limit_det(u)) / abs(rc.limit_det(u))
                         for u in (-0.9, -0.5, 0.5, 0.9)))
     assert devs[0] > devs[1] > devs[2] > devs[3]
@@ -478,7 +482,7 @@ def test_det_deviation_decays_in_j():
 
 def test_degenerate_curve_rejected():
     with pytest.raises(TypeExceedsNMax):
-        sd.finite_type_rescale(cg.line(), 0.0, 1)
+        cg.finite_type_rescale(cg.line(), 0.0, 1)
 
 
 def test_nu_localize_labels():
