@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conewolff import scale_induction as si
-from conewolff.curve_geometry import (Curve, finite_type_rescale, frenet_frame,
-                                      helix, line, vec)
+from conewolff.curve_geometry import (Curve, Dilation, finite_type_rescale,
+                                      frenet_frame, helix, line, vec)
 from conewolff.errors import (
     DivByZeroGamma2,
     GridTooLarge,
@@ -407,6 +407,14 @@ def test_rescale_l0_isometry():
             lhs = np.linalg.norm(rc.derivative(u, j))
             rhs = np.linalg.norm(HELIX.derivative(u, j))
             assert abs(lhs - rhs) <= 1e-10 * (1 + rhs)
+
+
+def test_delta_dilation_roundtrip():
+    # the (l, nu) section rescaling's dilation (2^l, 2^2l, 2^3l) on rows
+    rng = np.random.default_rng(5)
+    eta = rng.normal(size=(10, 3))
+    dil = Dilation(3, (1, 2, 3))
+    assert np.array_equal(dil.inverse()(dil(eta)), eta)
 
 
 def test_rescale_curvature_band():

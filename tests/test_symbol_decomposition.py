@@ -452,10 +452,6 @@ def test_dilation_roundtrip():
     x = np.array([3.0, -2.0, 5.0])
     assert np.allclose(dil(dil.inverse()(x)), x, atol=0)
     assert np.allclose(dil.inverse()(dil(x)), x, atol=0)
-    # the (l, nu) section rescaling's dilation (2^l, 2^2l, 2^3l) on rows
-    eta = np.random.default_rng(5).normal(size=(10, 3))
-    cubic = cg.Dilation(3, (1, 2, 3))
-    assert np.array_equal(cubic.inverse()(cubic(eta)), eta)
 
 
 def test_det_deviation_decays_in_j():
