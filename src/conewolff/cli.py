@@ -466,7 +466,7 @@ def _exp_maximal(cfg: Config) -> ReportBundle:
         rows.append([p, ol.lp_norm(mf, p) / ol.lp_norm(fp, p)])
     report = {
         "experiment": "maximal", "curve": curve.name, "seed": cfg.seed,
-        "t_samples": ts.tolist(),
+        "n": grid.n, "box": grid.box, "t_samples": ts.tolist(),
         "ratios": {str(int(r[0])): r[1] for r in rows},
     }
     csv_text = _rows_to_csv(["p", "ratio"], rows)

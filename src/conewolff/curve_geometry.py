@@ -3,21 +3,23 @@
 Provides the Curve / FrenetFrame / FiniteTypeReport types, benchmark curve
 constructors, arclength reparametrization, the finite-type rescaling of a
 curve at a point, the plane generator curves of the cone, and the chart
-(r, u, sigma) on the cone of binormal directions together with its
-gradient formulas.  A Curve has d components: space curves have 3, and
-the plane generators (unit, tilted and osculating circles, the parabola,
-the binormal generator) are 2-component Curves, all evaluated on scalars
-or arrays of the parameter.  finite_type_rescale returns a RescaledCurve,
-itself a Curve, whose case n = (1, 2, 3) is the (l, nu) section
-rescaling.  The chart has one inversion, cone_chart, which resolves many
-frequencies in one call; cone_coordinates is its scalar form.  fit_line
-is the one least-squares line fit behind every sweep's slope.
+(r, u, sigma) on the cone of binormal directions together with its gradient
+formulas.  A Curve has d components: space curves have 3, and the plane
+generators (unit, tilted and osculating circles, the parabola, the binormal
+generator) are 2-component Curves, all evaluated on scalars or arrays of
+the parameter.  finite_type_rescale returns a RescaledCurve, itself a
+Curve, whose case n = (1, 2, 3) is the (l, nu) section rescaling.  The
+chart has one inversion, cone_chart, which resolves many frequencies in one
+call; cone_coordinates is its scalar form.  fit_line is the one
+least-squares line fit behind every sweep's slope, gauss_legendre the one
+Gauss-Legendre rule builder behind every integral over a curve parameter.
 """
 
 from __future__ import annotations
 
 from math import factorial, perm
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -71,6 +73,28 @@ def fit_line(x, y) -> tuple[float, float]:
         return float("nan"), float("nan")
     slope, intercept = np.polyfit(x, y, 1)
     return float(slope), float(intercept)
+
+
+# ---------------------------------------------------------------------------
+# Gauss-Legendre rules
+# ---------------------------------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def _gl_table(order: int):
+    """numpy's [-1, 1] rule (O(order^3)), built once per order, read-only."""
+    x, w = leggauss(order)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
+def gauss_legendre(a: float, b: float, order: int, panels: int = 1):
+    """Nodes (panel by panel, ascending) and weights, new arrays each call, of
+    the order-point Gauss-Legendre rule on `panels` equal panels of [a, b]."""
+    x, w = _gl_table(order)
+    e = np.linspace(a, b, panels + 1)[:, None]  # panel edges
+    half = 0.5 * (e[1:] - e[:-1])
+    return (0.5 * (e[:-1] + e[1:]) + half * x).ravel(), (half * w).ravel()
 
 
 # ---------------------------------------------------------------------------
@@ -326,14 +350,13 @@ def reparametrize_arclength(curve: Curve) -> Curve:
     its derivatives up to order 5.
     """
     t0, t1 = curve.domain
-    gx, gw = leggauss(10)
 
     def speed(t):
         return np.linalg.norm(curve.derivative(t, 1), axis=0)
 
-    grid = np.linspace(t0, t1, 1025)
-    mid, half = 0.5 * (grid[:-1] + grid[1:]), 0.5 * np.diff(grid)
-    seg = half * (speed(mid[:, None] + half[:, None] * gx) @ gw)
+    grid = np.linspace(t0, t1, 1025)  # the panel edges of gauss_legendre
+    tq, wq = gauss_legendre(t0, t1, 10, 1024)
+    seg = (speed(tq) * wq).reshape(1024, 10).sum(axis=1)
     cum = np.concatenate([[0.0], np.cumsum(seg)])
     s_of_t = _pchip(grid, cum)
     t_of_s = _pchip(cum, grid)

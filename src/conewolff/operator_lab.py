@@ -20,10 +20,13 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
+# no conewolff code calls leggauss here (the rules come from
+# gauss_legendre): the name stays only because perfbench/tracing.py wraps
+# it, as symbol_decomposition.quad is kept
+from numpy.polynomial.legendre import leggauss  # noqa: F401
 
 from .cone_plates import Plate, PlateFamily, make_family
-from .curve_geometry import Curve, fit_line, vec, trig_cycle
+from .curve_geometry import Curve, fit_line, gauss_legendre, vec, trig_cycle
 from .errors import (GridTooLarge, PlateUnresolved, QuadratureFailure,
                      WraparoundRisk)
 from .symbol_decomposition import eta0
@@ -469,11 +472,11 @@ def _curve_quadrature(curve: Curve, chi: Callable,
                       t_kmax: float) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes gamma(s_j) (nodes x 3) and weights chi(s_j) ds_j.
 
-    The rule covers the cutoff's support; its node count tracks the phase
-    range t * max|xi| * max|gamma| (a few nodes per radian), so the
-    quadrature stays spectrally accurate for frequencies up to kmax at
-    dilation t.  A phase range that needs more than _MAX_NODES nodes
-    raises QuadratureFailure rather than being under-resolved.
+    The rule is one gauss_legendre panel over the cutoff's support; its
+    node count tracks the phase range t * max|xi| * max|gamma| (a few
+    nodes per radian), so it stays spectrally accurate for frequencies up
+    to kmax at dilation t.  A phase range that needs more than _MAX_NODES
+    nodes raises QuadratureFailure rather than being under-resolved.
     """
     lo, hi = _chi_support(curve, chi)
     gmax = float(np.linalg.norm(curve.eval(np.linspace(lo, hi, 65)),
@@ -483,10 +486,8 @@ def _curve_quadrature(curve: Curve, chi: Callable,
         raise QuadratureFailure(
             f"curve average needs {nodes} Gauss-Legendre nodes, more than "
             f"the limit of {_MAX_NODES}")
-    x, w = leggauss(nodes)
-    s = 0.5 * (hi + lo) + 0.5 * (hi - lo) * x
-    w = 0.5 * (hi - lo) * w * np.asarray(chi(s))
-    return curve.eval(s).T, w
+    s, w = gauss_legendre(lo, hi, nodes)
+    return curve.eval(s).T, w * np.asarray(chi(s))
 
 
 def _kmax(Xi: np.ndarray) -> float:
@@ -613,20 +614,21 @@ def default_t_samples(n_equi: int = 65) -> np.ndarray:
 
 def maximal_operator(f: Field3, curve: Curve, chi: Callable,
                      t_samples: Sequence[float]) -> Field3:
-    """Pointwise max over the sampled dilations of |A_t f|.
-
-    The samples are one t-set of _averages on the box of f-hat's support,
-    and each A_t f is inverted from its box by _pruned_ifftn into one
-    reused n^3 buffer.
-    """
+    """Pointwise max over the sampled dilations of |A_t f|: one t-set of
+    _averages on the box of f-hat's support, inverted by _sup_abs."""
     rows, box = _support_box(f)
-    # _averages checks memory before the buffers below are built
-    ats = _averages(f.grid, rows, box, curve, chi, t_samples)
-    buf = np.empty((f.grid.n,) * 3, dtype=complex)
-    out = np.zeros((f.grid.n,) * 3, dtype=float)
-    for at in ats:
+    return _sup_abs(f.grid, rows,
+                    _averages(f.grid, rows, box, curve, chi, t_samples))
+
+
+def _sup_abs(grid: Grid3, rows, boxes) -> Field3:
+    """Pointwise max of |A f| over `boxes` (A f-hat on `rows`), inverted by
+    _pruned_ifftn into one n^3 buffer built after their _averages checks."""
+    buf = np.empty((grid.n,) * 3, dtype=complex)
+    out = np.zeros((grid.n,) * 3, dtype=float)
+    for at in boxes:
         np.maximum(out, np.abs(_pruned_ifftn(rows, at, buf)), out=out)
-    return Field3(f.grid, out.astype(complex), "physical")
+    return Field3(grid, out.astype(complex), "physical")
 
 
 def _band_box(grid: Grid3, k: int, seed):
@@ -822,16 +824,14 @@ def helix_phase_identity(a: float, b: float, s: float,
 def two_param_maximal(f: Field3, t_fixed: float,
                       ab_samples: Sequence[tuple[float, float]]) -> Field3:
     """Pointwise sup over (a,b) of |A_{t_fixed} f| along gamma_{a,b}, each
-    curve cut off by default_chi(curve, shrink=0.5)."""
+    curve cut off by default_chi(curve, shrink=0.5) (_averages, _sup_abs)."""
     if not ab_samples:
         raise ValueError("need at least one (a, b) sample")
     for a, b in ab_samples:
         if not (1.0 < a < 2.0 and 1.0 < b < 2.0):
             raise ValueError("(a, b) samples must lie in (1,2)^2")
-    out = np.zeros((f.grid.n,) * 3, dtype=float)
-    for a, b in ab_samples:
-        curve = helix_family_curve(a, b)
-        phys = averaging_operator(f, curve, default_chi(curve, shrink=0.5),
-                                  t_fixed).to_physical()
-        np.maximum(out, np.abs(phys.values), out=out)
-    return Field3(f.grid, out.astype(complex), "physical")
+    rows, box = _support_box(f)
+    curves = [helix_family_curve(a, b) for a, b in ab_samples]
+    sets = [_averages(f.grid, rows, box, c, default_chi(c, shrink=0.5),
+                      [t_fixed]) for c in curves]
+    return _sup_abs(f.grid, rows, (at for ats in sets for at in ats))

@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .curve_geometry import (Curve, Dilation, RescaledCurve, _bracket_roots,
-                             _dot3, fit_line, frenet_frame)
+                             _dot3, fit_line, frenet_frame, gauss_legendre)
 from .errors import (
     DivByZeroGamma2,
     GridTooLarge,
@@ -612,11 +612,8 @@ def kernel_decay_probe(curve: Curve, k: int, r: float, s: float = 0.0,
     c_ref = _unit_half_position(nodes)
 
     # time quadrature adapted to the narrowest factor in t
-    pin = max(W2 * a2, W4)
-    gl_x, gl_w = np.polynomial.legendre.leggauss(t_nodes)
-    half_win = 60.0 / pin
-    t_q = _T_CENTER + half_win * gl_x
-    t_w = half_win * gl_w
+    win = 60.0 / max(W2 * a2, W4)
+    t_q, t_w = gauss_legendre(_T_CENTER - win, _T_CENTER + win, t_nodes)
 
     def kernel_on_rays(x_pts: np.ndarray, tprime: np.ndarray) -> np.ndarray:
         # coordinates of x - t*gamma(s) in the frame, per (ray point, t node)

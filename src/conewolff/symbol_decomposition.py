@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .curve_geometry import (
     Curve,
@@ -26,6 +25,7 @@ from .curve_geometry import (
     cone_point,
     fit_line,
     frenet_frame,
+    gauss_legendre,
 )
 from .errors import (
     GridTooLarge,
@@ -315,7 +315,6 @@ class MultiplierSample:
     quadrature_error: float
 
 
-_GL_X, _GL_W = leggauss(16)  # nodes and weights of one panel
 _MAX_PANELS = 4096  # per integration interval: at most 65 536 nodes
 
 
@@ -325,20 +324,16 @@ def _panel_quad(f: Callable, a: float, b: float, tol: float):
     f takes an array of s and returns the integrand there.  The panel count
     doubles from 1 until two levels differ by at most tol; the finer level
     is returned with that difference as its error estimate.  Each level
-    costs one call of f on 16 x panels points.  Raises QuadratureFailure if
-    _MAX_PANELS panels do not converge.
+    costs one call of f on the 16 x panels points of gauss_legendre.
+    Raises QuadratureFailure if _MAX_PANELS panels do not converge.
     """
     prev = None
-    panels = 1
-    while panels <= _MAX_PANELS:
-        half = 0.5 * (b - a) / panels
-        mids = a + half * (2.0 * np.arange(panels) + 1.0)
-        vals = f((mids[:, None] + half * _GL_X).ravel()).reshape(panels, 16)
-        value = half * (vals @ _GL_W).sum()
+    for level in range(_MAX_PANELS.bit_length()):  # 1, 2, 4 .. _MAX_PANELS
+        s, w = gauss_legendre(a, b, 16, 2**level)
+        value = f(s) @ w
         if prev is not None and abs(value - prev) <= tol:
             return value, abs(value - prev)
         prev = value
-        panels *= 2
     raise QuadratureFailure(
         f"oscillatory quadrature on [{a:.6g}, {b:.6g}] did not reach "
         f"tolerance {tol:.2e} with {_MAX_PANELS} Gauss-Legendre panels")
@@ -514,17 +509,12 @@ def l1_kernel_bound(piece: SymbolPiece, n: int = 32) -> dict:
     r, u, sigma, ok = cone_chart(piece.curve, xi)
     norm = np.linalg.norm(xi, axis=1)
 
-    nodes, weights = np.polynomial.legendre.leggauss(20)
-    s_q = 0.5 * (hi - lo) * nodes + 0.5 * (hi + lo)
-    w_q = 0.5 * (hi - lo) * weights
-
     total = 0.0
-    shape = (n, n, n)
-    for s, w in zip(s_q, w_q):
+    for s, w in zip(*gauss_legendre(lo, hi, 20)):
         vals = np.zeros(len(xi))
         if ok.any():
             vals[ok] = piece.coord_eval(s, r[ok], u[ok], sigma[ok], norm[ok])
-        slab = vals.reshape(shape)
+        slab = vals.reshape(n, n, n)
         if not slab.any():
             continue
         total += w * np.abs(np.fft.ifftn(slab)).sum()

@@ -323,3 +323,15 @@ def test_run_helix2(tmp_path, monkeypatch):
     assert code == 0
     rep = json.loads((dirs[0] / "report.json").read_text())
     assert rep["phase_identity_max_err"] <= 1e-12
+
+
+def test_run_maximal_reports_its_grid(tmp_path, monkeypatch):
+    # the maximal job runs on at most 32^3 and says so; on a box of 6 the
+    # default helix(0.5,0.5) at t = 2 would wrap around, the twisted cubic
+    # does not
+    code, dirs = _run_to(tmp_path, monkeypatch, _cfg_text(
+        experiment="maximal", curve="twisted_cubic", n=64, L=6))
+    assert code == 0
+    rep = json.loads((dirs[0] / "report.json").read_text())
+    assert rep["n"] == 32
+    assert rep["box"] == 6.0

@@ -92,6 +92,48 @@ def test_pchip_matches_scipy(case):
     assert cg._pchip(x, y)(xq[len(x):].reshape(7, 43)).shape == (7, 43)
 
 
+# (order, panels) of every rule the package builds: _panel_quad's doubling
+# levels, reparametrize_arclength, l1_kernel_bound, and _curve_quadrature at
+# its smallest node count
+GL_RULES = [(16, 1), (16, 2), (16, 3), (16, 4), (10, 1024), (20, 1),
+            (201, 1)]
+
+
+@pytest.mark.parametrize("order,panels", GL_RULES,
+                         ids=[f"{o}x{p}" for o, p in GL_RULES])
+def test_gauss_legendre_rule(order, panels):
+    from numpy.polynomial import legendre
+
+    a, b = -0.7, 1.3
+    x, w = cg.gauss_legendre(a, b, order, panels)
+    assert x.shape == w.shape == (order * panels,)
+    assert a < x[0] and x[-1] < b and np.all(np.diff(x) > 0)
+    assert w.sum() == pytest.approx(b - a, rel=1e-13)
+    # 1 + P_D + P_{D-1} in v = 2 (x - a) / (b - a) - 1, D = 2 order - 1:
+    # well conditioned at every degree, and its integral is b - a
+    v = 2.0 * (x - a) / (b - a) - 1.0
+    deg = 2 * order - 1
+    coef = np.zeros(deg + 1)
+    coef[[0, deg - 1, deg]] = 1.0
+    assert legendre.legval(v, coef) @ w == pytest.approx(b - a, rel=1e-13)
+    if panels == 1:  # one degree more is not exact: P_{D+1} integrates to 0
+        top = np.zeros(deg + 2)
+        top[deg + 1] = 1.0
+        assert abs(legendre.legval(v, top) @ w) > 1e-3
+
+
+def test_gauss_legendre_returns_fresh_arrays():
+    x, w = cg.gauss_legendre(-1.0, 1.0, 16)
+    x[:] = 0.0
+    w[:] = 0.0
+    x2, w2 = cg.gauss_legendre(-1.0, 1.0, 16)
+    np.testing.assert_array_equal(x2, np.polynomial.legendre.leggauss(16)[0])
+    np.testing.assert_array_equal(w2, np.polynomial.legendre.leggauss(16)[1])
+    for table in cg._gl_table(16):
+        with pytest.raises(ValueError):
+            table[0] = 0.0
+
+
 def test_twisted_cubic_arclength_curve_pinned():
     # the benchmark twisted cubic by arclength, as it stood with scipy's
     # PchipInterpolator for the arclength maps
