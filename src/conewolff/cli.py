@@ -410,11 +410,9 @@ def _exp_schedule(cfg: Config) -> ReportBundle:
 
 
 def _exp_decouple(cfg: Config) -> ReportBundle:
-    g = _parse_generator(cfg.generator)
-    fam = cp.make_family(g, cfg.deltas[0], cfg.lam, cfg.theta,
-                         math.sqrt(cfg.deltas[0]))
-    exp = ol.DecouplingExperiment(fam, cfg.p, list(cfg.deltas), cfg.trials,
-                                  "all_ones", n=cfg.n, box=cfg.L,
+    exp = ol.DecouplingExperiment(_parse_generator(cfg.generator), cfg.lam,
+                                  cfg.theta, cfg.p, list(cfg.deltas),
+                                  cfg.trials, "all_ones", n=cfg.n, box=cfg.L,
                                   seed=cfg.seed)
     rep = ol.decoupling_ratio(exp)
     report = {"experiment": "decouple", "generator": cfg.generator, **rep}
@@ -489,7 +487,7 @@ def _exp_helix2(cfg: Config) -> ReportBundle:
     report = {
         "experiment": "helix2", "seed": cfg.seed, "samples": cfg.samples,
         "phase_identity_max_err": worst,
-        "pairs": pairs,
+        "n": grid.n, "box": grid.box, "pairs": pairs,
         "sup_norm": ol.lp_norm(m, math.inf),
     }
     csv_text = _rows_to_csv(["quantity", "value"],

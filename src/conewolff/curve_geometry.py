@@ -4,10 +4,12 @@ Provides the Curve / FrenetFrame / FiniteTypeReport types, benchmark curve
 constructors, arclength reparametrization, the finite-type rescaling of a
 curve at a point, the plane generator curves of the cone, and the chart
 (r, u, sigma) on the cone of binormal directions together with its gradient
-formulas.  A Curve has d components: space curves have 3, and the plane
-generators (unit, tilted and osculating circles, the parabola, the binormal
-generator) are 2-component Curves, all evaluated on scalars or arrays of
-the parameter.  finite_type_rescale returns a RescaledCurve, itself a
+formulas.  A Curve is one derivative function dv(s, j), orders 0..MAX_ORDER,
+with d components: space curves have 3, and the plane generators (unit,
+tilted and osculating circles, the parabola, the binormal generator) are
+2-component Curves, all evaluated on scalars or arrays of the parameter.
+Every dv is in closed form except the binormal generator's, which takes
+finite differences.  finite_type_rescale returns a RescaledCurve, itself a
 Curve, whose case n = (1, 2, 3) is the (l, nu) section rescaling.  The
 chart has one inversion, cone_chart, which resolves many frequencies in one
 call; cone_coordinates is its scalar form.  fit_line is the one
@@ -37,6 +39,7 @@ from .errors import (
 
 CURVATURE_FLOOR = 1e-10
 FD_STEP = 1e-4
+MAX_ORDER = 5  # the highest derivative order a Curve supplies
 TYPE_FLOOR = 1e-6  # finite_type's lower bound on sum_j |<gamma^(j), xi>|
 
 # ---------------------------------------------------------------------------
@@ -44,21 +47,16 @@ TYPE_FLOOR = 1e-6  # finite_type's lower bound on sum_j |<gamma^(j), xi>|
 # ---------------------------------------------------------------------------
 
 
-def richardson_diff(f: Callable[[float], np.ndarray], x: float):
-    """f'(x): central differences of step FD_STEP + one Richardson step."""
-    h = FD_STEP
-    d_h = (np.asarray(f(x + h)) - np.asarray(f(x - h))) / (2.0 * h)
-    d_h2 = (np.asarray(f(x + h / 2)) - np.asarray(f(x - h / 2))) / h
-    return (4.0 * d_h2 - d_h) / 3.0
-
-
 def nested_diff(f: Callable[[float], np.ndarray], x: float, order: int):
-    """order-th derivative by recursively applying richardson_diff."""
+    """order-th derivative of f at x: central differences of step FD_STEP
+    and one Richardson step, applied to the (order - 1)-th derivative."""
     if order == 0:
         return np.asarray(f(x), dtype=float)
-    if order == 1:
-        return richardson_diff(f, x)
-    return richardson_diff(lambda t: nested_diff(f, t, order - 1), x)
+    g = f if order == 1 else (lambda t: nested_diff(f, t, order - 1))
+    h = FD_STEP
+    d_h = (np.asarray(g(x + h)) - np.asarray(g(x - h))) / (2.0 * h)
+    d_h2 = (np.asarray(g(x + h / 2)) - np.asarray(g(x - h / 2))) / h
+    return (4.0 * d_h2 - d_h) / 3.0
 
 
 # ---------------------------------------------------------------------------
@@ -103,7 +101,7 @@ def gauss_legendre(a: float, b: float, order: int, panels: int = 1):
 
 # Coefficients run along the last axis; leading axes broadcast, so one call
 # handles the series of many points at once.
-_SERIES_LEN = 6  # coefficients 0..5: enough for derivatives up to order 5
+_SERIES_LEN = MAX_ORDER + 1  # coefficients 0..MAX_ORDER
 _FACTORIALS = np.array([factorial(j) for j in range(_SERIES_LEN)], dtype=float)
 # _CAUCHY[j * len + k, i] = 1 where j + k == i: the truncated product of two
 # series is their flattened outer product times this matrix
@@ -154,60 +152,46 @@ def _ser_invert(s: np.ndarray) -> np.ndarray:
 
 
 class Curve:
-    """A C^5 curve of d components with derivative access on scalars or
-    arrays of s.
+    """A curve of d components given by one derivative function.
 
-    eval_fn(s) and deriv_fn(s, j) take a scalar or an array of parameters
-    and return shape (d, *s.shape); deriv_fn supplies analytic derivatives
-    up to analytic_order, and higher orders fall back to
-    Richardson-extrapolated central differences.  jet_fn(s, n), if given,
+    dv(s, j) takes a scalar or an array of parameters and returns
+    gamma^(j)(s), shape (d, *s.shape), for every order j = 0..MAX_ORDER;
+    higher orders are refused with ValueError.  Every curve supplies its
+    derivatives in closed form except the binormal generator, whose dv
+    takes finite differences (nested_diff).  jet_fn(s, n), if given,
     returns the derivatives of orders 0..n, shape (n + 1, d, *s.shape), from
     one computation.  A call on an array of s costs a handful of numpy
     operations on that array, so callers should evaluate many parameters
     per call rather than loop over scalars.
     """
 
-    def __init__(
-        self,
-        eval_fn: Callable,
-        deriv_fn: Optional[Callable] = None,
-        domain: tuple[float, float] = (-1.0, 1.0),
-        arclength: bool = False,
-        analytic_order: int = 0,
-        name: str = "curve",
-        jet_fn: Optional[Callable] = None,
-    ):
-        self._eval = eval_fn
-        self._deriv = deriv_fn
+    def __init__(self, dv: Callable, domain: tuple[float, float] = (-1.0, 1.0),
+                 arclength: bool = False, name: str = "curve",
+                 jet_fn: Optional[Callable] = None):
+        self._dv = dv
         self._jet = jet_fn
         self.domain = (float(domain[0]), float(domain[1]))
         self.arclength_flag = bool(arclength)
-        self.analytic_order = int(analytic_order)
         self.name = name
 
     def eval(self, s) -> np.ndarray:
         """gamma(s), shape (d, *np.shape(s))."""
-        return np.asarray(self._eval(s), dtype=float)
+        return np.asarray(self._dv(s, 0), dtype=float)
 
     def derivative(self, s, order: int) -> np.ndarray:
         """gamma^(order)(s), shape (d, *np.shape(s))."""
-        if order == 0:
-            return self.eval(s)
-        if self._deriv is not None and order <= self.analytic_order:
-            return np.asarray(self._deriv(s, order), dtype=float)
-        base = self.analytic_order if self._deriv is not None else 0
-        if base == 0:
-            return nested_diff(self._eval, s, order)
-        return nested_diff(lambda t: self._deriv(t, base), s, order - base)
+        if not 0 <= order <= MAX_ORDER:
+            raise ValueError(f"derivative order {order} not in 0..{MAX_ORDER}")
+        return np.asarray(self._dv(s, order), dtype=float)
 
     def derivatives(self, s, orders: Sequence[int]) -> list[np.ndarray]:
         """gamma^(j)(s) for each j in orders, each of shape (d, *np.shape(s));
         a curve with a jet function computes all of them from one jet."""
         top = max(orders)
-        if self._jet is not None and top <= self.analytic_order:
-            jet = self._jet(s, top)
-            return [jet[j] for j in orders]
-        return [self.derivative(s, j) for j in orders]
+        if self._jet is None or not 0 <= min(orders) <= top <= MAX_ORDER:
+            return [self.derivative(s, j) for j in orders]
+        jet = self._jet(s, top)
+        return [jet[j] for j in orders]
 
 
 # ---------------------------------------------------------------------------
@@ -243,8 +227,7 @@ def helix(a: float = 1.0, b: float = 1.0, domain=(-1.0, 1.0)) -> Curve:
         z = b * u if j == 0 else (b / c if j == 1 else 0.0)
         return vec(u, a * cx * w, a * sx * w, z)
 
-    return Curve(lambda s: dv(s, 0), dv, domain=domain, arclength=True,
-                 analytic_order=5, name=f"helix({a},{b})")
+    return Curve(dv, domain=domain, arclength=True, name=f"helix({a},{b})")
 
 
 def planar_circle() -> Curve:
@@ -252,8 +235,7 @@ def planar_circle() -> Curve:
         cx, sx = trig_cycle(s, j)
         return vec(s, cx, sx, 0.0)
 
-    return Curve(lambda s: dv(s, 0), dv, domain=(-1.0, 1.0), arclength=True,
-                 analytic_order=5, name="circle")
+    return Curve(dv, domain=(-1.0, 1.0), arclength=True, name="circle")
 
 
 def line() -> Curve:
@@ -261,8 +243,7 @@ def line() -> Curve:
         x = s if j == 0 else (1.0 if j == 1 else 0.0)
         return vec(s, x, 0.0, 0.0)
 
-    return Curve(lambda s: dv(s, 0), dv, domain=(-1.0, 1.0), arclength=True,
-                 analytic_order=5, name="line")
+    return Curve(dv, domain=(-1.0, 1.0), arclength=True, name="line")
 
 
 def _poly_curve(powers, domain, name) -> Curve:
@@ -270,14 +251,10 @@ def _poly_curve(powers, domain, name) -> Curve:
         out = np.zeros((3,) + np.shape(s))
         for axis, p in enumerate(powers):
             if j <= p:
-                fall = 1.0
-                for i in range(j):
-                    fall *= p - i
-                out[axis] = fall * s ** (p - j)
+                out[axis] = perm(p, j) * s ** (p - j)
         return out
 
-    return Curve(lambda s: dv(s, 0), dv, domain=domain, arclength=False,
-                 analytic_order=5, name=name)
+    return Curve(dv, domain=domain, arclength=False, name=name)
 
 
 def twisted_cubic(domain=(-1.0, 1.0)) -> Curve:
@@ -345,9 +322,10 @@ def reparametrize_arclength(curve: Curve) -> Curve:
     monotone cubic (PCHIP, `_pchip`) interpolants of the accumulated
     arclength; the inverse map is refined by four Newton steps on t -> s,
     and derivatives are obtained by exact chain rule via truncated Taylor
-    series of the original curve.  The new curve takes arrays of s, and one
-    jet (six derivative calls of the original curve on the array) gives all
-    its derivatives up to order 5.
+    series of the original curve.  The new curve takes arrays of s: its
+    point is one evaluation of the original curve at t(s), and one jet
+    (MAX_ORDER + 1 derivative calls of the original curve on the array)
+    gives all its derivatives.
     """
     t0, t1 = curve.domain
 
@@ -385,11 +363,10 @@ def reparametrize_arclength(curve: Curve) -> Curve:
         return np.moveaxis(coef, -1, 0)
 
     def dv(s, j):
-        return jet(s, j)[j]
+        return curve.eval(param_at(s)) if j == 0 else jet(s, j)[j]
 
     new_domain = (cum[0] - s_center, cum[-1] - s_center)
-    return Curve(lambda s: curve.eval(param_at(s)), dv, domain=new_domain,
-                 arclength=True, analytic_order=5,
+    return Curve(dv, domain=new_domain, arclength=True,
                  name=curve.name + "_arclen", jet_fn=jet)
 
 
@@ -492,8 +469,8 @@ def finite_type(
     n_max: int,
 ) -> FiniteTypeReport:
     """Smallest n per point with sum_{j<=n} |<gamma^(j), xi>| >= TYPE_FLOOR."""
-    if n_max > 5:
-        raise ValueError("n_max must be <= 5 (derivative order available)")
+    if n_max > MAX_ORDER:
+        raise ValueError(f"n_max={n_max} exceeds MAX_ORDER={MAX_ORDER}")
     if not len(s_samples) or not len(xi_samples):
         raise ValueError("sample lists must be nonempty")
     xi = np.array([np.asarray(x, dtype=float) for x in xi_samples])
@@ -517,11 +494,11 @@ def finite_type(
 
 
 def exponent_triple(curve: Curve, s0: float) -> tuple[int, int, int]:
-    """Orders (n1 < n2 < n3 <= 5) at which span{gamma', ..., gamma^(j)}
-    grows at s0 (by more than 1e-8 max(1, |gamma^(j)|))."""
+    """Orders (n1 < n2 < n3 <= MAX_ORDER) at which span{gamma', ...,
+    gamma^(j)} grows at s0 (by more than 1e-8 max(1, |gamma^(j)|))."""
     basis: list[np.ndarray] = []
     orders: list[int] = []
-    for j in range(1, 6):
+    for j in range(1, MAX_ORDER + 1):
         v = curve.derivative(s0, j)
         w = v.copy()
         for b in basis:
@@ -531,7 +508,8 @@ def exponent_triple(curve: Curve, s0: float) -> tuple[int, int, int]:
             orders.append(j)
         if len(orders) == 3:
             return (orders[0], orders[1], orders[2])
-    raise TypeExceedsNMax(f"derivatives to order 5 do not span R^3 at s={s0}")
+    raise TypeExceedsNMax(
+        f"derivatives to order {MAX_ORDER} do not span R^3 at s={s0}")
 
 
 @dataclass(frozen=True)
@@ -555,7 +533,7 @@ class RescaledCurve(Curve):
     Gamma_i(u) = 2^{j n_i} <frame_i, gamma(s0 + 2^-j u) - gamma(s0)>,
     behaves like betas_i u^{n_i} (1 + O(2^-j)).
 
-    Gamma^(m) is 2^{j (n_i - m)} <frame_i, gamma^(m)> for every order m,
+    Gamma^(m) is 2^{j (n_i - m)} <frame_i, gamma^(m)> for m <= MAX_ORDER,
     from the parent's derivative.  u takes scalars or arrays, and the
     domain is the unit section |u| <= 1 clipped to the parent's domain.
     """
@@ -564,9 +542,8 @@ class RescaledCurve(Curve):
                  exponents: tuple[int, int, int], betas: np.ndarray,
                  frame: np.ndarray):
         lo, hi = np.ldexp(np.subtract(curve.domain, s0), j)
-        super().__init__(lambda u: self.derivative(u, 0),
-                         domain=(max(lo, -1.0), min(hi, 1.0)),
-                         analytic_order=5, name=f"{curve.name}@{s0:g},j={j}")
+        super().__init__(self.derivative, domain=(max(lo, -1.0), min(hi, 1.0)),
+                         name=f"{curve.name}@{s0:g},j={j}")
         self.curve, self.s0, self.j = curve, float(s0), int(j)
         self.exponents, self.betas = exponents, betas
         self.frame = frame  # rows: adapted orthonormal coordinates
@@ -595,10 +572,10 @@ class RescaledCurve(Curve):
     def c5_norm(self) -> float:
         """Translation-invariant C^5 size: the sup over 21 equispaced u of
         the domain of |Gamma(u)| (the displacement from u = 0) and of
-        |Gamma^(m)(u)| for m = 1..5, one array call per order."""
+        |Gamma^(m)(u)| for m = 1..MAX_ORDER, one array call per order."""
         u = np.linspace(*self.domain, 21)
         return max(float(np.linalg.norm(self.derivative(u, m), axis=0).max())
-                   for m in range(6))
+                   for m in range(MAX_ORDER + 1))
 
 
 _BETA_FLOOR = 1e-8  # smallest adapted direction and leading coefficient
@@ -650,8 +627,7 @@ def _circle(center, rho: float, speed: float, alpha0: float, domain,
             return np.array([c0 + w * cx, c1 + w * sx])
         return np.array([w * cx, w * sx])
 
-    return Curve(lambda a: dv(a, 0), dv, domain=domain, analytic_order=5,
-                 name=name)
+    return Curve(dv, domain=domain, name=name)
 
 
 def unit_circle_generator(domain=(-np.pi, np.pi)) -> Curve:
@@ -663,8 +639,7 @@ def parabola_generator() -> Curve:
         j = min(j, 3)
         return vec(a, (a, 1.0, 0.0, 0.0)[j], (a * a / 2.0, a, 1.0, 0.0)[j])
 
-    return Curve(lambda a: dv(a, 0), dv, domain=(-1.0, 1.0), analytic_order=5,
-                 name="parabola")
+    return Curve(dv, domain=(-1.0, 1.0), name="parabola")
 
 
 def tilted_circle_generator(a: float, b: float, rho: float) -> Curve:
@@ -692,8 +667,10 @@ def binormal_generator(curve: Curve) -> Curve:
             raise DegenerateCurvature(
                 f"torsion {fr.tau[i]:.3e} below floor at s={grid[i]}")
         raise B3TooSmall(f"B3(s) = {fr.B[i, 2]:.4f} <= 1/2 at s={grid[i]}")
-    return Curve(lambda s: _binormal_ratio(curve, s), domain=(lo, hi),
-                 name=f"binormal({curve.name})")
+    def dv(s, j):
+        return nested_diff(lambda t: _binormal_ratio(curve, t), s, j)
+
+    return Curve(dv, domain=(lo, hi), name=f"binormal({curve.name})")
 
 
 def generator_det_identity(curve: Curve, s: float) -> tuple[float, float, float]:

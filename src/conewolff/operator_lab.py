@@ -25,7 +25,7 @@ import numpy as np
 # it, as symbol_decomposition.quad is kept
 from numpy.polynomial.legendre import leggauss  # noqa: F401
 
-from .cone_plates import Plate, PlateFamily, make_family
+from .cone_plates import Plate, make_family
 from .curve_geometry import Curve, fit_line, gauss_legendre, vec, trig_cycle
 from .errors import (GridTooLarge, PlateUnresolved, QuadratureFailure,
                      WraparoundRisk)
@@ -252,13 +252,15 @@ def _plate_envelope(plate: Plate, grid: Grid3):
 
 @dataclass
 class DecouplingExperiment:
-    """Plate-family decoupling-ratio run over a list of delta scales.
-
-    `family` acts as the template: its generator, lam and theta are reused
-    while delta (and the separation sigma = sqrt(delta)) is swept.
+    """Plate-family decoupling-ratio run over a nonempty list of delta
+    scales: per delta, the family of plates on `generator` with lam, theta,
+    that delta and the separation sigma = sqrt(delta), over trials >= 1
+    seeded trials.
     """
 
-    family: PlateFamily
+    generator: Curve
+    lam: float
+    theta: float
     p: float
     deltas: Sequence[float]
     trials: int
@@ -272,6 +274,10 @@ class DecouplingExperiment:
             raise ValueError("require p >= 2")
         if self.coefficient_mode not in ("random_sign", "all_ones"):
             raise ValueError("unknown coefficient mode")
+        if not len(self.deltas):
+            raise ValueError("require at least one delta")
+        if self.trials < 1:
+            raise ValueError("require trials >= 1")
 
 
 def _require_memory(what: str, n: int, grids: float, dtype) -> None:
@@ -378,13 +384,12 @@ def decoupling_ratio(exp: DecouplingExperiment) -> dict:
     dtype = complex if parseval else np.complex64
     # the accumulator, and the transforms' buffer
     _require_memory("decoupling", n, 1 if parseval else 2, dtype)
-    g = exp.family.generator
-    lam, theta = exp.family.lam, exp.family.theta
     acc = np.empty((n,) * 3, dtype=dtype)
     buf = None if parseval else np.empty((n,) * 3, dtype=dtype)
     per_delta = []
     for di, delta in enumerate(exp.deltas):
-        fam = make_family(g, delta, lam, theta, math.sqrt(delta))
+        fam = make_family(exp.generator, delta, exp.lam, exp.theta,
+                          math.sqrt(delta))
         kept = _disjoint_pieces(
             [_plate_envelope(plate, grid) for plate in fam.plates], n)
         best = 0.0
@@ -801,8 +806,7 @@ def helix_family_curve(a: float, b: float) -> Curve:
         z = b * s if j == 0 else (b if j == 1 else 0.0)
         return vec(s, a * cx * w, a * sx * w, z)
 
-    return Curve(lambda s: dv(s, 0), dv, domain=(-1.0, 1.0), analytic_order=5,
-                 name=f"helix_family({a},{b})")
+    return Curve(dv, domain=(-1.0, 1.0), name=f"helix_family({a},{b})")
 
 
 def helix_phase_identity(a: float, b: float, s: float,

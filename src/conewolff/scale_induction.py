@@ -43,25 +43,29 @@ class ShearDilation:
 
     The shear maps (xi, tau) -> (xi, tau - <gamma(s), xi>); the dilation
     scales the tau axis by r^2, the tangent direction of the curve by r,
-    and fixes the orthogonal complement of those two directions.
+    and fixes the orthogonal complement of those two directions.  gam and
+    tangent are gamma(s) and the unit tangent gamma'(s) / |gamma'(s)|.
     """
 
     curve: Curve
     s: float
     r: float
+    gam: np.ndarray = field(init=False, repr=False)
+    tangent: np.ndarray = field(init=False, repr=False)
     L1: np.ndarray = field(init=False, repr=False)
     L2: np.ndarray = field(init=False, repr=False)
     L: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         d = 3
-        gam = self.curve.eval(self.s)
         dgam = self.curve.derivative(self.s, 1)
-        g = _embed(dgam / np.linalg.norm(dgam))
+        object.__setattr__(self, "gam", self.curve.eval(self.s))
+        object.__setattr__(self, "tangent", dgam / np.linalg.norm(dgam))
+        g = _embed(self.tangent)
         e = np.zeros(d + 1)
         e[d] = 1.0
         L1 = np.eye(d + 1)
-        L1[d, :d] = -gam
+        L1[d, :d] = -self.gam
         L2 = np.eye(d + 1) + (self.r - 1.0) * np.outer(g, g) \
             + (self.r**2 - 1.0) * np.outer(e, e)
         object.__setattr__(self, "L1", L1)
@@ -77,9 +81,7 @@ class ShearDilation:
     def basis_residual(self) -> float:
         """Max deviation of the defining actions on the distinguished vectors."""
         d = 3
-        gam = self.curve.eval(self.s)
-        dgam = self.curve.derivative(self.s, 1)
-        g = _embed(dgam / np.linalg.norm(dgam))
+        g = _embed(self.tangent)
         e = np.zeros(d + 1)
         e[d] = 1.0
         devs = [
@@ -97,7 +99,7 @@ class ShearDilation:
         Xi = np.array([0.3, -1.2, 0.7, 0.25])
         out = self.L1 @ Xi
         expect = Xi.copy()
-        expect[d] = Xi[d] - float(np.dot(gam, Xi[:d]))
+        expect[d] = Xi[d] - float(np.dot(self.gam, Xi[:d]))
         devs.append(np.max(np.abs(out - expect)))
         return float(max(devs))
 
@@ -105,10 +107,7 @@ class ShearDilation:
 def pullback_bump(shear: ShearDilation, k: int) -> Callable:
     """Canonical multiplier adapted to the shear: a tensor bump in the
     annulus, the tangent pairing, and the sheared time frequency."""
-    curve, s, r = shear.curve, shear.s, shear.r
-    gam = curve.eval(s)
-    dgam = curve.derivative(s, 1)
-    g1 = dgam / np.linalg.norm(dgam)
+    r, gam, g1 = shear.r, shear.gam, shear.tangent
 
     def m(xi, tau):
         xi = np.asarray(xi, dtype=float)
@@ -126,10 +125,7 @@ def pullback_bump(shear: ShearDilation, k: int) -> Callable:
 def sample_symbol_support(shear: ShearDilation, k: int, n: int,
                           rng: np.random.Generator) -> np.ndarray:
     """Random points (xi, tau) inside the support box of the pulled-back bump."""
-    curve, s, r = shear.curve, shear.s, shear.r
-    gam = curve.eval(s)
-    dgam = curve.derivative(s, 1)
-    g1 = dgam / np.linalg.norm(dgam)
+    r, gam, g1 = shear.r, shear.gam, shear.tangent
     # orthonormal complement of g1
     q = np.linalg.qr(np.column_stack([g1, np.eye(3)]))[0][:, 1:]
     out = np.empty((n, 4))

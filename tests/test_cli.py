@@ -335,3 +335,31 @@ def test_run_maximal_reports_its_grid(tmp_path, monkeypatch):
     rep = json.loads((dirs[0] / "report.json").read_text())
     assert rep["n"] == 32
     assert rep["box"] == 6.0
+
+
+def test_run_helix2_reports_its_grid(tmp_path, monkeypatch):
+    # the helix2 job reads L and runs on a fixed 16^3 grid, and says so;
+    # below L = 8 the helix family's averages would wrap around the box
+    code, dirs = _run_to(tmp_path, monkeypatch, _cfg_text(
+        experiment="helix2", samples=10, L=10))
+    assert code == 0
+    rep = json.loads((dirs[0] / "report.json").read_text())
+    assert rep["n"] == 16
+    assert rep["box"] == 10.0
+
+
+def test_run_decouple_builds_one_family_per_delta(tmp_path, monkeypatch):
+    # the plates of each delta are built once, by the decoupling itself
+    deltas = []
+    make_family = cli.cp.make_family
+
+    def counted(g, delta, *args):
+        deltas.append(delta)
+        return make_family(g, delta, *args)
+
+    monkeypatch.setattr(cli.cp, "make_family", counted)
+    monkeypatch.setattr(cli.ol, "make_family", counted)
+    code, _ = _run_to(tmp_path, monkeypatch, _cfg_text(
+        experiment="decouple", deltas="0.0625,0.03125", n=128, trials=1))
+    assert code == 0
+    assert deltas == [0.0625, 0.03125]

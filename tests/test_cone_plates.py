@@ -255,9 +255,9 @@ def test_deviation_sweep_slope():
 
 
 def test_osculating_degenerate():
-    flat = cg.Curve(lambda a: np.array([a, 0.0]),
-                    lambda a, j: np.array([1.0, 0.0]) if j == 1
-                    else np.zeros(2), domain=(-1, 1), analytic_order=5)
+    flat = cg.Curve(lambda a, j: np.array([a, 0.0]) if j == 0
+                    else np.array([1.0, 0.0]) if j == 1
+                    else np.zeros(2), domain=(-1, 1))
     with pytest.raises(DegenerateCurvature):
         cp.osculating_circle(flat, 0.0)
 

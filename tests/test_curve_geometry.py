@@ -217,6 +217,22 @@ def test_array_evaluation_matches_scalar(build):
                                    rtol=1e-13, atol=1e-13)
 
 
+@pytest.mark.parametrize("build", _ARRAY_CURVES + [
+    pytest.param(lambda: cg.binormal_generator(cg.helix(1, 1)),
+                 id="binormal_helix")])
+def test_orders_above_max_order_refused(build):
+    # a curve supplies the derivatives of orders 0..MAX_ORDER and no others
+    c = build()
+    s = 0.5 * (c.domain[0] + c.domain[1])
+    assert np.isfinite(c.derivative(s, cg.MAX_ORDER)).all()
+    with pytest.raises(ValueError, match="order 6"):
+        c.derivative(s, cg.MAX_ORDER + 1)
+    with pytest.raises(ValueError, match="order 6"):
+        c.derivatives(s, (cg.MAX_ORDER + 1,))
+    with pytest.raises(ValueError, match="order -1"):
+        c.derivatives(s, (-1, 1))
+
+
 def test_helix_family_curve_takes_arrays():
     c = ol.helix_family_curve(1.5, 1.3)
     s = np.linspace(-0.9, 0.9, 11)

@@ -144,28 +144,34 @@ def test_random_plate_field_unresolved():
 def test_decoupling_single_plate_and_p2():
     fam1 = make_family(CIRCLE, 2.0**-4, 64.0, 0.1, 0.25)
     assert len(fam1.plates) == 1
-    e1 = ol.DecouplingExperiment(fam1, 8.0, [2.0**-4], 1, "all_ones", n=256)
+    e1 = ol.DecouplingExperiment(CIRCLE, 64.0, 0.1, 8.0, [2.0**-4], 1,
+                                 "all_ones", n=256)
     assert abs(ol.decoupling_ratio(e1)["D"][0] - 1.0) <= 1e-12
 
-    fam = make_family(CIRCLE, 2.0**-4, 64.0, 1.0, 0.25)
-    e2 = ol.DecouplingExperiment(fam, 2.0, [2.0**-4, 2.0**-6], 2,
-                                 "random_sign", n=256)
+    e2 = ol.DecouplingExperiment(CIRCLE, 64.0, 1.0, 2.0, [2.0**-4, 2.0**-6],
+                                 2, "random_sign", n=256)
     for d in ol.decoupling_ratio(e2)["D"]:
         assert abs(d - 1.0) <= 1e-8
+
+
+@pytest.mark.parametrize("deltas, trials, match", [
+    ([], 1, "delta"), ([2.0**-4], 0, "trials"), ([2.0**-4], -1, "trials")])
+def test_decoupling_experiment_refuses_empty_runs(deltas, trials, match):
+    # no delta or no trial measures nothing: refused, not reported as D = 0
+    with pytest.raises(ValueError, match=match):
+        ol.DecouplingExperiment(CIRCLE, 24.0, 1.0, 8.0, deltas, trials)
 
 
 def test_decoupling_global_phase_invariance():
     # D uses |.|-norms only, so multiplying every coefficient by a phase
     # cannot change it; all-ones twice must also agree bit-for-bit
-    fam = make_family(CIRCLE, 2.0**-4, 64.0, 1.0, 0.25)
-    e = ol.DecouplingExperiment(fam, 4.0, [2.0**-4], 1, "all_ones", n=128,
-                                seed=3)
+    e = ol.DecouplingExperiment(CIRCLE, 64.0, 1.0, 4.0, [2.0**-4], 1,
+                                "all_ones", n=128, seed=3)
     # lam=64 plates overflow an n=128 lattice
     with pytest.raises(PlateUnresolved):
         ol.decoupling_ratio(e)
-    fam = make_family(CIRCLE, 2.0**-4, 24.0, 1.0, 0.25)
-    e = ol.DecouplingExperiment(fam, 4.0, [2.0**-4], 1, "all_ones", n=128,
-                                seed=3)
+    e = ol.DecouplingExperiment(CIRCLE, 24.0, 1.0, 4.0, [2.0**-4], 1,
+                                "all_ones", n=128, seed=3)
     r1 = ol.decoupling_ratio(e)
     r2 = ol.decoupling_ratio(e)
     assert r1["D"] == r2["D"]
@@ -263,8 +269,8 @@ def test_decoupling_refuses_grid_beyond_memory(monkeypatch):
 
     monkeypatch.setattr(ol, "make_family", untouched)
     monkeypatch.setattr(ol, "_plate_envelope", untouched)
-    fam = make_family(CIRCLE, 2.0**-4, 24.0, 1.0, 0.25)
-    e = ol.DecouplingExperiment(fam, 8.0, [2.0**-4], 1, "all_ones", n=4096)
+    e = ol.DecouplingExperiment(CIRCLE, 24.0, 1.0, 8.0, [2.0**-4], 1,
+                                "all_ones", n=4096)
     with pytest.raises(GridTooLarge, match="4096"):
         ol.decoupling_ratio(e)
 
@@ -273,8 +279,8 @@ def test_decoupling_memory_guard_counts_complex64(monkeypatch):
     # 3 * 8 * 64^3 bytes of memory hold the decoupling's two complex64
     # grids (2 * 8 * 64^3), but not two complex128 ones, and not a band
     # field's complex128 pair
-    fam = make_family(CIRCLE, 2.0**-4, 8.0, 1.0, 0.25)
-    e = ol.DecouplingExperiment(fam, 8.0, [2.0**-4], 1, "all_ones", n=64)
+    e = ol.DecouplingExperiment(CIRCLE, 8.0, 1.0, 8.0, [2.0**-4], 1,
+                                "all_ones", n=64)
     want = ol.decoupling_ratio(e)
     phys = {"SC_PHYS_PAGES": 3 * 8 * 64**3, "SC_PAGE_SIZE": 1}
     monkeypatch.setattr(ol, "os", types.SimpleNamespace(
@@ -290,9 +296,9 @@ def test_decoupling_frozen_decouple_grid_inputs():
     # the decouple-grid benchmark's seed-0 inputs; the reference D are the
     # complex128 transform's, and the complex64 transforms move them by at
     # most 3.7e-9 relative
-    fam = make_family(CIRCLE, 2.0**-4, 24.0, 1.0, 0.25)
-    e = ol.DecouplingExperiment(fam, 8.0, [2.0**-4, 2.0**-5, 2.0**-6], 1,
-                                "all_ones", n=128, seed=0)
+    e = ol.DecouplingExperiment(CIRCLE, 24.0, 1.0, 8.0,
+                                [2.0**-4, 2.0**-5, 2.0**-6], 1, "all_ones",
+                                n=128, seed=0)
     rep = ol.decoupling_ratio(e)
     assert np.allclose(rep["D"], [1.7586908857775454, 1.9653070636515169,
                                   2.1127896024118593], rtol=1e-6, atol=0.0)
@@ -320,8 +326,8 @@ def test_lp_norm_reduces_without_grid_sized_temporaries():
 
 def test_decoupling_holds_two_complex_grids():
     n = 128
-    fam = make_family(CIRCLE, 2.0**-4, 24.0, 1.0, 0.25)
-    e = ol.DecouplingExperiment(fam, 8.0, [2.0**-4], 1, "all_ones", n=n)
+    e = ol.DecouplingExperiment(CIRCLE, 24.0, 1.0, 8.0, [2.0**-4], 1,
+                                "all_ones", n=n)
     tracemalloc.start()
     try:
         ol.decoupling_ratio(e)
@@ -783,8 +789,7 @@ def test_helix_phase_identity_matches_fd():
 
 
 def test_decoupling_all_ones_band_small():
-    fam = make_family(CIRCLE, 2.0**-4, 24.0, 1.0, 0.25)
-    e = ol.DecouplingExperiment(fam, 8.0, [2.0**-4, 2.0**-5], 2,
+    e = ol.DecouplingExperiment(CIRCLE, 24.0, 1.0, 8.0, [2.0**-4, 2.0**-5], 2,
                                 "all_ones", n=128, seed=0)
     rep = ol.decoupling_ratio(e)
     assert all(d >= 1.0 for d in rep["D"])
@@ -803,12 +808,12 @@ def test_slope_needs_two_distinct_abscissae():
     # one band, or one delta listed twice, determines no slope: the report
     # says nan instead of fitting a line through one abscissa
     chi = ol.default_chi(HELIX, shrink=0.5)
-    fam = make_family(CIRCLE, 2.0**-4, 8.0, 1.0, 0.25)
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no RankWarning either
         rep = ol.sobolev_sweep(HELIX, chi, 40.0, 1.0 / 40.0, [4],
                                n=64, box=3.0, seed=0)
         dup = ol.decoupling_ratio(ol.DecouplingExperiment(
-            fam, 8.0, [2.0**-4, 2.0**-4], 1, "all_ones", n=64, seed=0))
+            CIRCLE, 8.0, 1.0, 8.0, [2.0**-4, 2.0**-4], 1, "all_ones", n=64,
+            seed=0))
     assert len(rep["ratios"]) == 1 and math.isnan(rep["slope"])
     assert len(dup["D"]) == 2 and math.isnan(dup["slope"])

@@ -61,7 +61,8 @@ def test_tracer_counts_transforms_in_decoupling_ratio():
     # attribute the tracer replaces
     tracing = _load_tracing()
     fam = make_family(cg.unit_circle_generator(), 2.0**-4, 24.0, 1.0, 0.25)
-    e = ol.DecouplingExperiment(fam, 8.0, [2.0**-4], 1, "all_ones", n=128)
+    e = ol.DecouplingExperiment(fam.generator, 24.0, 1.0, 8.0, [2.0**-4], 1,
+                                "all_ones", n=128)
     untraced = ol.decoupling_ratio(e)
     originals = {
         (ol, "sfft"): ol.sfft,

@@ -174,8 +174,7 @@ def test_umu_approximation_quadratic_exact():
         y = (s**2 / 2.0, s, 1.0, 0.0, 0.0, 0.0)[j]
         return vec(s, x, y, 0.0)
 
-    quad = Curve(lambda s: dv(s, 0), dv, domain=(-1.0, 1.0),
-                 analytic_order=5, name="quadratic")
+    quad = Curve(dv, domain=(-1.0, 1.0), name="quadratic")
     rng = np.random.default_rng(3)
     for _ in range(20):
         xi = np.array([rng.uniform(-0.3, 0.3), rng.uniform(0.7, 1.5),
