@@ -64,7 +64,8 @@ class Config:
     curve: str = "helix(0.5,0.5)"
     generator: str = "circle"
     k: int = 10
-    deltas: tuple = (2.0**-4, 2.0**-5)
+    # None: (2^-4,) for plates, which builds one family; else (2^-4, 2^-5)
+    deltas: Optional[tuple] = None
     theta: float = 1.0
     sigma: Optional[float] = None
     lam: float = 24.0
@@ -83,6 +84,11 @@ class Config:
     outdir: str = "reports"
     raw_text: str = ""
     extras: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        if self.deltas is None:
+            self.deltas = (2.0**-4,) if self.experiment == "plates" \
+                else (2.0**-4, 2.0**-5)
 
 
 _INT_KEYS = {"k", "n", "trials", "samples", "seed"}
@@ -137,9 +143,6 @@ def parse_config(text: str) -> Config:
             raise ConfigError(f"line {lineno}: field {key!r}: {exc}") from None
     if "experiment" not in values:
         raise ConfigError("missing required field 'experiment'")
-    if values["experiment"] == "plates" and len(values.get("deltas", ())) > 1:
-        raise ConfigError("field 'deltas': plates builds one family, so it "
-                          f"takes one delta, not {len(values['deltas'])}")
     cfg = Config(raw_text=text, **values)
     validate_config(cfg)
     return cfg
@@ -152,6 +155,9 @@ def validate_config(cfg: Config) -> None:
     for key in ("deltas", "k_list"):
         if not getattr(cfg, key):
             raise ConfigError(f"field {key!r} must list at least one value")
+    if cfg.experiment == "plates" and len(cfg.deltas) > 1:
+        raise ConfigError("field 'deltas': plates builds one family, so it "
+                          f"takes one delta, not {len(cfg.deltas)}")
     for delta in cfg.deltas:
         if not (0.0 < delta <= 1.0):
             raise ConfigError(f"delta {delta} outside (0, 1]")
@@ -312,10 +318,7 @@ def _exp_plates(cfg: Config) -> ReportBundle:
     delta = cfg.deltas[0]
     sigma = cfg.sigma if cfg.sigma is not None else math.sqrt(delta)
     fam = cp.make_family(g, delta, cfg.lam, cfg.theta, sigma)
-    rows = []
-    for plate in fam.plates:
-        b = plate.bounds
-        rows.append([plate.alpha, plate.lam, b[0], b[1], b[2]])
+    rows = [[plate.alpha, plate.lam, *plate.bounds] for plate in fam.plates]
     report = {
         "experiment": "plates", "generator": cfg.generator, "seed": cfg.seed,
         "delta": delta, "lam": cfg.lam, "theta": cfg.theta, "sigma": sigma,
@@ -336,8 +339,7 @@ def _exp_decompose(cfg: Config) -> ReportBundle:
     u = rng.uniform(-0.15, 0.15, cfg.samples)
     sg = rng.uniform(-0.6, 0.6, cfg.samples)
     ss = rng.uniform(-0.5, 0.5, cfg.samples)
-    fr = cg.frenet_frame(curve, sg)
-    nm = np.linalg.norm(r[:, None] * fr.B + u[:, None] * fr.T, axis=1)
+    nm = np.linalg.norm(cg.cone_point(curve, r, u, sg), axis=1)
     total = sum(p.coord_eval(ss, r, u, sg, nm) for p in pieces)
     base = ak.coord_eval(ss, r, u, sg, nm)
     err = float(np.max(np.abs(total - base), initial=0.0))
@@ -410,11 +412,9 @@ def _exp_schedule(cfg: Config) -> ReportBundle:
 
 
 def _exp_decouple(cfg: Config) -> ReportBundle:
-    exp = ol.DecouplingExperiment(_parse_generator(cfg.generator), cfg.lam,
-                                  cfg.theta, cfg.p, list(cfg.deltas),
-                                  cfg.trials, "all_ones", n=cfg.n, box=cfg.L,
-                                  seed=cfg.seed)
-    rep = ol.decoupling_ratio(exp)
+    rep = ol.decoupling_ratio(_parse_generator(cfg.generator), cfg.lam,
+                              cfg.theta, cfg.p, list(cfg.deltas), cfg.trials,
+                              "all_ones", n=cfg.n, box=cfg.L, seed=cfg.seed)
     report = {"experiment": "decouple", "generator": cfg.generator, **rep}
     rows = list(zip(rep["deltas"], rep["D"], rep["normalized"]))
     csv_text = _rows_to_csv(["delta", "D", "normalized"], rows)

@@ -12,6 +12,7 @@ A-extension scales each bound by A (and the lower bound by 1/A).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -48,9 +49,14 @@ class Plate:
         self._M = np.stack([self.u1, f2, self.u3])
         self._Minv = np.linalg.inv(self._M)
 
-    def coords(self, xi: np.ndarray) -> np.ndarray:
-        """(t1, t2, t3) = (<u1,xi>, <u2, xi - xi3 u1>, <u3,xi>)."""
-        return self._M @ np.asarray(xi, dtype=float)
+    def coords(self, xi) -> np.ndarray:
+        """Rows (t1, t2, t3) = (<u1,xi>, <u2, xi - xi3 u1>, <u3,xi>) of xi
+        given component first: a (3,) vector, a (3, ...) array, or a triple
+        of broadcastable arrays such as Grid3.freq_mesh's."""
+        x, y, z = (np.asarray(c, dtype=float) for c in xi)
+        M = self._M
+        return np.stack([M[i, 0] * x + M[i, 1] * y + M[i, 2] * z
+                         for i in range(3)])
 
     def point(self, t: np.ndarray) -> np.ndarray:
         return self._Minv @ np.asarray(t, dtype=float)
@@ -62,16 +68,15 @@ class Plate:
                          self.lam * math.sqrt(self.delta),
                          self.lam * self.delta])
 
-    def min_extension(self, xi: np.ndarray) -> float:
-        """Smallest A >= 1 for which xi lies in the A-extension."""
+    def min_extension(self, xi):
+        """Smallest A >= 1 for which xi lies in the A-extension (inf where
+        t1 = 0); a (3, m) batch of points, component first, gives m values."""
         t = np.abs(self.coords(xi))
-        if t[0] == 0.0:
-            return math.inf
-        return max(1.0,
-                   self.lam / (2.0 * t[0]),
-                   t[0] / (2.0 * self.lam),
-                   t[1] / (self.lam * math.sqrt(self.delta)),
-                   t[2] / (self.lam * self.delta))
+        b = self.bounds
+        with np.errstate(divide="ignore"):
+            return np.maximum.reduce([np.ones_like(t[0]),
+                                      self.lam / (2.0 * t[0]), t[0] / b[0],
+                                      t[1] / b[1], t[2] / b[2]])
 
     def center(self) -> np.ndarray:
         """Canonical center point with <u1,xi> = lam and t2 = t3 = 0."""
@@ -80,12 +85,8 @@ class Plate:
     def corners(self) -> np.ndarray:
         """The 8 corners of the positive-t1 box in t-coordinates, mapped to xi."""
         b = self.bounds
-        out = []
-        for s1 in (self.lam / 2.0, 2.0 * self.lam):
-            for s2 in (-b[1], b[1]):
-                for s3 in (-b[2], b[2]):
-                    out.append(self.point(np.array([s1, s2, s3])))
-        return np.array(out)
+        return np.array([self.point(np.array(t)) for t in itertools.product(
+            (self.lam / 2.0, 2.0 * self.lam), (-b[1], b[1]), (-b[2], b[2]))])
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """Uniform interior samples of the positive-t1 box."""
@@ -99,8 +100,9 @@ def make_plate(g: Curve, alpha: float, delta: float, lam: float,
                A: float = 1.0) -> Plate:
     if not (g.domain[0] <= alpha <= g.domain[1]):
         raise ValueError(f"alpha={alpha} outside generator domain {g.domain}")
-    if not (0.0 < delta <= 1.0) or lam <= 0.0:
-        raise ValueError("require 0 < delta <= 1 and lambda > 0")
+    if not (0.0 < delta <= 1.0 and 0.0 < lam < math.inf):
+        raise ValueError("require 0 < delta <= 1 and finite lam > 0, got "
+                         f"delta={delta}, lam={lam}")
     gv = g.eval(alpha)
     gp = g.derivative(alpha, 1)
     u1 = np.array([gv[0], gv[1], 1.0])
@@ -109,13 +111,13 @@ def make_plate(g: Curve, alpha: float, delta: float, lam: float,
     return Plate(alpha=alpha, u1=u1, u2=u2, u3=u3, delta=delta, lam=lam, A=A)
 
 
-def plate_contains(plate: Plate, xi: np.ndarray) -> bool:
+def plate_contains(plate: Plate, xi):
+    """Whether xi (a point or a (3, m) batch) lies in the A-extension."""
     t = np.abs(plate.coords(xi))
     A = plate.A
     b = plate.bounds
-    return (plate.lam / (2.0 * A) <= t[0] <= A * b[0]
-            and t[1] <= A * b[1]
-            and t[2] <= A * b[2])
+    return ((plate.lam / (2.0 * A) <= t[0]) & (t[0] <= A * b[0])
+            & (t[1] <= A * b[1]) & (t[2] <= A * b[2]))
 
 
 # ---------------------------------------------------------------------------
@@ -148,6 +150,9 @@ class PlateFamily:
 def make_family(g: Curve, delta: float, lam: float, theta: float,
                 sigma: float, alpha0: Optional[float] = None) -> PlateFamily:
     """Anchors on a uniform sigma-grid inside a theta-window starting at alpha0."""
+    if math.isnan(theta) or not 0.0 < sigma < math.inf:
+        raise ValueError("require a number theta and finite sigma > 0, got "
+                         f"theta={theta}, sigma={sigma}")
     lo, hi = g.domain
     start = lo if alpha0 is None else alpha0
     if start < lo or start > hi:
@@ -319,11 +324,12 @@ def verify_containment(mapped_plates: Sequence[Plate], target_family: PlateFamil
     L = np.eye(3) if linear_map is None else np.asarray(linear_map, dtype=float)
     per_plate = []
     for plate in mapped_plates:
-        pts = np.vstack([plate.corners(), plate.sample(samples, rng)]) @ L.T
+        pts = (np.vstack([plate.corners(), plate.sample(samples, rng)])
+               @ L.T).T
         best = math.inf
         best_alpha = None
         for target in target_family.plates:
-            need = max(target.min_extension(x) for x in pts)
+            need = float(target.min_extension(pts).max())
             if need < best:
                 best = need
                 best_alpha = target.alpha
@@ -358,11 +364,12 @@ class BumpFunction:
     def __init__(self, plate: Plate):
         self.plate = plate
 
-    def eval(self, xi: np.ndarray) -> float:
+    def eval(self, xi):
+        """The bump at xi, component first as in Plate.coords."""
         t = self.plate.coords(xi)
         b = self.plate.bounds
-        return float(_mollifier((t[0] - self.plate.lam) / (self.plate.lam / 2.0))
-                     * _mollifier(t[1] / b[1]) * _mollifier(t[2] / b[2]))
+        return (_mollifier((t[0] - self.plate.lam) / (self.plate.lam / 2.0))
+                * _mollifier(t[1] / b[1]) * _mollifier(t[2] / b[2]))
 
     def verify_derivative_bounds(self, grid_n: int = 5) -> dict:
         """Max ratio of |<u1,grad>^n1 <u2,grad>^n2 <u3,grad>^n3 eval| to the
@@ -371,8 +378,8 @@ class BumpFunction:
         p = self.plate
         max_order = 2
         pts = np.vstack([p.center(),
-                         p.sample(grid_n**3, np.random.default_rng(0))])
-        dirs = [p.u1, p.u2, p.u3]
+                         p.sample(grid_n**3, np.random.default_rng(0))]).T
+        dirs = [(u / np.linalg.norm(u))[:, None] for u in (p.u1, p.u2, p.u3)]
         steps = [p.lam * 1e-3, p.lam * math.sqrt(p.delta) * 1e-3,
                  p.lam * p.delta * 1e-3]
         worst = 0.0
@@ -381,17 +388,15 @@ class BumpFunction:
                 for n3 in range(max_order + 1 - n1 - n2):
                     bound = (p.lam ** -(n1 + n2 + n3)
                              * p.delta ** -(n2 / 2.0 + n3))
-                    for x in pts:
-                        v = self._directional(x, (n1, n2, n3), dirs, steps)
-                        worst = max(worst, abs(v) / bound)
+                    v = self._directional(pts, (n1, n2, n3), dirs, steps)
+                    worst = max(worst, float(np.abs(v).max()) / bound)
         return {"max_ratio": worst, "max_order": max_order}
 
     def _directional(self, x, orders, dirs, steps):
         f = self.eval
         for i, n in enumerate(orders):
             for _ in range(n):
-                f = self._diff_along(f, dirs[i] / np.linalg.norm(dirs[i]),
-                                     steps[i])
+                f = self._diff_along(f, dirs[i], steps[i])
         return f(x)
 
     @staticmethod

@@ -697,10 +697,12 @@ def generator_det_identity(curve: Curve, s: float) -> tuple[float, float, float]
 # ---------------------------------------------------------------------------
 
 
-def cone_point(curve: Curve, r: float, u: float, sigma: float) -> np.ndarray:
-    """xi = r B(sigma) + u T(sigma)."""
+def cone_point(curve: Curve, r, u, sigma) -> np.ndarray:
+    """xi = r B(sigma) + u T(sigma): a (3,) point for scalars, or (m, 3)
+    rows for 1-d arrays of r, u and sigma (broadcast against each other)."""
     fr = frenet_frame(curve, sigma)
-    return r * fr.B + u * fr.T
+    return (np.asarray(r, dtype=float)[..., None] * fr.B
+            + np.asarray(u, dtype=float)[..., None] * fr.T)
 
 
 _CHART_SCAN = 64  # bracket-scan points over the curve's domain

@@ -70,8 +70,8 @@ class Grid3:
     def __post_init__(self):
         if self.n < 2 or (self.n & (self.n - 1)) != 0:
             raise ValueError("grid size must be a power of two >= 2")
-        if self.box <= 0:
-            raise ValueError("box side must be positive")
+        if not 0.0 < self.box < math.inf:
+            raise ValueError(f"require finite box > 0, got box={self.box}")
 
     @property
     def spacing(self) -> float:
@@ -187,8 +187,8 @@ def lp_norm(f: Field3, p: float) -> float:
     slabs of axis-0 planes (_SLAB elements), so its float temporaries are
     slab-sized, never grid-sized; p = 2 is Parseval in either space.
     """
-    if p < 1.0:
-        raise ValueError("require p >= 1")
+    if not p >= 1.0:
+        raise ValueError(f"require p >= 1, got p={p}")
     if p == 2.0:
         return f.l2()
     vals = f.to_physical().values
@@ -207,15 +207,17 @@ def lp_norm(f: Field3, p: float) -> float:
 def _plate_envelope(plate: Plate, grid: Grid3):
     """Smooth plate bump on the lattice: (index triple, envelope values).
 
-    The envelope is a product of bumps in plate coordinates whose support
-    is exactly the A=1 plate box; only the box's axis-aligned bounding
-    lattice region is touched.  The separation-scale side (half-width
-    lam*sqrt(delta)) must span >= 4 lattice cells; the thin lam*delta
-    side may be coarser than the lattice, in which case it selects a
-    quasi-random slice of lattice planes.
+    The envelope is a product of bumps in Plate.coords scaled by the
+    plate's bounds, whose support is exactly the A=1 plate box; only the
+    box's axis-aligned bounding lattice region is touched.  The
+    separation-scale side (half-width lam*sqrt(delta)) must span >= 4
+    lattice cells; the thin lam*delta side may be coarser than the
+    lattice, in which case it selects a quasi-random slice of lattice
+    planes.
     """
     spacing = 2.0 * np.pi / grid.box
-    if 2.0 * plate.lam * math.sqrt(plate.delta) < 4.0 * spacing:
+    b = plate.bounds
+    if 2.0 * b[1] < 4.0 * spacing:
         raise PlateUnresolved(
             "plate side lam*sqrt(delta) spans fewer than 4 lattice cells")
     kmax = spacing * grid.n / 2.0
@@ -224,60 +226,20 @@ def _plate_envelope(plate: Plate, grid: Grid3):
         raise PlateUnresolved("plate extends beyond the frequency lattice")
 
     ax = grid.freq_axis()
-    sub = []
-    for d in range(3):
-        lo = corners[:, d].min() - spacing
-        hi = corners[:, d].max() + spacing
-        sub.append(np.nonzero((ax >= lo) & (ax <= hi))[0])
-    KX = ax[sub[0]][:, None, None]
-    KY = ax[sub[1]][None, :, None]
-    KZ = ax[sub[2]][None, None, :]
-    M = plate._M
-    a1 = ((M[0, 0] * KX + M[0, 1] * KY + M[0, 2] * KZ) / plate.lam
-          - 1.25) / 0.75
-    a2 = (M[1, 0] * KX + M[1, 1] * KY + M[1, 2] * KZ) \
-        / (plate.lam * math.sqrt(plate.delta))
-    a3 = (M[2, 0] * KX + M[2, 1] * KY + M[2, 2] * KZ) \
-        / (plate.lam * plate.delta)
-    cand = (np.abs(a1) < 1.0) & (np.abs(a2) < 1.0) & (np.abs(a3) < 1.0)
-    idx = np.nonzero(cand)
-    env = eta0(a1[idx]) * eta0(a2[idx]) * eta0(a3[idx])
-    return (sub[0][idx[0]], sub[1][idx[1]], sub[2][idx[2]]), env
+    sub = [np.nonzero((ax >= corners[:, d].min() - spacing)
+                      & (ax <= corners[:, d].max() + spacing))[0]
+           for d in range(3)]
+    a = plate.coords(grid.freq_mesh(sub))
+    a[0] = (a[0] / plate.lam - 1.25) / 0.75
+    a[1:] /= b[1:, None, None, None]
+    idx = np.nonzero(np.all(np.abs(a) < 1.0, axis=0))
+    e = eta0(a[(slice(None), *idx)])
+    return tuple(s[i] for s, i in zip(sub, idx)), e[0] * e[1] * e[2]
 
 
 # ---------------------------------------------------------------------------
 # decoupling experiments
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class DecouplingExperiment:
-    """Plate-family decoupling-ratio run over a nonempty list of delta
-    scales: per delta, the family of plates on `generator` with lam, theta,
-    that delta and the separation sigma = sqrt(delta), over trials >= 1
-    seeded trials.
-    """
-
-    generator: Curve
-    lam: float
-    theta: float
-    p: float
-    deltas: Sequence[float]
-    trials: int
-    coefficient_mode: str = "random_sign"  # | "all_ones"
-    n: int = 256
-    box: float = 8.0
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.p < 2.0:
-            raise ValueError("require p >= 2")
-        if self.coefficient_mode not in ("random_sign", "all_ones"):
-            raise ValueError("unknown coefficient mode")
-        if not len(self.deltas):
-            raise ValueError("require at least one delta")
-        if self.trials < 1:
-            raise ValueError("require trials >= 1")
 
 
 def _require_memory(what: str, n: int, grids: float, dtype) -> None:
@@ -353,33 +315,47 @@ def _pruned_ifftn(rows, box: np.ndarray, out: np.ndarray) -> np.ndarray:
     return sfft.ifft(out, axis=last, overwrite_x=True, workers=_WORKERS)
 
 
-def decoupling_ratio(exp: DecouplingExperiment) -> dict:
+def decoupling_ratio(generator: Curve, lam: float, theta: float, p: float,
+                     deltas: Sequence[float], trials: int,
+                     coefficient_mode: str = "random_sign", n: int = 256,
+                     box: float = 8.0, seed: int = 0) -> dict:
     """Measure D = ||sum_R c_R f_R||_p / (sum_R ||f_R||_p^p)^{1/p} per delta.
 
-    Per delta the ratio is maximized over seeded trials; the report carries
-    the fitted log2-log2 slope of D versus delta and the normalized values
-    D(delta) * delta^{1/2 - 2/p} whose spread tracks the sharp-exponent
-    prediction.  Seeding is hierarchical (seed, delta index, trial, plate)
-    so reruns are bit-identical.
+    Per delta the plates R are the family on `generator` with lam, theta,
+    delta and sigma = sqrt(delta); f_R is R's envelope with seeded random
+    phases on an n^3 lattice of side `box`, and c_R a random sign or 1
+    (`coefficient_mode`).  D is maximized over `trials` seeded trials
+    (seeds: seed, delta index, trial, plate, so reruns are bit-identical);
+    the report carries the log2-log2 slope of D versus delta and
+    D(delta) * delta^{1/2 - 2/p}, whose spread tracks the sharp-exponent
+    prediction.  An empty `deltas`, trials < 1, an unknown mode and a p
+    below 2 or non-finite are refused before anything is built, and so
+    (GridTooLarge) is a grid whose arrays exceed physical memory.
 
-    The work follows the plate supports: overlaps are resolved on the
-    union of supports (_disjoint_pieces), each piece is inverted by a
-    pruned transform into one reused n^3 buffer (_pruned_ifftn), and one
-    pass over axis-0 slabs adds it into a physical-space accumulator and
-    sums its |f|^p (for p = 2 both sums stay in frequency space, by
-    Parseval).  The transforms hold two complex64 n^3 grids, the buffer
-    and the accumulator, with float64 reductions: each slab's |f|^2 is
-    widened to float64 before its powers and sums, and D stays within
-    4e-9 relative of a complex128 run (3.7e-9 on the decouple-grid
-    inputs, 3.3e-9 on acc11's).  p = 2 holds one complex128 accumulator.
-    A grid whose arrays exceed the machine's physical memory raises
-    GridTooLarge before anything is built.
+    Overlaps are resolved on the union of supports (_disjoint_pieces), and
+    each kept piece's layout (its lattice rows and its entries' positions
+    in the box on them) is built once per delta.  Per trial each piece is
+    inverted by a pruned transform into one reused n^3 buffer
+    (_pruned_ifftn), and one pass over axis-0 slabs adds it into the
+    accumulator and sums its |f|^p; p = 2 stays in frequency space
+    (Parseval) with one complex128 accumulator.  Otherwise the transforms
+    hold two complex64 n^3 grids with float64 reductions (each slab's
+    |f|^2 is widened before its powers and sums), and D stays within 4e-9
+    relative of a complex128 run (3.7e-9 on the decouple-grid inputs,
+    3.3e-9 on acc11's).
     """
-    grid = Grid3(exp.n, exp.box)
-    n = grid.n
+    if not 2.0 <= p < math.inf:
+        raise ValueError(f"require finite p >= 2, got p={p}")
+    if coefficient_mode not in ("random_sign", "all_ones"):
+        raise ValueError(f"unknown coefficient mode {coefficient_mode!r}")
+    if not len(deltas):
+        raise ValueError("require at least one delta")
+    if trials < 1:
+        raise ValueError(f"require trials >= 1, got trials={trials}")
+    grid = Grid3(n, box)
     # p = 2 is Parseval: the pieces' coefficients are summed in frequency
     # space and no transform is needed
-    parseval = exp.p == 2.0
+    parseval = p == 2.0
     space = "frequency" if parseval else "physical"
     dtype = complex if parseval else np.complex64
     # the accumulator, and the transforms' buffer
@@ -387,20 +363,24 @@ def decoupling_ratio(exp: DecouplingExperiment) -> dict:
     acc = np.empty((n,) * 3, dtype=dtype)
     buf = None if parseval else np.empty((n,) * 3, dtype=dtype)
     per_delta = []
-    for di, delta in enumerate(exp.deltas):
-        fam = make_family(exp.generator, delta, exp.lam, exp.theta,
-                          math.sqrt(delta))
+    for di, delta in enumerate(deltas):
+        fam = make_family(generator, delta, lam, theta, math.sqrt(delta))
         kept = _disjoint_pieces(
             [_plate_envelope(plate, grid) for plate in fam.plates], n)
+        # per piece, for every trial: its lattice rows on each axis, and
+        # its entries' positions in the box on those rows
+        rows = [[np.unique(i) for i in idx] for idx, _ in kept]
+        at = [tuple(map(np.searchsorted, r, idx))
+              for r, (idx, _) in zip(rows, kept)]
         best = 0.0
-        for trial in range(exp.trials):
+        for trial in range(trials):
             acc.fill(0)
             piece_p = 0.0
-            crng = np.random.default_rng([exp.seed, di, trial, 10_007])
+            crng = np.random.default_rng([seed, di, trial, 10_007])
             for pi, (idx, env) in enumerate(kept):
-                rng = np.random.default_rng([exp.seed, di, trial, pi])
+                rng = np.random.default_rng([seed, di, trial, pi])
                 phases = np.exp(2j * np.pi * rng.random(idx[0].size))
-                if exp.coefficient_mode == "random_sign":
+                if coefficient_mode == "random_sign":
                     c = 1.0 if crng.random() < 0.5 else -1.0
                 else:
                     c = 1.0
@@ -409,36 +389,33 @@ def decoupling_ratio(exp: DecouplingExperiment) -> dict:
                     acc[idx] += c * vals
                     piece_p += _power_sum(vals, 2.0) / n**3
                     continue
-                rows = [np.unique(i) for i in idx]
-                box = np.zeros([r.size for r in rows], dtype=dtype)
-                box[tuple(np.searchsorted(r, i)
-                          for r, i in zip(rows, idx))] = vals
-                f = _pruned_ifftn(rows, box, buf)
+                piece = np.zeros([r.size for r in rows[pi]], dtype=dtype)
+                piece[at[pi]] = vals
+                f = _pruned_ifftn(rows[pi], piece, buf)
                 add = np.add if c > 0 else np.subtract
                 for s in _slabs(f):
                     add(acc[s], f[s], out=acc[s])
-                    piece_p += _power_sum(f[s], exp.p)
-            total = lp_norm(Field3(grid, acc, space), exp.p)
+                    piece_p += _power_sum(f[s], p)
+            total = lp_norm(Field3(grid, acc, space), p)
             best = max(best, total
-                       / (grid.cell_volume * piece_p) ** (1.0 / exp.p))
+                       / (grid.cell_volume * piece_p) ** (1.0 / p))
         per_delta.append(best)
     d_arr = np.asarray(per_delta)
-    deltas = np.asarray(exp.deltas, dtype=float)
-    normalized = d_arr * deltas ** (0.5 - 2.0 / exp.p)
-    report = {
-        "p": exp.p,
-        "coefficient_mode": exp.coefficient_mode,
+    deltas = np.asarray(deltas, dtype=float)
+    normalized = d_arr * deltas ** (0.5 - 2.0 / p)
+    return {
+        "p": p,
+        "coefficient_mode": coefficient_mode,
         "deltas": deltas.tolist(),
         "D": d_arr.tolist(),
         "normalized": normalized.tolist(),
         "band_ratio": float(normalized.max() / normalized.min()),
         "slope": fit_line(np.log2(deltas), np.log2(d_arr))[0],
-        "n": exp.n,
-        "box": exp.box,
-        "trials": exp.trials,
-        "seed": exp.seed,
+        "n": n,
+        "box": box,
+        "trials": trials,
+        "seed": seed,
     }
-    return report
 
 
 # ---------------------------------------------------------------------------

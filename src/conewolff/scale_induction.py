@@ -17,7 +17,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .curve_geometry import (Curve, Dilation, RescaledCurve, _bracket_roots,
-                             _dot3, fit_line, frenet_frame, gauss_legendre)
+                             _dot3, cone_point, fit_line, frenet_frame,
+                             gauss_legendre)
 from .errors import (
     DivByZeroGamma2,
     GridTooLarge,
@@ -718,8 +719,7 @@ def curvature_band(rc: RescaledCurve, n_samples: int = 500,
         uhat = rng.choice([-1.0, 1.0]) * rng.uniform(0.0, 1.0) * 2.0**(-2 * l)
         draws[:, i] = u, w, uhat, rng.uniform(0.9, 1.6)
     u, w, uhat, rhat = draws
-    fr = frenet_frame(rc.curve, rc.s0 + np.ldexp(w, -l))
-    xi = rhat[:, None] * fr.B + uhat[:, None] * fr.T
+    xi = cone_point(rc.curve, rhat, uhat, rc.s0 + np.ldexp(w, -l))
     eta = Dilation(-l, rc.exponents)(xi @ rc.frame.T)
     ratio = (np.abs(_dot3(rc.derivative(u, 2), eta.T))
              / np.linalg.norm(eta, axis=1))

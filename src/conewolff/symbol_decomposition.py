@@ -255,8 +255,7 @@ def verify_plate_support(piece: SymbolPiece, C: Optional[float] = None,
     u *= rng.choice([-1.0, 1.0], n_samples)
     sigma = rng.uniform(max(lo, s_nu - 4 / scale), min(hi, s_nu + 4 / scale),
                         n_samples)
-    at = frenet_frame(piece.curve, sigma)
-    xi = r[:, None] * at.B + u[:, None] * at.T
+    xi = cone_point(piece.curve, r, u, sigma)
     s = rng.uniform(max(lo, s_nu - 1 / scale), min(hi, s_nu + 1 / scale),
                     n_samples)
     vals = piece.coord_eval(s, r, u, sigma, np.linalg.norm(xi, axis=1))

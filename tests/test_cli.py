@@ -94,6 +94,15 @@ def test_parse_config_rejects_out_of_range(tmp_path, monkeypatch, key,
                     experiment="plates")
 
 
+def test_validate_config_holds_plates_to_one_delta():
+    # the rule is validate_config's, so a Config built in code meets it
+    # too, rather than plates silently using deltas[0]
+    with pytest.raises(ConfigError, match="field 'deltas'.*not 2"):
+        cli.validate_config(cli.Config("plates", deltas=(0.25, 0.0625)))
+    cli.validate_config(cli.Config("plates", deltas=(0.25,)))
+    cli.validate_config(cli.Config("decouple", deltas=(0.25, 0.0625)))
+
+
 def test_validate_scale_constraints(capsys):
     with pytest.raises(ConfigError, match="sigma"):
         cli.parse_config(_cfg_text(experiment="plates", deltas="0.0625",

@@ -91,6 +91,39 @@ def test_a_extension():
         assert cp.plate_contains(pl, xi)
 
 
+def test_plate_tests_on_a_batch_equal_per_point_calls():
+    # points component first, as Curve.eval returns them: a (3, m) batch of
+    # interior samples, the corners, points outside and xi = 0 (t1 = 0)
+    # gives the per-point values of coords, min_extension and plate_contains
+    pl = cp.make_plate(CIRCLE, 0.4, 2**-5, 3.0, A=1.5)
+    rng = np.random.default_rng(11)
+    pts = np.vstack([pl.sample(50, rng), pl.corners(),
+                     3.0 * pl.sample(20, rng), np.zeros((1, 3))])
+    t = pl.coords(pts.T)
+    assert np.array_equal(t, np.stack([pl.coords(x) for x in pts], axis=1))
+    assert np.array_equal(pl.coords(tuple(pts.T)), t)
+    need = pl.min_extension(pts.T)
+    inside = cp.plate_contains(pl, pts.T)
+    assert need.shape == inside.shape == (len(pts),)
+    assert np.array_equal(need, [pl.min_extension(x) for x in pts])
+    assert np.array_equal(inside, [cp.plate_contains(pl, x) for x in pts])
+    assert inside[:58].all() and not inside[58:].all()
+    assert math.isinf(need[-1]) and not inside[-1]
+
+
+@pytest.mark.parametrize("build, match", [
+    (lambda: cp.make_plate(CIRCLE, 0.0, 2**-4, math.nan), "lam=nan"),
+    (lambda: cp.make_plate(CIRCLE, 0.0, 2**-4, math.inf), "lam=inf"),
+    (lambda: cp.make_family(CIRCLE, 2**-4, 1.0, 1.0, 0.0), "sigma=0.0"),
+    (lambda: cp.make_family(CIRCLE, 2**-4, 1.0, 1.0, math.nan), "sigma=nan"),
+    (lambda: cp.make_family(CIRCLE, 2**-4, 1.0, math.nan, 0.25), "theta=nan"),
+])
+def test_plates_refuse_non_finite_parameters(build, match):
+    # refused by name, not built from NaN or stopped by a ZeroDivisionError
+    with pytest.raises(ValueError, match=match):
+        build()
+
+
 # ---------------------------------------------------------------------------
 # make_family
 # ---------------------------------------------------------------------------

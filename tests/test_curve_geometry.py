@@ -440,6 +440,21 @@ def test_cone_roundtrip_random():
         assert abs(r2 - r) < 1e-8 and abs(u2 - u) < 1e-8 and abs(s2 - sig) < 1e-8
 
 
+def test_cone_point_on_arrays():
+    # rows (m, 3) from one frenet_frame call: exactly r B + u T of the
+    # array frame, and the scalar calls' points
+    h = cg.helix(1, 1)
+    rng = np.random.default_rng(3)
+    r, u, sig = (rng.uniform(0.5, 2.0, 9), rng.uniform(-0.2, 0.2, 9),
+                 rng.uniform(-0.9, 0.9, 9))
+    got = cg.cone_point(h, r, u, sig)
+    fr = cg.frenet_frame(h, sig)
+    assert np.array_equal(got, r[:, None] * fr.B + u[:, None] * fr.T)
+    want = np.array([cg.cone_point(h, *a) for a in zip(r, u, sig)])
+    assert want.shape == got.shape == (9, 3)
+    assert np.allclose(got, want, rtol=0.0, atol=1e-14)
+
+
 def test_outside_cone():
     h = cg.helix(1, 1)
     fr = cg.frenet_frame(h, 0.0)

@@ -144,13 +144,13 @@ def test_random_plate_field_unresolved():
 def test_decoupling_single_plate_and_p2():
     fam1 = make_family(CIRCLE, 2.0**-4, 64.0, 0.1, 0.25)
     assert len(fam1.plates) == 1
-    e1 = ol.DecouplingExperiment(CIRCLE, 64.0, 0.1, 8.0, [2.0**-4], 1,
-                                 "all_ones", n=256)
-    assert abs(ol.decoupling_ratio(e1)["D"][0] - 1.0) <= 1e-12
+    r1 = ol.decoupling_ratio(CIRCLE, 64.0, 0.1, 8.0, [2.0**-4], 1,
+                             "all_ones", n=256)
+    assert abs(r1["D"][0] - 1.0) <= 1e-12
 
-    e2 = ol.DecouplingExperiment(CIRCLE, 64.0, 1.0, 2.0, [2.0**-4, 2.0**-6],
-                                 2, "random_sign", n=256)
-    for d in ol.decoupling_ratio(e2)["D"]:
+    r2 = ol.decoupling_ratio(CIRCLE, 64.0, 1.0, 2.0, [2.0**-4, 2.0**-6], 2,
+                             "random_sign", n=256)
+    for d in r2["D"]:
         assert abs(d - 1.0) <= 1e-8
 
 
@@ -159,21 +159,48 @@ def test_decoupling_single_plate_and_p2():
 def test_decoupling_experiment_refuses_empty_runs(deltas, trials, match):
     # no delta or no trial measures nothing: refused, not reported as D = 0
     with pytest.raises(ValueError, match=match):
-        ol.DecouplingExperiment(CIRCLE, 24.0, 1.0, 8.0, deltas, trials)
+        ol.decoupling_ratio(CIRCLE, 24.0, 1.0, 8.0, deltas, trials)
+
+
+@pytest.mark.parametrize("change, match", [
+    ({"p": math.nan}, "p=nan"), ({"p": math.inf}, "p=inf"),
+    ({"p": 1.5}, "p=1.5"), ({"coefficient_mode": "ones"}, "mode 'ones'"),
+    ({"deltas": []}, "delta"), ({"trials": 0}, "trials=0")])
+def test_decoupling_checks_its_parameters_first(monkeypatch, change, match):
+    # p = nan used to run and report D = [0.0]; every refusal comes before
+    # the grid, the memory check or any plate
+    def untouched(*args, **kwargs):
+        raise AssertionError("built before the parameter checks")
+
+    for name in ("Grid3", "_require_memory", "make_family"):
+        monkeypatch.setattr(ol, name, untouched)
+    kw = dict(generator=CIRCLE, lam=24.0, theta=1.0, p=8.0,
+              deltas=[2.0**-4], trials=1, n=64)
+    kw.update(change)
+    with pytest.raises(ValueError, match=match):
+        ol.decoupling_ratio(**kw)
+
+
+@pytest.mark.parametrize("build, match", [
+    (lambda: ol.Grid3(16, math.nan), "box=nan"),
+    (lambda: ol.Grid3(16, math.inf), "box=inf"),
+    (lambda: ol.lp_norm(_constant_field(ol.Grid3(16), 1.0), math.nan),
+     "p=nan")])
+def test_grid_and_norm_refuse_non_finite(build, match):
+    with pytest.raises(ValueError, match=match):
+        build()
 
 
 def test_decoupling_global_phase_invariance():
     # D uses |.|-norms only, so multiplying every coefficient by a phase
     # cannot change it; all-ones twice must also agree bit-for-bit
-    e = ol.DecouplingExperiment(CIRCLE, 64.0, 1.0, 4.0, [2.0**-4], 1,
-                                "all_ones", n=128, seed=3)
     # lam=64 plates overflow an n=128 lattice
     with pytest.raises(PlateUnresolved):
-        ol.decoupling_ratio(e)
-    e = ol.DecouplingExperiment(CIRCLE, 24.0, 1.0, 4.0, [2.0**-4], 1,
-                                "all_ones", n=128, seed=3)
-    r1 = ol.decoupling_ratio(e)
-    r2 = ol.decoupling_ratio(e)
+        ol.decoupling_ratio(CIRCLE, 64.0, 1.0, 4.0, [2.0**-4], 1, "all_ones",
+                            n=128, seed=3)
+    args = (CIRCLE, 24.0, 1.0, 4.0, [2.0**-4], 1, "all_ones")
+    r1 = ol.decoupling_ratio(*args, n=128, seed=3)
+    r2 = ol.decoupling_ratio(*args, n=128, seed=3)
     assert r1["D"] == r2["D"]
 
 
@@ -269,23 +296,21 @@ def test_decoupling_refuses_grid_beyond_memory(monkeypatch):
 
     monkeypatch.setattr(ol, "make_family", untouched)
     monkeypatch.setattr(ol, "_plate_envelope", untouched)
-    e = ol.DecouplingExperiment(CIRCLE, 24.0, 1.0, 8.0, [2.0**-4], 1,
-                                "all_ones", n=4096)
     with pytest.raises(GridTooLarge, match="4096"):
-        ol.decoupling_ratio(e)
+        ol.decoupling_ratio(CIRCLE, 24.0, 1.0, 8.0, [2.0**-4], 1, "all_ones",
+                            n=4096)
 
 
 def test_decoupling_memory_guard_counts_complex64(monkeypatch):
     # 3 * 8 * 64^3 bytes of memory hold the decoupling's two complex64
     # grids (2 * 8 * 64^3), but not two complex128 ones, and not a band
     # field's complex128 pair
-    e = ol.DecouplingExperiment(CIRCLE, 8.0, 1.0, 8.0, [2.0**-4], 1,
-                                "all_ones", n=64)
-    want = ol.decoupling_ratio(e)
+    args = (CIRCLE, 8.0, 1.0, 8.0, [2.0**-4], 1, "all_ones")
+    want = ol.decoupling_ratio(*args, n=64)
     phys = {"SC_PHYS_PAGES": 3 * 8 * 64**3, "SC_PAGE_SIZE": 1}
     monkeypatch.setattr(ol, "os", types.SimpleNamespace(
         sysconf=phys.__getitem__))
-    assert ol.decoupling_ratio(e)["D"] == want["D"]
+    assert ol.decoupling_ratio(*args, n=64)["D"] == want["D"]
     with pytest.raises(GridTooLarge, match=str(2 * 16 * 64**3)):
         ol._require_memory("decoupling", 64, 2, complex)
     with pytest.raises(GridTooLarge, match="band field on a 64"):
@@ -296,10 +321,9 @@ def test_decoupling_frozen_decouple_grid_inputs():
     # the decouple-grid benchmark's seed-0 inputs; the reference D are the
     # complex128 transform's, and the complex64 transforms move them by at
     # most 3.7e-9 relative
-    e = ol.DecouplingExperiment(CIRCLE, 24.0, 1.0, 8.0,
-                                [2.0**-4, 2.0**-5, 2.0**-6], 1, "all_ones",
-                                n=128, seed=0)
-    rep = ol.decoupling_ratio(e)
+    rep = ol.decoupling_ratio(CIRCLE, 24.0, 1.0, 8.0,
+                              [2.0**-4, 2.0**-5, 2.0**-6], 1, "all_ones",
+                              n=128, seed=0)
     assert np.allclose(rep["D"], [1.7586908857775454, 1.9653070636515169,
                                   2.1127896024118593], rtol=1e-6, atol=0.0)
 
@@ -326,11 +350,10 @@ def test_lp_norm_reduces_without_grid_sized_temporaries():
 
 def test_decoupling_holds_two_complex_grids():
     n = 128
-    e = ol.DecouplingExperiment(CIRCLE, 24.0, 1.0, 8.0, [2.0**-4], 1,
-                                "all_ones", n=n)
     tracemalloc.start()
     try:
-        ol.decoupling_ratio(e)
+        ol.decoupling_ratio(CIRCLE, 24.0, 1.0, 8.0, [2.0**-4], 1, "all_ones",
+                            n=n)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -789,9 +812,8 @@ def test_helix_phase_identity_matches_fd():
 
 
 def test_decoupling_all_ones_band_small():
-    e = ol.DecouplingExperiment(CIRCLE, 24.0, 1.0, 8.0, [2.0**-4, 2.0**-5], 2,
-                                "all_ones", n=128, seed=0)
-    rep = ol.decoupling_ratio(e)
+    rep = ol.decoupling_ratio(CIRCLE, 24.0, 1.0, 8.0, [2.0**-4, 2.0**-5], 2,
+                              "all_ones", n=128, seed=0)
     assert all(d >= 1.0 for d in rep["D"])
     assert rep["band_ratio"] <= 4.0
 
@@ -812,8 +834,7 @@ def test_slope_needs_two_distinct_abscissae():
         warnings.simplefilter("error")  # no RankWarning either
         rep = ol.sobolev_sweep(HELIX, chi, 40.0, 1.0 / 40.0, [4],
                                n=64, box=3.0, seed=0)
-        dup = ol.decoupling_ratio(ol.DecouplingExperiment(
-            CIRCLE, 8.0, 1.0, 8.0, [2.0**-4, 2.0**-4], 1, "all_ones", n=64,
-            seed=0))
+        dup = ol.decoupling_ratio(CIRCLE, 8.0, 1.0, 8.0, [2.0**-4, 2.0**-4],
+                                  1, "all_ones", n=64, seed=0)
     assert len(rep["ratios"]) == 1 and math.isnan(rep["slope"])
     assert len(dup["D"]) == 2 and math.isnan(dup["slope"])
