@@ -158,6 +158,9 @@ def validate_config(cfg: Config) -> None:
     if cfg.experiment == "plates" and len(cfg.deltas) > 1:
         raise ConfigError("field 'deltas': plates builds one family, so it "
                           f"takes one delta, not {len(cfg.deltas)}")
+    if cfg.experiment == "schedule" and cfg.k < 10:
+        raise ConfigError("field 'k': the radius schedule needs k >= 10, "
+                          f"got {cfg.k}")
     for delta in cfg.deltas:
         if not (0.0 < delta <= 1.0):
             raise ConfigError(f"delta {delta} outside (0, 1]")
@@ -386,12 +389,12 @@ def _exp_census(cfg: Config) -> ReportBundle:
 
 def _exp_schedule(cfg: Config) -> ReportBundle:
     es = cp.exponent_schedule(cfg.p, cfg.eps)
-    rs = si.r_schedule(max(cfg.k, 10), cfg.eps0, cfg.M)
+    rs = si.r_schedule(cfg.k, cfg.eps0, cfg.M)
     report = {
         "experiment": "schedule", "seed": cfg.seed,
         "p": cfg.p, "eps": cfg.eps, "n_star": es.n_star, "betas": es.betas,
         "fixed_point": es.fixed_point,
-        "k": max(cfg.k, 10), "eps0": cfg.eps0, "M": cfg.M,
+        "k": cfg.k, "eps0": cfg.eps0, "M": cfg.M,
         "eps1": rs.eps1, "N": rs.N, "capped": rs.capped,
         "descending": rs.descending, "hypothesis_ok": rs.hypothesis_ok,
         "terminal_lower_ok": rs.terminal_lower_ok,

@@ -8,19 +8,24 @@ A (delta, lambda)-plate at anchor alpha is the parallelepiped
 
 with frame u1 = (g(alpha), 1), u2 = (g'(alpha), 0), u3 = u1 x u2.  The
 A-extension scales each bound by A (and the lower bound by 1/A).
+Plate.unit_coords scales Plate.coords so that the A=1 box is |a| < 1; the
+plate bump, BumpFunction, is prod eta0(unit_coords), the decoupling's
+lattice envelope, and its derivative check is derivative_sup.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .curve_geometry import CURVATURE_FLOOR, Curve, _circle, fit_line
+from .curve_geometry import (CURVATURE_FLOOR, Curve, _circle,
+                             derivative_sup, fit_line)
 from .errors import DegenerateCurvature, EmptyFamily, NotCircular
+from .symbol_decomposition import eta0
 
 TWO_PI = 2.0 * math.pi
 
@@ -57,6 +62,17 @@ class Plate:
         M = self._M
         return np.stack([M[i, 0] * x + M[i, 1] * y + M[i, 2] * z
                          for i in range(3)])
+
+    def unit_coords(self, xi) -> np.ndarray:
+        """coords(xi) scaled so that the A=1 box is |a| < 1 in every row:
+        a1 = (t1/lam - 1.25)/0.75, a2 = t2/(lam sqrt(delta)) and
+        a3 = t3/(lam delta)."""
+        a = self.coords(xi)
+        b = self.bounds
+        a[0] = (a[0] / self.lam - 1.25) / 0.75
+        a[1] /= b[1]
+        a[2] /= b[2]
+        return a
 
     def point(self, t: np.ndarray) -> np.ndarray:
         return self._Minv @ np.asarray(t, dtype=float)
@@ -345,63 +361,31 @@ def verify_containment(mapped_plates: Sequence[Plate], target_family: PlateFamil
 # ---------------------------------------------------------------------------
 
 
-def _mollifier(t: np.ndarray) -> np.ndarray:
-    t = np.asarray(t, dtype=float)
-    out = np.zeros_like(t)
-    inside = np.abs(t) < 1.0
-    ti = t[inside]
-    out[inside] = np.exp(1.0 - 1.0 / (1.0 - ti * ti))
-    return out
-
-
 class BumpFunction:
-    """Tensor bump in the plate's dual frame, supported inside the plate.
-
-    eval(xi) = m((t1 - lam)/(lam/2)) m(t2/(lam sqrt(delta))) m(t3/(lam delta))
-    with m the standard compactly supported mollifier (normalized to m(0)=1).
-    """
+    """Tensor bump in the plate's frame, supported inside the A=1 plate:
+    eval(xi) = eta0(a1) eta0(a2) eta0(a3) at a = plate.unit_coords(xi),
+    which is 1 at the center.  It is the decoupling's plate envelope."""
 
     def __init__(self, plate: Plate):
         self.plate = plate
 
     def eval(self, xi):
         """The bump at xi, component first as in Plate.coords."""
-        t = self.plate.coords(xi)
-        b = self.plate.bounds
-        return (_mollifier((t[0] - self.plate.lam) / (self.plate.lam / 2.0))
-                * _mollifier(t[1] / b[1]) * _mollifier(t[2] / b[2]))
+        e = eta0(self.plate.unit_coords(xi))
+        return e[0] * e[1] * e[2]
 
     def verify_derivative_bounds(self, grid_n: int = 5) -> dict:
-        """Max ratio of |<u1,grad>^n1 <u2,grad>^n2 <u3,grad>^n3 eval| to the
-        scaling lam^{-n1-n2-n3} delta^{-n2/2 - n3}, orders n1+n2+n3 <= 2, at
-        the center and grid_n^3 interior samples (seed 0)."""
+        """Max ratio of |<u1,grad>^n1 <u2,grad>^n2 <u3,grad>^n3 eval| (unit
+        u_i) to the scaling lam^{-n1-n2-n3} delta^{-n2/2 - n3}, orders
+        n1+n2+n3 <= 2, at the center and grid_n^3 interior samples (seed
+        0): derivative_sup with steps lam, lam sqrt(delta), lam delta."""
         p = self.plate
-        max_order = 2
         pts = np.vstack([p.center(),
                          p.sample(grid_n**3, np.random.default_rng(0))]).T
-        dirs = [(u / np.linalg.norm(u))[:, None] for u in (p.u1, p.u2, p.u3)]
-        steps = [p.lam * 1e-3, p.lam * math.sqrt(p.delta) * 1e-3,
-                 p.lam * p.delta * 1e-3]
-        worst = 0.0
-        for n1 in range(max_order + 1):
-            for n2 in range(max_order + 1 - n1):
-                for n3 in range(max_order + 1 - n1 - n2):
-                    bound = (p.lam ** -(n1 + n2 + n3)
-                             * p.delta ** -(n2 / 2.0 + n3))
-                    v = self._directional(pts, (n1, n2, n3), dirs, steps)
-                    worst = max(worst, float(np.abs(v).max()) / bound)
-        return {"max_ratio": worst, "max_order": max_order}
-
-    def _directional(self, x, orders, dirs, steps):
-        f = self.eval
-        for i, n in enumerate(orders):
-            for _ in range(n):
-                f = self._diff_along(f, dirs[i], steps[i])
-        return f(x)
-
-    @staticmethod
-    def _diff_along(f, direction, h):
-        return lambda x: (f(x + h * direction) - f(x - h * direction)) / (2.0 * h)
+        steps = [(h * u / np.linalg.norm(u))[:, None]
+                 for h, u in zip((p.lam, *p.bounds[1:]), (p.u1, p.u2, p.u3))]
+        worst = derivative_sup(self.eval, pts, steps).max()
+        return {"max_ratio": float(worst), "max_order": 2}
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,10 @@ Curve, whose case n = (1, 2, 3) is the (l, nu) section rescaling.  The
 chart has one inversion, cone_chart, which resolves many frequencies in one
 call; cone_coordinates is its scalar form.  fit_line is the one
 least-squares line fit behind every sweep's slope, gauss_legendre the one
-Gauss-Legendre rule builder behind every integral over a curve parameter.
+Gauss-Legendre rule builder behind every integral over a curve parameter,
+and derivative_sup, on nested_diff, the one difference routine behind
+every symbol-estimate check (plate bumps, Hormander constants, localized
+pieces).
 """
 
 from __future__ import annotations
@@ -57,6 +60,26 @@ def nested_diff(f: Callable[[float], np.ndarray], x: float, order: int):
     d_h = (np.asarray(g(x + h)) - np.asarray(g(x - h))) / (2.0 * h)
     d_h2 = (np.asarray(g(x + h / 2)) - np.asarray(g(x - h / 2))) / h
     return (4.0 * d_h2 - d_h) / 3.0
+
+
+def derivative_sup(f: Callable[[np.ndarray], np.ndarray], x, steps
+                   ) -> np.ndarray:
+    """Per point of x, the largest |d_t^alpha f(x + sum_i t_i steps[i])| at
+    t = 0 over |alpha| <= 2, alpha = 0 included: every partial is
+    nested_diff of f on whole arrays.  Each step broadcasts against x, so a
+    bound |d^alpha f| <= C h^-alpha reads derivative_sup <= C at steps h."""
+    x = np.asarray(x, dtype=float)
+    steps = [np.asarray(h, dtype=float) for h in steps]
+    worst = np.abs(f(x))
+    for i, hi in enumerate(steps):
+        for order in (1, 2):
+            d = nested_diff(lambda t: f(x + t * hi), 0.0, order)
+            worst = np.maximum(worst, np.abs(d))
+        for hj in steps[i + 1:]:
+            d = nested_diff(lambda t: nested_diff(
+                lambda s: f(x + t * hi + s * hj), 0.0, 1), 0.0, 1)
+            worst = np.maximum(worst, np.abs(d))
+    return worst
 
 
 # ---------------------------------------------------------------------------

@@ -207,13 +207,12 @@ def lp_norm(f: Field3, p: float) -> float:
 def _plate_envelope(plate: Plate, grid: Grid3):
     """Smooth plate bump on the lattice: (index triple, envelope values).
 
-    The envelope is a product of bumps in Plate.coords scaled by the
-    plate's bounds, whose support is exactly the A=1 plate box; only the
-    box's axis-aligned bounding lattice region is touched.  The
-    separation-scale side (half-width lam*sqrt(delta)) must span >= 4
-    lattice cells; the thin lam*delta side may be coarser than the
-    lattice, in which case it selects a quasi-random slice of lattice
-    planes.
+    The envelope is BumpFunction's product of eta0 over Plate.unit_coords,
+    whose support is exactly the A=1 plate box; only the box's
+    axis-aligned bounding lattice region is touched.  The separation-scale
+    side (half-width lam*sqrt(delta)) must span >= 4 lattice cells; the
+    thin lam*delta side may be coarser than the lattice, in which case it
+    selects a quasi-random slice of lattice planes.
     """
     spacing = 2.0 * np.pi / grid.box
     b = plate.bounds
@@ -229,9 +228,7 @@ def _plate_envelope(plate: Plate, grid: Grid3):
     sub = [np.nonzero((ax >= corners[:, d].min() - spacing)
                       & (ax <= corners[:, d].max() + spacing))[0]
            for d in range(3)]
-    a = plate.coords(grid.freq_mesh(sub))
-    a[0] = (a[0] / plate.lam - 1.25) / 0.75
-    a[1:] /= b[1:, None, None, None]
+    a = plate.unit_coords(grid.freq_mesh(sub))
     idx = np.nonzero(np.all(np.abs(a) < 1.0, axis=0))
     e = eta0(a[(slice(None), *idx)])
     return tuple(s[i] for s, i in zip(sub, idx)), e[0] * e[1] * e[2]

@@ -1,10 +1,12 @@
 """Two-scale refinement machinery for symbols near a curve's critical point.
 
-Shear/dilation normalizations of multipliers, the critical-point quantity U
-and its quadratic approximation with explicit constants, plate membership of
-the two-scale cutoff pieces, a support census with multiplicity bounds, the
-geometric radius schedule, an FFT kernel-decay probe, and the curvature
-band of a curve section's (l, nu) rescaling, the curve that
+Shear/dilation normalizations of multipliers with their Hormander-Mikhlin
+check (hormander_constant, on curve_geometry.derivative_sup), the
+critical-point quantity U and its quadratic approximation with explicit
+constants, plate membership of the two-scale cutoff pieces, a support
+census with multiplicity bounds, the geometric radius schedule, an FFT
+kernel-decay probe with its r- and k-sweeps, and the curvature band of a
+curve section's (l, nu) rescaling, the curve that
 curve_geometry.finite_type_rescale returns.
 """
 
@@ -17,8 +19,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .curve_geometry import (Curve, Dilation, RescaledCurve, _bracket_roots,
-                             _dot3, cone_point, fit_line, frenet_frame,
-                             gauss_legendre)
+                             _dot3, cone_point, derivative_sup, fit_line,
+                             frenet_frame, gauss_legendre)
 from .errors import (
     DivByZeroGamma2,
     GridTooLarge,
@@ -146,37 +148,13 @@ def sample_symbol_support(shear: ShearDilation, k: int, n: int,
 def hormander_constant(shear: ShearDilation, m: Callable, k: int,
                        n_samples: int = 60) -> float:
     """Max of |Xi|^{|alpha|} |d^alpha (m o L)(Xi)| over sampled support points
-    (seed 0) and |alpha| <= 2, by central differences of step 2^k / 1000."""
-    rng = np.random.default_rng(0)
-    pts = sample_symbol_support(shear, k, n_samples, rng)
-    Linv = np.linalg.inv(shear.L)
-
-    def g(Xi):
-        Y = shear.L @ Xi
-        return float(m(Y[:3], Y[3]))
-
-    h = 1e-3 * 2.0**k
-    worst = 0.0
-    eye = np.eye(4)
-    for row in pts:
-        Xi = Linv @ row
-        scale = np.linalg.norm(Xi)
-        g0 = g(Xi)
-        worst = max(worst, abs(g0))
-        for i in range(4):
-            gp = g(Xi + h * eye[i])
-            gm = g(Xi - h * eye[i])
-            worst = max(worst, abs(gp - gm) / (2 * h) * scale)
-            worst = max(worst, abs(gp - 2 * g0 + gm) / h**2 * scale**2)
-        for i in range(4):
-            for j in range(i + 1, 4):
-                gpp = g(Xi + h * (eye[i] + eye[j]))
-                gpm = g(Xi + h * (eye[i] - eye[j]))
-                gmp = g(Xi - h * (eye[i] - eye[j]))
-                gmm = g(Xi - h * (eye[i] + eye[j]))
-                worst = max(worst,
-                            abs(gpp - gpm - gmp + gmm) / (4 * h**2) * scale**2)
-    return worst
+    L Xi (seed 0) and |alpha| <= 2: derivative_sup of m at L Xi with steps
+    |Xi| e_i, mapped by L."""
+    pts = sample_symbol_support(shear, k, n_samples, np.random.default_rng(0))
+    norms = np.linalg.norm(np.linalg.solve(shear.L, pts.T), axis=0)
+    steps = norms[:, None] * shear.L.T[:, None, :]  # step i: |Xi| L e_i
+    return float(derivative_sup(lambda Y: m(Y[:, :3], Y[:, 3]), pts,
+                                steps).max())
 
 
 # ---------------------------------------------------------------------------
@@ -673,22 +651,12 @@ def kernel_decay_sweep(curve: Curve, k_list: Sequence[int],
     r_fix = r_list[len(r_list) // 2]
     names = ("gamma1", "perp", "time")
     out = {"r_slopes": {}, "k_slopes": {}, "k_fixed": k_fix, "r_fixed": r_fix}
-    logs = {nm: [] for nm in names}
-    for r in r_list:
-        rep = kernel_decay_probe(curve, k_fix, r)
-        for nm in names:
-            logs[nm].append(math.log2(rep["scales"][nm]))
-    lr = np.log2(np.asarray(r_list, dtype=float))
-    for nm in names:
-        out["r_slopes"][nm] = fit_line(lr, logs[nm])[0]
-    logs = {nm: [] for nm in names}
-    for k in k_list:
-        rep = kernel_decay_probe(curve, k, r_fix)
-        for nm in names:
-            logs[nm].append(math.log2(rep["scales"][nm]))
-    kk = np.asarray(k_list, dtype=float)
-    for nm in names:
-        out["k_slopes"][nm] = fit_line(kk, logs[nm])[0]
+    for key, x, runs in (("r_slopes", np.log2(r_list),
+                          [(k_fix, r) for r in r_list]),
+                         ("k_slopes", k_list, [(k, r_fix) for k in k_list])):
+        scales = [kernel_decay_probe(curve, k, r)["scales"] for k, r in runs]
+        out[key] = {nm: fit_line(x, [math.log2(sc[nm]) for sc in scales])[0]
+                    for nm in names}
     out["r_targets"] = {"gamma1": 1.0, "perp": 0.0, "time": 2.0}
     out["k_targets"] = {"gamma1": 1.0, "perp": 1.0, "time": 1.0}
     return out

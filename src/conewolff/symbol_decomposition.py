@@ -23,6 +23,7 @@ from .curve_geometry import (
     cone_chart,
     cone_coordinates,
     cone_point,
+    derivative_sup,
     fit_line,
     frenet_frame,
     gauss_legendre,
@@ -245,7 +246,6 @@ def verify_plate_support(piece: SymbolPiece, C: Optional[float] = None,
     if piece.nu is None:
         raise ValueError("plate-support check needs a nu-localized piece")
     scale = _nu_scale(piece)
-    l_eff = math.log2(scale)
     s_nu = piece.nu / scale
     fr = frenet_frame(piece.curve, s_nu)
     rng = np.random.default_rng(seed)
@@ -272,31 +272,26 @@ def verify_plate_support(piece: SymbolPiece, C: Optional[float] = None,
     req = max(t_part.max(), n_part.max(), b_part.max(), (1.0 / b_part).max())
     report["required_C"] = float(req)
     report["derivative_C"] = _support_derivative_constant(
-        piece, xs[: min(40, len(xs))], s[mask][: min(40, len(xs))], fr, l_eff)
+        piece, xs[:40], s[mask][:40],
+        np.array([fr.T / scale**2, fr.N / scale, fr.B]))
     if C is not None:
         report["pass"] = bool(req <= C)
     return report
 
 
-def _support_derivative_constant(piece, xis, ss, fr, l_eff) -> float:
-    """Finite-difference directional derivatives of xi -> piece(s, xi) along
-    the anchor frame, normalized by the expected growth rates.  One
-    cone_chart call places every difference point; a point outside the
-    cone contributes 0."""
-    rates = 2.0 ** np.array([2 * l_eff, l_eff, 0.0])
-    h = 0.05 / rates
-    steps = h[:, None] * np.array([fr.T, fr.N, fr.B])
-    # per xi: xi itself, then xi + h e and xi - h e for e = T, N, B
-    pts = xis[:, None] + np.concatenate([np.zeros((1, 3)), steps, -steps])
-    pts = pts.reshape(-1, 3)
-    r, u, sg, ok = cone_chart(piece.curve, pts)
-    vals = np.zeros(len(pts))
-    vals[ok] = piece.coord_eval(np.repeat(ss, 7)[ok], r[ok], u[ok], sg[ok],
-                                np.linalg.norm(pts[ok], axis=1))
-    f0, fp, fm = np.split(vals.reshape(-1, 7), [1, 4], axis=1)
-    d1 = np.abs(fp - fm) / (2 * h) / rates
-    d2 = np.abs(fp - 2 * f0 + fm) / h**2 / rates**2
-    return float(max(d1.max(), d2.max()))
+def _support_derivative_constant(piece, xis, ss, steps) -> float:
+    """derivative_sup of xi -> piece(s, xi) at xis (s = ss) along steps,
+    the anchor frame scaled by the inverse growth rates.  Each evaluation
+    places its points with one cone_chart call; a point outside the cone
+    contributes 0."""
+    def f(pts):
+        r, u, sg, ok = cone_chart(piece.curve, pts)
+        vals = np.zeros(len(pts))
+        vals[ok] = piece.coord_eval(ss[ok], r[ok], u[ok], sg[ok],
+                                    np.linalg.norm(pts[ok], axis=1))
+        return vals
+
+    return float(derivative_sup(f, xis, steps).max())
 
 
 # ---------------------------------------------------------------------------

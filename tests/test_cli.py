@@ -94,6 +94,17 @@ def test_parse_config_rejects_out_of_range(tmp_path, monkeypatch, key,
                     experiment="plates")
 
 
+@pytest.mark.parametrize("val", ["5", "9"])
+def test_schedule_refuses_k_below_10(tmp_path, monkeypatch, val):
+    # the radius schedule needs k >= 10; schedule used to run k = 10 in
+    # place of a smaller k and report k = 10
+    _assert_refused(tmp_path, monkeypatch, "k", val, "field 'k'")
+    with pytest.raises(ConfigError, match="k >= 10"):
+        cli.validate_config(cli.Config("schedule", k=int(val)))
+    cli.validate_config(cli.Config("schedule", k=10))
+    cli.validate_config(cli.Config("decouple", k=int(val)))
+
+
 def test_validate_config_holds_plates_to_one_delta():
     # the rule is validate_config's, so a Config built in code meets it
     # too, rather than plates silently using deltas[0]

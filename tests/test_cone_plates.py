@@ -415,6 +415,18 @@ def test_bump_derivative_scalings():
     assert abs(ratios[0] - ratios[1]) <= 1e-6 * ratios[0]
 
 
+def test_bump_is_the_decoupling_envelope():
+    # the lattice envelope is the bump the derivative check measures
+    from conewolff import operator_lab as ol
+    grid = ol.Grid3(64, 8.0)
+    pl = cp.make_plate(CIRCLE, 0.7, 2.0**-2, 8.0)
+    idx, env = ol._plate_envelope(pl, grid)
+    assert env.size > 100 and env.max() == 1.0
+    ax = grid.freq_axis()
+    assert np.array_equal(env, cp.BumpFunction(pl).eval(
+        tuple(ax[i] for i in idx)))
+
+
 # ---------------------------------------------------------------------------
 # exports
 # ---------------------------------------------------------------------------

@@ -51,6 +51,25 @@ def test_derivatives_match_finite_differences():
                 assert np.allclose(fd, c.derivative(s, j), atol=1e-6), (c.name, s, j)
 
 
+def test_derivative_sup_matches_closed_forms():
+    # exp(c.x): d_t^alpha = exp(c.x) (c.h1)^a1 (c.h2)^a2, with a per-point
+    # first step broadcast against (m, 2) points
+    rng = np.random.default_rng(3)
+    x = rng.uniform(-1.0, 1.0, (50, 2))
+    s = rng.uniform(0.2, 2.0, 50)
+    c = np.array([1.5, -0.7])
+    steps = [s[:, None] * np.array([1.0, 0.0]), np.array([0.0, 0.5])]
+    a, b = (h @ c * np.ones(50) for h in steps)
+    exact = np.exp(x @ c) * np.max(np.abs([np.ones(50), a, b, a * a, b * b,
+                                           a * b]), axis=0)
+    got = cg.derivative_sup(lambda y: np.exp(y @ c), x, steps)
+    assert np.allclose(got, exact, rtol=1e-7, atol=0)
+    # x0 x1 near the origin: only the mixed partial h1 h2 reaches 6
+    got = cg.derivative_sup(lambda y: y[0] * y[1], np.array([0.01, 0.02]),
+                            [np.array([2.0, 0.0]), np.array([0.0, 3.0])])
+    assert got == pytest.approx(6.0, rel=1e-7)
+
+
 def test_reparametrization_preserves_image():
     base = cg.twisted_cubic(domain=(-0.4, 0.4))
     arc = cg.reparametrize_arclength(base)

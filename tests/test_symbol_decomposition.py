@@ -204,6 +204,40 @@ def test_plate_support_helix():
     assert rep["derivative_C"] <= 150.0
 
 
+def test_plate_support_derivative_constant_is_converged(monkeypatch):
+    # derivative_C bounds the second difference along T at t-step 1e-4
+    # (the T step is 2^{-2l} per unit t) at the points it checked; a step
+    # of 5 % of 2^{-2l} read 458.8 on this piece against about 8070
+    ak = sd.make_ak(HELIX, 12)
+    piece = sd.nu_localize(
+        sd._shell_piece(ak, "b_{k,l}", 3, sd.default_a0(HELIX)), [0])[0]
+    seen = []
+    real = sd._support_derivative_constant
+
+    def spy(*args):
+        seen.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(sd, "_support_derivative_constant", spy)
+    rep = sd.verify_plate_support(piece, n_samples=4000, seed=0)
+    ((_, xis, ss, steps),) = seen
+    assert np.allclose(steps[0], 2.0**-6 * cg.frenet_frame(HELIX, 0.0).T,
+                       rtol=0, atol=1e-15)
+
+    def f(pts):
+        r, u, sg, ok = cg.cone_chart(HELIX, pts)
+        vals = np.zeros(len(pts))
+        vals[ok] = piece.coord_eval(ss[ok], r[ok], u[ok], sg[ok],
+                                    np.linalg.norm(pts[ok], axis=1))
+        return vals
+
+    h = 1e-4
+    step = h * steps[0]
+    d2 = np.abs(f(xis + step) - 2.0 * f(xis) + f(xis - step)) / h**2
+    assert d2.max() > 1000.0
+    assert rep["derivative_C"] >= (1.0 - 1e-3) * d2.max()
+
+
 def test_plate_support_exact_cone_point():
     fr = cg.frenet_frame(HELIX, 0.0)
     xi = fr.B
