@@ -147,7 +147,7 @@ def apply_multiplier(f: Field3, m: Callable) -> Field3:
     return Field3(f.grid, g.values * m(kx, ky, kz), "frequency")
 
 
-_SLAB = 2**14  # elements per slab of axis-0 planes in the L^p reductions
+_SLAB = 2**14  # elements per slab of axis-0 planes in lp_norm, Field3.l2
 
 
 def _slabs(vals: np.ndarray) -> list[slice]:
@@ -158,14 +158,10 @@ def _slabs(vals: np.ndarray) -> list[slice]:
 
 
 def _abs2(slab: np.ndarray) -> np.ndarray:
-    """|z|^2 = re^2 + im^2 of a complex slab, as a new float64 array.
-
-    The squares are formed in the slab's own precision and then widened,
-    so a complex64 slab costs one float64 cast and a complex128 slab none.
-    """
+    """|z|^2 = re^2 + im^2 of a complex128 slab, as a new float64 array."""
     m2 = np.square(slab.real)
     m2 += np.square(slab.imag)
-    return m2.astype(np.float64, copy=False)
+    return m2
 
 
 def _power_sum(slab: np.ndarray, p: float) -> float:
@@ -288,14 +284,13 @@ def _pruned_ifftn(rows, box: np.ndarray, out: np.ndarray) -> np.ndarray:
 
     `box` holds the field on those lattice rows (ascending indices per
     axis); `out` is an n^3 complex buffer, and every stage is allocated
-    with its dtype, so a complex64 buffer makes a single-precision
-    transform (the decoupling's: within 2e-7 of max|f| of the complex128
-    one on the tests' boxes).  1-D inverse transforms run one axis at a
-    time, the axis of widest support first, so a pass only touches lines
-    that can be nonzero: with row counts ra >= rb >= rc the passes cost
-    rb*rc, n*rc and n*n lines of length n.  The last pass runs in `out`'s
-    memory (overwrite_x) and its result is returned.  The curve averages
-    invert their boxes with a complex128 buffer.
+    with its dtype.  1-D inverse transforms run one axis at a time, the
+    axis of widest support first, so a pass only touches lines that can
+    be nonzero: with row counts ra >= rb >= rc the passes cost rb*rc,
+    n*rc and n*n lines of length n.  The last pass runs in `out`'s memory
+    (overwrite_x) and its result is returned.  Only the maximal functions
+    (_sup_abs) use it, since they need every point's value; L^p sums go
+    through _box_power_sum, which builds no n^3 array.
     """
     n = out.shape[0]
     axes = sorted(range(3), key=lambda d: -rows[d].size)
@@ -310,6 +305,104 @@ def _pruned_ifftn(rows, box: np.ndarray, out: np.ndarray) -> np.ndarray:
     out.fill(0)
     out[_along(last, rows[last])] = stage
     return sfft.ifft(out, axis=last, overwrite_x=True, workers=_WORKERS)
+
+
+_BLOCK = 2**16  # elements of each slab buffer in _box_power_sum
+
+
+def _box_power_sum(rows, box: np.ndarray, p: float, lengths) -> float:
+    """sum |F|^p over a lengths[0] x lengths[1] x lengths[2] grid, where F
+    is sfft.ifftn of the array that is `box` on rows[0] x rows[1] x
+    rows[2] (ascending indices per axis) and 0 off them.
+
+    No array of the grid's size is built.  p = 2 is Parseval on the box
+    and runs no transform.  Otherwise the first 1-D inverse pass runs on
+    the whole box along the axis of widest support, as in _pruned_ifftn;
+    the other two passes and the float64 |F|^p reduction then run slab
+    by slab over that axis, each slab in two reused complex128 buffers of
+    _BLOCK elements (of one plane, if a plane is larger) and on one
+    thread, since splitting a call that small across threads costs more
+    than it saves.  An empty box sums to 0 for every p, as Parseval says.
+    """
+    if p == 2.0 or not box.size:
+        return _power_sum(box, 2.0) / math.prod(lengths)
+    a, b, c = sorted(range(3), key=lambda d: -rows[d].size)
+    # a run of consecutive rows is written through a slice: on the last
+    # axis that copy is about 10x faster than one through an index array
+    ra, rb, rc = (r if r[-1] - r[0] >= r.size else slice(r[0], r[-1] + 1)
+                  for r in (rows[a], rows[b], rows[c]))
+    shape = list(box.shape)
+    shape[a] = lengths[a]
+    stage = np.zeros(shape, dtype=complex)
+    stage[_along(a, ra)] = box
+    stage = sfft.ifft(stage, axis=a, overwrite_x=True,
+                      workers=_WORKERS).transpose(a, b, c)
+    mb, mc, nc = lengths[b], lengths[c], rows[c].size
+    step = max(1, _BLOCK // (mb * mc))
+    narrow = np.empty(step * mb * nc, dtype=complex)
+    wide = np.empty(step * mb * mc, dtype=complex)
+    total = 0.0
+    for i in range(0, lengths[a], step):
+        part = stage[i:i + step]
+        k = part.shape[0]
+        g = narrow[:k * mb * nc].reshape(k, mb, nc)
+        g.fill(0)
+        g[:, rb] = part
+        g = sfft.ifft(g, axis=1, overwrite_x=True)
+        f = wide[:k * mb * mc].reshape(k, mb, mc)
+        f.fill(0)
+        f[:, :, rc] = g
+        f = sfft.ifft(f, axis=2, overwrite_x=True)
+        total += _power_sum(f, p)
+    return total
+
+
+@dataclass(frozen=True)
+class _Baseband:
+    """Where a field on some n^3 lattice entries is summed (_baseband)."""
+
+    rows: list  # per axis, ascending rows of the cyclic span moved to 0
+    lengths: tuple  # grid points M_d per axis
+    at: tuple  # the entries' positions in the box on `rows`
+    scale: float  # (prod M_d / n^3)^(p - 1)
+
+    def power_sum(self, vals: np.ndarray, p: float) -> float:
+        """sum over the n^3 grid of |f|^p, f the inverse DFT of `vals` on
+        the entries: _box_power_sum on this grid, times `scale`."""
+        box = np.zeros([r.size for r in self.rows], dtype=complex)
+        box[self.at] = vals
+        return self.scale * _box_power_sum(self.rows, box, p, self.lengths)
+
+
+def _baseband(idx, n: int, p: float) -> _Baseband:
+    """The grid on which sum |f|^p of a field on the n^3 lattice entries
+    `idx` (an index triple) is exact.
+
+    Per axis d the entries' rows are moved to start at 0 of their cyclic
+    span r_d (the shortest run of rows, modulo n, that holds them all): a
+    modulation, which leaves |f| unchanged.  For even p, |f|^p is then a
+    trigonometric polynomial with frequencies |m| <= (p/2)(r_d - 1) on
+    axis d, so any M_d > (p/2)(r_d - 1) points give its mean, and the
+    n^3 sum is the M-grid sum times (prod M_d / n^3)^(p - 1) (the inverse
+    DFT's 1/M_d in place of 1/n, p times, and the point count once).  M_d
+    is min(n, sfft.next_fast_len((p/2)(r_d - 1) + 1)); any other p sums
+    on M_d = n.
+    """
+    even = p % 2.0 == 0.0
+    rows, lengths, at = [], [], []
+    for i in idx:
+        r = np.unique(i)
+        start, span = 0, 1
+        if r.size:
+            gaps = np.diff(r, append=r[0] + n)
+            g = int(np.argmax(gaps))
+            start, span = int(r[(g + 1) % r.size]), n + 1 - int(gaps[g])
+        rows.append(np.sort((r - start) % n))
+        at.append(np.searchsorted(rows[-1], (i - start) % n))
+        lengths.append(min(n, sfft.next_fast_len(int(p // 2) * (span - 1)
+                                                 + 1)) if even else n)
+    scale = (math.prod(lengths) / n**3) ** (p - 1.0)
+    return _Baseband(rows, tuple(lengths), tuple(at), scale)
 
 
 def decoupling_ratio(generator: Curve, lam: float, theta: float, p: float,
@@ -329,17 +422,13 @@ def decoupling_ratio(generator: Curve, lam: float, theta: float, p: float,
     below 2 or non-finite are refused before anything is built, and so
     (GridTooLarge) is a grid whose arrays exceed physical memory.
 
-    Overlaps are resolved on the union of supports (_disjoint_pieces), and
-    each kept piece's layout (its lattice rows and its entries' positions
-    in the box on them) is built once per delta.  Per trial each piece is
-    inverted by a pruned transform into one reused n^3 buffer
-    (_pruned_ifftn), and one pass over axis-0 slabs adds it into the
-    accumulator and sums its |f|^p; p = 2 stays in frequency space
-    (Parseval) with one complex128 accumulator.  Otherwise the transforms
-    hold two complex64 n^3 grids with float64 reductions (each slab's
-    |f|^2 is widened before its powers and sums), and D stays within 4e-9
-    relative of a complex128 run (3.7e-9 on the decouple-grid inputs,
-    3.3e-9 on acc11's).
+    Overlaps are resolved on the union of supports (_disjoint_pieces).
+    Each kept piece, and the sum of all of them on the union of their
+    rows, has its _baseband layout built once per delta: for even p a
+    piece's sum |f_R|^p runs on a grid of about (p/2) r_d points per axis,
+    r_d its cyclic row span, in place of n.  Per trial every sum is one
+    _box_power_sum (Parseval for p = 2), in complex128; no n^3 array is
+    built.
     """
     if not 2.0 <= p < math.inf:
         raise ValueError(f"require finite p >= 2, got p={p}")
@@ -350,31 +439,23 @@ def decoupling_ratio(generator: Curve, lam: float, theta: float, p: float,
     if trials < 1:
         raise ValueError(f"require trials >= 1, got trials={trials}")
     grid = Grid3(n, box)
-    # p = 2 is Parseval: the pieces' coefficients are summed in frequency
-    # space and no transform is needed
-    parseval = p == 2.0
-    space = "frequency" if parseval else "physical"
-    dtype = complex if parseval else np.complex64
-    # the accumulator, and the transforms' buffer
-    _require_memory("decoupling", n, 1 if parseval else 2, dtype)
-    acc = np.empty((n,) * 3, dtype=dtype)
-    buf = None if parseval else np.empty((n,) * 3, dtype=dtype)
+    # the sum's box on the union of the pieces' rows and the stage of its
+    # first pass, each at most an n^3 complex grid
+    _require_memory("decoupling", n, 2, complex)
     per_delta = []
     for di, delta in enumerate(deltas):
         fam = make_family(generator, delta, lam, theta, math.sqrt(delta))
         kept = _disjoint_pieces(
             [_plate_envelope(plate, grid) for plate in fam.plates], n)
-        # per piece, for every trial: its lattice rows on each axis, and
-        # its entries' positions in the box on those rows
-        rows = [[np.unique(i) for i in idx] for idx, _ in kept]
-        at = [tuple(map(np.searchsorted, r, idx))
-              for r, (idx, _) in zip(rows, kept)]
+        pieces = [_baseband(idx, n, p) for idx, _ in kept]
+        union = _baseband(tuple(map(np.concatenate,
+                                    zip(*(idx for idx, _ in kept)))), n, p)
         best = 0.0
         for trial in range(trials):
-            acc.fill(0)
             piece_p = 0.0
+            parts = []
             crng = np.random.default_rng([seed, di, trial, 10_007])
-            for pi, (idx, env) in enumerate(kept):
+            for pi, ((idx, env), layout) in enumerate(zip(kept, pieces)):
                 rng = np.random.default_rng([seed, di, trial, pi])
                 phases = np.exp(2j * np.pi * rng.random(idx[0].size))
                 if coefficient_mode == "random_sign":
@@ -382,20 +463,10 @@ def decoupling_ratio(generator: Curve, lam: float, theta: float, p: float,
                 else:
                     c = 1.0
                 vals = env * phases
-                if parseval:
-                    acc[idx] += c * vals
-                    piece_p += _power_sum(vals, 2.0) / n**3
-                    continue
-                piece = np.zeros([r.size for r in rows[pi]], dtype=dtype)
-                piece[at[pi]] = vals
-                f = _pruned_ifftn(rows[pi], piece, buf)
-                add = np.add if c > 0 else np.subtract
-                for s in _slabs(f):
-                    add(acc[s], f[s], out=acc[s])
-                    piece_p += _power_sum(f[s], p)
-            total = lp_norm(Field3(grid, acc, space), p)
-            best = max(best, total
-                       / (grid.cell_volume * piece_p) ** (1.0 / p))
+                piece_p += layout.power_sum(vals, p)
+                parts.append(c * vals)
+            total = union.power_sum(np.concatenate(parts), p)
+            best = max(best, (total / piece_p) ** (1.0 / p))
         per_delta.append(best)
     d_arr = np.asarray(per_delta)
     deltas = np.asarray(deltas, dtype=float)
@@ -551,9 +622,9 @@ def _averages(grid: Grid3, rows, fbox: np.ndarray, curve: Curve,
     |xi| of f-hat's support and the quadrature (sized for the largest t)
     run once, when _averages is called; each t then costs one
     _lattice_symbol contraction of the box and one product with fbox.
-    The memory check counts the two boxes and what a caller inverting
-    A_t f with _pruned_ifftn holds: its n^3 buffer and the two stages
-    that fill it.
+    The memory check counts the two boxes and what a maximal function,
+    which inverts A_t f with _pruned_ifftn, holds: its n^3 buffer and the
+    two stages that fill it.
     """
     ts = [float(t) for t in ts]
     if not ts or not all(0.5 <= t <= 2.0 for t in ts):
@@ -651,23 +722,21 @@ def random_band_field(grid: Grid3, k: int, seed,
     return fld
 
 
-def _box_lp_norm(grid: Grid3, rows, box: np.ndarray, p: float,
-                 buf: np.ndarray) -> float:
+def _box_lp_norm(grid: Grid3, rows, box: np.ndarray, p: float) -> float:
     """lp_norm of the frequency field that is `box` on `rows` and 0 off
-    them, inverted by _pruned_ifftn into the n^3 buffer `buf`."""
-    return lp_norm(Field3(grid, _pruned_ifftn(rows, box, buf), "physical"), p)
+    them, summed on the whole grid by _box_power_sum."""
+    total = _box_power_sum(rows, box, p, (grid.n,) * 3)
+    return float((grid.cell_volume * total) ** (1.0 / p))
 
 
 def _box_sobolev_ratio(grid: Grid3, rows, fbox: np.ndarray, curve: Curve,
-                       chi: Callable, p: float, alpha: float,
-                       buf: np.ndarray) -> float:
-    """sobolev_ratio of the field that is `fbox` on `rows`, 0 off them,
-    with `buf` as the n^3 transform buffer."""
+                       chi: Callable, p: float, alpha: float) -> float:
+    """sobolev_ratio of the field that is `fbox` on `rows`, 0 off them."""
     at = next(_averages(grid, rows, fbox, curve, chi, [1.0]))
     kx, ky, kz = grid.freq_mesh(rows)
     at *= (1.0 + kx**2 + ky**2 + kz**2) ** (alpha / 2.0)
-    return (_box_lp_norm(grid, rows, at, p, buf)
-            / _box_lp_norm(grid, rows, fbox, p, buf))
+    return (_box_lp_norm(grid, rows, at, p)
+            / _box_lp_norm(grid, rows, fbox, p))
 
 
 def sobolev_ratio(f: Field3, curve: Curve, chi: Callable, p: float,
@@ -675,13 +744,11 @@ def sobolev_ratio(f: Field3, curve: Curve, chi: Callable, p: float,
     """||(1+|xi|^2)^{alpha/2} A_1 f||_p / ||f||_p.
 
     Works on the box of f-hat's support: A_1 f-hat comes from _averages
-    and the weight multiplies that box only; A_1 f and f are inverted by
-    _pruned_ifftn into one n^3 buffer and reduced by lp_norm over its
-    _slabs.
+    and the weight multiplies that box only; ||A_1 f||_p and ||f||_p are
+    each one _box_power_sum of a box.
     """
     rows, box = _support_box(f)
-    return _box_sobolev_ratio(f.grid, rows, box, curve, chi, p, alpha,
-                              np.empty((f.grid.n,) * 3, dtype=complex))
+    return _box_sobolev_ratio(f.grid, rows, box, curve, chi, p, alpha)
 
 
 def sobolev_sweep(curve: Curve, chi: Callable, p: float, alpha: float,
@@ -690,16 +757,14 @@ def sobolev_sweep(curve: Curve, chi: Callable, p: float, alpha: float,
     """Per-band Sobolev ratios and the fitted log2 slope across bands.
 
     Each band field stays on its box (_band_box) from the draw to the
-    L^p sums, as in sobolev_ratio; one n^3 buffer serves every band.
+    L^p sums, as in sobolev_ratio.
     """
     grid = Grid3(n, box)
-    _require_memory("a Sobolev sweep", n, 1, complex)  # the buffer
-    buf = np.empty((n,) * 3, dtype=complex)
     ratios = []
     for k in k_list:
         rows, fbox = _band_box(grid, k, [seed, k])
         ratios.append(_box_sobolev_ratio(grid, rows, fbox, curve, chi, p,
-                                         alpha, buf))
+                                         alpha))
     ratios = np.asarray(ratios)
     return {
         "p": p, "alpha": alpha, "k_list": list(k_list),
@@ -722,8 +787,8 @@ def local_smoothing_probe(curve: Curve, chi: Callable, p: float,
     [1, 2], one t-set of _averages.  The (tau, xi) spectrum is built on the
     band's box (_band_box): the t-windowed A_t f-hat, then one FFT in t.
     The weight (1+|xi|^2+tau^2)^{alpha/2} is applied on the box, an
-    inverse FFT in t follows, and each t-plane is inverted by
-    _pruned_ifftn into one n^3 buffer whose |.|^p is summed over _slabs.
+    inverse FFT in t follows, and each t-plane's |.|^p is summed over the
+    grid by _box_power_sum.
     The mixed-norm ratio against ||f||_p is recorded with a fitted slope
     in k.  Report-only: downstream suites assert only the alpha = 0
     uniformity.
@@ -735,7 +800,6 @@ def local_smoothing_probe(curve: Curve, chi: Callable, p: float,
     dt = t_grid[1] - t_grid[0]
     t_window = eta0((t_grid - 1.5) / 0.5)
     tau = 2.0 * np.pi * np.fft.fftfreq(n_t, d=dt)
-    buf = np.empty((n,) * 3, dtype=complex)
     ratios = []
     for k in k_list:
         rows, fbox = _band_box(grid, k, [seed, k])
@@ -749,13 +813,10 @@ def local_smoothing_probe(curve: Curve, chi: Callable, p: float,
         for i in range(n_t):
             spec[i] *= (1.0 + xi2 + tau[i] ** 2) ** (alpha / 2.0)
         spec = sfft.ifft(spec, axis=0, overwrite_x=True, workers=_WORKERS)
-        total = 0.0
-        for plane in spec:
-            ft = _pruned_ifftn(rows, plane, buf)
-            for s in _slabs(ft):
-                total += _power_sum(ft[s], p)
+        total = sum(_box_power_sum(rows, plane, p, (n,) * 3)
+                    for plane in spec)
         mixed = (total * grid.cell_volume * dt) ** (1.0 / p)
-        ratios.append(mixed / _box_lp_norm(grid, rows, fbox, p, buf))
+        ratios.append(mixed / _box_lp_norm(grid, rows, fbox, p))
     ratios = np.asarray(ratios)
     return {
         "p": p, "alpha": alpha, "k_list": list(k_list),

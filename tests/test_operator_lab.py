@@ -243,6 +243,78 @@ def test_pruned_ifftn_matches_full_ifftn(n):
             assert np.max(np.abs(got - want)) <= tol * np.max(np.abs(want))
 
 
+def _box_entries(rows, rng):
+    """Every point of the box on `rows`, as an index triple, with seeded
+    complex values."""
+    idx = tuple(m.ravel() for m in np.meshgrid(*rows, indexing="ij"))
+    size = idx[0].size
+    return idx, rng.normal(size=size) + 1j * rng.normal(size=size)
+
+
+def _cyclic_span(r, n):
+    # the shortest run of rows, modulo n, holding all of r (by brute force)
+    return min(int(np.max((r - s) % n)) + 1 for s in r)
+
+
+@pytest.mark.parametrize("p", [4.0, 8.0])
+def test_baseband_power_sum_is_the_full_grid_sum(p):
+    n = 64
+    rng = np.random.default_rng(int(p))
+    # the seeded boxes, and one whose rows leave gaps inside their spans
+    boxes = list(_boxes(n, 7)) + [
+        [np.array([1, 4, 5, 9]), np.array([0, 2, n - 3]), np.array([7, 8])]]
+    # rows that wrap past index 0, and a whole axis, whose span needs
+    # (p/2)(n - 1) + 1 > n points: there the sum stays on M = n
+    assert any(r[0] == 0 and r[-1] == n - 1
+               for rows in boxes[:3] for r in rows)
+    lengths, shortened = set(), 0
+    for rows in boxes:
+        idx, vals = _box_entries(rows, rng)
+        full = np.zeros((n,) * 3, dtype=complex)
+        full[idx] = vals
+        want = np.sum(np.abs(ol.sfft.ifftn(full)) ** p)
+        spans = [_cyclic_span(r, n) for r in rows]
+        bound = [int(p // 2) * (s - 1) + 1 for s in spans]
+        layout = ol._baseband(idx, n, p)
+        assert list(layout.lengths) == [
+            min(n, ol.sfft.next_fast_len(b)) for b in bound]
+        lengths.update(layout.lengths)
+        assert abs(layout.power_sum(vals, p) - want) <= 1e-12 * want
+        # one point fewer than the bound on the widest reduced axis aliases
+        # a coefficient of |f|^p onto its mean: the sum moves, so the check
+        # above can fail
+        d = max((d for d in range(3) if 1 < bound[d] < n),
+                key=lambda d: bound[d], default=None)
+        if d is None:
+            continue
+        short = list(layout.lengths)
+        short[d] = bound[d] - 1
+        box = np.zeros([r.size for r in layout.rows], dtype=complex)
+        box[layout.at] = vals
+        got = (ol._box_power_sum(layout.rows, box, p, short)
+               * (math.prod(short) / n**3) ** (p - 1.0))
+        assert abs(got - want) > 1e-6 * want
+        shortened += 1
+    assert n in lengths and min(lengths - {1}) < n / 2 and shortened >= 3
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0])
+def test_baseband_power_sum_odd_p_and_parseval(p):
+    # p = 3 has no reduced grid: every axis keeps n points; p = 2 runs no
+    # transform (Parseval on the box) and matches the transform's sum
+    n = 32
+    rng = np.random.default_rng(5)
+    for rows in _boxes(n, 3):
+        idx, vals = _box_entries(rows, rng)
+        full = np.zeros((n,) * 3, dtype=complex)
+        full[idx] = vals
+        want = np.sum(np.abs(ol.sfft.ifftn(full)) ** p)
+        layout = ol._baseband(idx, n, p)
+        if p == 3.0:
+            assert layout.lengths == (n, n, n) and layout.scale == 1.0
+        assert abs(layout.power_sum(vals, p) - want) <= 1e-12 * want
+
+
 def _owner_reference(pieces, n):
     """The full-grid rule: plates in order, a strictly larger envelope
     takes a lattice point over from the plates before it."""
@@ -301,31 +373,34 @@ def test_decoupling_refuses_grid_beyond_memory(monkeypatch):
                             n=4096)
 
 
-def test_decoupling_memory_guard_counts_complex64(monkeypatch):
-    # 3 * 8 * 64^3 bytes of memory hold the decoupling's two complex64
-    # grids (2 * 8 * 64^3), but not two complex128 ones, and not a band
-    # field's complex128 pair
+def test_decoupling_memory_guard_counts_two_complex_grids(monkeypatch):
+    # the guard counts the sum's box on the union of the pieces' rows and
+    # the stage of its first pass, each at most one complex128 n^3 grid:
+    # 2 * 16 * 64^3 bytes of memory hold them, one byte less does not, and
+    # not a band field's complex128 pair either
     args = (CIRCLE, 8.0, 1.0, 8.0, [2.0**-4], 1, "all_ones")
     want = ol.decoupling_ratio(*args, n=64)
-    phys = {"SC_PHYS_PAGES": 3 * 8 * 64**3, "SC_PAGE_SIZE": 1}
+    need = 2 * 16 * 64**3
+    phys = {"SC_PHYS_PAGES": need, "SC_PAGE_SIZE": 1}
     monkeypatch.setattr(ol, "os", types.SimpleNamespace(
         sysconf=phys.__getitem__))
     assert ol.decoupling_ratio(*args, n=64)["D"] == want["D"]
-    with pytest.raises(GridTooLarge, match=str(2 * 16 * 64**3)):
-        ol._require_memory("decoupling", 64, 2, complex)
+    phys["SC_PHYS_PAGES"] = need - 1
+    with pytest.raises(GridTooLarge, match=str(need)):
+        ol.decoupling_ratio(*args, n=64)
     with pytest.raises(GridTooLarge, match="band field on a 64"):
         ol.random_band_field(ol.Grid3(64, 8.0), 2, 0)
 
 
 def test_decoupling_frozen_decouple_grid_inputs():
-    # the decouple-grid benchmark's seed-0 inputs; the reference D are the
-    # complex128 transform's, and the complex64 transforms move them by at
-    # most 3.7e-9 relative
+    # the decouple-grid benchmark's seed-0 inputs; the reference D are a
+    # complex128 run on the whole n^3 grid, and the complex128 baseband
+    # sums stay within 7e-16 relative of them
     rep = ol.decoupling_ratio(CIRCLE, 24.0, 1.0, 8.0,
                               [2.0**-4, 2.0**-5, 2.0**-6], 1, "all_ones",
                               n=128, seed=0)
     assert np.allclose(rep["D"], [1.7586908857775454, 1.9653070636515169,
-                                  2.1127896024118593], rtol=1e-6, atol=0.0)
+                                  2.1127896024118593], rtol=1e-12, atol=0.0)
 
 
 def test_lp_norm_reduces_without_grid_sized_temporaries():
@@ -357,10 +432,10 @@ def test_decoupling_holds_two_complex_grids():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # complex64 accumulator + transform buffer, plus the pruned
-    # intermediate stages (2.25 * 8 * n^3 measured; complex128 grids
-    # would need twice that)
-    assert peak < 2.5 * 8 * n**3
+    # no n^3 grid is held: the sum's box on the union of the pieces' rows,
+    # the stage of its first pass and the two slab buffers (0.29 * 8 * n^3
+    # measured; one complex64 n^3 grid alone would be 8 * n^3)
+    assert peak < 8 * n**3
 
 
 # ---------------------------------------------------------------------------
@@ -697,10 +772,11 @@ def test_sobolev_sweep_holds_one_complex_grid():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the n^3 transform buffer, the pruned stage that fills it (n*n*31)
-    # and the 31^3 band boxes (1.33 * 16 * n^3 measured; the dense path
-    # held 4.0 * 16 * n^3)
-    assert peak < 1.4 * 16 * n**3
+    # the 31^3 band boxes, the first-pass stage of a box (n*31*31) and the
+    # slab buffers, no n^3 grid (0.16 * 16 * n^3 measured; the n^3
+    # transform buffer alone was 16 * n^3, and the dense path held
+    # 4.0 * 16 * n^3)
+    assert peak < 0.5 * 16 * n**3
 
 
 def test_maximal_and_smoothing_box_paths_match_dense_paths():

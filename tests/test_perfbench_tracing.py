@@ -4,6 +4,7 @@ tests load perfbench/tracing.py by path and check that it still sees the
 functions it is meant to count."""
 
 import importlib.util
+import math
 from pathlib import Path
 
 import numpy as np
@@ -57,16 +58,17 @@ def test_tracer_counts_cone_coordinates_in_mk_multiplier():
 
 
 def test_tracer_counts_transforms_in_decoupling_ratio():
-    # the pruned transforms must go through operator_lab.sfft, the
+    # the power sums' 1-D passes must go through operator_lab.sfft, the
     # attribute the tracer replaces
     tracing = _load_tracing()
+    n, p = 128, 8.0
     fam = make_family(cg.unit_circle_generator(), 2.0**-4, 24.0, 1.0, 0.25)
 
     def run():
         # looks ol.decoupling_ratio up at call time, so the traced run goes
         # through the tracer's wrapper
-        return ol.decoupling_ratio(fam.generator, 24.0, 1.0, 8.0, [2.0**-4],
-                                   1, "all_ones", n=128)
+        return ol.decoupling_ratio(fam.generator, 24.0, 1.0, p, [2.0**-4],
+                                   1, "all_ones", n=n)
 
     untraced = run()
     originals = {
@@ -84,9 +86,24 @@ def test_tracer_counts_transforms_in_decoupling_ratio():
         tracer.uninstall()
     assert traced["D"] == untraced["D"]
     assert tracer.calls["operator_lab.decoupling_ratio"] == 1
-    # three 1-D passes per plate, every one through the proxy
-    assert tracer.calls["operator_lab.fft"] == 3 * len(fam.plates) > 0
-    assert tracer.calls["operator_lab.lp_norm"] >= 1
+    # one box per kept piece and one for their sum on the union of their
+    # rows; each box takes one pass over the whole box and two per slab of
+    # its widest axis, every one through the proxy
+    grid = ol.Grid3(n, 8.0)
+    kept = ol._disjoint_pieces(
+        [ol._plate_envelope(plate, grid) for plate in fam.plates], n)
+    union = tuple(map(np.concatenate, zip(*(idx for idx, _ in kept))))
+    layouts = [ol._baseband(idx, n, p) for idx, _ in kept]
+    layouts.append(ol._baseband(union, n, p))
+
+    def passes(layout):
+        a, b, c = sorted(range(3), key=lambda d: -layout.rows[d].size)
+        m = layout.lengths
+        return 1 + 2 * math.ceil(m[a] / max(1, ol._BLOCK // (m[b] * m[c])))
+
+    assert tracer.calls["operator_lab.fft"] == sum(map(passes, layouts)) > 0
+    # the sums are _box_power_sum's: the decoupling calls no lp_norm
+    assert tracer.calls["operator_lab.lp_norm"] == 0
     for (owner, attr), fn in originals.items():
         assert getattr(owner, attr) is fn, attr
 
