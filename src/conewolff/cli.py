@@ -556,13 +556,25 @@ def selftest() -> int:
     t = np.linspace(-0.2, 0.2, 101)
     u = np.linspace(-1.0, 1.0, 9)
     cubic = cg.finite_type_rescale(cg.twisted_cubic(), 0.0, 3)[1].eval(u)
-    # a box whose first axis wraps past row 0, summed on a 14 x 9 x 1 grid
+    # a box whose first axis wraps past row 0, summed on a 14 x 9 x 1 grid,
+    # and a diagonal slab that wraps, summed on its sheared grid
     idx = tuple(m.ravel() for m in np.meshgrid([30, 31, 0, 1], [5, 6, 7], [2],
                                                indexing="ij"))
-    vals = rng.normal(size=12) + 1j * rng.normal(size=12)
-    full = np.zeros((32,) * 3, dtype=complex)
-    full[idx] = vals
-    p8 = np.sum(np.abs(ol.sfft.ifftn(full)) ** 8)
+    s, r = (m.ravel() for m in np.meshgrid(range(6), range(3), indexing="ij"))
+    diag = tuple((np.array([[30], [31], [5]]) + np.outer([1, 1, 0], s)
+                  + np.outer([0, 1, -1], r)) % 32)
+
+    def sum8(entries, layout):
+        # (layout's sum of |f|^8, the 32^3 sum) for seeded values
+        vals = rng.normal(size=entries[0].size) \
+            + 1j * rng.normal(size=entries[0].size)
+        full = np.zeros((32,) * 3, dtype=complex)
+        full[entries] = vals
+        return (layout.power_sum(vals, 8.0),
+                np.sum(np.abs(ol.sfft.ifftn(full)) ** 8))
+
+    box8 = sum8(idx, ol._baseband(idx, 32, 8.0))
+    diag8 = sum8(diag, ol._baseband(ol._shear(diag, 32), 32, 8.0))
     checks = [
         ("helix(1,1) curvature and torsion equal 1/2 at s = 0.1",
          abs(fr.kappa - 0.5) < 1e-10 and abs(fr.tau - 0.5) < 1e-10),
@@ -581,8 +593,9 @@ def selftest() -> int:
         ("twisted cubic rescaled at 0, j = 3, is (u, u^2, u^3) within 1e-12",
          np.max(np.abs(cubic - np.array([u, u**2, u**3]))) < 1e-12),
         ("sum |f|^8 on a reduced grid is the 32^3 sum within 1e-12",
-         abs(ol._baseband(idx, 32, 8.0).power_sum(vals, 8.0) - p8)
-         < 1e-12 * p8),
+         abs(box8[0] - box8[1]) < 1e-12 * box8[1]),
+        ("sum |f|^8 of a diagonal support on its sheared grid is the 32^3 "
+         "sum within 1e-12", abs(diag8[0] - diag8[1]) < 1e-12 * diag8[1]),
     ]
     failed = [name for name, ok in checks if not ok]
     for name in failed:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import importlib.machinery
 import importlib.util
+import itertools
 import math
 import os
 import sys
@@ -405,6 +406,78 @@ def _baseband(idx, n: int, p: float) -> _Baseband:
     return _Baseband(rows, tuple(lengths), tuple(at), scale)
 
 
+# the rows _shear_matrix may pick: primitive integer vectors with entries in
+# [-3, 3], one of each +-pair (first nonzero entry positive), in a fixed
+# order: by l1 norm, the axes first and in axis order
+_SHEAR_ROWS = np.array(sorted(
+    (v for v in itertools.product(range(3, -4, -1), repeat=3)
+     if math.gcd(*v) == 1 and next(x for x in v if x) > 0),
+    key=lambda v: sum(map(abs, v))), dtype=np.int64)
+_SHEAR_BLOCK = 16  # candidate rows the entries are projected onto at once
+
+
+def _shear_matrix(idx, n: int) -> np.ndarray:
+    """Integer 3x3 matrix U, det U = +-1, whose rows are lattice directions
+    in which the n^3 lattice entries `idx` (an index triple) are narrow.
+
+    Each axis's rows are first moved to start at 0 of their cyclic span,
+    as _baseband moves them, so rows that wrap past index 0 lie together
+    in 0..r_d - 1.  The width of a row v is then max - min + 1 of v.m over
+    the moved entries m: a bound on the cyclic span of (v.m mod n) of the
+    original entries, and the axes' widths are _baseband's spans r_d.  The
+    entries are projected onto _SHEAR_ROWS in blocks of _SHEAR_BLOCK rows,
+    so no array exceeds entries x block.  Rows are taken greedily by width
+    (a stable sort, so ties go to the earlier row): the narrowest, then
+    the narrowest whose cross product with it is primitive (the pair
+    extends to a unimodular basis), then the narrowest completing
+    det = +-1.  The identity is returned, never a matrix of another
+    determinant, when no completion exists among the candidates, and for
+    no entries.
+    """
+    eye = np.eye(3, dtype=np.int64)
+    if not idx[0].size:
+        return eye
+    # _baseband's move does not depend on p; 2 builds no grid
+    moved = _baseband(idx, n, 2.0)
+    m = np.stack([r[a] for r, a in zip(moved.rows, moved.at)])
+    width = np.concatenate([
+        np.ptp(_SHEAR_ROWS[i:i + _SHEAR_BLOCK] @ m, axis=1) + 1
+        for i in range(0, len(_SHEAR_ROWS), _SHEAR_BLOCK)])
+    picked = []
+    for j in np.argsort(width, kind="stable"):
+        u = _SHEAR_ROWS[picked + [j]]
+        if (len(u) == 2 and math.gcd(*map(int, np.cross(*u))) != 1
+                or len(u) == 3 and abs(round(np.linalg.det(u))) != 1):
+            continue
+        picked.append(j)
+        if len(picked) == 3:
+            break
+    return _SHEAR_ROWS[picked] if len(picked) == 3 else eye
+
+
+def _shear(idx, n: int):
+    """The n^3 lattice entries `idx` (an index triple) mapped by m -> U.m
+    mod n, U = _shear_matrix(idx, n), in the same order.
+
+    With det U = +-1, U is invertible over the integers and so modulo n:
+    distinct entries stay distinct, and y -> U^T y permutes (Z/n)^3.  The
+    field g with f's values moved to U.m is g(y) = f(U^T y), since
+    (U.m).y = m.(U^T y); so the n^3 sum of |g|^p is f's for every p, and
+    _baseband may sum g on the grid its (narrower) spans allow.
+    """
+    return tuple((_shear_matrix(idx, n) @ np.stack(idx)) % n)
+
+
+def _fitted_baseband(idx, n: int, p: float) -> _Baseband:
+    """_baseband of the n^3 lattice entries `idx` or of their _shear,
+    whichever grid has fewer points (the unsheared one on a tie, so odd p,
+    summed on M_d = n either way, keeps the axes).  Both give the same n^3
+    sum of |f|^p; the narrower widths of the shear's rows do not always
+    give a smaller grid, since each M_d is capped at n."""
+    return min(_baseband(idx, n, p), _baseband(_shear(idx, n), n, p),
+               key=lambda layout: math.prod(layout.lengths))
+
+
 def decoupling_ratio(generator: Curve, lam: float, theta: float, p: float,
                      deltas: Sequence[float], trials: int,
                      coefficient_mode: str = "random_sign", n: int = 256,
@@ -426,9 +499,16 @@ def decoupling_ratio(generator: Curve, lam: float, theta: float, p: float,
     Each kept piece, and the sum of all of them on the union of their
     rows, has its _baseband layout built once per delta: for even p a
     piece's sum |f_R|^p runs on a grid of about (p/2) r_d points per axis,
-    r_d its cyclic row span, in place of n.  Per trial every sum is one
-    _box_power_sum (Parseval for p = 2), in complex128; no n^3 array is
-    built.
+    r_d its cyclic row span, in place of n.  The entries may first be
+    sheared (_fitted_baseband): moved by m -> U.m mod n with an integer U,
+    det U = +-1, fitted to them, so that the spans r_d are taken along
+    the plate's narrow lattice directions rather than the axes; the shear
+    is kept when its grid has fewer points.  That moves f(y) to f(U^T y),
+    and y -> U^T y permutes (Z/n)^3, so every n^3 sum of |f|^p is
+    unchanged, for every p.  A single plate and its union are the same
+    entries, so they get the same layout and D = 1 exactly.  Per trial
+    every sum is one _box_power_sum (Parseval for p = 2), in complex128;
+    no n^3 array is built.
     """
     if not 2.0 <= p < math.inf:
         raise ValueError(f"require finite p >= 2, got p={p}")
@@ -447,9 +527,9 @@ def decoupling_ratio(generator: Curve, lam: float, theta: float, p: float,
         fam = make_family(generator, delta, lam, theta, math.sqrt(delta))
         kept = _disjoint_pieces(
             [_plate_envelope(plate, grid) for plate in fam.plates], n)
-        pieces = [_baseband(idx, n, p) for idx, _ in kept]
-        union = _baseband(tuple(map(np.concatenate,
-                                    zip(*(idx for idx, _ in kept)))), n, p)
+        pieces = [_fitted_baseband(idx, n, p) for idx, _ in kept]
+        union = _fitted_baseband(
+            tuple(map(np.concatenate, zip(*(idx for idx, _ in kept)))), n, p)
         best = 0.0
         for trial in range(trials):
             piece_p = 0.0
@@ -545,6 +625,12 @@ def _kmax(Xi: np.ndarray) -> float:
     return float(np.max(np.linalg.norm(Xi, axis=1))) if Xi.size else 0.0
 
 
+def _chunk_rows(width: int) -> int:
+    """Axis-0 rows per _lattice_symbol chunk of `width` elements a row:
+    at most _CHUNK elements, and at least one row."""
+    return max(1, _CHUNK // max(1, width))
+
+
 def _lattice_symbol(grid: Grid3, rows, gam: np.ndarray, w: np.ndarray,
                     t: float) -> np.ndarray:
     """Curve-average symbol on the lattice box rows[0] x rows[1] x rows[2].
@@ -563,7 +649,7 @@ def _lattice_symbol(grid: Grid3, rows, gam: np.ndarray, w: np.ndarray,
     n0, n1, n2 = (r.size for r in rows)
     nodes = gam.shape[0]
     box = np.zeros((n0, n1, n2), dtype=complex)
-    step = max(1, _CHUNK // max(1, n1 * max(n2, nodes)))
+    step = _chunk_rows(n1 * max(n2, nodes))
     for i in range(0, n0, step):
         pair = (e0[i:i + step, None, :] * e1[None]).reshape(-1, nodes)
         acc = box[i:i + step].reshape(-1, n2)  # a view into box
@@ -613,7 +699,7 @@ def _scatter(grid: Grid3, rows, box: np.ndarray) -> np.ndarray:
 
 
 def _averages(grid: Grid3, rows, fbox: np.ndarray, curve: Curve,
-              chi: Callable, ts):
+              chi: Callable, ts, held: float = 0.0):
     """Iterator over the t of `ts`, in order, of A_t f-hat on f-hat's box.
 
     f-hat is `fbox` on the lattice rows `rows` (ascending per axis) and 0
@@ -622,17 +708,19 @@ def _averages(grid: Grid3, rows, fbox: np.ndarray, curve: Curve,
     |xi| of f-hat's support and the quadrature (sized for the largest t)
     run once, when _averages is called; each t then costs one
     _lattice_symbol contraction of the box and one product with fbox.
-    The memory check counts the two boxes and what a maximal function,
-    which inverts A_t f with _pruned_ifftn, holds: its n^3 buffer and the
-    two stages that fill it.
+    The memory check runs before any symbol is built, after the largest
+    |xi| (whose point arrays are freed by then) and the quadrature (a
+    few thousand nodes at most), since the chunk's width depends on the
+    node count.  It counts what a t holds at once: fbox, the symbol box,
+    the product (or the symbol's matrix-product temporary, at most a
+    box), one _lattice_symbol chunk and its phase tables (E_0 twice while
+    it is weighted), and beside them `held` n^3 grids that the caller
+    keeps while it iterates or builds after the last t: its previous A_t
+    f-hat, a transform's stages, a maximal function's buffer.
     """
     ts = [float(t) for t in ts]
     if not ts or not all(0.5 <= t <= 2.0 for t in ts):
         raise ValueError("need one or more t samples, each in [1/2, 2]")
-    n = grid.n
-    _, rb, rc = sorted(r.size for r in rows)[::-1]
-    _require_memory("averaging", n,
-                    1 + (2 * fbox.size + n * rc * (rb + n)) / n**3, complex)
     # the scaled curve's spread grows with t, so the largest t decides
     lo, hi = _chi_support(curve, chi)
     pts = curve.eval(np.linspace(lo, hi, 257)).T
@@ -642,7 +730,21 @@ def _averages(grid: Grid3, rows, fbox: np.ndarray, curve: Curve,
             "scaled curve spread exceeds half the periodic box")
     gam, w = _curve_quadrature(
         curve, chi, max(ts) * _kmax(grid.freq_points(fbox != 0, rows)))
+    n0, n1, n2 = fbox.shape
+    nodes = gam.shape[0]
+    width = n1 * max(n2, nodes)
+    boxes = (3 * fbox.size + min(n0, _chunk_rows(width)) * width
+             + (2 * n0 + n1 + n2) * nodes)
+    _require_memory("averaging", grid.n, boxes / grid.n**3 + held, complex)
     return (fbox * _lattice_symbol(grid, rows, gam, w, t) for t in ts)
+
+
+def _stage_grids(n: int, rows) -> float:
+    """n^3 grids in the first-pass stage of a box on `rows` (row counts
+    ra >= rb >= rc) widened to n along its widest axis: n*rb*rc, as in
+    _pruned_ifftn and in _box_power_sum on the whole grid."""
+    _, rb, rc = sorted(r.size for r in rows)[::-1]
+    return rb * rc / n**2
 
 
 def averaging_operator(f: Field3, curve: Curve, chi: Callable,
@@ -651,7 +753,7 @@ def averaging_operator(f: Field3, curve: Curve, chi: Callable,
     box of f-hat's support (the one-sample t-set of _averages), scattered
     into the grid."""
     rows, box = _support_box(f)
-    at = next(_averages(f.grid, rows, box, curve, chi, [t]))
+    at = next(_averages(f.grid, rows, box, curve, chi, [t], held=1.0))
     return Field3(f.grid, _scatter(f.grid, rows, at), "frequency")
 
 
@@ -667,15 +769,30 @@ def maximal_operator(f: Field3, curve: Curve, chi: Callable,
     """Pointwise max over the sampled dilations of |A_t f|: one t-set of
     _averages on the box of f-hat's support, inverted by _sup_abs."""
     rows, box = _support_box(f)
-    return _sup_abs(f.grid, rows,
-                    _averages(f.grid, rows, box, curve, chi, t_samples))
+    return _sup_abs(f.grid, rows, _averages(
+        f.grid, rows, box, curve, chi, t_samples,
+        held=_sup_held(f.grid.n, rows, box)))
+
+
+def _sup_held(n: int, rows, box: np.ndarray) -> float:
+    """n^3 grids that _sup_abs holds beside _averages' boxes: the complex
+    buffer, the float maximum, the previous A_t f-hat while the next is
+    built, and the larger of what _pruned_ifftn's passes hold at once
+    (stages of n*rb*rc and n*n*rc elements, for row counts ra >= rb >=
+    rc) and the maximum's complex copy that is returned."""
+    _, _, rc = sorted(r.size for r in rows)[::-1]
+    return (1.5 + box.size / n**3
+            + max(1.0, _stage_grids(n, rows) + rc / n))
 
 
 def _sup_abs(grid: Grid3, rows, boxes) -> Field3:
     """Pointwise max of |A f| over `boxes` (A f-hat on `rows`), inverted by
-    _pruned_ifftn into one n^3 buffer built after their _averages checks."""
-    buf = np.empty((grid.n,) * 3, dtype=complex)
-    out = np.zeros((grid.n,) * 3, dtype=float)
+    _pruned_ifftn into one n^3 buffer.  `boxes` comes from _averages,
+    whose memory checks count these arrays (_sup_held) and have run
+    before they are built."""
+    n = grid.n
+    buf = np.empty((n,) * 3, dtype=complex)
+    out = np.zeros((n,) * 3, dtype=float)
     for at in boxes:
         np.maximum(out, np.abs(_pruned_ifftn(rows, at, buf)), out=out)
     return Field3(grid, out.astype(complex), "physical")
@@ -732,7 +849,8 @@ def _box_lp_norm(grid: Grid3, rows, box: np.ndarray, p: float) -> float:
 def _box_sobolev_ratio(grid: Grid3, rows, fbox: np.ndarray, curve: Curve,
                        chi: Callable, p: float, alpha: float) -> float:
     """sobolev_ratio of the field that is `fbox` on `rows`, 0 off them."""
-    at = next(_averages(grid, rows, fbox, curve, chi, [1.0]))
+    at = next(_averages(grid, rows, fbox, curve, chi, [1.0],
+                        held=_stage_grids(grid.n, rows)))
     kx, ky, kz = grid.freq_mesh(rows)
     at *= (1.0 + kx**2 + ky**2 + kz**2) ** (alpha / 2.0)
     return (_box_lp_norm(grid, rows, at, p)
@@ -751,15 +869,27 @@ def sobolev_ratio(f: Field3, curve: Curve, chi: Callable, p: float,
     return _box_sobolev_ratio(f.grid, rows, box, curve, chi, p, alpha)
 
 
+# largest grid n^3 a sobolev sweep sums over: a band (two sums) took
+# 5.4 s at n = 512 and 132 s at n = 1024 (helix(1,1), p = 40, k = 5,
+# box 3; two Xeon cores), and n = 2048 would take eight times that
+_SOBOLEV_CELLS = 2**30
+
+
 def sobolev_sweep(curve: Curve, chi: Callable, p: float, alpha: float,
                   k_list: Sequence[int], n: int = 128, box: float = 3.0,
                   seed: int = 0) -> dict:
     """Per-band Sobolev ratios and the fitted log2 slope across bands.
 
     Each band field stays on its box (_band_box) from the draw to the
-    L^p sums, as in sobolev_ratio.
+    L^p sums, as in sobolev_ratio.  No array of the grid's size is held,
+    but each sum runs over all n^3 points, so a grid beyond
+    _SOBOLEV_CELLS points is refused (GridTooLarge) before any band.
     """
     grid = Grid3(n, box)
+    if n**3 > _SOBOLEV_CELLS:
+        raise GridTooLarge(
+            f"a sobolev sweep on a {n}^3 grid exceeds the cell budget of "
+            f"{_SOBOLEV_CELLS} points per sum")
     ratios = []
     for k in k_list:
         rows, fbox = _band_box(grid, k, [seed, k])
@@ -803,9 +933,12 @@ def local_smoothing_probe(curve: Curve, chi: Callable, p: float,
     ratios = []
     for k in k_list:
         rows, fbox = _band_box(grid, k, [seed, k])
+        # held beside the boxes: the spectrum, the previous A_t f-hat and
+        # a plane sum's stage
+        ats = _averages(grid, rows, fbox, curve, chi, t_grid,
+                        (n_t + 1) * fbox.size / n**3 + _stage_grids(n, rows))
         spec = np.empty((n_t,) + fbox.shape, dtype=complex)
-        for i, at in enumerate(_averages(grid, rows, fbox, curve, chi,
-                                         t_grid)):
+        for i, at in enumerate(ats):
             spec[i] = t_window[i] * at
         spec = sfft.fft(spec, axis=0, overwrite_x=True, workers=_WORKERS)
         kx, ky, kz = grid.freq_mesh(rows)
@@ -871,6 +1004,7 @@ def two_param_maximal(f: Field3, t_fixed: float,
             raise ValueError("(a, b) samples must lie in (1,2)^2")
     rows, box = _support_box(f)
     curves = [helix_family_curve(a, b) for a, b in ab_samples]
+    held = _sup_held(f.grid.n, rows, box)
     sets = [_averages(f.grid, rows, box, c, default_chi(c, shrink=0.5),
-                      [t_fixed]) for c in curves]
+                      [t_fixed], held) for c in curves]
     return _sup_abs(f.grid, rows, (at for ats in sets for at in ats))

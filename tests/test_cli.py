@@ -299,7 +299,9 @@ def test_run_invalid_config_exit_code(tmp_path, monkeypatch):
 @pytest.mark.parametrize("experiment", ["sobolev", "decouple"])
 def test_run_refuses_grid_beyond_memory(tmp_path, monkeypatch, capsys,
                                         experiment):
-    # one complex 4096^3 grid is about 1.1 TB: refused before allocation
+    # a 4096^3 grid is refused before anything is built: decouple's two
+    # complex grids would take 2.2 TB, and each of sobolev's sums would
+    # run over 2^36 points, beyond its cell budget
     monkeypatch.setenv("OUTPUT_DIR", str(tmp_path))
     cfg_file = tmp_path / "big.cfg"
     cfg_file.write_text(_cfg_text(experiment=experiment, n=2**12))

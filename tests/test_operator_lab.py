@@ -315,6 +315,112 @@ def test_baseband_power_sum_odd_p_and_parseval(p):
         assert abs(layout.power_sum(vals, p) - want) <= 1e-12 * want
 
 
+def _slab_entries(n, base, steps, counts, rng):
+    """The distinct lattice points base + sum_i s_i steps[i] mod n,
+    0 <= s_i < counts[i], as an index triple, with seeded complex values."""
+    s = np.meshgrid(*map(np.arange, counts), indexing="ij")
+    pts = np.asarray(base)[:, None] + sum(
+        np.outer(step, si.ravel()) for step, si in zip(steps, s))
+    idx = tuple(np.unique(pts % n, axis=1))
+    size = idx[0].size
+    return idx, rng.normal(size=size) + 1j * rng.normal(size=size)
+
+
+@pytest.mark.parametrize("p", [4.0, 8.0])
+def test_sheared_baseband_sum_is_the_full_grid_sum(p):
+    n = 64
+    rng = np.random.default_rng(int(p) + 1)
+    # diagonal supports: a thin slab whose rows wrap past index 0 on two
+    # axes, and a long thick line whose sheared span needs more than n
+    # points on one axis, so that axis stays on M = n
+    supports = [_slab_entries(n, (60, 62, 5), [(1, 1, 0), (0, 1, 1),
+                                               (1, -1, 1)], (18, 6, 2), rng),
+                _slab_entries(n, (3, 10, 30), [(1, 1, -1), (0, 1, 1)],
+                              (40, 3), rng)]
+    assert sum(r.min() == 0 and r.max() == n - 1
+               for r in supports[0][0]) == 2
+    bounds = []
+    for idx, vals in supports:
+        full = np.zeros((n,) * 3, dtype=complex)
+        full[idx] = vals
+        want = np.sum(np.abs(ol.sfft.ifftn(full)) ** p)
+        u = ol._shear_matrix(idx, n)
+        assert abs(round(np.linalg.det(u))) == 1
+        assert not np.array_equal(u, np.eye(3))
+        sheared = ol._shear(idx, n)
+        layout = ol._baseband(sheared, n, p)
+        assert abs(layout.power_sum(vals, p) - want) <= 1e-12 * want
+        assert (math.prod(layout.lengths)
+                < math.prod(ol._baseband(idx, n, p).lengths))
+        spans = [_cyclic_span(np.unique(r), n) for r in sheared]
+        bounds += [int(p // 2) * (s - 1) + 1 for s in spans]
+        # a det-2 map in the shear's place is no permutation of the grid:
+        # doubling the widest row moves the sum, so the check above can
+        # fail (a row too narrow for |f|^p to reach frequency n/2 along
+        # it would not)
+        u2 = u.copy()
+        u2[int(np.argmax(spans))] *= 2
+        moved = tuple((u2 @ np.stack(idx)) % n)
+        got = ol._baseband(moved, n, p).power_sum(vals, p)
+        assert abs(got - want) > 1e-6 * want
+    assert max(bounds) > n
+
+
+def test_shear_falls_back_to_the_identity(monkeypatch):
+    # entries on a line along c = (9, -3, 2) = (1, 3, 0) x (0, 2, 3): both
+    # rows are narrowest (one value each), but no axis completes them to
+    # det +-1 (c's entries are 9, -3 and 2), so with only these candidates
+    # the search returns the identity; the full set completes the pair
+    n = 64
+    idx = tuple((np.array([[5], [60], [7]])
+                 + np.outer([9, -3, 2], np.arange(6))) % n)
+    monkeypatch.setattr(ol, "_SHEAR_ROWS", np.array(
+        [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 3, 0], [0, 2, 3]]))
+    assert np.array_equal(ol._shear_matrix(idx, n), np.eye(3))
+    monkeypatch.undo()
+    u = ol._shear_matrix(idx, n)
+    assert abs(round(np.linalg.det(u))) == 1
+    assert sorted(np.ptp(u @ np.stack(idx), axis=1)) == [0, 0, 5]
+    empty = (np.array([], dtype=int),) * 3
+    assert np.array_equal(ol._shear_matrix(empty, n), np.eye(3))
+
+
+def test_shear_shrinks_the_decouple_grid_pieces():
+    # the decouple-grid benchmark's pieces: the grids the decoupling sums
+    # on hold at least 4x fewer points than the axis-aligned ones (7.6x
+    # measured), and no piece's grid grows
+    n, p = 128, 8.0
+    grid = ol.Grid3(n, 8.0)
+    plain = fitted = 0
+    for delta in (2.0**-4, 2.0**-5, 2.0**-6):
+        fam = make_family(CIRCLE, delta, 24.0, 1.0, math.sqrt(delta))
+        for idx, _ in ol._disjoint_pieces(
+                [ol._plate_envelope(plate, grid) for plate in fam.plates], n):
+            assert abs(round(np.linalg.det(ol._shear_matrix(idx, n)))) == 1
+            axes = math.prod(ol._baseband(idx, n, p).lengths)
+            piece = math.prod(ol._fitted_baseband(idx, n, p).lengths)
+            assert piece <= axes
+            plain += axes
+            fitted += piece
+    assert 4 * fitted <= plain
+
+
+def test_fitted_baseband_keeps_the_axes_on_a_tie():
+    # odd p sums on M_d = n on every layout, so the slab keeps the axes
+    # although it has a shear; for p = 8 the shear's smaller grid is taken
+    n = 64
+    idx, _ = _slab_entries(n, (3, 10, 30), [(1, 1, -1), (0, 1, 1)], (40, 3),
+                           np.random.default_rng(0))
+    assert not np.array_equal(ol._shear_matrix(idx, n), np.eye(3))
+    got, plain = ol._fitted_baseband(idx, n, 3.0), ol._baseband(idx, n, 3.0)
+    assert all(np.array_equal(a, b) for a, b in
+               zip(got.rows + list(got.at), plain.rows + list(plain.at)))
+    got = ol._fitted_baseband(idx, n, 8.0)
+    assert got.lengths == ol._baseband(ol._shear(idx, n), n, 8.0).lengths
+    assert (math.prod(got.lengths)
+            < math.prod(ol._baseband(idx, n, 8.0).lengths))
+
+
 def _owner_reference(pieces, n):
     """The full-grid rule: plates in order, a strictly larger envelope
     takes a lattice point over from the plates before it."""
@@ -433,7 +539,7 @@ def test_decoupling_holds_two_complex_grids():
     finally:
         tracemalloc.stop()
     # no n^3 grid is held: the sum's box on the union of the pieces' rows,
-    # the stage of its first pass and the two slab buffers (0.29 * 8 * n^3
+    # the stage of its first pass and the two slab buffers (0.22 * 8 * n^3
     # measured; one complex64 n^3 grid alone would be 8 * n^3)
     assert peak < 8 * n**3
 
@@ -678,6 +784,44 @@ def test_band_field_and_averages_check_memory_first(monkeypatch):
         ol.random_band_field(g, 2, 0)
     with pytest.raises(GridTooLarge, match="averaging on a 16"):
         ol.maximal_operator(f, HELIX, ol.default_chi(HELIX), [1.0])
+
+
+def test_maximal_function_checks_its_own_grid(monkeypatch):
+    # the averaging counts what one t holds (three band boxes, one symbol
+    # chunk and its tables: 1.13 complex 32^3 grids here) and what its
+    # caller holds beside them: sobolev's first-pass stage (0.12 grids),
+    # the maximal function's n^3 buffer, float maximum, previous A_t f-hat
+    # and complex copy (2.54 grids).  With 1.5 grids of memory sobolev
+    # runs and the maximal function is refused
+    g = ol.Grid3(32, 8.0)
+    f = ol.random_band_field(g, 2, 0)
+    chi = ol.default_chi(HELIX)
+    want = ol.sobolev_ratio(f, HELIX, chi, 8.0, 0.0)
+    monkeypatch.setattr(ol, "os", types.SimpleNamespace(
+        sysconf=lambda k: 24 * 32**3 if k == "SC_PHYS_PAGES" else 1))
+    assert ol.sobolev_ratio(f, HELIX, chi, 8.0, 0.0) == want
+    with pytest.raises(GridTooLarge, match="averaging on a 32"):
+        ol.maximal_operator(f, HELIX, chi, [1.0])
+
+
+def test_maximal_function_counts_its_grids_beside_the_boxes(monkeypatch):
+    # a band box that fills the 32^3 grid, with the symbol chunk capped
+    # low, as _CHUNK caps it on grids of n >= 256.  Five complex grids,
+    # less a byte, hold sobolev's boxes, chunk, tables and stage, but not
+    # the maximal function's buffer, maximum and stages beside its boxes:
+    # 8.5 grids in all, although its boxes alone (4.0) or its own arrays
+    # alone (3.5) would fit
+    g = ol.Grid3(32, 2.0 * np.pi)
+    f = ol.random_band_field(g, 4, 0)
+    assert all(r.size == 32 for r in ol._support_box(f)[0])
+    chi = ol.default_chi(HELIX)
+    want = ol.sobolev_ratio(f, HELIX, chi, 8.0, 0.0)
+    monkeypatch.setattr(ol, "_CHUNK", 2**10)
+    monkeypatch.setattr(ol, "os", types.SimpleNamespace(
+        sysconf=lambda k: 5 * 16 * 32**3 - 1 if k == "SC_PHYS_PAGES" else 1))
+    assert ol.sobolev_ratio(f, HELIX, chi, 8.0, 0.0) == want
+    with pytest.raises(GridTooLarge, match="averaging on a 32"):
+        ol.maximal_operator(f, HELIX, chi, [0.5, 1.0])
 
 
 def test_real_band_field_counts_its_four_grids(monkeypatch):
