@@ -557,24 +557,29 @@ def selftest() -> int:
     u = np.linspace(-1.0, 1.0, 9)
     cubic = cg.finite_type_rescale(cg.twisted_cubic(), 0.0, 3)[1].eval(u)
     # a box whose first axis wraps past row 0, summed on a 14 x 9 x 1 grid,
-    # and a diagonal slab that wraps, summed on its sheared grid
+    # a diagonal slab that wraps, summed on its sheared grid, and a box of
+    # two runs of rows per axis that wrap past row 0, summed on 32^3
     idx = tuple(m.ravel() for m in np.meshgrid([30, 31, 0, 1], [5, 6, 7], [2],
                                                indexing="ij"))
     s, r = (m.ravel() for m in np.meshgrid(range(6), range(3), indexing="ij"))
     diag = tuple((np.array([[30], [31], [5]]) + np.outer([1, 1, 0], s)
                   + np.outer([0, 1, -1], r)) % 32)
+    runs = [np.array([0, 1, 2, 29, 30, 31])] * 3
+    wrap = tuple(m.ravel() for m in np.meshgrid(*runs, indexing="ij"))
 
-    def sum8(entries, layout):
-        # (layout's sum of |f|^8, the 32^3 sum) for seeded values
+    def sums(entries, p, summed):
+        # (summed(values, p), the 32^3 sum of |f|^p) for seeded values
         vals = rng.normal(size=entries[0].size) \
             + 1j * rng.normal(size=entries[0].size)
         full = np.zeros((32,) * 3, dtype=complex)
         full[entries] = vals
-        return (layout.power_sum(vals, 8.0),
-                np.sum(np.abs(ol.sfft.ifftn(full)) ** 8))
+        return summed(vals, p), np.sum(np.abs(ol.sfft.ifftn(full)) ** p)
 
-    box8 = sum8(idx, ol._baseband(idx, 32, 8.0))
-    diag8 = sum8(diag, ol._baseband(ol._shear(diag, 32), 32, 8.0))
+    box8 = sums(idx, 8.0, ol._baseband(idx, 32, 8.0).power_sum)
+    diag8 = sums(diag, 8.0,
+                 ol._baseband(ol._shear(diag, 32), 32, 8.0).power_sum)
+    wrap6 = sums(wrap, 6.0, lambda v, p: ol._box_power_sum(
+        runs, v.reshape(6, 6, 6), p, (32,) * 3))
     checks = [
         ("helix(1,1) curvature and torsion equal 1/2 at s = 0.1",
          abs(fr.kappa - 0.5) < 1e-10 and abs(fr.tau - 0.5) < 1e-10),
@@ -596,6 +601,8 @@ def selftest() -> int:
          abs(box8[0] - box8[1]) < 1e-12 * box8[1]),
         ("sum |f|^8 of a diagonal support on its sheared grid is the 32^3 "
          "sum within 1e-12", abs(diag8[0] - diag8[1]) < 1e-12 * diag8[1]),
+        ("sum |f|^6 of a two-run wrapped box is the 32^3 sum within 1e-12",
+         abs(wrap6[0] - wrap6[1]) < 1e-12 * wrap6[1]),
     ]
     failed = [name for name, ok in checks if not ok]
     for name in failed:

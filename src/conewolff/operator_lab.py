@@ -165,16 +165,37 @@ def _abs2(slab: np.ndarray) -> np.ndarray:
     return m2
 
 
-def _power_sum(slab: np.ndarray, p: float) -> float:
-    """sum |z|^p over a slab; even integer powers by squaring in place."""
-    m2 = _abs2(slab)
-    half = p / 2.0
-    while half > 1.0 and half % 2.0 == 0.0:
-        m2 *= m2
-        half /= 2.0
-    if half != 1.0:
-        np.power(m2, half, out=m2)
-    return float(np.sum(m2))
+def _power_sum(slab: np.ndarray, p: float, m2=None) -> float:
+    """sum |z|^p over a complex128 slab.
+
+    Without `m2` the slab is left as it is and |z|^2 is a new array.  With
+    `m2`, a float64 buffer of the slab's shape, nothing is allocated and
+    the slab (C-contiguous) is overwritten: its float view is squared in
+    place and summed pairwise into m2, and its memory then holds the
+    power chain.  For an even integer p, m2^(p/2) is built by squaring
+    and multiplying in place, left to right over the bits of p/2; any
+    other p takes one np.power.
+    """
+    if m2 is None:
+        m2 = _abs2(slab)
+        acc = None
+    else:
+        v = slab.view(float)
+        np.square(v, out=v)
+        np.add(v[..., 0::2], v[..., 1::2], out=m2)
+        acc = v.reshape(-1)[:m2.size].reshape(m2.shape)
+    if p % 2.0:
+        np.power(m2, p / 2.0, out=m2)
+        return float(np.sum(m2))
+    bits = bin(int(p // 2))[3:]
+    if acc is None:
+        acc = np.empty_like(m2) if "1" in bits else m2
+    out = m2
+    for bit in bits:
+        out = np.multiply(out, out, out=acc)
+        if bit == "1":
+            acc *= m2
+    return float(np.sum(out))
 
 
 def lp_norm(f: Field3, p: float) -> float:
@@ -275,9 +296,34 @@ def _disjoint_pieces(pieces, n: int) -> list:
                              np.split(env[by_plate], cuts))]
 
 
-def _along(axis: int, rows: np.ndarray) -> tuple:
+def _along(axis: int, rows) -> tuple:
     """Index selecting `rows` on one axis of a 3-D array, all of the rest."""
     return tuple(rows if d == axis else slice(None) for d in range(3))
+
+
+def _runs(rows: np.ndarray, length: int):
+    """The runs of consecutive `rows` (ascending, below `length`) and the
+    gaps they leave in 0..length - 1: (runs, gaps), each run a pair (its
+    positions in `rows`, its rows) and each gap its rows, all slices."""
+    ends = [*np.flatnonzero(np.diff(rows) != 1) + 1, rows.size]
+    starts = [0, *ends[:-1]] if rows.size else []
+    runs = [(slice(i, j), slice(int(rows[i]), int(rows[j - 1]) + 1))
+            for i, j in zip(starts, ends)]
+    edges = [0, *(x for _, r in runs for x in (r.start, r.stop)), length]
+    return runs, [slice(a, b) for a, b in zip(edges[::2], edges[1::2])
+                  if b > a]
+
+
+def _place(dst: np.ndarray, axis: int, runs, src: np.ndarray) -> None:
+    """Fill `dst` with `src` on the rows of `runs` (a _runs pair) along
+    `axis` and with 0 on the gaps: one slice copy per run, one fill per
+    gap, so every entry of `dst` is written once (on the last axis a
+    slice copy is about 10x faster than one through an index array)."""
+    copies, gaps = runs
+    for at, rows in copies:
+        dst[_along(axis, rows)] = src[_along(axis, at)]
+    for rows in gaps:
+        dst[_along(axis, rows)] = 0
 
 
 def _pruned_ifftn(rows, box: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -288,10 +334,12 @@ def _pruned_ifftn(rows, box: np.ndarray, out: np.ndarray) -> np.ndarray:
     with its dtype.  1-D inverse transforms run one axis at a time, the
     axis of widest support first, so a pass only touches lines that can
     be nonzero: with row counts ra >= rb >= rc the passes cost rb*rc,
-    n*rc and n*n lines of length n.  The last pass runs in `out`'s memory
-    (overwrite_x) and its result is returned.  Only the maximal functions
-    (_sup_abs) use it, since they need every point's value; L^p sums go
-    through _box_power_sum, which builds no n^3 array.
+    n*rc and n*n lines of length n.  Each stage and `out` is filled by
+    _place (a slice copy per run of rows, zeros on the gaps only).  The
+    last pass runs in `out`'s memory (overwrite_x) and its result is
+    returned.  Only the maximal functions (_sup_abs) use it, since they
+    need every point's value; L^p sums go through _box_power_sum, which
+    builds no n^3 array.
     """
     n = out.shape[0]
     axes = sorted(range(3), key=lambda d: -rows[d].size)
@@ -299,12 +347,11 @@ def _pruned_ifftn(rows, box: np.ndarray, out: np.ndarray) -> np.ndarray:
     for d in axes[:-1]:
         shape = list(stage.shape)
         shape[d] = n
-        wide = np.zeros(shape, dtype=out.dtype)
-        wide[_along(d, rows[d])] = stage
+        wide = np.empty(shape, dtype=out.dtype)
+        _place(wide, d, _runs(rows[d], n), stage)
         stage = sfft.ifft(wide, axis=d, overwrite_x=True, workers=_WORKERS)
     last = axes[-1]
-    out.fill(0)
-    out[_along(last, rows[last])] = stage
+    _place(out, last, _runs(rows[last], n), stage)
     return sfft.ifft(out, axis=last, overwrite_x=True, workers=_WORKERS)
 
 
@@ -320,41 +367,43 @@ def _box_power_sum(rows, box: np.ndarray, p: float, lengths) -> float:
     and runs no transform.  Otherwise the first 1-D inverse pass runs on
     the whole box along the axis of widest support, as in _pruned_ifftn;
     the other two passes and the float64 |F|^p reduction then run slab
-    by slab over that axis, each slab in two reused complex128 buffers of
-    _BLOCK elements (of one plane, if a plane is larger) and on one
-    thread, since splitting a call that small across threads costs more
-    than it saves.  An empty box sums to 0 for every p, as Parseval says.
+    by slab over that axis, on one thread, since splitting a call that
+    small across threads costs more than it saves.  A slab holds _BLOCK
+    elements (one plane, if a plane is larger).  Its two complex128
+    buffers and the float64 |F|^2 buffer are allocated once per call, of
+    min(slab, grid) planes, and reused: each is filled by _place (a slice
+    copy per run of rows, zeros on the gaps only), and _power_sum reduces
+    in place, squaring for an even integer p, so a slab costs its two
+    passes and a few elementwise passes and allocates nothing.  An empty
+    box sums to 0 for every p, as Parseval says.
     """
     if p == 2.0 or not box.size:
         return _power_sum(box, 2.0) / math.prod(lengths)
     a, b, c = sorted(range(3), key=lambda d: -rows[d].size)
-    # a run of consecutive rows is written through a slice: on the last
-    # axis that copy is about 10x faster than one through an index array
-    ra, rb, rc = (r if r[-1] - r[0] >= r.size else slice(r[0], r[-1] + 1)
-                  for r in (rows[a], rows[b], rows[c]))
+    ma, mb, mc, nc = lengths[a], lengths[b], lengths[c], rows[c].size
     shape = list(box.shape)
-    shape[a] = lengths[a]
-    stage = np.zeros(shape, dtype=complex)
-    stage[_along(a, ra)] = box
+    shape[a] = ma
+    stage = np.empty(shape, dtype=complex)
+    _place(stage, a, _runs(rows[a], ma), box)
     stage = sfft.ifft(stage, axis=a, overwrite_x=True,
                       workers=_WORKERS).transpose(a, b, c)
-    mb, mc, nc = lengths[b], lengths[c], rows[c].size
+    runs_b, runs_c = _runs(rows[b], mb), _runs(rows[c], mc)
     step = max(1, _BLOCK // (mb * mc))
-    narrow = np.empty(step * mb * nc, dtype=complex)
-    wide = np.empty(step * mb * mc, dtype=complex)
+    planes = min(step, ma)
+    narrow = np.empty(planes * mb * nc, dtype=complex)
+    wide = np.empty(planes * mb * mc, dtype=complex)
+    m2 = np.empty(planes * mb * mc)
     total = 0.0
-    for i in range(0, lengths[a], step):
+    for i in range(0, ma, step):
         part = stage[i:i + step]
         k = part.shape[0]
         g = narrow[:k * mb * nc].reshape(k, mb, nc)
-        g.fill(0)
-        g[:, rb] = part
+        _place(g, 1, runs_b, part)
         g = sfft.ifft(g, axis=1, overwrite_x=True)
         f = wide[:k * mb * mc].reshape(k, mb, mc)
-        f.fill(0)
-        f[:, :, rc] = g
+        _place(f, 2, runs_c, g)
         f = sfft.ifft(f, axis=2, overwrite_x=True)
-        total += _power_sum(f, p)
+        total += _power_sum(f, p, m2[:f.size].reshape(f.shape))
     return total
 
 
@@ -698,6 +747,22 @@ def _scatter(grid: Grid3, rows, box: np.ndarray) -> np.ndarray:
     return vals
 
 
+_DIAMETER_ROWS = 16  # probes per block of _diameter's pairwise distances
+
+
+def _diameter(curve: Curve, chi: Callable) -> float:
+    """Largest distance between two of 257 probes of the curve spread over
+    chi's support: the pairwise distances of _DIAMETER_ROWS probes against
+    all of them at a time, so no 257 x 257 array is built (each distance
+    is the same norm of the same difference, so the maximum is bit-equal
+    to the whole pairwise table's)."""
+    lo, hi = _chi_support(curve, chi)
+    pts = curve.eval(np.linspace(lo, hi, 257)).T
+    return max(np.linalg.norm(pts[i:i + _DIAMETER_ROWS, None] - pts[None, :],
+                              axis=2).max()
+               for i in range(0, len(pts), _DIAMETER_ROWS))
+
+
 def _averages(grid: Grid3, rows, fbox: np.ndarray, curve: Curve,
               chi: Callable, ts, held: float = 0.0):
     """Iterator over the t of `ts`, in order, of A_t f-hat on f-hat's box.
@@ -722,10 +787,7 @@ def _averages(grid: Grid3, rows, fbox: np.ndarray, curve: Curve,
     if not ts or not all(0.5 <= t <= 2.0 for t in ts):
         raise ValueError("need one or more t samples, each in [1/2, 2]")
     # the scaled curve's spread grows with t, so the largest t decides
-    lo, hi = _chi_support(curve, chi)
-    pts = curve.eval(np.linspace(lo, hi, 257)).T
-    diameter = np.linalg.norm(pts[:, None] - pts[None, :], axis=2).max()
-    if max(ts) * diameter > grid.box / 2.0 - 0.5:
+    if max(ts) * _diameter(curve, chi) > grid.box / 2.0 - 0.5:
         raise WraparoundRisk(
             "scaled curve spread exceeds half the periodic box")
     gam, w = _curve_quadrature(

@@ -315,6 +315,60 @@ def test_baseband_power_sum_odd_p_and_parseval(p):
         assert abs(layout.power_sum(vals, p) - want) <= 1e-12 * want
 
 
+def _kernel_bytes(rows, n):
+    """Bytes of the arrays _box_power_sum holds on the n^3 grid: the
+    first-pass stage, the two complex slab buffers and the float one, each
+    of min(slab, n) planes."""
+    _, rb, rc = sorted(r.size for r in rows)[::-1]
+    planes = min(max(1, ol._BLOCK // n**2), n)
+    return 16 * (n * rb * rc + planes * n * rc + planes * n * n) \
+        + 8 * planes * n * n
+
+
+@pytest.mark.parametrize("p", [5.0, 6.0, 40.0])
+def test_box_power_sum_even_powers_by_squaring(p, monkeypatch):
+    # rows with three or more runs and inner gaps on every axis, wrapping
+    # past index 0: the slab buffers are filled a run at a time and zeroed
+    # on the gaps only, so a gap left unzeroed keeps the previous slab's
+    # values (n = 64 runs 4 slabs of 16 planes); at n = 32 a slab of
+    # _BLOCK elements exceeds the grid and the buffers hold its 32 planes
+    boxes = {64: [np.array([0, 1, 2, 9, 10, 33, 62, 63]),
+                  np.array([0, 4, 5, 6, 20, 63]),
+                  np.array([0, 2, 30, 31, 32, 60, 63])],
+             32: [np.array([0, 1, 7, 8, 9, 31]),
+                  np.array([0, 2, 3, 30, 31]),
+                  np.array([0, 5, 6, 16, 29, 30, 31])]}
+    assert 32**3 < ol._BLOCK < 64**3
+
+    def no_power(*args, **kwargs):
+        raise AssertionError("np.power called for an even integer p")
+
+    rng = np.random.default_rng(int(p))
+    for n, rows in boxes.items():
+        for r in rows:
+            assert r[0] == 0 and r[-1] == n - 1
+            assert np.count_nonzero(np.diff(r) > 1) >= 2
+        box = rng.normal(size=[r.size for r in rows]) \
+            + 1j * rng.normal(size=[r.size for r in rows])
+        full = np.zeros((n,) * 3, dtype=complex)
+        full[np.ix_(*rows)] = box
+        want = np.sum(np.abs(ol.sfft.ifftn(full)) ** p)
+        if p % 2.0 == 0.0:
+            monkeypatch.setattr(np, "power", no_power)
+        tracemalloc.start()
+        try:
+            got = ol._box_power_sum(rows, box, p, (n,) * 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            monkeypatch.undo()
+        assert abs(got - want) <= 1e-12 * want
+        # the stage and three buffers allocated once per call: a float
+        # slab allocated per slab, or buffers of _BLOCK elements at n = 32,
+        # would add 128 KB or more
+        assert peak <= _kernel_bytes(rows, n) + 2**16
+
+
 def _slab_entries(n, base, steps, counts, rng):
     """The distinct lattice points base + sum_i s_i steps[i] mod n,
     0 <= s_i < counts[i], as an index triple, with seeded complex values."""
@@ -692,6 +746,26 @@ def test_averaging_wraparound_risk():
     f = _constant_field(g, 1.0)
     with pytest.raises(WraparoundRisk):
         ol.averaging_operator(f, HELIX, chi, 2.0)
+
+
+@pytest.mark.parametrize("curve", [cg.helix(1.0, 1.0), cg.twisted_cubic()],
+                         ids=["helix11", "twisted_cubic"])
+def test_wraparound_diameter_is_the_pairwise_one(curve):
+    chi = ol.default_chi(curve)
+    lo, hi = ol._chi_support(curve, chi)
+    pts = curve.eval(np.linspace(lo, hi, 257)).T
+    want = np.linalg.norm(pts[:, None] - pts[None, :], axis=2).max()
+    ol._diameter(curve, chi)  # a first call outside the trace
+    tracemalloc.start()
+    try:
+        got = ol._diameter(curve, chi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == want
+    # blocks of the pairwise table (0.27 MB measured), less than one
+    # 257 x 257 float table; the whole table's differences took 4.2 MB
+    assert peak < 257 * 257 * 8
 
 
 def test_averaging_t_range():
