@@ -1,11 +1,13 @@
 """FFT-based 3-D field engine for multiplier and averaging experiments.
 
-Provides a periodic-box spectral toolkit: fields living on a cubic grid in
-either physical or frequency space, pointwise multiplier application,
-plate envelopes and decoupling-ratio measurements with exponent fits,
-seeded band fields, curve-averaging operators A_t (computed on the
-bounding box of a field's frequency support) with sampled maximal and
-Sobolev-weighted variants, a space-time smoothing probe, and the
+Provides a periodic-box spectral toolkit on a cubic grid (Grid3).  A field
+is given by its Fourier coefficients on a lattice box: (grid, rows, box),
+the ascending lattice rows it uses on each axis and its values on their
+product, 0 off it.  On that form live L^p norms summed over the whole grid
+with no n^3 array (lp_norm), plate envelopes and decoupling-ratio
+measurements with exponent fits, seeded band fields, curve-averaging
+operators A_t with sampled maximal (an n^3 float array of the pointwise
+sup) and Sobolev-weighted variants, a space-time smoothing probe, and the
 two-parameter helix family with its exact phase-derivative identity.
 """
 
@@ -57,7 +59,7 @@ _WORKERS = os.cpu_count() or 1
 
 
 # ---------------------------------------------------------------------------
-# grid and fields
+# grid and L^p sums
 # ---------------------------------------------------------------------------
 
 
@@ -105,68 +107,18 @@ class Grid3:
                         axis=1)
 
 
-@dataclass(frozen=True)
-class Field3:
-    """Complex scalar field on a Grid3, in physical or frequency space."""
-
-    grid: Grid3
-    values: np.ndarray
-    space: str  # "physical" | "frequency"
-
-    def __post_init__(self):
-        if self.space not in ("physical", "frequency"):
-            raise ValueError("space must be 'physical' or 'frequency'")
-        expected = (self.grid.n,) * 3
-        if self.values.shape != expected:
-            raise ValueError(f"values shape {self.values.shape} != {expected}")
-
-    def to_physical(self) -> "Field3":
-        if self.space == "physical":
-            return self
-        vals = sfft.ifftn(self.values, workers=_WORKERS)
-        return Field3(self.grid, vals, "physical")
-
-    def to_frequency(self) -> "Field3":
-        if self.space == "frequency":
-            return self
-        vals = sfft.fftn(self.values, workers=_WORKERS)
-        return Field3(self.grid, vals, "frequency")
-
-    def l2(self) -> float:
-        """Physical-box L2 norm, computable in either space (Parseval)."""
-        ss = sum(_power_sum(self.values[s], 2.0)
-                 for s in _slabs(self.values))
-        if self.space == "physical":
-            return math.sqrt(self.grid.cell_volume * ss)
-        return math.sqrt(self.grid.box**3 * ss) / self.grid.n**3
-
-
-def apply_multiplier(f: Field3, m: Callable) -> Field3:
-    """Pointwise frequency-space product with m(kx, ky, kz) (broadcastable)."""
-    g = f.to_frequency()
-    kx, ky, kz = f.grid.freq_mesh()
-    return Field3(f.grid, g.values * m(kx, ky, kz), "frequency")
-
-
-_SLAB = 2**14  # elements per slab of axis-0 planes in lp_norm, Field3.l2
-
-
-def _slabs(vals: np.ndarray) -> list[slice]:
-    """Slices of whole axis-0 planes holding at most _SLAB elements each
-    (one plane if a plane alone is larger)."""
-    step = max(1, _SLAB // max(1, vals[0].size))
-    return [slice(i, i + step) for i in range(0, vals.shape[0], step)]
-
-
 def _abs2(slab: np.ndarray) -> np.ndarray:
-    """|z|^2 = re^2 + im^2 of a complex128 slab, as a new float64 array."""
+    """|z|^2 = re^2 + im^2 of a complex128 (or float64) slab, as a new
+    float64 array."""
     m2 = np.square(slab.real)
-    m2 += np.square(slab.imag)
+    if np.iscomplexobj(slab):
+        m2 += np.square(slab.imag)
     return m2
 
 
 def _power_sum(slab: np.ndarray, p: float, m2=None) -> float:
-    """sum |z|^p over a complex128 slab.
+    """sum |z|^p over a complex128 slab, or over a float64 one without
+    `m2` (a maximal function's buffer).
 
     Without `m2` the slab is left as it is and |z|^2 is a new array.  With
     `m2`, a float64 buffer of the slab's shape, nothing is allocated and
@@ -196,25 +148,6 @@ def _power_sum(slab: np.ndarray, p: float, m2=None) -> float:
         if bit == "1":
             acc *= m2
     return float(np.sum(out))
-
-
-def lp_norm(f: Field3, p: float) -> float:
-    """Riemann-sum L^p norm over the physical box; max for p = inf.
-
-    A frequency field costs one inverse FFT.  The reduction runs over
-    slabs of axis-0 planes (_SLAB elements), so its float temporaries are
-    slab-sized, never grid-sized; p = 2 is Parseval in either space.
-    """
-    if not p >= 1.0:
-        raise ValueError(f"require p >= 1, got p={p}")
-    if p == 2.0:
-        return f.l2()
-    vals = f.to_physical().values
-    if math.isinf(p):
-        return math.sqrt(max(float(_abs2(vals[s]).max())
-                             for s in _slabs(vals)))
-    total = sum(_power_sum(vals[s], p) for s in _slabs(vals))
-    return float((f.grid.cell_volume * total) ** (1.0 / p))
 
 
 # ---------------------------------------------------------------------------
@@ -405,6 +338,18 @@ def _box_power_sum(rows, box: np.ndarray, p: float, lengths) -> float:
         f = sfft.ifft(f, axis=2, overwrite_x=True)
         total += _power_sum(f, p, m2[:f.size].reshape(f.shape))
     return total
+
+
+def lp_norm(grid: Grid3, rows, box: np.ndarray, p: float) -> float:
+    """Riemann-sum L^p norm over the physical box of the field whose
+    Fourier coefficients are `box` on the lattice rows `rows` (ascending
+    per axis) and 0 off them: one _box_power_sum over the whole grid, so
+    no n^3 array is built.  A p that is NaN, below 1 or infinite is
+    refused; a maximal function's sup is the max of its float buffer."""
+    if not 1.0 <= p < math.inf:
+        raise ValueError(f"require finite p >= 1, got p={p}")
+    total = _box_power_sum(rows, box, p, (grid.n,) * 3)
+    return float((grid.cell_volume * total) ** (1.0 / p))
 
 
 @dataclass(frozen=True)
@@ -730,23 +675,6 @@ def mu_hat(curve: Curve, chi: Callable, t: float,
     return out
 
 
-def _support_box(f: Field3):
-    """(rows, box): the lattice rows that f-hat's support uses on each
-    axis (ascending) and f-hat on rows[0] x rows[1] x rows[2]."""
-    vals = f.to_frequency().values
-    live = vals != 0
-    rows = [np.flatnonzero(live.any(axis=tuple(e for e in range(3) if e != d)))
-            for d in range(3)]
-    return rows, vals[np.ix_(*rows)]
-
-
-def _scatter(grid: Grid3, rows, box: np.ndarray) -> np.ndarray:
-    """The n^3 array that is `box` on the lattice rows `rows`, 0 off them."""
-    vals = np.zeros((grid.n,) * 3, dtype=box.dtype)
-    vals[np.ix_(*rows)] = box
-    return vals
-
-
 _DIAMETER_ROWS = 16  # probes per block of _diameter's pairwise distances
 
 
@@ -809,16 +737,6 @@ def _stage_grids(n: int, rows) -> float:
     return rb * rc / n**2
 
 
-def averaging_operator(f: Field3, curve: Curve, chi: Callable,
-                       t: float) -> Field3:
-    """A_t f: frequency multiplication by the curve-average symbol on the
-    box of f-hat's support (the one-sample t-set of _averages), scattered
-    into the grid."""
-    rows, box = _support_box(f)
-    at = next(_averages(f.grid, rows, box, curve, chi, [t], held=1.0))
-    return Field3(f.grid, _scatter(f.grid, rows, at), "frequency")
-
-
 def default_t_samples(n_equi: int = 65) -> np.ndarray:
     """Equispaced t in [1,2] plus the admissible dyadic values."""
     base = np.linspace(1.0, 2.0, n_equi)
@@ -826,38 +744,36 @@ def default_t_samples(n_equi: int = 65) -> np.ndarray:
     return np.unique(np.concatenate([base, dyadic]))
 
 
-def maximal_operator(f: Field3, curve: Curve, chi: Callable,
-                     t_samples: Sequence[float]) -> Field3:
-    """Pointwise max over the sampled dilations of |A_t f|: one t-set of
-    _averages on the box of f-hat's support, inverted by _sup_abs."""
-    rows, box = _support_box(f)
-    return _sup_abs(f.grid, rows, _averages(
-        f.grid, rows, box, curve, chi, t_samples,
-        held=_sup_held(f.grid.n, rows, box)))
+def maximal_operator(grid: Grid3, rows, box: np.ndarray, curve: Curve,
+                     chi: Callable, t_samples: Sequence[float]) -> np.ndarray:
+    """Pointwise max over the sampled dilations of |A_t f|, f-hat `box` on
+    `rows`, as an n^3 float array: one t-set of _averages, inverted by
+    _sup_abs."""
+    return _sup_abs(grid, rows, _averages(
+        grid, rows, box, curve, chi, t_samples,
+        held=_sup_held(grid.n, rows, box)))
 
 
 def _sup_held(n: int, rows, box: np.ndarray) -> float:
     """n^3 grids that _sup_abs holds beside _averages' boxes: the complex
     buffer, the float maximum, the previous A_t f-hat while the next is
-    built, and the larger of what _pruned_ifftn's passes hold at once
-    (stages of n*rb*rc and n*n*rc elements, for row counts ra >= rb >=
-    rc) and the maximum's complex copy that is returned."""
+    built, and what _pruned_ifftn's passes hold at once (stages of
+    n*rb*rc and n*n*rc elements, for row counts ra >= rb >= rc)."""
     _, _, rc = sorted(r.size for r in rows)[::-1]
-    return (1.5 + box.size / n**3
-            + max(1.0, _stage_grids(n, rows) + rc / n))
+    return 1.5 + box.size / n**3 + _stage_grids(n, rows) + rc / n
 
 
-def _sup_abs(grid: Grid3, rows, boxes) -> Field3:
+def _sup_abs(grid: Grid3, rows, boxes) -> np.ndarray:
     """Pointwise max of |A f| over `boxes` (A f-hat on `rows`), inverted by
-    _pruned_ifftn into one n^3 buffer.  `boxes` comes from _averages,
-    whose memory checks count these arrays (_sup_held) and have run
-    before they are built."""
+    _pruned_ifftn into one n^3 buffer; the n^3 float maximum is returned.
+    `boxes` comes from _averages, whose memory checks count these arrays
+    (_sup_held) and have run before they are built."""
     n = grid.n
     buf = np.empty((n,) * 3, dtype=complex)
     out = np.zeros((n,) * 3, dtype=float)
     for at in boxes:
         np.maximum(out, np.abs(_pruned_ifftn(rows, at, buf)), out=out)
-    return Field3(grid, out.astype(complex), "physical")
+    return out
 
 
 def _band_box(grid: Grid3, k: int, seed):
@@ -874,7 +790,9 @@ def _band_box(grid: Grid3, k: int, seed):
         raise GridTooLarge(
             f"band 2^{k} exceeds the lattice radius {kmax:.1f}")
     rows = [np.flatnonzero(np.abs(grid.freq_axis()) <= 2.0**k)] * 3
-    _require_memory("a band field", rows[0].size, 2, complex)  # |xi|, values
+    # |xi| and the values: two boxes, counted as shares of the n^3 grid
+    _require_memory("a band field", grid.n, 2 * (rows[0].size / grid.n) ** 3,
+                    complex)
     kx, ky, kz = grid.freq_mesh(rows)
     r = np.sqrt(kx**2 + ky**2 + kz**2)
     band = (r >= 2.0 ** (k - 1)) & (r <= 2.0**k)
@@ -884,51 +802,18 @@ def _band_box(grid: Grid3, k: int, seed):
     return rows, box
 
 
-def random_band_field(grid: Grid3, k: int, seed,
-                      real: bool = False) -> Field3:
-    """Random-phase field supported on the dyadic annulus 2^{k-1} <= |xi| <= 2^k
-    (_band_box scattered into the grid)."""
-    # the box (at most n^3) and the grid it is scattered into; a real field
-    # also holds the physical inverse, its real part as complex and the
-    # forward transform of that
-    _require_memory("a band field", grid.n, 4 if real else 2, complex)
-    fld = Field3(grid, _scatter(grid, *_band_box(grid, k, seed)),
-                 "frequency")
-    if real:
-        phys = fld.to_physical()
-        return Field3(grid, phys.values.real.astype(complex),
-                      "physical").to_frequency()
-    return fld
+def sobolev_ratio(grid: Grid3, rows, fbox: np.ndarray, curve: Curve,
+                  chi: Callable, p: float, alpha: float) -> float:
+    """||(1+|xi|^2)^{alpha/2} A_1 f||_p / ||f||_p, f-hat `fbox` on `rows`.
 
-
-def _box_lp_norm(grid: Grid3, rows, box: np.ndarray, p: float) -> float:
-    """lp_norm of the frequency field that is `box` on `rows` and 0 off
-    them, summed on the whole grid by _box_power_sum."""
-    total = _box_power_sum(rows, box, p, (grid.n,) * 3)
-    return float((grid.cell_volume * total) ** (1.0 / p))
-
-
-def _box_sobolev_ratio(grid: Grid3, rows, fbox: np.ndarray, curve: Curve,
-                       chi: Callable, p: float, alpha: float) -> float:
-    """sobolev_ratio of the field that is `fbox` on `rows`, 0 off them."""
+    A_1 f-hat comes from _averages and the weight multiplies that box
+    only; each norm is one lp_norm of a box.
+    """
     at = next(_averages(grid, rows, fbox, curve, chi, [1.0],
                         held=_stage_grids(grid.n, rows)))
     kx, ky, kz = grid.freq_mesh(rows)
     at *= (1.0 + kx**2 + ky**2 + kz**2) ** (alpha / 2.0)
-    return (_box_lp_norm(grid, rows, at, p)
-            / _box_lp_norm(grid, rows, fbox, p))
-
-
-def sobolev_ratio(f: Field3, curve: Curve, chi: Callable, p: float,
-                  alpha: float) -> float:
-    """||(1+|xi|^2)^{alpha/2} A_1 f||_p / ||f||_p.
-
-    Works on the box of f-hat's support: A_1 f-hat comes from _averages
-    and the weight multiplies that box only; ||A_1 f||_p and ||f||_p are
-    each one _box_power_sum of a box.
-    """
-    rows, box = _support_box(f)
-    return _box_sobolev_ratio(f.grid, rows, box, curve, chi, p, alpha)
+    return lp_norm(grid, rows, at, p) / lp_norm(grid, rows, fbox, p)
 
 
 # largest grid n^3 a sobolev sweep sums over: a band (two sums) took
@@ -955,8 +840,7 @@ def sobolev_sweep(curve: Curve, chi: Callable, p: float, alpha: float,
     ratios = []
     for k in k_list:
         rows, fbox = _band_box(grid, k, [seed, k])
-        ratios.append(_box_sobolev_ratio(grid, rows, fbox, curve, chi, p,
-                                         alpha))
+        ratios.append(sobolev_ratio(grid, rows, fbox, curve, chi, p, alpha))
     ratios = np.asarray(ratios)
     return {
         "p": p, "alpha": alpha, "k_list": list(k_list),
@@ -1011,7 +895,7 @@ def local_smoothing_probe(curve: Curve, chi: Callable, p: float,
         total = sum(_box_power_sum(rows, plane, p, (n,) * 3)
                     for plane in spec)
         mixed = (total * grid.cell_volume * dt) ** (1.0 / p)
-        ratios.append(mixed / _box_lp_norm(grid, rows, fbox, p))
+        ratios.append(mixed / lp_norm(grid, rows, fbox, p))
     ratios = np.asarray(ratios)
     return {
         "p": p, "alpha": alpha, "k_list": list(k_list),
@@ -1055,18 +939,18 @@ def helix_phase_identity(a: float, b: float, s: float,
     return lhs, rhs
 
 
-def two_param_maximal(f: Field3, t_fixed: float,
-                      ab_samples: Sequence[tuple[float, float]]) -> Field3:
-    """Pointwise sup over (a,b) of |A_{t_fixed} f| along gamma_{a,b}, each
-    curve cut off by default_chi(curve, shrink=0.5) (_averages, _sup_abs)."""
+def two_param_maximal(grid: Grid3, rows, box: np.ndarray, t_fixed: float,
+                      ab_samples: Sequence[tuple[float, float]]) -> np.ndarray:
+    """Pointwise sup over (a,b) of |A_{t_fixed} f| along gamma_{a,b}, f-hat
+    `box` on `rows`, as an n^3 float array; each curve is cut off by
+    default_chi(curve, shrink=0.5) (_averages, _sup_abs)."""
     if not ab_samples:
         raise ValueError("need at least one (a, b) sample")
     for a, b in ab_samples:
         if not (1.0 < a < 2.0 and 1.0 < b < 2.0):
             raise ValueError("(a, b) samples must lie in (1,2)^2")
-    rows, box = _support_box(f)
     curves = [helix_family_curve(a, b) for a, b in ab_samples]
-    held = _sup_held(f.grid.n, rows, box)
-    sets = [_averages(f.grid, rows, box, c, default_chi(c, shrink=0.5),
+    held = _sup_held(grid.n, rows, box)
+    sets = [_averages(grid, rows, box, c, default_chi(c, shrink=0.5),
                       [t_fixed], held) for c in curves]
-    return _sup_abs(f.grid, rows, (at for ats in sets for at in ats))
+    return _sup_abs(grid, rows, (at for ats in sets for at in ats))

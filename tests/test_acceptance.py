@@ -308,25 +308,30 @@ def test_acc12_operator_identities():
     with _Budget(10.0):
         g = ol.Grid3(32, 8.0)
         chi = ol.default_chi(HELIX)
-        f = ol.random_band_field(g, 3, 11, real=True).to_physical()
-        a_then_shift = np.roll(
-            ol.averaging_operator(f, HELIX, chi, 1.3).to_physical().values,
-            (5, -3, 2), axis=(0, 1, 2))
-        shifted = ol.Field3(g, np.roll(f.values, (5, -3, 2), axis=(0, 1, 2)),
-                            "physical")
-        shift_then_a = ol.averaging_operator(
-            shifted, HELIX, chi, 1.3).to_physical().values
+        # the real part of a band field, and A_t by _averages on the box of
+        # the whole lattice
+        rows, box = ol._band_box(g, 3, 11)
+        fhat = np.zeros((g.n,) * 3, dtype=complex)
+        fhat[np.ix_(*rows)] = box
+        f = np.fft.ifftn(fhat).real
+        lattice = [np.arange(g.n)] * 3
+
+        def average(phys):
+            return np.fft.ifftn(next(ol._averages(
+                g, lattice, np.fft.fftn(phys), HELIX, chi, [1.3])))
+
+        a_then_shift = np.roll(average(f), (5, -3, 2), axis=(0, 1, 2))
+        shift_then_a = average(np.roll(f, (5, -3, 2), axis=(0, 1, 2)))
         scale = np.max(np.abs(a_then_shift))
         assert np.max(np.abs(a_then_shift - shift_then_a)) <= 1e-12 * scale
 
         g16 = ol.Grid3(16, 8.0)
-        f1 = ol.random_band_field(g16, 2, 1)
-        f2 = ol.random_band_field(g16, 2, 2)
+        rows, f1 = ol._band_box(g16, 2, 1)
+        _, f2 = ol._band_box(g16, 2, 2)
         ts = [1.0, 1.25, 1.5]
-        fsum = ol.Field3(g16, f1.values + f2.values, "frequency")
-        m_sum = ol.maximal_operator(fsum, HELIX, chi, ts).values.real
-        m_sep = (ol.maximal_operator(f1, HELIX, chi, ts).values.real
-                 + ol.maximal_operator(f2, HELIX, chi, ts).values.real)
+        m_sum = ol.maximal_operator(g16, rows, f1 + f2, HELIX, chi, ts)
+        m_sep = (ol.maximal_operator(g16, rows, f1, HELIX, chi, ts)
+                 + ol.maximal_operator(g16, rows, f2, HELIX, chi, ts))
         assert np.all(m_sum <= m_sep + 1e-12)
 
         rng = np.random.default_rng(0)

@@ -359,6 +359,30 @@ def test_run_maximal_reports_its_grid(tmp_path, monkeypatch):
     assert rep["box"] == 6.0
 
 
+def test_run_maximal_frozen_seed0(tmp_path, monkeypatch):
+    # the curve-averages benchmark's maximal job, whose ratios the
+    # benchmark checks at 1e-5 only
+    code, dirs = _run_to(tmp_path, monkeypatch, _cfg_text(
+        experiment="maximal", curve="helix(0.5,0.5)", n=32, seed=0))
+    assert code == 0
+    rep = json.loads((dirs[0] / "report.json").read_text())
+    want = {"4": 1.2110844952065634, "8": 1.173691263361057,
+            "16": 1.1998672339904035, "40": 1.2657040629426837}
+    assert rep["ratios"].keys() == want.keys()
+    for p, ratio in want.items():
+        assert rep["ratios"][p] == pytest.approx(ratio, rel=1e-12, abs=0.0)
+
+
+def test_run_helix2_frozen_seed0(tmp_path, monkeypatch):
+    # sup_norm is the largest value of the two-parameter maximal function
+    code, dirs = _run_to(tmp_path, monkeypatch, _cfg_text(
+        experiment="helix2", seed=0))
+    assert code == 0
+    rep = json.loads((dirs[0] / "report.json").read_text())
+    assert rep["sup_norm"] == pytest.approx(0.004575498152413186, rel=1e-12,
+                                            abs=0.0)
+
+
 def test_run_helix2_reports_its_grid(tmp_path, monkeypatch):
     # the helix2 job reads L and runs on a fixed 16^3 grid, and says so;
     # below L = 8 the helix family's averages would wrap around the box

@@ -28,25 +28,40 @@ HELIX = helix(0.5, 0.5)
 CIRCLE = unit_circle_generator()
 
 
-def _random_field(grid, seed=0):
-    rng = np.random.default_rng(seed)
-    vals = rng.normal(size=(grid.n,) * 3) + 1j * rng.normal(size=(grid.n,) * 3)
-    return ol.Field3(grid, vals, "physical")
+def _dc_box(grid, c):
+    # the constant field c as (rows, box): its one Fourier coefficient,
+    # c n^3 at xi = 0
+    return [np.array([0])] * 3, np.full((1, 1, 1), c * grid.n**3,
+                                        dtype=complex)
 
 
-def _constant_field(grid, c):
-    return ol.Field3(grid, np.full((grid.n,) * 3, c, dtype=complex),
-                     "physical")
+def _scatter(grid, rows, box):
+    # the n^3 frequency array that is `box` on `rows` and 0 off them
+    fhat = np.zeros((grid.n,) * 3, dtype=complex)
+    fhat[np.ix_(*rows)] = box
+    return fhat
+
+
+def _dense_average(grid, fhat, curve, chi, t):
+    # the dense reference for A_t f-hat on an n^3 frequency array: mu_hat
+    # at every support point, times f-hat there
+    mask = fhat != 0
+    at = np.zeros_like(fhat)
+    at[mask] = ol.mu_hat(curve, chi, t, grid.freq_points(mask)) * fhat[mask]
+    return at
+
+
+def _dense_lp_norm(grid, phys, p):
+    # the Riemann sum over every point of the physical grid
+    return (grid.cell_volume * np.sum(np.abs(phys) ** p)) ** (1.0 / p)
 
 
 def _random_plate_field(plate, grid, seed):
     # a plate bump with seeded random phases, drawn as the decoupling draws
-    # each piece's phases
+    # each piece's phases: (index triple, values)
     idx, env = ol._plate_envelope(plate, grid)
     rng = np.random.default_rng(seed)
-    vals = np.zeros((grid.n,) * 3, dtype=complex)
-    vals[idx] = env * np.exp(2j * np.pi * rng.random(idx[0].size))
-    return ol.Field3(grid, vals, "frequency")
+    return idx, env * np.exp(2j * np.pi * rng.random(idx[0].size))
 
 
 # ---------------------------------------------------------------------------
@@ -64,53 +79,23 @@ def test_grid_requires_power_of_two():
     assert ax.size == 16
 
 
-def test_fft_roundtrip_and_parseval():
-    g = ol.Grid3(32)
-    f = _random_field(g)
-    back = f.to_frequency().to_physical()
-    assert np.max(np.abs(back.values - f.values)) <= 1e-12 * np.max(
-        np.abs(f.values))
-    assert abs(f.l2() - f.to_frequency().l2()) <= 1e-10 * f.l2()
-
-
-def test_apply_multiplier_identity_zero_split():
-    g = ol.Grid3(16)
-    f = _random_field(g, 1)
-    one = ol.apply_multiplier(f, lambda kx, ky, kz: np.ones_like(kx + ky + kz))
-    assert np.max(np.abs(one.to_physical().values - f.values)) <= 1e-12
-    zero = ol.apply_multiplier(f, lambda kx, ky, kz: np.zeros_like(kx + ky + kz))
-    assert np.all(zero.values == 0)
-    # Parseval split across a half-lattice indicator
-    half = ol.apply_multiplier(f, lambda kx, ky, kz: (kx >= 0) * 1.0)
-    rest = ol.apply_multiplier(f, lambda kx, ky, kz: (kx < 0) * 1.0)
-    total = f.l2() ** 2
-    assert abs(half.l2() ** 2 + rest.l2() ** 2 - total) <= 1e-10 * total
-
-
-def test_apply_multiplier_linear_and_bounded():
-    g = ol.Grid3(16)
-    f = _random_field(g, 2)
-    h = _random_field(g, 3)
-    m = lambda kx, ky, kz: np.cos(kx) + 0.5j * np.sin(ky + kz)
-    fh = ol.Field3(g, 2.0 * f.values + h.values, "physical")
-    lin = ol.apply_multiplier(fh, m)
-    sep = 2.0 * ol.apply_multiplier(f, m).values + ol.apply_multiplier(h, m).values
-    assert np.max(np.abs(lin.values - sep)) <= 1e-9
-    assert ol.apply_multiplier(f, m).l2() <= 1.5 * f.l2() + 1e-12
-
-
 def test_lp_norm_constant_and_holder():
     g = ol.Grid3(16, 8.0)
-    c = _constant_field(g, 2.0 - 1.0j)
+    c = _dc_box(g, 2.0 - 1.0j)
     vol = 8.0**3
     for p in (1.0, 2.0, 3.0, 8.0):
-        assert abs(ol.lp_norm(c, p) - abs(2.0 - 1.0j) * vol ** (1.0 / p)) <= 1e-10
-    assert abs(ol.lp_norm(c, math.inf) - abs(2.0 - 1.0j)) <= 1e-12
-    f = _random_field(g, 4)
+        want = abs(2.0 - 1.0j) * vol ** (1.0 / p)
+        assert abs(ol.lp_norm(g, *c, p) - want) <= 1e-10
+    rng = np.random.default_rng(4)
+    f = rng.normal(size=(g.n,) * 3) + 1j * rng.normal(size=(g.n,) * 3)
+    fhat = ol.sfft.fftn(f)
+    lattice = [np.arange(g.n)] * 3
     # normalized norms nondecreasing in p on a probability-normalized box
-    vals = [ol.lp_norm(f, p) * vol ** (-1.0 / p) for p in (2.0, 4.0, 6.0, 8.0)]
+    vals = [ol.lp_norm(g, lattice, fhat, p) * vol ** (-1.0 / p)
+            for p in (2.0, 4.0, 6.0, 8.0)]
     assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
-    assert abs(ol.lp_norm(f, 2.0) - f.l2()) <= 1e-10 * f.l2()
+    l2 = _dense_lp_norm(g, f, 2.0)
+    assert abs(ol.lp_norm(g, lattice, fhat, 2.0) - l2) <= 1e-10 * l2
 
 
 # ---------------------------------------------------------------------------
@@ -121,17 +106,18 @@ def test_lp_norm_constant_and_holder():
 def test_random_plate_field_support_and_seeding():
     grid = ol.Grid3(256, 8.0)
     plate = make_plate(CIRCLE, 0.0, 2.0**-4, 64.0)
-    f = _random_plate_field(plate, grid, 0)
-    pts = grid.freq_points(f.values != 0)
+    idx, f = _random_plate_field(plate, grid, 0)
+    pts = np.stack([grid.freq_axis()[i] for i in idx], axis=1)
     assert pts.shape[0] > 1000
     assert all(plate_contains(plate, xi) for xi in pts[::29])
-    g2 = _random_plate_field(plate, grid, 1)
+    _, g2 = _random_plate_field(plate, grid, 1)
     # same envelope, different phases
-    assert abs(f.l2() - g2.l2()) <= 0.05 * f.l2()
-    assert np.max(np.abs(f.values - g2.values)) > 0
+    l2 = np.linalg.norm(f)
+    assert abs(l2 - np.linalg.norm(g2)) <= 0.05 * l2
+    assert np.max(np.abs(f - g2)) > 0
     # deterministic per seed
-    again = _random_plate_field(plate, grid, 0)
-    assert np.array_equal(f.values, again.values)
+    _, again = _random_plate_field(plate, grid, 0)
+    assert np.array_equal(f, again)
 
 
 def test_random_plate_field_unresolved():
@@ -184,8 +170,12 @@ def test_decoupling_checks_its_parameters_first(monkeypatch, change, match):
 @pytest.mark.parametrize("build, match", [
     (lambda: ol.Grid3(16, math.nan), "box=nan"),
     (lambda: ol.Grid3(16, math.inf), "box=inf"),
-    (lambda: ol.lp_norm(_constant_field(ol.Grid3(16), 1.0), math.nan),
-     "p=nan")])
+    (lambda: ol.lp_norm(ol.Grid3(16), *_dc_box(ol.Grid3(16), 1.0), math.nan),
+     "p=nan"),
+    (lambda: ol.lp_norm(ol.Grid3(16), *_dc_box(ol.Grid3(16), 1.0), math.inf),
+     "p=inf"),
+    (lambda: ol.lp_norm(ol.Grid3(16), *_dc_box(ol.Grid3(16), 1.0), 0.5),
+     "p=0.5")])
 def test_grid_and_norm_refuse_non_finite(build, match):
     with pytest.raises(ValueError, match=match):
         build()
@@ -537,7 +527,7 @@ def test_decoupling_memory_guard_counts_two_complex_grids(monkeypatch):
     # the guard counts the sum's box on the union of the pieces' rows and
     # the stage of its first pass, each at most one complex128 n^3 grid:
     # 2 * 16 * 64^3 bytes of memory hold them, one byte less does not, and
-    # not a band field's complex128 pair either
+    # not a band field's complex128 pair on a box that fills the grid
     args = (CIRCLE, 8.0, 1.0, 8.0, [2.0**-4], 1, "all_ones")
     want = ol.decoupling_ratio(*args, n=64)
     need = 2 * 16 * 64**3
@@ -549,7 +539,7 @@ def test_decoupling_memory_guard_counts_two_complex_grids(monkeypatch):
     with pytest.raises(GridTooLarge, match=str(need)):
         ol.decoupling_ratio(*args, n=64)
     with pytest.raises(GridTooLarge, match="band field on a 64"):
-        ol.random_band_field(ol.Grid3(64, 8.0), 2, 0)
+        ol._band_box(ol.Grid3(64, 2.0 * np.pi), 5, 0)
 
 
 def test_decoupling_frozen_decouple_grid_inputs():
@@ -561,26 +551,6 @@ def test_decoupling_frozen_decouple_grid_inputs():
                               n=128, seed=0)
     assert np.allclose(rep["D"], [1.7586908857775454, 1.9653070636515169,
                                   2.1127896024118593], rtol=1e-12, atol=0.0)
-
-
-def test_lp_norm_reduces_without_grid_sized_temporaries():
-    g = ol.Grid3(64, 8.0)
-    f = _random_field(g, 4)
-    vol = g.cell_volume
-    m2 = np.abs(f.values) ** 2
-    want = {p: (vol * np.sum(m2 ** (p / 2))) ** (1 / p) for p in (3.0, 8.0)}
-    tracemalloc.start()
-    try:
-        got = {p: ol.lp_norm(f, p) for p in want}
-        sup = ol.lp_norm(f, math.inf)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    for p in want:
-        assert abs(got[p] - want[p]) <= 1e-12 * want[p]
-    assert abs(sup - math.sqrt(m2.max())) <= 1e-15 * sup
-    # an n^3 float temporary alone would be 4x this
-    assert peak < g.n**3 * 8 / 4
 
 
 def test_decoupling_holds_two_complex_grids():
@@ -606,11 +576,12 @@ def test_decoupling_holds_two_complex_grids():
 def test_averaging_dc_component():
     g = ol.Grid3(16, 8.0)
     chi = ol.default_chi(HELIX)
-    f = _constant_field(g, 1.0)
-    af = ol.averaging_operator(f, HELIX, chi, 1.0).to_physical()
+    rows, box = _dc_box(g, 1.0)
+    at = next(ol._averages(g, rows, box, HELIX, chi, [1.0]))
+    af = np.fft.ifftn(_scatter(g, rows, at))
     integral = quad(lambda s: float(chi(s)), -1.0, 1.0, limit=400)[0]
-    assert np.max(np.abs(af.values - integral)) <= 1e-6
-    assert np.max(np.abs(af.values - af.values.flat[0])) <= 1e-12
+    assert np.max(np.abs(af - integral)) <= 1e-6
+    assert np.max(np.abs(af - af.flat[0])) <= 1e-12
     # mu-hat at the origin is the quadrature's own chi-integral
     mu0 = ol.mu_hat(HELIX, chi, 1.0, np.zeros((1, 3)))[0]
     assert abs(mu0 - integral) <= 1e-8
@@ -632,7 +603,7 @@ def _assert_lattice_matches_rows(grid, mask, curve, chi, t):
 @pytest.mark.parametrize("t", [0.5, 1.3, 2.0])
 def test_lattice_symbol_matches_mu_hat_on_band(t):
     g = ol.Grid3(32, 8.0)
-    mask = ol.random_band_field(g, 3, 0).values != 0
+    mask = _scatter(g, *ol._band_box(g, 3, 0)) != 0
     _assert_lattice_matches_rows(g, mask, HELIX, ol.default_chi(HELIX), t)
 
 
@@ -703,26 +674,35 @@ def test_mu_hat_refuses_unresolvable_phase():
         ol.mu_hat(HELIX, chi, 1.0, np.array([[1.0e4, 0.0, 0.0]]))
 
 
+def _real_band_field(grid, k, seed):
+    # the real part of a band field, in physical space
+    return np.fft.ifftn(_scatter(grid, *ol._band_box(grid, k, seed))).real
+
+
+def _box_average(grid, f, curve, chi, t):
+    # A_t f of a physical field, by _averages on the box of the whole
+    # lattice
+    lattice = [np.arange(grid.n)] * 3
+    at = next(ol._averages(grid, lattice, np.fft.fftn(f), curve, chi, [t]))
+    return np.fft.ifftn(at)
+
+
 def test_averaging_real_in_real_out():
     g = ol.Grid3(32, 8.0)
     chi = ol.default_chi(HELIX)
-    f = ol.random_band_field(g, 3, 7, real=True)
-    out = ol.averaging_operator(f, HELIX, chi, 1.3).to_physical()
-    scale = np.max(np.abs(out.values.real))
-    assert np.max(np.abs(out.values.imag)) <= 1e-10 * scale
+    out = _box_average(g, _real_band_field(g, 3, 7), HELIX, chi, 1.3)
+    scale = np.max(np.abs(out.real))
+    assert np.max(np.abs(out.imag)) <= 1e-10 * scale
 
 
 def test_averaging_translation_commutes():
     g = ol.Grid3(32, 8.0)
     chi = ol.default_chi(HELIX)
-    f = ol.random_band_field(g, 3, 11, real=True).to_physical()
-    a_then_shift = np.roll(
-        ol.averaging_operator(f, HELIX, chi, 1.3).to_physical().values,
-        (5, -3, 2), axis=(0, 1, 2))
-    shifted = ol.Field3(g, np.roll(f.values, (5, -3, 2), axis=(0, 1, 2)),
-                        "physical")
-    shift_then_a = ol.averaging_operator(
-        shifted, HELIX, chi, 1.3).to_physical().values
+    f = _real_band_field(g, 3, 11)
+    a_then_shift = np.roll(_box_average(g, f, HELIX, chi, 1.3),
+                           (5, -3, 2), axis=(0, 1, 2))
+    shifted = np.roll(f, (5, -3, 2), axis=(0, 1, 2))
+    shift_then_a = _box_average(g, shifted, HELIX, chi, 1.3)
     scale = np.max(np.abs(a_then_shift))
     assert np.max(np.abs(a_then_shift - shift_then_a)) <= 1e-12 * scale
 
@@ -730,12 +710,11 @@ def test_averaging_translation_commutes():
 def test_averaging_lipschitz_in_t():
     g = ol.Grid3(32, 8.0)
     chi = ol.default_chi(HELIX)
-    f = ol.random_band_field(g, 3, 5)
-    a1 = ol.averaging_operator(f, HELIX, chi, 1.30)
-    a2 = ol.averaging_operator(f, HELIX, chi, 1.31)
-    diff = ol.Field3(g, a1.values - a2.values, "frequency").l2()
+    rows, box = ol._band_box(g, 3, 5)
+    a1, a2 = ol._averages(g, rows, box, HELIX, chi, [1.30, 1.31])
+    diff = ol.lp_norm(g, rows, a1 - a2, 2.0)
     gmax = max(np.linalg.norm(HELIX.eval(s)) for s in np.linspace(-1, 1, 65))
-    bound = 0.01 * gmax * 2.0**3 * f.l2() * quad(
+    bound = 0.01 * gmax * 2.0**3 * ol.lp_norm(g, rows, box, 2.0) * quad(
         lambda s: float(chi(s)), -1, 1, limit=400)[0]
     assert diff <= bound * 1.05
 
@@ -743,9 +722,8 @@ def test_averaging_lipschitz_in_t():
 def test_averaging_wraparound_risk():
     g = ol.Grid3(16, 2.0)
     chi = ol.default_chi(HELIX)
-    f = _constant_field(g, 1.0)
     with pytest.raises(WraparoundRisk):
-        ol.averaging_operator(f, HELIX, chi, 2.0)
+        ol._averages(g, *_dc_box(g, 1.0), HELIX, chi, [2.0])
 
 
 @pytest.mark.parametrize("curve", [cg.helix(1.0, 1.0), cg.twisted_cubic()],
@@ -770,9 +748,8 @@ def test_wraparound_diameter_is_the_pairwise_one(curve):
 
 def test_averaging_t_range():
     g = ol.Grid3(16, 8.0)
-    f = _constant_field(g, 1.0)
     with pytest.raises(ValueError):
-        ol.averaging_operator(f, HELIX, ol.default_chi(HELIX), 0.1)
+        ol._averages(g, *_dc_box(g, 1.0), HELIX, ol.default_chi(HELIX), [0.1])
 
 
 # ---------------------------------------------------------------------------
@@ -783,34 +760,35 @@ def test_averaging_t_range():
 def test_maximal_single_t_and_monotone():
     g = ol.Grid3(32, 8.0)
     chi = ol.default_chi(HELIX)
-    f = ol.random_band_field(g, 3, 5)
-    a = ol.averaging_operator(f, HELIX, chi, 1.3).to_physical()
-    m1 = ol.maximal_operator(f, HELIX, chi, [1.3])
-    assert np.max(np.abs(m1.values.real - np.abs(a.values))) <= 1e-10
-    m2 = ol.maximal_operator(f, HELIX, chi, [1.3, 1.7])
-    assert np.all(m2.values.real >= m1.values.real - 1e-12)
+    rows, box = ol._band_box(g, 3, 5)
+    a = np.fft.ifftn(_dense_average(g, _scatter(g, rows, box), HELIX, chi,
+                                    1.3))
+    m1 = ol.maximal_operator(g, rows, box, HELIX, chi, [1.3])
+    assert np.max(np.abs(m1 - np.abs(a))) <= 1e-10
+    m2 = ol.maximal_operator(g, rows, box, HELIX, chi, [1.3, 1.7])
+    assert np.all(m2 >= m1 - 1e-12)
 
 
 def test_maximal_sublinear():
     g = ol.Grid3(16, 8.0)
     chi = ol.default_chi(HELIX)
-    f = ol.random_band_field(g, 2, 1)
-    h = ol.random_band_field(g, 2, 2)
+    rows, f = ol._band_box(g, 2, 1)
+    _, h = ol._band_box(g, 2, 2)
     ts = [1.0, 1.25, 1.5]
-    fh = ol.Field3(g, f.values + h.values, "frequency")
-    m_sum = ol.maximal_operator(fh, HELIX, chi, ts).values.real
-    m_sep = (ol.maximal_operator(f, HELIX, chi, ts).values.real
-             + ol.maximal_operator(h, HELIX, chi, ts).values.real)
+    m_sum = ol.maximal_operator(g, rows, f + h, HELIX, chi, ts)
+    m_sep = (ol.maximal_operator(g, rows, f, HELIX, chi, ts)
+             + ol.maximal_operator(g, rows, h, HELIX, chi, ts))
     assert np.all(m_sum <= m_sep + 1e-12)
 
 
 def test_maximal_t_range():
     g = ol.Grid3(16, 8.0)
-    f = ol.random_band_field(g, 2, 0)
+    rows, box = ol._band_box(g, 2, 0)
+    chi = ol.default_chi(HELIX)
     with pytest.raises(ValueError, match=r"\[1/2, 2\]"):
-        ol.maximal_operator(f, HELIX, ol.default_chi(HELIX), [0.25, 1.0])
+        ol.maximal_operator(g, rows, box, HELIX, chi, [0.25, 1.0])
     with pytest.raises(ValueError):
-        ol.maximal_operator(f, HELIX, ol.default_chi(HELIX), [])
+        ol.maximal_operator(g, rows, box, HELIX, chi, [])
 
 
 def test_default_t_samples():
@@ -822,16 +800,16 @@ def test_default_t_samples():
 
 def test_two_param_maximal_single_pair():
     g = ol.Grid3(16, 8.0)
-    f = ol.random_band_field(g, 2, 0)
-    single = ol.two_param_maximal(f, 1.0, [(1.3, 1.5)])
+    rows, box = ol._band_box(g, 2, 0)
+    single = ol.two_param_maximal(g, rows, box, 1.0, [(1.3, 1.5)])
     curve = ol.helix_family_curve(1.3, 1.5)
-    a = ol.averaging_operator(f, curve, ol.default_chi(curve, shrink=0.5),
-                              1.0).to_physical()
-    assert np.max(np.abs(single.values.real - np.abs(a.values))) <= 1e-10
-    both = ol.two_param_maximal(f, 1.0, [(1.3, 1.5), (1.6, 1.2)])
-    assert np.all(both.values.real >= single.values.real - 1e-12)
+    a = np.fft.ifftn(_dense_average(g, _scatter(g, rows, box), curve,
+                                    ol.default_chi(curve, shrink=0.5), 1.0))
+    assert np.max(np.abs(single - np.abs(a))) <= 1e-10
+    both = ol.two_param_maximal(g, rows, box, 1.0, [(1.3, 1.5), (1.6, 1.2)])
+    assert np.all(both >= single - 1e-12)
     with pytest.raises(ValueError):
-        ol.two_param_maximal(f, 1.0, [(2.5, 1.5)])
+        ol.two_param_maximal(g, rows, box, 1.0, [(2.5, 1.5)])
 
 
 # ---------------------------------------------------------------------------
@@ -841,23 +819,23 @@ def test_two_param_maximal_single_pair():
 
 def test_random_band_field_support():
     g = ol.Grid3(32, 8.0)
-    f = ol.random_band_field(g, 3, 0)
-    pts = g.freq_points(f.values != 0)
+    rows, box = ol._band_box(g, 3, 0)
+    pts = g.freq_points(box != 0, rows)
     r = np.linalg.norm(pts, axis=1)
     assert np.all((r >= 4.0 - 1e-12) & (r <= 8.0 + 1e-12))
     with pytest.raises(GridTooLarge):
-        ol.random_band_field(g, 9, 0)
+        ol._band_box(g, 9, 0)
 
 
 def test_band_field_and_averages_check_memory_first(monkeypatch):
     # on a machine of one page both refuse a 16^3 grid before building it
     g = ol.Grid3(16, 8.0)
-    f = ol.random_band_field(g, 2, 0)
+    rows, box = ol._band_box(g, 2, 0)
     monkeypatch.setattr(ol, "os", types.SimpleNamespace(sysconf=lambda k: 1))
     with pytest.raises(GridTooLarge, match="band field on a 16"):
-        ol.random_band_field(g, 2, 0)
+        ol._band_box(g, 2, 0)
     with pytest.raises(GridTooLarge, match="averaging on a 16"):
-        ol.maximal_operator(f, HELIX, ol.default_chi(HELIX), [1.0])
+        ol.maximal_operator(g, rows, box, HELIX, ol.default_chi(HELIX), [1.0])
 
 
 def test_maximal_function_checks_its_own_grid(monkeypatch):
@@ -865,17 +843,17 @@ def test_maximal_function_checks_its_own_grid(monkeypatch):
     # chunk and its tables: 1.13 complex 32^3 grids here) and what its
     # caller holds beside them: sobolev's first-pass stage (0.12 grids),
     # the maximal function's n^3 buffer, float maximum, previous A_t f-hat
-    # and complex copy (2.54 grids).  With 1.5 grids of memory sobolev
+    # and transform stages (2.00 grids).  With 1.5 grids of memory sobolev
     # runs and the maximal function is refused
     g = ol.Grid3(32, 8.0)
-    f = ol.random_band_field(g, 2, 0)
+    rows, box = ol._band_box(g, 2, 0)
     chi = ol.default_chi(HELIX)
-    want = ol.sobolev_ratio(f, HELIX, chi, 8.0, 0.0)
+    want = ol.sobolev_ratio(g, rows, box, HELIX, chi, 8.0, 0.0)
     monkeypatch.setattr(ol, "os", types.SimpleNamespace(
         sysconf=lambda k: 24 * 32**3 if k == "SC_PHYS_PAGES" else 1))
-    assert ol.sobolev_ratio(f, HELIX, chi, 8.0, 0.0) == want
+    assert ol.sobolev_ratio(g, rows, box, HELIX, chi, 8.0, 0.0) == want
     with pytest.raises(GridTooLarge, match="averaging on a 32"):
-        ol.maximal_operator(f, HELIX, chi, [1.0])
+        ol.maximal_operator(g, rows, box, HELIX, chi, [1.0])
 
 
 def test_maximal_function_counts_its_grids_beside_the_boxes(monkeypatch):
@@ -886,35 +864,23 @@ def test_maximal_function_counts_its_grids_beside_the_boxes(monkeypatch):
     # 8.5 grids in all, although its boxes alone (4.0) or its own arrays
     # alone (3.5) would fit
     g = ol.Grid3(32, 2.0 * np.pi)
-    f = ol.random_band_field(g, 4, 0)
-    assert all(r.size == 32 for r in ol._support_box(f)[0])
+    rows, box = ol._band_box(g, 4, 0)
+    assert all(r.size == 32 for r in rows)
     chi = ol.default_chi(HELIX)
-    want = ol.sobolev_ratio(f, HELIX, chi, 8.0, 0.0)
+    want = ol.sobolev_ratio(g, rows, box, HELIX, chi, 8.0, 0.0)
     monkeypatch.setattr(ol, "_CHUNK", 2**10)
     monkeypatch.setattr(ol, "os", types.SimpleNamespace(
         sysconf=lambda k: 5 * 16 * 32**3 - 1 if k == "SC_PHYS_PAGES" else 1))
-    assert ol.sobolev_ratio(f, HELIX, chi, 8.0, 0.0) == want
+    assert ol.sobolev_ratio(g, rows, box, HELIX, chi, 8.0, 0.0) == want
     with pytest.raises(GridTooLarge, match="averaging on a 32"):
-        ol.maximal_operator(f, HELIX, chi, [0.5, 1.0])
-
-
-def test_real_band_field_counts_its_four_grids(monkeypatch):
-    # with room for three complex 16^3 grids, the complex field (box and
-    # grid) is built and the real one (four grids at once) is refused
-    g = ol.Grid3(16, 8.0)
-    page = 16 * 16**3
-    monkeypatch.setattr(ol, "os", types.SimpleNamespace(
-        sysconf=lambda k: 3 if k == "SC_PHYS_PAGES" else page))
-    assert ol.random_band_field(g, 2, 0).space == "frequency"
-    with pytest.raises(GridTooLarge, match="band field on a 16"):
-        ol.random_band_field(g, 2, 0, real=True)
+        ol.maximal_operator(g, rows, box, HELIX, chi, [0.5, 1.0])
 
 
 def test_sobolev_alpha0_bounded_by_chi_mass():
     g = ol.Grid3(16, 8.0)
     chi = ol.default_chi(HELIX)
-    f = ol.random_band_field(g, 2, 3)
-    ratio = ol.sobolev_ratio(f, HELIX, chi, 4.0, 0.0)
+    rows, box = ol._band_box(g, 2, 3)
+    ratio = ol.sobolev_ratio(g, rows, box, HELIX, chi, 4.0, 0.0)
     mass = quad(lambda s: float(chi(s)), -1, 1, limit=400)[0]
     assert 0.0 < ratio <= mass * 1.01
 
@@ -922,9 +888,9 @@ def test_sobolev_alpha0_bounded_by_chi_mass():
 def test_sobolev_weight_monotone_in_alpha():
     g = ol.Grid3(16, 8.0)
     chi = ol.default_chi(HELIX)
-    f = ol.random_band_field(g, 2, 3)
-    r0 = ol.sobolev_ratio(f, HELIX, chi, 4.0, 0.0)
-    r1 = ol.sobolev_ratio(f, HELIX, chi, 4.0, 0.5)
+    rows, box = ol._band_box(g, 2, 3)
+    r0 = ol.sobolev_ratio(g, rows, box, HELIX, chi, 4.0, 0.0)
+    r1 = ol.sobolev_ratio(g, rows, box, HELIX, chi, 4.0, 0.5)
     assert r1 >= r0
 
 
@@ -943,30 +909,26 @@ def _dense_band(grid, k, seed):
     rng = np.random.default_rng(seed)
     vals = np.zeros((grid.n,) * 3, dtype=complex)
     vals[idx] = np.exp(2j * np.pi * rng.random(idx[0].size))
-    return ol.Field3(grid, vals, "frequency")
+    return vals
 
 
-def _dense_lp_norm(f, p):
-    # the whole frequency grid, the full inverse FFT, then lp_norm
-    phys = ol.sfft.ifftn(f.values)
-    return ol.lp_norm(ol.Field3(f.grid, phys, "physical"), p)
-
-
-def _dense_sobolev_ratio(f, curve, chi, p, alpha):
-    af = ol.averaging_operator(f, curve, chi, 1.0)
-    weighted = ol.apply_multiplier(
-        af, lambda kx, ky, kz: (1.0 + kx**2 + ky**2 + kz**2) ** (alpha / 2.0))
-    return _dense_lp_norm(weighted, p) / _dense_lp_norm(f, p)
+def _dense_sobolev_ratio(grid, fhat, curve, chi, p, alpha):
+    kx, ky, kz = grid.freq_mesh()
+    weighted = (_dense_average(grid, fhat, curve, chi, 1.0)
+                * (1.0 + kx**2 + ky**2 + kz**2) ** (alpha / 2.0))
+    return (_dense_lp_norm(grid, np.fft.ifftn(weighted), p)
+            / _dense_lp_norm(grid, np.fft.ifftn(fhat), p))
 
 
 @pytest.mark.parametrize("k", [5, 6])
 def test_sobolev_box_path_matches_dense_path(k):
     grid = ol.Grid3(128, 3.0)
     f = _dense_band(grid, k, [0, k])
-    assert np.array_equal(ol.random_band_field(grid, k, [0, k]).values,
-                          f.values)
-    want = _dense_sobolev_ratio(f, BENCH_HELIX, BENCH_CHI, 40.0, 0.025)
-    got = ol.sobolev_ratio(f, BENCH_HELIX, BENCH_CHI, 40.0, 0.025)
+    rows, box = ol._band_box(grid, k, [0, k])
+    assert np.array_equal(_scatter(grid, rows, box), f)
+    want = _dense_sobolev_ratio(grid, f, BENCH_HELIX, BENCH_CHI, 40.0, 0.025)
+    got = ol.sobolev_ratio(grid, rows, box, BENCH_HELIX, BENCH_CHI, 40.0,
+                           0.025)
     swept = ol.sobolev_sweep(BENCH_HELIX, BENCH_CHI, 40.0, 0.025, [k],
                              n=128, box=3.0, seed=0)["ratios"][0]
     assert abs(got - want) <= 1e-12 * want
@@ -999,14 +961,15 @@ def test_sobolev_sweep_holds_one_complex_grid():
 
 def test_maximal_and_smoothing_box_paths_match_dense_paths():
     # the n = 16 cases of the tracer's transform count
-    f = ol.random_band_field(ol.Grid3(16, 8.0), 2, 0)
+    g = ol.Grid3(16, 8.0)
+    fhat = _dense_band(g, 2, 0)
     ts = ol.default_t_samples(5)
     chi = ol.default_chi(HELIX)
     dense = np.zeros((16,) * 3)
     for t in ts:
-        at = ol.averaging_operator(f, HELIX, chi, t)
-        dense = np.maximum(dense, np.abs(ol.sfft.ifftn(at.values)))
-    got = ol.maximal_operator(f, HELIX, chi, ts).values.real
+        at = _dense_average(g, fhat, HELIX, chi, t)
+        dense = np.maximum(dense, np.abs(np.fft.ifftn(at)))
+    got = ol.maximal_operator(g, *ol._band_box(g, 2, 0), HELIX, chi, ts)
     assert np.max(np.abs(got - dense)) <= 1e-12 * np.max(dense)
     chi = ol.default_chi(HELIX, shrink=0.5)
     rep = ol.local_smoothing_probe(HELIX, chi, 6.0, 0.5, [2, 3], n=16,
@@ -1029,9 +992,10 @@ def test_local_smoothing_alpha0_uniform():
 
 
 def _smoothing_round_trip(curve, chi, p, alpha, k_list, n, box, n_t, seed):
-    # the space-time ratio by the physical round trip: each A_t f taken to
-    # physical space and windowed, a 4-D forward FFT, the weight, a 4-D
-    # inverse FFT and the mixed norm over the whole array
+    # the space-time ratio by the physical round trip: each A_t f (the
+    # dense reference) taken to physical space and windowed, a 4-D forward
+    # FFT, the weight, a 4-D inverse FFT and the mixed norm over the whole
+    # array
     grid = ol.Grid3(n, box)
     t_grid = np.linspace(1.0, 2.0, n_t)
     dt = t_grid[1] - t_grid[0]
@@ -1042,16 +1006,16 @@ def _smoothing_round_trip(curve, chi, p, alpha, k_list, n, box, n_t, seed):
               + tau[:, None, None, None] ** 2) ** (alpha / 2.0)
     ratios = []
     for k in k_list:
-        f = ol.random_band_field(grid, k, [seed, k])
+        fhat = _dense_band(grid, k, [seed, k])
         stack = np.stack([
-            wt * ol.averaging_operator(f, curve, chi, t).to_physical().values
+            wt * np.fft.ifftn(_dense_average(grid, fhat, curve, chi, t))
             for wt, t in zip(window, t_grid)])
         spec = np.fft.fft(np.fft.fftn(stack, axes=(1, 2, 3)), axis=0)
         back = np.fft.ifftn(np.fft.ifft(spec * weight, axis=0),
                             axes=(1, 2, 3))
         mixed = (np.sum(np.abs(back) ** p) * grid.cell_volume * dt) \
             ** (1.0 / p)
-        ratios.append(mixed / ol.lp_norm(f, p))
+        ratios.append(mixed / _dense_lp_norm(grid, np.fft.ifftn(fhat), p))
     return ratios
 
 

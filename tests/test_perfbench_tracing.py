@@ -115,17 +115,19 @@ def test_tracer_counts_transforms_in_curve_averages():
     # leggauss by name, so a rename of any of them fails here
     tracing = _load_tracing()
     helix = cg.helix(0.5, 0.5)
-    f = ol.random_band_field(ol.Grid3(16, 8.0), 2, 0)
+    grid = ol.Grid3(16, 8.0)
+    rows, box = ol._band_box(grid, 2, 0)
     ts = ol.default_t_samples(5)
     k_list = [2, 3]
     n_t = 5
 
     def run():
-        m = ol.maximal_operator(f, helix, ol.default_chi(helix), ts)
+        m = ol.maximal_operator(grid, rows, box, helix, ol.default_chi(helix),
+                                ts)
         rep = ol.local_smoothing_probe(
             helix, ol.default_chi(helix, shrink=0.5), 6.0, 0.5, k_list,
             n=16, n_t=n_t)
-        return m.values, rep
+        return m, rep
 
     untraced = run()
     originals = {name: getattr(ol, name) for name in
