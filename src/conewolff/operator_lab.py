@@ -8,7 +8,9 @@ with no n^3 array (lp_norm), plate envelopes and decoupling-ratio
 measurements with exponent fits, seeded band fields, curve-averaging
 operators A_t with sampled maximal (an n^3 float array of the pointwise
 sup) and Sobolev-weighted variants, a space-time smoothing probe, and the
-two-parameter helix family with its exact phase-derivative identity.
+two-parameter helix family with its exact phase-derivative identity.  The
+L^p sums and the sups invert a box slab by slab through one pruned
+transform (_slabs).
 """
 
 from __future__ import annotations
@@ -259,74 +261,40 @@ def _place(dst: np.ndarray, axis: int, runs, src: np.ndarray) -> None:
         dst[_along(axis, rows)] = 0
 
 
-def _pruned_ifftn(rows, box: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """sfft.ifftn of a field supported on rows[0] x rows[1] x rows[2].
+_BLOCK = 2**16  # elements of each slab buffer in _slabs
 
-    `box` holds the field on those lattice rows (ascending indices per
-    axis); `out` is an n^3 complex buffer, and every stage is allocated
-    with its dtype.  1-D inverse transforms run one axis at a time, the
-    axis of widest support first, so a pass only touches lines that can
-    be nonzero: with row counts ra >= rb >= rc the passes cost rb*rc,
-    n*rc and n*n lines of length n.  Each stage and `out` is filled by
-    _place (a slice copy per run of rows, zeros on the gaps only).  The
-    last pass runs in `out`'s memory (overwrite_x) and its result is
-    returned.  Only the maximal functions (_sup_abs) use it, since they
-    need every point's value; L^p sums go through _box_power_sum, which
-    builds no n^3 array.
+
+def _planes(ma: int, mb: int, mc: int) -> int:
+    """Planes of an ma x mb x mc grid in a slab of _slabs: _BLOCK
+    elements, at least one plane and at most the grid."""
+    return min(max(1, _BLOCK // (mb * mc)), ma)
+
+
+def _slabs(rows, box: np.ndarray, lengths):
+    """Yield F = sfft.ifftn slab by slab, for the lengths[0] x lengths[1]
+    x lengths[2] array that is `box` on rows[0] x rows[1] x rows[2]
+    (ascending per axis) and 0 off them; no array of its size is built.
+
+    The first 1-D inverse pass runs on the whole box along the axis a of
+    widest support.  The passes along b and c (falling row counts) then
+    run slab by slab over a, on one thread, since splitting a call that
+    small costs more than it saves, in two complex128 buffers of _planes
+    planes, allocated once per call and filled by _place.  Each item is
+    (axes, i, f): f is F.transpose(axes)[i:i + len(f)], a C-contiguous
+    view that the caller may overwrite and the next slab overwrites.
     """
-    n = out.shape[0]
-    axes = sorted(range(3), key=lambda d: -rows[d].size)
-    stage = box
-    for d in axes[:-1]:
-        shape = list(stage.shape)
-        shape[d] = n
-        wide = np.empty(shape, dtype=out.dtype)
-        _place(wide, d, _runs(rows[d], n), stage)
-        stage = sfft.ifft(wide, axis=d, overwrite_x=True, workers=_WORKERS)
-    last = axes[-1]
-    _place(out, last, _runs(rows[last], n), stage)
-    return sfft.ifft(out, axis=last, overwrite_x=True, workers=_WORKERS)
-
-
-_BLOCK = 2**16  # elements of each slab buffer in _box_power_sum
-
-
-def _box_power_sum(rows, box: np.ndarray, p: float, lengths) -> float:
-    """sum |F|^p over a lengths[0] x lengths[1] x lengths[2] grid, where F
-    is sfft.ifftn of the array that is `box` on rows[0] x rows[1] x
-    rows[2] (ascending indices per axis) and 0 off them.
-
-    No array of the grid's size is built.  p = 2 is Parseval on the box
-    and runs no transform.  Otherwise the first 1-D inverse pass runs on
-    the whole box along the axis of widest support, as in _pruned_ifftn;
-    the other two passes and the float64 |F|^p reduction then run slab
-    by slab over that axis, on one thread, since splitting a call that
-    small across threads costs more than it saves.  A slab holds _BLOCK
-    elements (one plane, if a plane is larger).  Its two complex128
-    buffers and the float64 |F|^2 buffer are allocated once per call, of
-    min(slab, grid) planes, and reused: each is filled by _place (a slice
-    copy per run of rows, zeros on the gaps only), and _power_sum reduces
-    in place, squaring for an even integer p, so a slab costs its two
-    passes and a few elementwise passes and allocates nothing.  An empty
-    box sums to 0 for every p, as Parseval says.
-    """
-    if p == 2.0 or not box.size:
-        return _power_sum(box, 2.0) / math.prod(lengths)
-    a, b, c = sorted(range(3), key=lambda d: -rows[d].size)
+    axes = a, b, c = sorted(range(3), key=lambda d: -rows[d].size)
     ma, mb, mc, nc = lengths[a], lengths[b], lengths[c], rows[c].size
     shape = list(box.shape)
     shape[a] = ma
     stage = np.empty(shape, dtype=complex)
     _place(stage, a, _runs(rows[a], ma), box)
     stage = sfft.ifft(stage, axis=a, overwrite_x=True,
-                      workers=_WORKERS).transpose(a, b, c)
+                      workers=_WORKERS).transpose(axes)
     runs_b, runs_c = _runs(rows[b], mb), _runs(rows[c], mc)
-    step = max(1, _BLOCK // (mb * mc))
-    planes = min(step, ma)
-    narrow = np.empty(planes * mb * nc, dtype=complex)
-    wide = np.empty(planes * mb * mc, dtype=complex)
-    m2 = np.empty(planes * mb * mc)
-    total = 0.0
+    step = _planes(ma, mb, mc)
+    narrow = np.empty(step * mb * nc, dtype=complex)
+    wide = np.empty(step * mb * mc, dtype=complex)
     for i in range(0, ma, step):
         part = stage[i:i + step]
         k = part.shape[0]
@@ -335,7 +303,23 @@ def _box_power_sum(rows, box: np.ndarray, p: float, lengths) -> float:
         g = sfft.ifft(g, axis=1, overwrite_x=True)
         f = wide[:k * mb * mc].reshape(k, mb, mc)
         _place(f, 2, runs_c, g)
-        f = sfft.ifft(f, axis=2, overwrite_x=True)
+        yield axes, i, sfft.ifft(f, axis=2, overwrite_x=True)
+
+
+def _box_power_sum(rows, box: np.ndarray, p: float, lengths) -> float:
+    """sum |F|^p over the grid, F as in _slabs (the same arguments).
+
+    p = 2 is Parseval on the box, with no transform (an empty box sums to
+    0 for every p).  Otherwise _power_sum reduces each slab of _slabs in
+    place, squaring for an even integer p, in one float64 buffer
+    allocated for the first (largest) slab: a slab allocates nothing.
+    """
+    if p == 2.0 or not box.size:
+        return _power_sum(box, 2.0) / math.prod(lengths)
+    total, m2 = 0.0, None
+    for _, _, f in _slabs(rows, box, lengths):
+        if m2 is None:
+            m2 = np.empty(f.size)
         total += _power_sum(f, p, m2[:f.size].reshape(f.shape))
     return total
 
@@ -732,7 +716,7 @@ def _averages(grid: Grid3, rows, fbox: np.ndarray, curve: Curve,
 def _stage_grids(n: int, rows) -> float:
     """n^3 grids in the first-pass stage of a box on `rows` (row counts
     ra >= rb >= rc) widened to n along its widest axis: n*rb*rc, as in
-    _pruned_ifftn and in _box_power_sum on the whole grid."""
+    _slabs on the whole grid."""
     _, rb, rc = sorted(r.size for r in rows)[::-1]
     return rb * rc / n**2
 
@@ -755,24 +739,27 @@ def maximal_operator(grid: Grid3, rows, box: np.ndarray, curve: Curve,
 
 
 def _sup_held(n: int, rows, box: np.ndarray) -> float:
-    """n^3 grids that _sup_abs holds beside _averages' boxes: the complex
-    buffer, the float maximum, the previous A_t f-hat while the next is
-    built, and what _pruned_ifftn's passes hold at once (stages of
-    n*rb*rc and n*n*rc elements, for row counts ra >= rb >= rc)."""
-    _, _, rc = sorted(r.size for r in rows)[::-1]
-    return 1.5 + box.size / n**3 + _stage_grids(n, rows) + rc / n
+    """n^3 grids that _sup_abs holds beside _averages' boxes: the float
+    maximum, the previous A_t f-hat while the next is built, and _slabs'
+    stage and two slab buffers (n*rc and n*n elements a plane, for row
+    counts ra >= rb >= rc)."""
+    rc = min(r.size for r in rows)
+    slab = _planes(n, n, n) * (rc + n) / n**2
+    return 0.5 + box.size / n**3 + _stage_grids(n, rows) + slab
 
 
 def _sup_abs(grid: Grid3, rows, boxes) -> np.ndarray:
-    """Pointwise max of |A f| over `boxes` (A f-hat on `rows`), inverted by
-    _pruned_ifftn into one n^3 buffer; the n^3 float maximum is returned.
-    `boxes` comes from _averages, whose memory checks count these arrays
-    (_sup_held) and have run before they are built."""
+    """Pointwise max of |A f| over `boxes` (A f-hat on `rows`) as an n^3
+    float array: each box is inverted by _slabs, and each slab is taken
+    into the matching view of the maximum.  The maximal functions pass
+    _averages' boxes, whose memory checks count these arrays (_sup_held)
+    and have run before they are built."""
     n = grid.n
-    buf = np.empty((n,) * 3, dtype=complex)
     out = np.zeros((n,) * 3, dtype=float)
     for at in boxes:
-        np.maximum(out, np.abs(_pruned_ifftn(rows, at, buf)), out=out)
+        for axes, i, f in _slabs(rows, at, (n,) * 3):
+            view = out.transpose(axes)[i:i + len(f)]
+            np.maximum(view, np.abs(f), out=view)
     return out
 
 

@@ -210,27 +210,26 @@ def _boxes(n, seed):
 
 
 @pytest.mark.parametrize("n", [32, 64])
-def test_pruned_ifftn_matches_full_ifftn(n):
-    boxes = list(_boxes(n, n))
+def test_sup_abs_slabs_match_full_ifftn(n):
+    # one slab spans the 32^3 grid; the 64^3 grid runs in four slabs
+    assert ol._planes(n, n, n) == {32: 32, 64: 16}[n]
+    # the seeded boxes, and one whose widest axis is the last, so that its
+    # slabs land in a transposed view of the maximum
+    boxes = list(_boxes(n, n)) + [
+        [np.array([2]), np.array([0, 1, n - 1]), np.arange(n)]]
     # the seeded boxes wrap: their rows hold both index 0 and index n - 1
     assert any(r[0] == 0 and r[-1] == n - 1
                for rows in boxes[:3] for r in rows)
-    # complex64 box, buffer and stages against a complex128 ifftn: the
-    # error is at most 2.0e-7 of max|want| on these boxes (float32 epsilon
-    # is 1.2e-7), so 1e-6 is the single-precision bound
-    for dtype, tol in ((complex, 1e-12), (np.complex64, 1e-6)):
-        rng = np.random.default_rng(n)
-        out = np.empty((n,) * 3, dtype=dtype)
-        for rows in boxes:
-            shape = [r.size for r in rows]
-            box = (rng.normal(size=shape)
-                   + 1j * rng.normal(size=shape)).astype(dtype)
-            full = np.zeros((n,) * 3, dtype=complex)
-            full[np.ix_(*rows)] = box
-            want = ol.sfft.ifftn(full)
-            got = ol._pruned_ifftn(rows, box, out)
-            assert np.shares_memory(got, out) and got.dtype == dtype
-            assert np.max(np.abs(got - want)) <= tol * np.max(np.abs(want))
+    g = ol.Grid3(n)
+    rng = np.random.default_rng(n)
+    for rows in boxes:
+        shape = [r.size for r in rows]
+        pair = [rng.normal(size=shape) + 1j * rng.normal(size=shape)
+                for _ in range(2)]
+        want = np.maximum(*(np.abs(ol.sfft.ifftn(_scatter(g, rows, box)))
+                            for box in pair))
+        got = ol._sup_abs(g, rows, pair)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(want)
 
 
 def _box_entries(rows, rng):
@@ -812,6 +811,22 @@ def test_two_param_maximal_single_pair():
         ol.two_param_maximal(g, rows, box, 1.0, [(2.5, 1.5)])
 
 
+def test_two_param_maximal_matches_dense_reference():
+    # helix2's grid, band and three (a, b) pairs
+    g = ol.Grid3(16, 8.0)
+    rows, box = ol._band_box(g, 2, 0)
+    pairs = [(1.2, 1.4), (1.5, 1.5), (1.4, 1.2)]
+    fhat = _scatter(g, rows, box)
+    want = np.zeros((16,) * 3)
+    for a, b in pairs:
+        curve = ol.helix_family_curve(a, b)
+        at = _dense_average(g, fhat, curve, ol.default_chi(curve, shrink=0.5),
+                            1.0)
+        want = np.maximum(want, np.abs(np.fft.ifftn(at)))
+    got = ol.two_param_maximal(g, rows, box, 1.0, pairs)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(want)
+
+
 # ---------------------------------------------------------------------------
 # band fields and Sobolev ratios
 # ---------------------------------------------------------------------------
@@ -842,9 +857,9 @@ def test_maximal_function_checks_its_own_grid(monkeypatch):
     # the averaging counts what one t holds (three band boxes, one symbol
     # chunk and its tables: 1.13 complex 32^3 grids here) and what its
     # caller holds beside them: sobolev's first-pass stage (0.12 grids),
-    # the maximal function's n^3 buffer, float maximum, previous A_t f-hat
-    # and transform stages (2.00 grids).  With 1.5 grids of memory sobolev
-    # runs and the maximal function is refused
+    # the maximal function's float maximum, previous A_t f-hat and _slabs'
+    # stage and slab buffers, one slab spanning the grid (2.00 grids).  With
+    # 1.5 grids of memory sobolev runs and the maximal function is refused
     g = ol.Grid3(32, 8.0)
     rows, box = ol._band_box(g, 2, 0)
     chi = ol.default_chi(HELIX)
@@ -860,7 +875,7 @@ def test_maximal_function_counts_its_grids_beside_the_boxes(monkeypatch):
     # a band box that fills the 32^3 grid, with the symbol chunk capped
     # low, as _CHUNK caps it on grids of n >= 256.  Five complex grids,
     # less a byte, hold sobolev's boxes, chunk, tables and stage, but not
-    # the maximal function's buffer, maximum and stages beside its boxes:
+    # the maximal function's maximum, stage and slab buffers beside its boxes:
     # 8.5 grids in all, although its boxes alone (4.0) or its own arrays
     # alone (3.5) would fit
     g = ol.Grid3(32, 2.0 * np.pi)
