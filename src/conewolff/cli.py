@@ -559,9 +559,10 @@ def selftest() -> int:
     t = np.linspace(-0.2, 0.2, 101)
     u = np.linspace(-1.0, 1.0, 9)
     cubic = cg.finite_type_rescale(cg.twisted_cubic(), 0.0, 3)[1].eval(u)
-    # a box whose first axis wraps past row 0, summed on a 14 x 9 x 1 grid,
-    # a diagonal slab that wraps, summed on its sheared grid, and a box of
-    # two runs of rows per axis that wrap past row 0, summed on 32^3
+    # a box whose first axis wraps past row 0, summed on a 1 x 9 x 14 grid
+    # (its axes, narrowest first), a diagonal slab that wraps, summed on
+    # its sheared grid, and a box of two runs of rows per axis that wrap
+    # past row 0, summed on 32^3
     idx = tuple(m.ravel() for m in np.meshgrid([30, 31, 0, 1], [5, 6, 7], [2],
                                                indexing="ij"))
     s, r = (m.ravel() for m in np.meshgrid(range(6), range(3), indexing="ij"))
@@ -571,18 +572,17 @@ def selftest() -> int:
     wrap = tuple(m.ravel() for m in np.meshgrid(*runs, indexing="ij"))
 
     def sums(entries, p, summed):
-        # (summed(values, p), the 32^3 sum of |f|^p) for seeded values
+        # (summed(values), the 32^3 sum of |f|^p) for seeded values
         vals = rng.normal(size=entries[0].size) \
             + 1j * rng.normal(size=entries[0].size)
         full = np.zeros((32,) * 3, dtype=complex)
         full[entries] = vals
-        return summed(vals, p), np.sum(np.abs(ol.sfft.ifftn(full)) ** p)
+        return summed(vals), np.sum(np.abs(ol.sfft.ifftn(full)) ** p)
 
     box8 = sums(idx, 8.0, ol._baseband(idx, 32, 8.0).power_sum)
-    diag8 = sums(diag, 8.0,
-                 ol._baseband(ol._shear(diag, 32), 32, 8.0).power_sum)
-    wrap6 = sums(wrap, 6.0, lambda v, p: ol._box_power_sum(
-        runs, v.reshape(6, 6, 6), p, (32,) * 3))
+    diag8 = sums(diag, 8.0, ol._baseband(diag, 32, 8.0).power_sum)
+    wrap6 = sums(wrap, 6.0, lambda v: ol._box_power_sum(
+        runs, v.reshape(6, 6, 6), 6.0, (32,) * 3))
     checks = [
         ("helix(1,1) curvature and torsion equal 1/2 at s = 0.1",
          abs(fr.kappa - 0.5) < 1e-10 and abs(fr.tau - 0.5) < 1e-10),

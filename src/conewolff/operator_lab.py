@@ -57,7 +57,10 @@ def _lazy_import(name: str):
 
 
 sfft = _lazy_import("scipy.fft")
-_WORKERS = os.cpu_count() or 1
+# the CPUs this process may run on, where the OS says (a process pinned to
+# one CPU gets one worker), else the machine's
+_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
 
 
 # ---------------------------------------------------------------------------
@@ -338,50 +341,70 @@ def lp_norm(grid: Grid3, rows, box: np.ndarray, p: float) -> float:
 
 @dataclass(frozen=True)
 class _Baseband:
-    """Where a field on some n^3 lattice entries is summed (_baseband)."""
+    """Where |f|^p of a field on n^3 lattice entries is summed (_baseband)."""
 
     rows: list  # per axis, ascending rows of the cyclic span moved to 0
     lengths: tuple  # grid points M_d per axis
     at: tuple  # the entries' positions in the box on `rows`
+    p: float  # the exponent the grid is sized for
     scale: float  # (prod M_d / n^3)^(p - 1)
 
-    def power_sum(self, vals: np.ndarray, p: float) -> float:
+    def power_sum(self, vals: np.ndarray) -> float:
         """sum over the n^3 grid of |f|^p, f the inverse DFT of `vals` on
-        the entries: _box_power_sum on this grid, times `scale`."""
+        the entries: _box_power_sum on this grid, times `scale`.  Only the
+        p it was built for: a larger even p aliases on a reduced grid."""
         box = np.zeros([r.size for r in self.rows], dtype=complex)
         box[self.at] = vals
-        return self.scale * _box_power_sum(self.rows, box, p, self.lengths)
+        return self.scale * _box_power_sum(self.rows, box, self.p,
+                                           self.lengths)
+
+
+def _move(i: np.ndarray, n: int):
+    """One axis's rows `i` of n^3 lattice entries moved to start at 0 of
+    their cyclic span r (the shortest run of rows, modulo n, that holds
+    them all): (the moved rows, in the same order; their ascending
+    distinct values; r), r = 1 for no rows."""
+    r = np.unique(i)
+    start, span = 0, 1
+    if r.size:
+        gaps = np.diff(r, append=r[0] + n)
+        g = int(np.argmax(gaps))
+        start, span = int(r[(g + 1) % r.size]), n + 1 - int(gaps[g])
+    return (i - start) % n, np.sort((r - start) % n), span
 
 
 def _baseband(idx, n: int, p: float) -> _Baseband:
     """The grid on which sum |f|^p of a field on the n^3 lattice entries
     `idx` (an index triple) is exact.
 
-    Per axis d the entries' rows are moved to start at 0 of their cyclic
-    span r_d (the shortest run of rows, modulo n, that holds them all): a
-    modulation, which leaves |f| unchanged.  For even p, |f|^p is then a
-    trigonometric polynomial with frequencies |m| <= (p/2)(r_d - 1) on
-    axis d, so any M_d > (p/2)(r_d - 1) points give its mean, and the
-    n^3 sum is the M-grid sum times (prod M_d / n^3)^(p - 1) (the inverse
-    DFT's 1/M_d in place of 1/n, p times, and the point count once).  M_d
-    is min(n, sfft.next_fast_len((p/2)(r_d - 1) + 1)); any other p sums
-    on M_d = n.
+    The entries are first sheared: moved by m -> U.m mod n, U =
+    _shear_matrix of their _move, so that the spans below are taken along
+    the support's narrow lattice directions rather than the axes.  With
+    det U = +-1, U is invertible over the integers and so modulo n:
+    distinct entries stay distinct, and y -> U^T y permutes (Z/n)^3.  The
+    field with f's values moved to U.m is f(U^T y), since (U.m).y =
+    m.(U^T y), so its n^3 sum of |.|^p is f's for every p.
+
+    Per axis d the sheared entries' rows are then moved to start at 0 of
+    their cyclic span r_d (_move): a modulation, which leaves |f|
+    unchanged.  For even p, |f|^p is then a trigonometric polynomial with
+    frequencies |m| <= (p/2)(r_d - 1) on axis d, so any M_d > (p/2)(r_d -
+    1) points give its mean, and the n^3 sum is the M-grid sum times
+    (prod M_d / n^3)^(p - 1) (the inverse DFT's 1/M_d in place of 1/n, p
+    times, and the point count once).  M_d is min(n, sfft.next_fast_len(
+    (p/2)(r_d - 1) + 1)); any other p sums on M_d = n.
     """
     even = p % 2.0 == 0.0
+    u = _shear_matrix(np.stack([_move(i, n)[0] for i in idx]))
     rows, lengths, at = [], [], []
-    for i in idx:
-        r = np.unique(i)
-        start, span = 0, 1
-        if r.size:
-            gaps = np.diff(r, append=r[0] + n)
-            g = int(np.argmax(gaps))
-            start, span = int(r[(g + 1) % r.size]), n + 1 - int(gaps[g])
-        rows.append(np.sort((r - start) % n))
-        at.append(np.searchsorted(rows[-1], (i - start) % n))
+    for i in (u @ np.stack(idx)) % n:
+        moved, r, span = _move(i, n)
+        rows.append(r)
+        at.append(np.searchsorted(r, moved))
         lengths.append(min(n, sfft.next_fast_len(int(p // 2) * (span - 1)
                                                  + 1)) if even else n)
     scale = (math.prod(lengths) / n**3) ** (p - 1.0)
-    return _Baseband(rows, tuple(lengths), tuple(at), scale)
+    return _Baseband(rows, tuple(lengths), tuple(at), p, scale)
 
 
 # the rows _shear_matrix may pick: primitive integer vectors with entries in
@@ -394,30 +417,26 @@ _SHEAR_ROWS = np.array(sorted(
 _SHEAR_BLOCK = 16  # candidate rows the entries are projected onto at once
 
 
-def _shear_matrix(idx, n: int) -> np.ndarray:
+def _shear_matrix(m: np.ndarray) -> np.ndarray:
     """Integer 3x3 matrix U, det U = +-1, whose rows are lattice directions
-    in which the n^3 lattice entries `idx` (an index triple) are narrow.
+    in which the lattice entries m (3 x entries, each axis's rows moved by
+    _move, so rows that wrap past index 0 lie together in 0..r_d - 1) are
+    narrow.
 
-    Each axis's rows are first moved to start at 0 of their cyclic span,
-    as _baseband moves them, so rows that wrap past index 0 lie together
-    in 0..r_d - 1.  The width of a row v is then max - min + 1 of v.m over
-    the moved entries m: a bound on the cyclic span of (v.m mod n) of the
-    original entries, and the axes' widths are _baseband's spans r_d.  The
-    entries are projected onto _SHEAR_ROWS in blocks of _SHEAR_BLOCK rows,
-    so no array exceeds entries x block.  Rows are taken greedily by width
-    (a stable sort, so ties go to the earlier row): the narrowest, then
-    the narrowest whose cross product with it is primitive (the pair
-    extends to a unimodular basis), then the narrowest completing
-    det = +-1.  The identity is returned, never a matrix of another
-    determinant, when no completion exists among the candidates, and for
-    no entries.
+    The width of a row v is max - min + 1 of v.m over the entries: a bound
+    on the cyclic span of (v.m mod n) of the unmoved entries, and the
+    axes' widths are the spans r_d.  The entries are projected onto
+    _SHEAR_ROWS in blocks of _SHEAR_BLOCK rows, so no array exceeds
+    entries x block.  Rows are taken greedily by width (a stable sort, so
+    ties go to the earlier row): the narrowest, then the narrowest whose
+    cross product with it is primitive (the pair extends to a unimodular
+    basis), then the narrowest completing det = +-1.  The identity is
+    returned, never a matrix of another determinant, when no completion
+    exists among the candidates, and for no entries.
     """
     eye = np.eye(3, dtype=np.int64)
-    if not idx[0].size:
+    if not m.shape[1]:
         return eye
-    # _baseband's move does not depend on p; 2 builds no grid
-    moved = _baseband(idx, n, 2.0)
-    m = np.stack([r[a] for r, a in zip(moved.rows, moved.at)])
     width = np.concatenate([
         np.ptp(_SHEAR_ROWS[i:i + _SHEAR_BLOCK] @ m, axis=1) + 1
         for i in range(0, len(_SHEAR_ROWS), _SHEAR_BLOCK)])
@@ -431,29 +450,6 @@ def _shear_matrix(idx, n: int) -> np.ndarray:
         if len(picked) == 3:
             break
     return _SHEAR_ROWS[picked] if len(picked) == 3 else eye
-
-
-def _shear(idx, n: int):
-    """The n^3 lattice entries `idx` (an index triple) mapped by m -> U.m
-    mod n, U = _shear_matrix(idx, n), in the same order.
-
-    With det U = +-1, U is invertible over the integers and so modulo n:
-    distinct entries stay distinct, and y -> U^T y permutes (Z/n)^3.  The
-    field g with f's values moved to U.m is g(y) = f(U^T y), since
-    (U.m).y = m.(U^T y); so the n^3 sum of |g|^p is f's for every p, and
-    _baseband may sum g on the grid its (narrower) spans allow.
-    """
-    return tuple((_shear_matrix(idx, n) @ np.stack(idx)) % n)
-
-
-def _fitted_baseband(idx, n: int, p: float) -> _Baseband:
-    """_baseband of the n^3 lattice entries `idx` or of their _shear,
-    whichever grid has fewer points (the unsheared one on a tie, so odd p,
-    summed on M_d = n either way, keeps the axes).  Both give the same n^3
-    sum of |f|^p; the narrower widths of the shear's rows do not always
-    give a smaller grid, since each M_d is capped at n."""
-    return min(_baseband(idx, n, p), _baseband(_shear(idx, n), n, p),
-               key=lambda layout: math.prod(layout.lengths))
 
 
 def decoupling_ratio(generator: Curve, lam: float, theta: float, p: float,
@@ -475,18 +471,13 @@ def decoupling_ratio(generator: Curve, lam: float, theta: float, p: float,
 
     Overlaps are resolved on the union of supports (_disjoint_pieces).
     Each kept piece, and the sum of all of them on the union of their
-    rows, has its _baseband layout built once per delta: for even p a
-    piece's sum |f_R|^p runs on a grid of about (p/2) r_d points per axis,
-    r_d its cyclic row span, in place of n.  The entries may first be
-    sheared (_fitted_baseband): moved by m -> U.m mod n with an integer U,
-    det U = +-1, fitted to them, so that the spans r_d are taken along
-    the plate's narrow lattice directions rather than the axes; the shear
-    is kept when its grid has fewer points.  That moves f(y) to f(U^T y),
-    and y -> U^T y permutes (Z/n)^3, so every n^3 sum of |f|^p is
-    unchanged, for every p.  A single plate and its union are the same
-    entries, so they get the same layout and D = 1 exactly.  Per trial
-    every sum is one _box_power_sum (Parseval for p = 2), in complex128;
-    no n^3 array is built.
+    rows, has its _baseband layout built once per delta: its entries are
+    sheared by an integer U, det U = +-1, fitted to them, so that for even
+    p a piece's sum |f_R|^p runs on a grid of about (p/2) r_d points per
+    axis, r_d its cyclic row span across the plate, in place of n.  A
+    single plate and its union are the same entries, so they get the same
+    layout and D = 1 exactly.  Per trial every sum is one _box_power_sum
+    (Parseval for p = 2), in complex128; no n^3 array is built.
     """
     if not 2.0 <= p < math.inf:
         raise ValueError(f"require finite p >= 2, got p={p}")
@@ -505,8 +496,8 @@ def decoupling_ratio(generator: Curve, lam: float, theta: float, p: float,
         fam = make_family(generator, delta, lam, theta, math.sqrt(delta))
         kept = _disjoint_pieces(
             [_plate_envelope(plate, grid) for plate in fam.plates], n)
-        pieces = [_fitted_baseband(idx, n, p) for idx, _ in kept]
-        union = _fitted_baseband(
+        pieces = [_baseband(idx, n, p) for idx, _ in kept]
+        union = _baseband(
             tuple(map(np.concatenate, zip(*(idx for idx, _ in kept)))), n, p)
         best = 0.0
         for trial in range(trials):
@@ -521,9 +512,9 @@ def decoupling_ratio(generator: Curve, lam: float, theta: float, p: float,
                 else:
                     c = 1.0
                 vals = env * phases
-                piece_p += layout.power_sum(vals, p)
+                piece_p += layout.power_sum(vals)
                 parts.append(c * vals)
-            total = union.power_sum(np.concatenate(parts), p)
+            total = union.power_sum(np.concatenate(parts))
             best = max(best, (total / piece_p) ** (1.0 / p))
         per_delta.append(best)
     d_arr = np.asarray(per_delta)
@@ -685,10 +676,11 @@ def _averages(grid: Grid3, rows, fbox: np.ndarray, curve: Curve,
     |xi| of f-hat's support and the quadrature (sized for the largest t)
     run once, when _averages is called; each t then costs one
     _lattice_symbol contraction of the box and one product with fbox.
-    The memory check runs before any symbol is built, after the largest
-    |xi| (whose point arrays are freed by then) and the quadrature (a
-    few thousand nodes at most), since the chunk's width depends on the
-    node count.  It counts what a t holds at once: fbox, the symbol box,
+    The largest |xi| is the max of |xi|^2 on the box's mesh where fbox is
+    nonzero: a float box and a mask, freed before the memory check.  That
+    check runs before any symbol is built, after the quadrature (a few
+    thousand nodes at most), since the chunk's width depends on the node
+    count.  It counts what a t holds at once: fbox, the symbol box,
     the product (or the symbol's matrix-product temporary, at most a
     box), one _lattice_symbol chunk and its phase tables (E_0 twice while
     it is weighted), and beside them `held` n^3 grids that the caller
@@ -702,8 +694,10 @@ def _averages(grid: Grid3, rows, fbox: np.ndarray, curve: Curve,
     if max(ts) * _diameter(curve, chi) > grid.box / 2.0 - 0.5:
         raise WraparoundRisk(
             "scaled curve spread exceeds half the periodic box")
-    gam, w = _curve_quadrature(
-        curve, chi, max(ts) * _kmax(grid.freq_points(fbox != 0, rows)))
+    kx, ky, kz = grid.freq_mesh(rows)
+    kmax = math.sqrt(np.max(kx**2 + ky**2 + kz**2, where=fbox != 0,
+                            initial=0.0))
+    gam, w = _curve_quadrature(curve, chi, max(ts) * kmax)
     n0, n1, n2 = fbox.shape
     nodes = gam.shape[0]
     width = n1 * max(n2, nodes)

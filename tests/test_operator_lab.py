@@ -245,6 +245,20 @@ def _cyclic_span(r, n):
     return min(int(np.max((r - s) % n)) + 1 for s in r)
 
 
+def _axis_baseband(idx, n, p):
+    # _baseband with its shear fixed to the identity: the layout on the
+    # lattice axes, in axis order, that the sheared one is compared with
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ol, "_shear_matrix",
+                   lambda m: np.eye(3, dtype=np.int64))
+        return ol._baseband(idx, n, p)
+
+
+def _moved(idx, n):
+    # the entries as _shear_matrix takes them: each axis moved by _move
+    return np.stack([ol._move(i, n)[0] for i in idx])
+
+
 @pytest.mark.parametrize("p", [4.0, 8.0])
 def test_baseband_power_sum_is_the_full_grid_sum(p):
     n = 64
@@ -264,11 +278,15 @@ def test_baseband_power_sum_is_the_full_grid_sum(p):
         want = np.sum(np.abs(ol.sfft.ifftn(full)) ** p)
         spans = [_cyclic_span(r, n) for r in rows]
         bound = [int(p // 2) * (s - 1) + 1 for s in spans]
-        layout = ol._baseband(idx, n, p)
+        layout = _axis_baseband(idx, n, p)
         assert list(layout.lengths) == [
             min(n, ol.sfft.next_fast_len(b)) for b in bound]
         lengths.update(layout.lengths)
-        assert abs(layout.power_sum(vals, p) - want) <= 1e-12 * want
+        assert abs(layout.power_sum(vals) - want) <= 1e-12 * want
+        # the sheared layout: the same sum, on a grid no larger
+        sheared = ol._baseband(idx, n, p)
+        assert abs(sheared.power_sum(vals) - want) <= 1e-12 * want
+        assert math.prod(sheared.lengths) <= math.prod(layout.lengths)
         # one point fewer than the bound on the widest reduced axis aliases
         # a coefficient of |f|^p onto its mean: the sum moves, so the check
         # above can fail
@@ -301,7 +319,7 @@ def test_baseband_power_sum_odd_p_and_parseval(p):
         layout = ol._baseband(idx, n, p)
         if p == 3.0:
             assert layout.lengths == (n, n, n) and layout.scale == 1.0
-        assert abs(layout.power_sum(vals, p) - want) <= 1e-12 * want
+        assert abs(layout.power_sum(vals) - want) <= 1e-12 * want
 
 
 def _kernel_bytes(rows, n):
@@ -387,15 +405,18 @@ def test_sheared_baseband_sum_is_the_full_grid_sum(p):
         full = np.zeros((n,) * 3, dtype=complex)
         full[idx] = vals
         want = np.sum(np.abs(ol.sfft.ifftn(full)) ** p)
-        u = ol._shear_matrix(idx, n)
+        u = ol._shear_matrix(_moved(idx, n))
         assert abs(round(np.linalg.det(u))) == 1
         assert not np.array_equal(u, np.eye(3))
-        sheared = ol._shear(idx, n)
-        layout = ol._baseband(sheared, n, p)
-        assert abs(layout.power_sum(vals, p) - want) <= 1e-12 * want
+        sheared = (u @ np.stack(idx)) % n
+        layout = ol._baseband(idx, n, p)
+        assert abs(layout.power_sum(vals) - want) <= 1e-12 * want
         assert (math.prod(layout.lengths)
-                < math.prod(ol._baseband(idx, n, p).lengths))
+                < math.prod(_axis_baseband(idx, n, p).lengths))
         spans = [_cyclic_span(np.unique(r), n) for r in sheared]
+        assert list(layout.lengths) == [
+            min(n, ol.sfft.next_fast_len(int(p // 2) * (s - 1) + 1))
+            for s in spans]
         bounds += [int(p // 2) * (s - 1) + 1 for s in spans]
         # a det-2 map in the shear's place is no permutation of the grid:
         # doubling the widest row moves the sum, so the check above can
@@ -404,7 +425,7 @@ def test_sheared_baseband_sum_is_the_full_grid_sum(p):
         u2 = u.copy()
         u2[int(np.argmax(spans))] *= 2
         moved = tuple((u2 @ np.stack(idx)) % n)
-        got = ol._baseband(moved, n, p).power_sum(vals, p)
+        got = ol._baseband(moved, n, p).power_sum(vals)
         assert abs(got - want) > 1e-6 * want
     assert max(bounds) > n
 
@@ -419,49 +440,42 @@ def test_shear_falls_back_to_the_identity(monkeypatch):
                  + np.outer([9, -3, 2], np.arange(6))) % n)
     monkeypatch.setattr(ol, "_SHEAR_ROWS", np.array(
         [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 3, 0], [0, 2, 3]]))
-    assert np.array_equal(ol._shear_matrix(idx, n), np.eye(3))
+    assert np.array_equal(ol._shear_matrix(_moved(idx, n)), np.eye(3))
     monkeypatch.undo()
-    u = ol._shear_matrix(idx, n)
+    u = ol._shear_matrix(_moved(idx, n))
     assert abs(round(np.linalg.det(u))) == 1
     assert sorted(np.ptp(u @ np.stack(idx), axis=1)) == [0, 0, 5]
     empty = (np.array([], dtype=int),) * 3
-    assert np.array_equal(ol._shear_matrix(empty, n), np.eye(3))
+    assert np.array_equal(ol._shear_matrix(_moved(empty, n)), np.eye(3))
+    assert ol._baseband(empty, n, 8.0).lengths == (1, 1, 1)
 
 
 def test_shear_shrinks_the_decouple_grid_pieces():
-    # the decouple-grid benchmark's pieces: the grids the decoupling sums
-    # on hold at least 4x fewer points than the axis-aligned ones (7.6x
-    # measured), and no piece's grid grows
+    # the decouple-grid benchmark's pieces and unions, and the same family
+    # on the parabola: the pieces' sheared grids hold at least 3x fewer
+    # points than the axis-aligned ones in total (7.6x on the circle, 4.2x
+    # on the parabola measured), no piece's grid grows and every union's
+    # shrinks (for example 128 x 128 x 98 -> 96 x 98 x 105 on the circle
+    # at delta = 2^-4)
     n, p = 128, 8.0
     grid = ol.Grid3(n, 8.0)
-    plain = fitted = 0
-    for delta in (2.0**-4, 2.0**-5, 2.0**-6):
-        fam = make_family(CIRCLE, delta, 24.0, 1.0, math.sqrt(delta))
-        for idx, _ in ol._disjoint_pieces(
-                [ol._plate_envelope(plate, grid) for plate in fam.plates], n):
-            assert abs(round(np.linalg.det(ol._shear_matrix(idx, n)))) == 1
-            axes = math.prod(ol._baseband(idx, n, p).lengths)
-            piece = math.prod(ol._fitted_baseband(idx, n, p).lengths)
-            assert piece <= axes
-            plain += axes
-            fitted += piece
-    assert 4 * fitted <= plain
-
-
-def test_fitted_baseband_keeps_the_axes_on_a_tie():
-    # odd p sums on M_d = n on every layout, so the slab keeps the axes
-    # although it has a shear; for p = 8 the shear's smaller grid is taken
-    n = 64
-    idx, _ = _slab_entries(n, (3, 10, 30), [(1, 1, -1), (0, 1, 1)], (40, 3),
-                           np.random.default_rng(0))
-    assert not np.array_equal(ol._shear_matrix(idx, n), np.eye(3))
-    got, plain = ol._fitted_baseband(idx, n, 3.0), ol._baseband(idx, n, 3.0)
-    assert all(np.array_equal(a, b) for a, b in
-               zip(got.rows + list(got.at), plain.rows + list(plain.at)))
-    got = ol._fitted_baseband(idx, n, 8.0)
-    assert got.lengths == ol._baseband(ol._shear(idx, n), n, 8.0).lengths
-    assert (math.prod(got.lengths)
-            < math.prod(ol._baseband(idx, n, 8.0).lengths))
+    for generator in (CIRCLE, cg.parabola_generator()):
+        plain = fitted = 0
+        for delta in (2.0**-4, 2.0**-5, 2.0**-6):
+            fam = make_family(generator, delta, 24.0, 1.0, math.sqrt(delta))
+            pieces = [idx for idx, _ in ol._disjoint_pieces(
+                [ol._plate_envelope(plate, grid) for plate in fam.plates], n)]
+            union = tuple(map(np.concatenate, zip(*pieces)))
+            for idx in pieces + [union]:
+                u = ol._shear_matrix(_moved(idx, n))
+                assert abs(round(np.linalg.det(u))) == 1
+                axes = math.prod(_axis_baseband(idx, n, p).lengths)
+                sheared = math.prod(ol._baseband(idx, n, p).lengths)
+                assert sheared < axes if idx is union else sheared <= axes
+                if idx is not union:
+                    plain += axes
+                    fitted += sheared
+        assert 3 * fitted <= plain
 
 
 def _owner_reference(pieces, n):
@@ -797,34 +811,26 @@ def test_default_t_samples():
     assert np.sum((ts >= 1.0) & (ts <= 2.0)) >= 65
 
 
-def test_two_param_maximal_single_pair():
+def test_two_param_maximal_matches_dense_reference():
+    # helix2's grid and band, on one (a, b) pair and on helix2's three
     g = ol.Grid3(16, 8.0)
     rows, box = ol._band_box(g, 2, 0)
+    fhat = _scatter(g, rows, box)
+    for pairs in ([(1.3, 1.5)], [(1.2, 1.4), (1.5, 1.5), (1.4, 1.2)]):
+        want = np.zeros((16,) * 3)
+        for a, b in pairs:
+            curve = ol.helix_family_curve(a, b)
+            at = _dense_average(g, fhat, curve,
+                                ol.default_chi(curve, shrink=0.5), 1.0)
+            want = np.maximum(want, np.abs(np.fft.ifftn(at)))
+        got = ol.two_param_maximal(g, rows, box, 1.0, pairs)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(want)
+    # a second pair only raises the sup
     single = ol.two_param_maximal(g, rows, box, 1.0, [(1.3, 1.5)])
-    curve = ol.helix_family_curve(1.3, 1.5)
-    a = np.fft.ifftn(_dense_average(g, _scatter(g, rows, box), curve,
-                                    ol.default_chi(curve, shrink=0.5), 1.0))
-    assert np.max(np.abs(single - np.abs(a))) <= 1e-10
     both = ol.two_param_maximal(g, rows, box, 1.0, [(1.3, 1.5), (1.6, 1.2)])
     assert np.all(both >= single - 1e-12)
     with pytest.raises(ValueError):
         ol.two_param_maximal(g, rows, box, 1.0, [(2.5, 1.5)])
-
-
-def test_two_param_maximal_matches_dense_reference():
-    # helix2's grid, band and three (a, b) pairs
-    g = ol.Grid3(16, 8.0)
-    rows, box = ol._band_box(g, 2, 0)
-    pairs = [(1.2, 1.4), (1.5, 1.5), (1.4, 1.2)]
-    fhat = _scatter(g, rows, box)
-    want = np.zeros((16,) * 3)
-    for a, b in pairs:
-        curve = ol.helix_family_curve(a, b)
-        at = _dense_average(g, fhat, curve, ol.default_chi(curve, shrink=0.5),
-                            1.0)
-        want = np.maximum(want, np.abs(np.fft.ifftn(at)))
-    got = ol.two_param_maximal(g, rows, box, 1.0, pairs)
-    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(want)
 
 
 # ---------------------------------------------------------------------------
@@ -851,6 +857,53 @@ def test_band_field_and_averages_check_memory_first(monkeypatch):
         ol._band_box(g, 2, 0)
     with pytest.raises(GridTooLarge, match="averaging on a 16"):
         ol.maximal_operator(g, rows, box, HELIX, ol.default_chi(HELIX), [1.0])
+
+
+@pytest.mark.parametrize("n, side, k", [(32, 6.0, 3), (32, 6.0, 4),
+                                         (128, 3.0, 5), (128, 3.0, 6)])
+def test_averages_reads_kmax_off_the_box_mesh(n, side, k, monkeypatch):
+    # the benchmark's sobolev and smoothing bands, and an empty support:
+    # the quadrature gets the same t * kmax (the largest t is 1), to the
+    # bit, and so the same node count, as from the support's point array,
+    # which is not built
+    curve = helix(1.0, 1.0)
+    chi = ol.default_chi(curve, shrink=0.5)
+    g = ol.Grid3(n, side)
+    rows, box = ol._band_box(g, k, 0)
+    quadrature = ol._curve_quadrature
+    nodes = []
+
+    def counted(curve, chi, t_kmax):
+        gam, w = quadrature(curve, chi, t_kmax)
+        nodes.append((t_kmax, gam.shape[0]))
+        return gam, w
+
+    def no_points(*args, **kwargs):
+        raise AssertionError("freq_points called")
+
+    for fbox in (box, np.zeros_like(box)):
+        t_kmax = ol._kmax(g.freq_points(fbox != 0, rows))
+        want = (t_kmax, quadrature(curve, chi, t_kmax)[0].shape[0])
+        with monkeypatch.context() as mp:
+            mp.setattr(ol, "_curve_quadrature", counted)
+            mp.setattr(ol.Grid3, "freq_points", no_points)
+            ol._averages(g, rows, fbox, curve, chi, [0.75, 1.0])
+        assert nodes.pop() == want
+    assert want == (0.0, 201)
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                    reason="the OS has no CPU affinity")
+def test_transform_workers_follow_the_cpu_affinity():
+    # a process pinned to one CPU before it imports conewolff runs its
+    # transforms on one worker, whatever the machine's CPU count
+    code = ("import os\n"
+            "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+            "from conewolff import operator_lab as ol\n"
+            "print(ol._WORKERS)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, timeout=120).stdout
+    assert out.split() == ["1"]
 
 
 def test_maximal_function_checks_its_own_grid(monkeypatch):

@@ -87,14 +87,14 @@ def test_tracer_counts_transforms_in_decoupling_ratio():
     assert traced["D"] == untraced["D"]
     assert tracer.calls["operator_lab.decoupling_ratio"] == 1
     # one box per kept piece and one for their sum on the union of their
-    # rows, each on its fitted layout; each box takes one pass over the
+    # rows, each on its sheared layout; each box takes one pass over the
     # whole box and two per slab of its widest axis, every one through the
     # proxy
     grid = ol.Grid3(n, 8.0)
     kept = ol._disjoint_pieces(
         [ol._plate_envelope(plate, grid) for plate in fam.plates], n)
     union = tuple(map(np.concatenate, zip(*(idx for idx, _ in kept))))
-    layouts = [ol._fitted_baseband(idx, n, p)
+    layouts = [ol._baseband(idx, n, p)
                for idx in [idx for idx, _ in kept] + [union]]
 
     def passes(layout):
