@@ -811,26 +811,36 @@ def test_default_t_samples():
     assert np.sum((ts >= 1.0) & (ts <= 2.0)) >= 65
 
 
-def test_two_param_maximal_matches_dense_reference():
-    # helix2's grid and band, on one (a, b) pair and on helix2's three
+def test_two_param_maximal_single_pair():
     g = ol.Grid3(16, 8.0)
     rows, box = ol._band_box(g, 2, 0)
-    fhat = _scatter(g, rows, box)
-    for pairs in ([(1.3, 1.5)], [(1.2, 1.4), (1.5, 1.5), (1.4, 1.2)]):
-        want = np.zeros((16,) * 3)
-        for a, b in pairs:
-            curve = ol.helix_family_curve(a, b)
-            at = _dense_average(g, fhat, curve,
-                                ol.default_chi(curve, shrink=0.5), 1.0)
-            want = np.maximum(want, np.abs(np.fft.ifftn(at)))
-        got = ol.two_param_maximal(g, rows, box, 1.0, pairs)
-        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(want)
-    # a second pair only raises the sup
     single = ol.two_param_maximal(g, rows, box, 1.0, [(1.3, 1.5)])
+    curve = ol.helix_family_curve(1.3, 1.5)
+    want = np.abs(np.fft.ifftn(_dense_average(
+        g, _scatter(g, rows, box), curve, ol.default_chi(curve, shrink=0.5),
+        1.0)))
+    assert np.max(np.abs(single - want)) <= 1e-12 * np.max(want)
+    # a second pair only raises the sup
     both = ol.two_param_maximal(g, rows, box, 1.0, [(1.3, 1.5), (1.6, 1.2)])
     assert np.all(both >= single - 1e-12)
     with pytest.raises(ValueError):
         ol.two_param_maximal(g, rows, box, 1.0, [(2.5, 1.5)])
+
+
+def test_two_param_maximal_matches_dense_reference():
+    # helix2's grid, band and three (a, b) pairs
+    g = ol.Grid3(16, 8.0)
+    rows, box = ol._band_box(g, 2, 0)
+    pairs = [(1.2, 1.4), (1.5, 1.5), (1.4, 1.2)]
+    fhat = _scatter(g, rows, box)
+    want = np.zeros((16,) * 3)
+    for a, b in pairs:
+        curve = ol.helix_family_curve(a, b)
+        at = _dense_average(g, fhat, curve, ol.default_chi(curve, shrink=0.5),
+                            1.0)
+        want = np.maximum(want, np.abs(np.fft.ifftn(at)))
+    got = ol.two_param_maximal(g, rows, box, 1.0, pairs)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(want)
 
 
 # ---------------------------------------------------------------------------
