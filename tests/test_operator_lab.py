@@ -452,7 +452,7 @@ def test_shear_falls_back_to_the_identity(monkeypatch):
 
 def test_shear_shrinks_the_decouple_grid_pieces():
     # the decouple-grid benchmark's pieces and unions, and the same family
-    # on the parabola: the pieces' sheared grids hold at least 3x fewer
+    # on the parabola: the pieces' sheared grids hold at least 4x fewer
     # points than the axis-aligned ones in total (7.6x on the circle, 4.2x
     # on the parabola measured), no piece's grid grows and every union's
     # shrinks (for example 128 x 128 x 98 -> 96 x 98 x 105 on the circle
@@ -475,7 +475,7 @@ def test_shear_shrinks_the_decouple_grid_pieces():
                 if idx is not union:
                     plain += axes
                     fitted += sheared
-        assert 3 * fitted <= plain
+        assert 4 * fitted <= plain
 
 
 def _owner_reference(pieces, n):
