@@ -427,31 +427,31 @@ def _exp_decouple(cfg: Config) -> ReportBundle:
     return ReportBundle(report, csv_text, {"decoupling": plot})
 
 
-def _exp_sobolev(cfg: Config) -> ReportBundle:
+def _band_experiment(cfg: Config, name: str, sweep, title: str,
+                     **grid) -> ReportBundle:
+    """Report, CSV and plot `name` of a band sweep (ol.sobolev_sweep or
+    ol.local_smoothing_probe) along cfg's curve, chi shrunk by 1/2."""
     curve = _parse_curve(cfg.curve)
     chi = ol.default_chi(curve, shrink=0.5)
-    rep = ol.sobolev_sweep(curve, chi, cfg.p, cfg.alpha, list(cfg.k_list),
-                           n=cfg.n, box=min(cfg.L, 3.0), seed=cfg.seed)
-    report = {"experiment": "sobolev", "curve": curve.name, **rep}
-    rows = list(zip(rep["k_list"], rep["ratios"]))
-    csv_text = _rows_to_csv(["k", "ratio"], rows)
+    rep = sweep(curve, chi, cfg.p, cfg.alpha, list(cfg.k_list),
+                seed=cfg.seed, **grid)
+    report = {"experiment": name, "curve": curve.name, **rep}
+    csv_text = _rows_to_csv(["k", "ratio"], zip(rep["k_list"], rep["ratios"]))
     plot = _svg_line_plot(2.0 ** np.asarray(rep["k_list"], float),
-                          rep["ratios"], "weighted operator ratio per band")
-    return ReportBundle(report, csv_text, {"sobolev": plot})
+                          rep["ratios"], title)
+    return ReportBundle(report, csv_text, {name: plot})
+
+
+def _exp_sobolev(cfg: Config) -> ReportBundle:
+    return _band_experiment(cfg, "sobolev", ol.sobolev_sweep,
+                            "weighted operator ratio per band", n=cfg.n,
+                            box=min(cfg.L, 3.0))
 
 
 def _exp_smoothing(cfg: Config) -> ReportBundle:
-    curve = _parse_curve(cfg.curve)
-    chi = ol.default_chi(curve, shrink=0.5)
-    rep = ol.local_smoothing_probe(curve, chi, cfg.p, cfg.alpha,
-                                   list(cfg.k_list), n=min(cfg.n, 32),
-                                   box=6.0, n_t=9, seed=cfg.seed)
-    report = {"experiment": "smoothing", "curve": curve.name, **rep}
-    rows = list(zip(rep["k_list"], rep["ratios"]))
-    csv_text = _rows_to_csv(["k", "ratio"], rows)
-    plot = _svg_line_plot(2.0 ** np.asarray(rep["k_list"], float),
-                          rep["ratios"], "space-time ratio per band")
-    return ReportBundle(report, csv_text, {"smoothing": plot})
+    return _band_experiment(cfg, "smoothing", ol.local_smoothing_probe,
+                            "space-time ratio per band", n=min(cfg.n, 32),
+                            box=6.0, n_t=9)
 
 
 def _exp_maximal(cfg: Config) -> ReportBundle:

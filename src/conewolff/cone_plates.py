@@ -317,8 +317,6 @@ def exponent_schedule(p: float, eps: float) -> ExponentSchedule:
     target = 0.5 - 2.0 / p + eps / 2.0
     threshold = math.log(2.0 / eps) / math.log(1.5)
     n_star = max(1, math.floor(threshold) + 1)
-    if float(n_star) <= threshold:  # exact-integer threshold edge
-        n_star += 1
     betas = [1.0]
     for _ in range(n_star):
         betas.append((2.0 / 3.0) * betas[-1] + (1.0 / 3.0) * target)

@@ -195,6 +195,12 @@ def _plate_envelope(plate: Plate, grid: Grid3):
 # ---------------------------------------------------------------------------
 
 
+def _phases(seed, m: int) -> np.ndarray:
+    """m unit phases exp(2 pi i U), U uniform on [0, 1) drawn by
+    default_rng(seed): the one draw of every random field."""
+    return np.exp(2j * np.pi * np.random.default_rng(seed).random(m))
+
+
 def _require_memory(what: str, n: int, grids: float, dtype) -> None:
     """Raise GridTooLarge if `grids` n^3 arrays of `dtype` held at once
     exceed the machine's physical memory (a smaller array counts as its
@@ -459,15 +465,16 @@ def decoupling_ratio(generator: Curve, lam: float, theta: float, p: float,
     """Measure D = ||sum_R c_R f_R||_p / (sum_R ||f_R||_p^p)^{1/p} per delta.
 
     Per delta the plates R are the family on `generator` with lam, theta,
-    delta and sigma = sqrt(delta); f_R is R's envelope with seeded random
-    phases on an n^3 lattice of side `box`, and c_R a random sign or 1
-    (`coefficient_mode`).  D is maximized over `trials` seeded trials
-    (seeds: seed, delta index, trial, plate, so reruns are bit-identical);
-    the report carries the log2-log2 slope of D versus delta and
-    D(delta) * delta^{1/2 - 2/p}, whose spread tracks the sharp-exponent
-    prediction.  An empty `deltas`, trials < 1, an unknown mode and a p
-    below 2 or non-finite are refused before anything is built, and so
-    (GridTooLarge) is a grid whose arrays exceed physical memory.
+    delta and sigma = sqrt(delta); f_R is R's envelope times seeded random
+    phases (_phases) on an n^3 lattice of side `box`, and c_R a random
+    sign or 1 (`coefficient_mode`).  D is maximized over `trials` seeded
+    trials (seeds: seed, delta index, trial, plate, so reruns are
+    bit-identical); the report carries the log2-log2 slope of D versus
+    delta and D(delta) * delta^{1/2 - 2/p}, whose spread tracks the
+    sharp-exponent prediction.  An empty `deltas`, trials < 1, an unknown
+    mode and a p below 2 or non-finite are refused before anything is
+    built, and so (GridTooLarge) is a grid whose arrays exceed physical
+    memory.
 
     Overlaps are resolved on the union of supports (_disjoint_pieces).
     Each kept piece, and the sum of all of them on the union of their
@@ -504,14 +511,11 @@ def decoupling_ratio(generator: Curve, lam: float, theta: float, p: float,
             piece_p = 0.0
             parts = []
             crng = np.random.default_rng([seed, di, trial, 10_007])
-            for pi, ((idx, env), layout) in enumerate(zip(kept, pieces)):
-                rng = np.random.default_rng([seed, di, trial, pi])
-                phases = np.exp(2j * np.pi * rng.random(idx[0].size))
-                if coefficient_mode == "random_sign":
-                    c = 1.0 if crng.random() < 0.5 else -1.0
-                else:
-                    c = 1.0
-                vals = env * phases
+            for pi, ((_, env), layout) in enumerate(zip(kept, pieces)):
+                c = 1.0
+                if coefficient_mode == "random_sign" and crng.random() >= 0.5:
+                    c = -1.0
+                vals = env * _phases([seed, di, trial, pi], env.size)
                 piece_p += layout.power_sum(vals)
                 parts.append(c * vals)
             total = union.power_sum(np.concatenate(parts))
@@ -677,15 +681,16 @@ def _averages(grid: Grid3, rows, fbox: np.ndarray, curve: Curve,
     run once, when _averages is called; each t then costs one
     _lattice_symbol contraction of the box and one product with fbox.
     The largest |xi| is the max of |xi|^2 on the box's mesh where fbox is
-    nonzero: a float box and a mask, freed before the memory check.  That
-    check runs before any symbol is built, after the quadrature (a few
-    thousand nodes at most), since the chunk's width depends on the node
-    count.  It counts what a t holds at once: fbox, the symbol box,
-    the product (or the symbol's matrix-product temporary, at most a
-    box), one _lattice_symbol chunk and its phase tables (E_0 twice while
-    it is weighted), and beside them `held` n^3 grids that the caller
-    keeps while it iterates or builds after the last t: its previous A_t
-    f-hat, a transform's stages, a maximal function's buffer.
+    nonzero, over blocks of axis-0 planes of at most _BLOCK elements (one
+    plane at least): no temporary of the box's size precedes the memory
+    check.  That check runs before any symbol is built, after the
+    quadrature (a few thousand nodes at most), since the chunk's width
+    depends on the node count.  It counts what a t holds at once: fbox,
+    the symbol box, the product (or the symbol's matrix-product temporary,
+    at most a box), one _lattice_symbol chunk and its phase tables (E_0
+    twice while it is weighted), and beside them `held` n^3 grids that the
+    caller keeps while it iterates or builds after the last t: its
+    previous A_t f-hat, a transform's stages, a maximal function's buffer.
     """
     ts = [float(t) for t in ts]
     if not ts or not all(0.5 <= t <= 2.0 for t in ts):
@@ -695,10 +700,12 @@ def _averages(grid: Grid3, rows, fbox: np.ndarray, curve: Curve,
         raise WraparoundRisk(
             "scaled curve spread exceeds half the periodic box")
     kx, ky, kz = grid.freq_mesh(rows)
-    kmax = math.sqrt(np.max(kx**2 + ky**2 + kz**2, where=fbox != 0,
-                            initial=0.0))
-    gam, w = _curve_quadrature(curve, chi, max(ts) * kmax)
     n0, n1, n2 = fbox.shape
+    step = max(1, _BLOCK // max(1, n1 * n2))
+    kmax = math.sqrt(max((np.max(kx[i:i + step]**2 + ky**2 + kz**2,
+                                 where=fbox[i:i + step] != 0, initial=0.0)
+                          for i in range(0, n0, step)), default=0.0))
+    gam, w = _curve_quadrature(curve, chi, max(ts) * kmax)
     nodes = gam.shape[0]
     width = n1 * max(n2, nodes)
     boxes = (3 * fbox.size + min(n0, _chunk_rows(width)) * width
@@ -777,9 +784,8 @@ def _band_box(grid: Grid3, k: int, seed):
     kx, ky, kz = grid.freq_mesh(rows)
     r = np.sqrt(kx**2 + ky**2 + kz**2)
     band = (r >= 2.0 ** (k - 1)) & (r <= 2.0**k)
-    rng = np.random.default_rng(seed)
     box = np.zeros(band.shape, dtype=complex)
-    box[band] = np.exp(2j * np.pi * rng.random(np.count_nonzero(band)))
+    box[band] = _phases(seed, np.count_nonzero(band))
     return rows, box
 
 
@@ -797,6 +803,18 @@ def sobolev_ratio(grid: Grid3, rows, fbox: np.ndarray, curve: Curve,
     return lp_norm(grid, rows, at, p) / lp_norm(grid, rows, fbox, p)
 
 
+def _band_sweep(grid: Grid3, k_list: Sequence[int], seed, ratio: Callable,
+                **report) -> dict:
+    """The one loop over bands: per k, ratio(rows, fbox) of the band field
+    _band_box(grid, k, [seed, k]), and the fitted log2 slope of the ratios
+    in k.  Returns `report` with k_list, ratios, slope, n, box and seed."""
+    ratios = np.asarray([ratio(*_band_box(grid, k, [seed, k]))
+                         for k in k_list])
+    return {**report, "k_list": list(k_list), "ratios": ratios.tolist(),
+            "slope": fit_line(np.asarray(k_list, float), np.log2(ratios))[0],
+            "n": grid.n, "box": grid.box, "seed": seed}
+
+
 # largest grid n^3 a sobolev sweep sums over: a band (two sums) took
 # 5.4 s at n = 512 and 132 s at n = 1024 (helix(1,1), p = 40, k = 5,
 # box 3; two Xeon cores), and n = 2048 would take eight times that
@@ -808,7 +826,7 @@ def sobolev_sweep(curve: Curve, chi: Callable, p: float, alpha: float,
                   seed: int = 0) -> dict:
     """Per-band Sobolev ratios and the fitted log2 slope across bands.
 
-    Each band field stays on its box (_band_box) from the draw to the
+    Each band field (_band_sweep) stays on its box from the draw to the
     L^p sums, as in sobolev_ratio.  No array of the grid's size is held,
     but each sum runs over all n^3 points, so a grid beyond
     _SOBOLEV_CELLS points is refused (GridTooLarge) before any band.
@@ -818,17 +836,8 @@ def sobolev_sweep(curve: Curve, chi: Callable, p: float, alpha: float,
         raise GridTooLarge(
             f"a sobolev sweep on a {n}^3 grid exceeds the cell budget of "
             f"{_SOBOLEV_CELLS} points per sum")
-    ratios = []
-    for k in k_list:
-        rows, fbox = _band_box(grid, k, [seed, k])
-        ratios.append(sobolev_ratio(grid, rows, fbox, curve, chi, p, alpha))
-    ratios = np.asarray(ratios)
-    return {
-        "p": p, "alpha": alpha, "k_list": list(k_list),
-        "ratios": ratios.tolist(),
-        "slope": fit_line(np.asarray(k_list, float), np.log2(ratios))[0],
-        "n": n, "box": box, "seed": seed,
-    }
+    return _band_sweep(grid, k_list, seed, lambda rows, fbox: sobolev_ratio(
+        grid, rows, fbox, curve, chi, p, alpha), p=p, alpha=alpha)
 
 
 _SMOOTHING_CELLS = 2**24  # largest space-time grid n_t * n^3
@@ -840,12 +849,12 @@ def local_smoothing_probe(curve: Curve, chi: Callable, p: float,
                           seed: int = 0) -> dict:
     """Space-time smoothing probe: weighted norm of (x,t) -> A_t f(x).
 
-    For each band k a random field is averaged over n_t equispaced t in
-    [1, 2], one t-set of _averages.  The (tau, xi) spectrum is built on the
-    band's box (_band_box): the t-windowed A_t f-hat, then one FFT in t.
-    The weight (1+|xi|^2+tau^2)^{alpha/2} is applied on the box, an
-    inverse FFT in t follows, and each t-plane's |.|^p is summed over the
-    grid by _box_power_sum.
+    For each band k (_band_sweep) a random field is averaged over n_t
+    equispaced t in [1, 2], one t-set of _averages.  The (tau, xi)
+    spectrum is built on the band's box: the t-windowed A_t f-hat, then
+    one FFT in t.  The weight (1+|xi|^2+tau^2)^{alpha/2} is applied on the
+    box, an inverse FFT in t follows, and each t-plane's |.|^p is summed
+    over the grid by _box_power_sum.
     The mixed-norm ratio against ||f||_p is recorded with a fitted slope
     in k.  Report-only: downstream suites assert only the alpha = 0
     uniformity.
@@ -857,9 +866,8 @@ def local_smoothing_probe(curve: Curve, chi: Callable, p: float,
     dt = t_grid[1] - t_grid[0]
     t_window = eta0((t_grid - 1.5) / 0.5)
     tau = 2.0 * np.pi * np.fft.fftfreq(n_t, d=dt)
-    ratios = []
-    for k in k_list:
-        rows, fbox = _band_box(grid, k, [seed, k])
+
+    def ratio(rows, fbox):
         # held beside the boxes: the spectrum, the previous A_t f-hat and
         # a plane sum's stage
         ats = _averages(grid, rows, fbox, curve, chi, t_grid,
@@ -876,14 +884,9 @@ def local_smoothing_probe(curve: Curve, chi: Callable, p: float,
         total = sum(_box_power_sum(rows, plane, p, (n,) * 3)
                     for plane in spec)
         mixed = (total * grid.cell_volume * dt) ** (1.0 / p)
-        ratios.append(mixed / lp_norm(grid, rows, fbox, p))
-    ratios = np.asarray(ratios)
-    return {
-        "p": p, "alpha": alpha, "k_list": list(k_list),
-        "ratios": ratios.tolist(),
-        "slope": fit_line(np.asarray(k_list, float), np.log2(ratios))[0],
-        "n": n, "n_t": n_t, "box": box, "seed": seed,
-    }
+        return mixed / lp_norm(grid, rows, fbox, p)
+
+    return _band_sweep(grid, k_list, seed, ratio, p=p, alpha=alpha, n_t=n_t)
 
 
 # ---------------------------------------------------------------------------

@@ -442,7 +442,6 @@ class RSchedule:
     eps0: float
     eps1: float
     M: float
-    d: int
     N: int
     capped: bool
     descending: bool
@@ -491,7 +490,7 @@ def r_schedule(k: int, eps0: float, M: float) -> RSchedule:
         for n in range(N + 1)
     )
     return RSchedule(
-        k=k, eps0=eps0, eps1=eps1, M=M, d=3, N=N,
+        k=k, eps0=eps0, eps1=eps1, M=M, N=N,
         capped=(N == _SCHEDULE_CAP),
         descending=(base1 < 0.0),
         log2_r0=tuple(log2_r0[: N + 1]),

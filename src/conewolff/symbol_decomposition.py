@@ -392,10 +392,8 @@ def _sweep_piece(curve: Curve, kind: str, k: int, l: int, A0: float,
     ak = make_ak(curve, k)
     if kind == "atilde":
         base = _tilde_piece(ak)
-    elif kind in ("a", "b"):
-        base = _shell_piece(ak, "a_{k,l}" if kind == "a" else "b_{k,l}", l, A0)
     else:
-        raise ValueError(f"unknown sweep kind {kind!r}")
+        base = _shell_piece(ak, "a_{k,l}" if kind == "a" else "b_{k,l}", l, A0)
     return nu_localize(base, [nu])[0]
 
 
@@ -427,13 +425,11 @@ def _sweep_xi_hats(curve: Curve, kind: str, l: int, n_xi: int,
             branch = rng.choice([-1.0, 1.0])
             sg = rng.uniform(-0.4, 0.4) - branch * dbar
             out.append(cone_point(curve, r, -ubar * u_scale, sg * width))
-        elif kind == "b":
+        else:
             speed = rng.uniform(0.14, 0.20)
             ubar = speed / (1.0 + kt * r * A0 / 4.0)
             sg = rng.choice([-1.0, 1.0]) * rng.uniform(0.4, 0.6)
             out.append(cone_point(curve, r, ubar * u_scale, sg * width))
-        else:
-            raise ValueError(f"unknown sweep kind {kind!r}")
     return out
 
 
@@ -441,7 +437,10 @@ def vdc_decay_sweep(curve: Curve, kind: str, l: int, k_list: Sequence[int],
                     n_xi: int = 10, seed: int = 0) -> dict:
     """Estimate sup |m_k| over stratified frequency samples for each k and
     fit the dyadic decay rate log2(sup) vs k.  The piece is the nu = 0
-    translate, and each multiplier is integrated at tol 1e-7."""
+    translate, and each multiplier is integrated at tol 1e-7.  A kind
+    other than "a", "b" and "atilde" is refused before anything else."""
+    if kind not in ("a", "b", "atilde"):
+        raise ValueError(f"unknown sweep kind {kind!r}")
     if kind != "atilde" and l > min(k_list) / 3:
         raise ValueError("shell index must satisfy l <= k/3 for every k")
     A0 = default_a0(curve)

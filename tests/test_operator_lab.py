@@ -57,11 +57,10 @@ def _dense_lp_norm(grid, phys, p):
 
 
 def _random_plate_field(plate, grid, seed):
-    # a plate bump with seeded random phases, drawn as the decoupling draws
-    # each piece's phases: (index triple, values)
+    # a plate bump with seeded random phases from the decoupling's one
+    # draw, _phases: (index triple, values)
     idx, env = ol._plate_envelope(plate, grid)
-    rng = np.random.default_rng(seed)
-    return idx, env * np.exp(2j * np.pi * rng.random(idx[0].size))
+    return idx, env * ol._phases(seed, env.size)
 
 
 # ---------------------------------------------------------------------------
@@ -900,6 +899,48 @@ def test_averages_reads_kmax_off_the_box_mesh(n, side, k, monkeypatch):
             ol._averages(g, rows, fbox, curve, chi, [0.75, 1.0])
         assert nodes.pop() == want
     assert want == (0.0, 201)
+
+
+def test_averages_builds_no_box_before_its_memory_check():
+    # the 61^3 sobolev band (n = 128, box 3, k = 6): the largest |xi| is
+    # taken over blocks of at most _BLOCK elements, so the call (checks
+    # and quadrature, no symbol) peaks at 0.65 MB, one block's |xi|^2 and
+    # mask; the whole-box mesh and mask took it to 2.05 MB.  The gate is
+    # half a float64 box (0.91 MB).
+    curve = helix(1.0, 1.0)
+    chi = ol.default_chi(curve, shrink=0.5)
+    g = ol.Grid3(128, 3.0)
+    rows, box = ol._band_box(g, 6, 0)
+    assert box.shape == (61, 61, 61)
+    ol._averages(g, rows, box, curve, chi, [1.0])
+    tracemalloc.start()
+    try:
+        ol._averages(g, rows, box, curve, chi, [1.0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * box.size
+
+
+def test_one_phase_draw_serves_bands_and_plates(monkeypatch):
+    # _band_box and decoupling_ratio draw every phase through _phases: the
+    # band's points with its seed, each plate piece's entries with
+    # [seed, delta index, trial, piece]
+    draws = []
+    phases = ol._phases
+
+    def recorded(seed, m):
+        draws.append((seed, m))
+        return phases(seed, m)
+
+    monkeypatch.setattr(ol, "_phases", recorded)
+    g = ol.Grid3(32, 8.0)
+    _, box = ol._band_box(g, 3, [4, 3])
+    assert draws == [([4, 3], np.count_nonzero(box))]
+    draws.clear()
+    ol.decoupling_ratio(CIRCLE, 24.0, 1.0, 8.0, [2.0**-4], 2, n=128, seed=5)
+    assert {tuple(seed[:3]) for seed, _ in draws} == {(5, 0, 0), (5, 0, 1)}
+    assert [seed[3] for seed, _ in draws] == 2 * list(range(len(draws) // 2))
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),

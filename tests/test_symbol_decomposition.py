@@ -391,6 +391,18 @@ def test_sweep_l_cap():
         sd.vdc_decay_sweep(HELIX, "a", 3, [8, 10])
 
 
+@pytest.mark.parametrize("l", [0, 5])
+def test_sweep_refuses_an_unknown_kind_first(l, monkeypatch):
+    # the kind is checked before the shell-index cap (l = 5 > 8/3), before
+    # A0 and before any draw
+    def no_a0(curve):
+        raise AssertionError("default_a0 called")
+
+    monkeypatch.setattr(sd, "default_a0", no_a0)
+    with pytest.raises(ValueError, match="unknown sweep kind 'c'"):
+        sd.vdc_decay_sweep(HELIX, "c", l, [8, 10])
+
+
 def test_sweep_one_band_has_no_slope():
     # one k determines no line: slope and constant are nan, with no
     # RankWarning from a fit through one abscissa
