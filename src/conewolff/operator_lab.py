@@ -15,12 +15,9 @@ transform (_slabs).
 
 from __future__ import annotations
 
-import importlib.machinery
-import importlib.util
 import itertools
 import math
 import os
-import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -37,30 +34,8 @@ from .errors import (GridTooLarge, PlateUnresolved, QuadratureFailure,
 from .symbol_decomposition import eta0
 
 
-def _lazy_import(name: str):
-    """Module `name` of a top-level package, executed at its first
-    attribute access: importing it eagerly costs a few tenths of a second
-    that experiments without a transform never use.  The package is only
-    located, not imported, until then; a module already in sys.modules is
-    returned as it is."""
-    if name in sys.modules:
-        return sys.modules[name]
-    package = importlib.util.find_spec(name.partition(".")[0])
-    spec = importlib.machinery.PathFinder.find_spec(
-        name, package.submodule_search_locations)
-    loader = importlib.util.LazyLoader(spec.loader)
-    spec.loader = loader
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[name] = module
-    loader.exec_module(module)
-    return module
-
-
-sfft = _lazy_import("scipy.fft")
-# the CPUs this process may run on, where the OS says (a process pinned to
-# one CPU gets one worker), else the machine's
-_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
+# the one transform module; perfbench/tracing.py patches this name
+sfft = np.fft
 
 
 # ---------------------------------------------------------------------------
@@ -286,9 +261,9 @@ def _slabs(rows, box: np.ndarray, lengths):
 
     The first 1-D inverse pass runs on the whole box along the axis a of
     widest support.  The passes along b and c (falling row counts) then
-    run slab by slab over a, on one thread, since splitting a call that
-    small costs more than it saves, in two complex128 buffers of _planes
-    planes, allocated once per call and filled by _place.  Each item is
+    run slab by slab over a, in two complex128 buffers of _planes planes,
+    allocated once per call and filled by _place; every pass writes its
+    input in place (out=).  Each item is
     (axes, i, f): f is F.transpose(axes)[i:i + len(f)], a C-contiguous
     view that the caller may overwrite and the next slab overwrites.
     """
@@ -298,8 +273,7 @@ def _slabs(rows, box: np.ndarray, lengths):
     shape[a] = ma
     stage = np.empty(shape, dtype=complex)
     _place(stage, a, _runs(rows[a], ma), box)
-    stage = sfft.ifft(stage, axis=a, overwrite_x=True,
-                      workers=_WORKERS).transpose(axes)
+    stage = sfft.ifft(stage, axis=a, out=stage).transpose(axes)
     runs_b, runs_c = _runs(rows[b], mb), _runs(rows[c], mc)
     step = _planes(ma, mb, mc)
     narrow = np.empty(step * mb * nc, dtype=complex)
@@ -309,10 +283,10 @@ def _slabs(rows, box: np.ndarray, lengths):
         k = part.shape[0]
         g = narrow[:k * mb * nc].reshape(k, mb, nc)
         _place(g, 1, runs_b, part)
-        g = sfft.ifft(g, axis=1, overwrite_x=True)
+        g = sfft.ifft(g, axis=1, out=g)
         f = wide[:k * mb * mc].reshape(k, mb, mc)
         _place(f, 2, runs_c, g)
-        yield axes, i, sfft.ifft(f, axis=2, overwrite_x=True)
+        yield axes, i, sfft.ifft(f, axis=2, out=f)
 
 
 def _box_power_sum(rows, box: np.ndarray, p: float, lengths) -> float:
@@ -365,6 +339,12 @@ class _Baseband:
                                            self.lengths)
 
 
+def _fast_len(m: int) -> int:
+    """The smallest length >= m >= 1 with no prime factor above 11: the
+    first divisor of (2*3*5*7*11)^64, as each such length below 2^64 is."""
+    return next(k for k in itertools.count(m) if 2310**64 % k == 0)
+
+
 def _move(i: np.ndarray, n: int):
     """One axis's rows `i` of n^3 lattice entries moved to start at 0 of
     their cyclic span r (the shortest run of rows, modulo n, that holds
@@ -397,8 +377,8 @@ def _baseband(idx, n: int, p: float) -> _Baseband:
     frequencies |m| <= (p/2)(r_d - 1) on axis d, so any M_d > (p/2)(r_d -
     1) points give its mean, and the n^3 sum is the M-grid sum times
     (prod M_d / n^3)^(p - 1) (the inverse DFT's 1/M_d in place of 1/n, p
-    times, and the point count once).  M_d is min(n, sfft.next_fast_len(
-    (p/2)(r_d - 1) + 1)); any other p sums on M_d = n.
+    times, and the point count once).  M_d is min(n, _fast_len((p/2)(r_d -
+    1) + 1)); any other p sums on M_d = n.
     """
     even = p % 2.0 == 0.0
     u = _shear_matrix(np.stack([_move(i, n)[0] for i in idx]))
@@ -407,8 +387,8 @@ def _baseband(idx, n: int, p: float) -> _Baseband:
         moved, r, span = _move(i, n)
         rows.append(r)
         at.append(np.searchsorted(r, moved))
-        lengths.append(min(n, sfft.next_fast_len(int(p // 2) * (span - 1)
-                                                 + 1)) if even else n)
+        lengths.append(min(n, _fast_len(int(p // 2) * (span - 1) + 1))
+                       if even else n)
     scale = (math.prod(lengths) / n**3) ** (p - 1.0)
     return _Baseband(rows, tuple(lengths), tuple(at), p, scale)
 
@@ -670,6 +650,17 @@ def _diameter(curve: Curve, chi: Callable) -> float:
                for i in range(0, len(pts), _DIAMETER_ROWS))
 
 
+def _xi2_blocks(grid: Grid3, rows):
+    """(planes, |xi|^2 on them) over the box on `rows`, _planes axis-0
+    planes at a time, each a view of one buffer that the next overwrites."""
+    kx, ky, kz = grid.freq_mesh(rows)
+    step = max(1, _BLOCK // max(1, ky.size * kz.size))
+    buf = np.empty((min(step, kx.size), ky.size, kz.size))
+    for i in range(0, kx.size, step):
+        xy = kx[i:i + step]**2 + ky**2
+        yield slice(i, i + step), np.add(xy, kz**2, out=buf[:len(xy)])
+
+
 def _averages(grid: Grid3, rows, fbox: np.ndarray, curve: Curve,
               chi: Callable, ts, held: float = 0.0):
     """Iterator over the t of `ts`, in order, of A_t f-hat on f-hat's box.
@@ -680,9 +671,8 @@ def _averages(grid: Grid3, rows, fbox: np.ndarray, curve: Curve,
     |xi| of f-hat's support and the quadrature (sized for the largest t)
     run once, when _averages is called; each t then costs one
     _lattice_symbol contraction of the box and one product with fbox.
-    The largest |xi| is the max of |xi|^2 on the box's mesh where fbox is
-    nonzero, over blocks of axis-0 planes of at most _BLOCK elements (one
-    plane at least): no temporary of the box's size precedes the memory
+    The largest |xi| is the max of |xi|^2 where fbox is nonzero, taken
+    over _xi2_blocks: no temporary of the box's size precedes the memory
     check.  That check runs before any symbol is built, after the
     quadrature (a few thousand nodes at most), since the chunk's width
     depends on the node count.  It counts what a t holds at once: fbox,
@@ -699,14 +689,12 @@ def _averages(grid: Grid3, rows, fbox: np.ndarray, curve: Curve,
     if max(ts) * _diameter(curve, chi) > grid.box / 2.0 - 0.5:
         raise WraparoundRisk(
             "scaled curve spread exceeds half the periodic box")
-    kx, ky, kz = grid.freq_mesh(rows)
-    n0, n1, n2 = fbox.shape
-    step = max(1, _BLOCK // max(1, n1 * n2))
-    kmax = math.sqrt(max((np.max(kx[i:i + step]**2 + ky**2 + kz**2,
-                                 where=fbox[i:i + step] != 0, initial=0.0)
-                          for i in range(0, n0, step)), default=0.0))
+    kmax = math.sqrt(max((np.max(xi2, where=fbox[at] != 0, initial=0.0)
+                          for at, xi2 in _xi2_blocks(grid, rows)),
+                         default=0.0))
     gam, w = _curve_quadrature(curve, chi, max(ts) * kmax)
     nodes = gam.shape[0]
+    n0, n1, n2 = fbox.shape
     width = n1 * max(n2, nodes)
     boxes = (3 * fbox.size + min(n0, _chunk_rows(width)) * width
              + (2 * n0 + n1 + n2) * nodes)
@@ -778,14 +766,18 @@ def _band_box(grid: Grid3, k: int, seed):
         raise GridTooLarge(
             f"band 2^{k} exceeds the lattice radius {kmax:.1f}")
     rows = [np.flatnonzero(np.abs(grid.freq_axis()) <= 2.0**k)] * 3
-    # |xi| and the values: two boxes, counted as shares of the n^3 grid
-    _require_memory("a band field", grid.n, 2 * (rows[0].size / grid.n) ** 3,
-                    complex)
-    kx, ky, kz = grid.freq_mesh(rows)
-    r = np.sqrt(kx**2 + ky**2 + kz**2)
-    band = (r >= 2.0 ** (k - 1)) & (r <= 2.0**k)
+    # the mask (a byte a point, drawn over _xi2_blocks) beside two complex
+    # boxes at most: the phase draw's temporaries, then the phases and box
+    _require_memory("a band field", grid.n,
+                    (2 + 1 / 16) * (rows[0].size / grid.n) ** 3, complex)
+    band = np.empty((rows[0].size,) * 3, dtype=bool)
+    for at, r in _xi2_blocks(grid, rows):
+        np.sqrt(r, out=r)
+        band[at] = (r >= 2.0 ** (k - 1)) & (r <= 2.0**k)
+    del r  # the blocks' buffer, freed before the draw
+    phases = _phases(seed, np.count_nonzero(band))
     box = np.zeros(band.shape, dtype=complex)
-    box[band] = _phases(seed, np.count_nonzero(band))
+    box[band] = phases
     return rows, box
 
 
@@ -808,6 +800,8 @@ def _band_sweep(grid: Grid3, k_list: Sequence[int], seed, ratio: Callable,
     """The one loop over bands: per k, ratio(rows, fbox) of the band field
     _band_box(grid, k, [seed, k]), and the fitted log2 slope of the ratios
     in k.  Returns `report` with k_list, ratios, slope, n, box and seed."""
+    if not len(k_list):
+        raise ValueError("a band sweep needs at least one band k")
     ratios = np.asarray([ratio(*_band_box(grid, k, [seed, k]))
                          for k in k_list])
     return {**report, "k_list": list(k_list), "ratios": ratios.tolist(),
@@ -875,12 +869,12 @@ def local_smoothing_probe(curve: Curve, chi: Callable, p: float,
         spec = np.empty((n_t,) + fbox.shape, dtype=complex)
         for i, at in enumerate(ats):
             spec[i] = t_window[i] * at
-        spec = sfft.fft(spec, axis=0, overwrite_x=True, workers=_WORKERS)
+        sfft.fft(spec, axis=0, out=spec)
         kx, ky, kz = grid.freq_mesh(rows)
         xi2 = kx**2 + ky**2 + kz**2
         for i in range(n_t):
             spec[i] *= (1.0 + xi2 + tau[i] ** 2) ** (alpha / 2.0)
-        spec = sfft.ifft(spec, axis=0, overwrite_x=True, workers=_WORKERS)
+        sfft.ifft(spec, axis=0, out=spec)
         total = sum(_box_power_sum(rows, plane, p, (n,) * 3)
                     for plane in spec)
         mixed = (total * grid.cell_volume * dt) ** (1.0 / p)

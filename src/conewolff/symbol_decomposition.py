@@ -438,9 +438,11 @@ def vdc_decay_sweep(curve: Curve, kind: str, l: int, k_list: Sequence[int],
     """Estimate sup |m_k| over stratified frequency samples for each k and
     fit the dyadic decay rate log2(sup) vs k.  The piece is the nu = 0
     translate, and each multiplier is integrated at tol 1e-7.  A kind
-    other than "a", "b" and "atilde" is refused before anything else."""
+    other than "a", "b" and "atilde" is refused first, then an empty k_list."""
     if kind not in ("a", "b", "atilde"):
         raise ValueError(f"unknown sweep kind {kind!r}")
+    if not len(k_list):
+        raise ValueError("a decay sweep needs at least one band k")
     if kind != "atilde" and l > min(k_list) / 3:
         raise ValueError("shell index must satisfy l <= k/3 for every k")
     A0 = default_a0(curve)

@@ -1,5 +1,6 @@
-"""Which scipy modules a fresh interpreter executes: none at import, none
-for experiments without a transform, scipy.fft at the first transform."""
+"""numpy is conewolff's one runtime dependency: a fresh interpreter loads no
+scipy module at import or in a run, the transform experiments included
+(scipy is a test-only reference)."""
 
 import json
 import os
@@ -8,67 +9,46 @@ import sys
 from pathlib import Path
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
-# scipy modules that only tests use, as references; scipy.fft._basic is
-# loaded once scipy.fft has executed
-TEST_ONLY = ("scipy.interpolate", "scipy.integrate", "scipy.optimize")
 
-# argv: config path, "eager" to import scipy.fft before conewolff, or "-"
+# argv: the config paths to run, in order; prints, after the import and
+# after each run, the run's exit code and the scipy modules loaded
 CHILD = """
 import json, sys
-if sys.argv[2] == "eager":
-    import scipy.fft
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")
+
 from conewolff import cli
-loaded = sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")
-code = cli.main(["run", sys.argv[1]]) if sys.argv[1] != "-" else 0
-print(json.dumps({"code": code, "at_import": loaded,
-                  "after_run": sorted(sys.modules)}))
+steps = [["import", 0, scipy_modules()]]
+for cfg in sys.argv[1:]:
+    code = cli.main(["run", cfg])
+    steps.append([cfg, code, scipy_modules()])
+print(json.dumps(steps))
 """
 
+CONFIGS = {
+    "geometry": "experiment = geometry\ncurve = twisted_cubic\nsamples = 20\n",
+    "decouple": ("experiment = decouple\nn = 16\nlam = 4\nL = 8\ntrials = 1\n"
+                 "deltas = 0.25\n"),
+    "smoothing": "experiment = smoothing\nn = 16\nk_list = 2,3\n",
+}
 
-def _child(tmp_path, text, mode="-"):
-    cfg = "-"
-    if text is not None:
-        tmp_path.mkdir(exist_ok=True)
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(text)
+
+def test_no_scipy_module_is_loaded(tmp_path):
+    # twisted_cubic's geometry goes through reparametrize_arclength and its
+    # _pchip; decouple sums through the pruned inverse transform, and
+    # smoothing adds the transform pair in t
+    paths = []
+    for name, text in CONFIGS.items():
+        paths.append(tmp_path / f"{name}.cfg")
+        paths[-1].write_text(text)
     env = dict(os.environ, OUTPUT_DIR=str(tmp_path / "out"),
                PYTHONPATH=os.pathsep.join(
                    [SRC] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    done = subprocess.run([sys.executable, "-c", CHILD, str(cfg), mode],
+    done = subprocess.run([sys.executable, "-c", CHILD, *map(str, paths)],
                           capture_output=True, text=True, env=env,
                           timeout=300, check=True)
-    result = json.loads(done.stdout.strip().splitlines()[-1])
-    result["after_run"] = set(result["after_run"])
-    return result
-
-
-def _report(tmp_path) -> bytes:
-    (run_dir,) = (tmp_path / "out").iterdir()
-    return (run_dir / "report.json").read_bytes()
-
-
-def test_import_executes_no_scipy_module(tmp_path):
-    # scipy.fft is registered unexecuted; the scipy package itself (which
-    # any executed scipy submodule needs first) is not imported
-    res = _child(tmp_path, None)
-    assert res["at_import"] == ["scipy.fft"]
-    assert "scipy" not in res["after_run"]
-
-
-def test_geometry_run_loads_no_scipy(tmp_path):
-    # twisted_cubic goes through reparametrize_arclength and its _pchip
-    res = _child(tmp_path, "experiment = geometry\ncurve = twisted_cubic\n"
-                 "samples = 20\n")
-    assert res["code"] == 0
-    assert not res["after_run"] & {*TEST_ONLY, "scipy.fft._basic"}
-
-
-def test_transform_loads_scipy_fft_with_identical_reports(tmp_path):
-    text = ("experiment = decouple\nn = 16\nlam = 4\nL = 8\ntrials = 1\n"
-            "deltas = 0.25\n")
-    lazy = _child(tmp_path / "lazy", text)
-    eager = _child(tmp_path / "eager", text, "eager")
-    assert lazy["code"] == eager["code"] == 0
-    assert "scipy.fft._basic" in lazy["after_run"]
-    assert not lazy["after_run"] & set(TEST_ONLY)
-    assert _report(tmp_path / "lazy") == _report(tmp_path / "eager")
+    steps = json.loads(done.stdout.strip().splitlines()[-1])
+    assert [s[0] for s in steps] == ["import", *map(str, paths)]
+    assert [(code, loaded) for _, code, loaded in steps] == \
+        [(0, [])] * len(steps)

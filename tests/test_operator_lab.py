@@ -10,6 +10,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.fft import next_fast_len
 from scipy.integrate import quad
 
 from conewolff import curve_geometry as cg
@@ -279,7 +280,7 @@ def test_baseband_power_sum_is_the_full_grid_sum(p):
         bound = [int(p // 2) * (s - 1) + 1 for s in spans]
         layout = _axis_baseband(idx, n, p)
         assert list(layout.lengths) == [
-            min(n, ol.sfft.next_fast_len(b)) for b in bound]
+            min(n, ol._fast_len(b)) for b in bound]
         lengths.update(layout.lengths)
         assert abs(layout.power_sum(vals) - want) <= 1e-12 * want
         # the sheared layout: the same sum, on a grid no larger
@@ -302,6 +303,13 @@ def test_baseband_power_sum_is_the_full_grid_sum(p):
         assert abs(got - want) > 1e-6 * want
         shortened += 1
     assert n in lengths and min(lengths - {1}) < n / 2 and shortened >= 3
+
+
+def test_fast_len_matches_scipy_next_fast_len():
+    # scipy's next_fast_len, a test-only reference, sized the baseband
+    # grids before _fast_len: the same lengths keep the layouts and sums
+    m = range(1, 4097)
+    assert [ol._fast_len(x) for x in m] == [next_fast_len(x) for x in m]
 
 
 @pytest.mark.parametrize("p", [2.0, 3.0])
@@ -414,7 +422,7 @@ def test_sheared_baseband_sum_is_the_full_grid_sum(p):
                 < math.prod(_axis_baseband(idx, n, p).lengths))
         spans = [_cyclic_span(np.unique(r), n) for r in sheared]
         assert list(layout.lengths) == [
-            min(n, ol.sfft.next_fast_len(int(p // 2) * (s - 1) + 1))
+            min(n, ol._fast_len(int(p // 2) * (s - 1) + 1))
             for s in spans]
         bounds += [int(p // 2) * (s - 1) + 1 for s in spans]
         # a det-2 map in the shear's place is no permutation of the grid:
@@ -922,6 +930,31 @@ def test_averages_builds_no_box_before_its_memory_check():
     assert peak < 4 * box.size
 
 
+def test_band_box_holds_what_its_memory_check_counts(monkeypatch):
+    # the 61^3 sobolev band (n = 128, box 3, k = 6): the mask is drawn over
+    # blocks and the phases before the box, so the call peaks at 5.5 MB,
+    # within the 7.49 MB (33 bytes a point) its check counts; the whole-box
+    # |xi| and masks took it to 9.0 MB, beyond the 7.26 MB counted then
+    counted = []
+    check = ol._require_memory
+
+    def recorded(what, n, grids, dtype):
+        counted.append(grids * np.dtype(dtype).itemsize * n**3)
+        check(what, n, grids, dtype)
+
+    monkeypatch.setattr(ol, "_require_memory", recorded)
+    g = ol.Grid3(128, 3.0)
+    want = ol._band_box(g, 6, 0)[1]  # the first draw imports numpy.random
+    tracemalloc.start()
+    try:
+        box = ol._band_box(g, 6, 0)[1]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert box.shape == (61, 61, 61) and np.array_equal(box, want)
+    assert peak <= counted[-1]
+
+
 def test_one_phase_draw_serves_bands_and_plates(monkeypatch):
     # _band_box and decoupling_ratio draw every phase through _phases: the
     # band's points with its seed, each plate piece's entries with
@@ -941,20 +974,6 @@ def test_one_phase_draw_serves_bands_and_plates(monkeypatch):
     ol.decoupling_ratio(CIRCLE, 24.0, 1.0, 8.0, [2.0**-4], 2, n=128, seed=5)
     assert {tuple(seed[:3]) for seed, _ in draws} == {(5, 0, 0), (5, 0, 1)}
     assert [seed[3] for seed, _ in draws] == 2 * list(range(len(draws) // 2))
-
-
-@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
-                    reason="the OS has no CPU affinity")
-def test_transform_workers_follow_the_cpu_affinity():
-    # a process pinned to one CPU before it imports conewolff runs its
-    # transforms on one worker, whatever the machine's CPU count
-    code = ("import os\n"
-            "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
-            "from conewolff import operator_lab as ol\n"
-            "print(ol._WORKERS)")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True, timeout=120).stdout
-    assert out.split() == ["1"]
 
 
 def test_maximal_function_checks_its_own_grid(monkeypatch):
@@ -1201,6 +1220,13 @@ def test_sobolev_sweep_small():
                            n=64, box=3.0, seed=0)
     assert rep["slope"] <= 0.05
     assert all(r > 0 for r in rep["ratios"])
+
+
+@pytest.mark.parametrize("sweep", [ol.sobolev_sweep, ol.local_smoothing_probe],
+                         ids=["sobolev", "smoothing"])
+def test_band_sweeps_refuse_an_empty_k_list(sweep):
+    with pytest.raises(ValueError, match="needs at least one band k"):
+        sweep(HELIX, ol.default_chi(HELIX, shrink=0.5), 8.0, 0.0, [], n=16)
 
 
 def test_slope_needs_two_distinct_abscissae():

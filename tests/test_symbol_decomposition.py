@@ -403,6 +403,13 @@ def test_sweep_refuses_an_unknown_kind_first(l, monkeypatch):
         sd.vdc_decay_sweep(HELIX, "c", l, [8, 10])
 
 
+@pytest.mark.parametrize("kind", ["a", "b", "atilde"])
+def test_sweep_refuses_an_empty_k_list(kind):
+    # by name, before the shell-index cap takes the smallest k
+    with pytest.raises(ValueError, match="needs at least one band k"):
+        sd.vdc_decay_sweep(HELIX, kind, 0, [])
+
+
 def test_sweep_one_band_has_no_slope():
     # one k determines no line: slope and constant are nan, with no
     # RankWarning from a fit through one abscissa
