@@ -230,7 +230,10 @@ def verify_umu_approximation(curve: Curve, r0: float = 2.0**-4,
                              seed: int = 0) -> dict:
     """Sample constrained frequencies and check the two quadratic-approximation
     bounds at s_mu = 0 with explicit constants 6M and 13M; report max ratios.
-    All samples are evaluated on arrays, with one critical_s call."""
+    All samples are evaluated on arrays, with one critical_s call.  Refuses
+    n_samples below 1 by name: with no sample nothing is checked."""
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be at least 1, got {n_samples}")
     s_star, psi, rho, ds_test, dtau = _uniform_draws(
         seed, n_samples, (-2.0 * r0, 2.0 * r0), (-np.pi / 3, np.pi / 3),
         (0.55, 1.9), (-2.0 * r0, 2.0 * r0), (-1, 1))
@@ -326,6 +329,23 @@ _CENSUS_M = 10.0  # the constant M of the r1 >= 100 M r0^(3/2) hypothesis
 _CENSUS_TOL = 1e-12  # a piece counts where it exceeds this
 
 
+def _census_translates(win: np.ndarray):
+    """The windows that carry mass on the ascending window coordinate win.
+
+    zeta is supported in (-1, 1), so at each point only nu0 = floor(win)
+    and nu0 + 1 do.  Returns nus, the ascending list of those windows; the
+    starts of the runs of constant nu0; and for nu0 and then nu0 + 1 the
+    row zeta(win - nu) and, for each run, the index of its nu in nus.
+    """
+    nu0 = np.floor(win)
+    starts = np.flatnonzero(np.diff(nu0, prepend=np.nan))
+    run_nu = nu0[starts].astype(int)
+    nus = np.union1d(run_nu, run_nu + 1)
+    return nus, starts, tuple(
+        (zeta(win - (nu0 + shift)), np.searchsorted(nus, run_nu + shift))
+        for shift in (0, 1))
+
+
 def support_census(curve: Curve, r0: float = 2.0**-22, r1: float = 2.0**-23,
                    sample_count: int = 300, seed: int = 0) -> dict:
     """Build the two-scale cutoff pieces around a family of anchor points,
@@ -342,11 +362,24 @@ def support_census(curve: Curve, r0: float = 2.0**-22, r1: float = 2.0**-23,
     anchor separation, the dyadic shells, and the window partition each give
     a finite overlap, which is what the 75 ceiling packages.
 
-    One critical_s call resolves all samples; each anchor, shell n and
-    window nu then acts on (samples, s-grid) arrays.  A sample is masked
-    out of an anchor whose cutoff, or of a shell whose mass, stays below
-    _CENSUS_TOL: none of its pieces there could exceed it and be counted.
+    One critical_s call resolves all samples; each anchor and shell n then
+    acts on (samples, s-grid) arrays.  A sample is masked out of an anchor
+    whose cutoff, or of a shell whose mass, stays below _CENSUS_TOL: none
+    of its pieces there could exceed it and be counted.  At each s-grid
+    point only the windows nu0 = floor(s / (2^n r1)) and nu0 + 1 carry
+    mass (_census_translates), so a shell forms its a and b pieces for
+    those two translates alone, adds them to the reconstruction in
+    ascending nu, and takes a window's hit rows as the or over its runs
+    of grid points.  The plate inequalities are tested for each window
+    with a hit.  Refuses, by name, a non-finite or non-positive r0 or r1
+    and a sample_count below 1.
     """
+    for name, r in (("r0", r0), ("r1", r1)):
+        if not (math.isfinite(r) and r > 0.0):
+            raise ValueError(f"{name} must be finite and positive, got {r}")
+    if sample_count < 1:
+        raise ValueError(f"sample_count must be at least 1, got "
+                         f"{sample_count}")
     if r1 > r0:
         raise ValueError("need r1 <= r0")
     if r1 < 100.0 * _CENSUS_M * r0**1.5:
@@ -360,6 +393,8 @@ def support_census(curve: Curve, r0: float = 2.0**-22, r1: float = 2.0**-23,
     s_mu_list = r0 * np.arange(-4, 5)
     s_grid = np.linspace(s_mu_list[0] - 2.2 * r0, s_mu_list[-1] + 2.2 * r0,
                          165)
+    translates = [_census_translates(s_grid / (2.0**n * r1))
+                  for n in range(13)]
     max_n = [-1, -1]  # a and b pieces
     mult = np.zeros((2, sample_count, len(s_grid)), dtype=int)
     recon_err = 0.0
@@ -382,9 +417,9 @@ def support_census(curve: Curve, r0: float = 2.0**-22, r1: float = 2.0**-23,
                                   out=np.full_like(ds2, np.inf))
         split = eta0(np.where(ds2 == 0.0, 0.0, split_arg))
         recon = np.zeros_like(amu)
-        for n in range(13):
+        mult_mu = np.zeros((2,) + amu.shape, dtype=np.int8)  # <= 13 * 2
+        for n, (nus, starts, translates_n) in enumerate(translates):
             shell = eta0(base) if n == 0 else eta1(2.0**(2 - 2 * n) * base)
-            win = s_grid / (2.0**n * r1)
             split_n = 1.0 if n == 0 else split  # no b piece at n = 0
             mass = amu * shell
             skip = np.max(mass, axis=1, initial=0.0) < _CENSUS_TOL
@@ -392,21 +427,25 @@ def support_census(curve: Curve, r0: float = 2.0**-22, r1: float = 2.0**-23,
             recon += mass - kept  # skipped rows take their mass whole
             if skip.all():
                 continue
-            for nu in range(int(np.floor(win.min())) - 1,
-                            int(np.ceil(win.max())) + 2):
-                zf = zeta(win - nu)
+            rows = np.zeros((2, len(nus), len(live)), dtype=bool)
+            for zf, at in translates_n:  # window nu0, then nu0 + 1
                 pieces = (kept * split_n * zf, kept * (1.0 - split_n) * zf)
                 recon += pieces[0] + pieces[1]
-                outside = ~pl_plate_membership(omega, 2.0**n * r1 * nu, n,
-                                               r1, 0, x, t)
                 for i, piece in enumerate(pieces):
                     hit = piece > _CENSUS_TOL
-                    rows = hit.any(axis=1)
-                    if rows.any():
-                        mult[i, live] += hit
-                        max_n[i] = max(max_n[i], n)
-                        plate_checked += int(rows.sum())
-                        plate_failures += int((rows & outside).sum())
+                    mult_mu[i] += hit
+                    rows[i, at] |= np.logical_or.reduceat(hit, starts,
+                                                          axis=1).T
+            for i in (0, 1):
+                if rows[i].any():
+                    max_n[i] = max(max_n[i], n)
+            plate_checked += int(rows.sum())
+            for j in np.flatnonzero(rows.any(axis=(0, 2))):
+                s_nnu = 2.0**n * r1 * int(nus[j])
+                outside = ~pl_plate_membership(omega, s_nnu, n, r1, 0, x, t)
+                plate_failures += int((rows[:, j] & outside).sum())
+        for i in (0, 1):
+            mult[i, live] += mult_mu[i]
         recon_err = max(recon_err,
                         float(np.max(np.abs(recon - amu), initial=0.0)))
     max_n_a, max_n_b = max_n

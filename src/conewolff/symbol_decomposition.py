@@ -50,13 +50,21 @@ def quad(*args, **kwargs):
 
 
 def _smoothstep(x):
-    """C^infty step: 0 for x<=0, 1 for x>=1."""
+    """C^infty step: exactly 0.0 for x<=0 and 1.0 for x>=1, NaN for NaN.
+
+    The exponentials are taken only where 0 < x < 1 (and at NaN, which
+    they carry through); a 0-d input gives a numpy scalar.
+    """
     x = np.asarray(x, dtype=float)
-    lo = np.exp(np.where(x > 0, -1.0 / np.maximum(x, 1e-300), 0.0))
-    lo = np.where(x > 0, lo, 0.0)
-    hi = np.exp(np.where(x < 1, -1.0 / np.maximum(1.0 - x, 1e-300), 0.0))
-    hi = np.where(x < 1, hi, 0.0)
-    return lo / (lo + hi)
+    out = np.array(x >= 1.0, dtype=float)  # 0-d stays an array
+    mid = ~((x <= 0.0) | (x >= 1.0))
+    lo = np.maximum(x[mid], 1e-300)  # -1/lo cannot overflow
+    hi = 1.0 - lo  # equal to 1 - x: the clamp acts where that rounds to 1
+    for v in (lo, hi):  # in place: two arrays of the 0 < x < 1 entries
+        np.exp(np.divide(-1.0, v, out=v), out=v)
+    hi += lo
+    out[mid] = np.divide(lo, hi, out=lo)
+    return out[()]
 
 
 def eta0(t):
@@ -438,11 +446,14 @@ def vdc_decay_sweep(curve: Curve, kind: str, l: int, k_list: Sequence[int],
     """Estimate sup |m_k| over stratified frequency samples for each k and
     fit the dyadic decay rate log2(sup) vs k.  The piece is the nu = 0
     translate, and each multiplier is integrated at tol 1e-7.  A kind
-    other than "a", "b" and "atilde" is refused first, then an empty k_list."""
+    other than "a", "b" and "atilde" is refused first, then an empty k_list,
+    then n_xi below 1."""
     if kind not in ("a", "b", "atilde"):
         raise ValueError(f"unknown sweep kind {kind!r}")
     if not len(k_list):
         raise ValueError("a decay sweep needs at least one band k")
+    if n_xi < 1:
+        raise ValueError(f"n_xi must be at least 1, got {n_xi}")
     if kind != "atilde" and l > min(k_list) / 3:
         raise ValueError("shell index must satisfy l <= k/3 for every k")
     A0 = default_a0(curve)

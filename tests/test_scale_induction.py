@@ -9,13 +9,15 @@ from hypothesis import strategies as st
 
 from conewolff import scale_induction as si
 from conewolff.curve_geometry import (Curve, Dilation, finite_type_rescale,
-                                      frenet_frame, helix, line, vec)
+                                      frenet_frame, helix, line,
+                                      quartic_curve, twisted_cubic, vec)
 from conewolff.errors import (
     DivByZeroGamma2,
     GridTooLarge,
     NotConverged,
     ScheduleEmpty,
 )
+from conewolff.symbol_decomposition import eta0, eta1, zeta
 
 HELIX = helix(0.5, 0.5)  # arclength, curvature = torsion = 1
 
@@ -167,6 +169,12 @@ def test_umu_approximation_frozen_draws():
                                                     rel=1e-9)
 
 
+@pytest.mark.parametrize("n_samples", [0, -1])
+def test_umu_approximation_refuses_no_samples(n_samples):
+    with pytest.raises(ValueError, match="n_samples must be at least 1"):
+        si.verify_umu_approximation(HELIX, n_samples=n_samples)
+
+
 def test_umu_approximation_quadratic_exact():
     # planar quadratic normal form: the first-order identity is exact
     def dv(s, j):
@@ -289,6 +297,115 @@ def test_support_census_preconditions():
         si.support_census(HELIX, r0=2.0**-22, r1=2.0**-40)
     with pytest.raises(ValueError):
         si.support_census(HELIX, r0=2.0**-23, r1=2.0**-22)
+
+
+
+@pytest.mark.parametrize("sample_count", [0, -3])
+def test_support_census_refuses_no_samples(sample_count):
+    with pytest.raises(ValueError, match="sample_count must be at least 1"):
+        si.support_census(HELIX, sample_count=sample_count)
+
+
+@pytest.mark.parametrize("name", ["r0", "r1"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0,
+                                 -2.0**-23])
+def test_support_census_refuses_bad_radii(name, bad):
+    # before the r1 <= r0 and r1 >= 100 M r0^(3/2) comparisons, which a NaN
+    # passes
+    radii = {"r0": 2.0**-22, "r1": 2.0**-23, name: bad}
+    with pytest.raises(ValueError, match=f"{name} must be finite and "
+                                         f"positive"):
+        si.support_census(HELIX, sample_count=4, **radii)
+
+
+def _census_every_window(curve, sample_count, seed, r0=2.0**-22,
+                         r1=2.0**-23):
+    # reference census: the loop over every window nu of the s-grid's range,
+    # each acting on whole (samples, s-grid) arrays
+    s_star, psi, rho, dtau = si._uniform_draws(
+        seed, sample_count, (-3.0 * r0, 3.0 * r0), (-np.pi / 3, np.pi / 3),
+        (0.55, 1.9), (-1, 1))
+    xi = si._critical_frequencies(curve, s_star, psi, rho)
+    tau = -si._dot3(curve.eval(s_star), xi.T) + dtau * 8.0 * r0**2
+    scr = si.critical_s(curve, xi, s_star - 10 * r0, s_star + 10 * r0)
+    s_mu_list = r0 * np.arange(-4, 5)
+    s_grid = np.linspace(s_mu_list[0] - 2.2 * r0, s_mu_list[-1] + 2.2 * r0,
+                         165)
+    tol = si._CENSUS_TOL
+    max_n = [-1, -1]
+    mult = np.zeros((2, sample_count, len(s_grid)), dtype=int)
+    recon_err, checked, failures = 0.0, 0, 0
+    for s_mu in s_mu_list:
+        omega = si.OmegaMap(curve, float(s_mu))
+        scalar = (eta0(xi @ curve.derivative(s_mu, 1) / (8.0 * r0))
+                  * eta0((tau + xi @ curve.eval(s_mu)) / (16.0 * r0**2))
+                  * eta0((np.linalg.norm(xi, axis=1) - 1.25) / 0.75))
+        live = np.nonzero(scalar >= tol)[0]
+        x, t = xi[live], tau[live]
+        amu = scalar[live, None] * eta0((s_grid - s_mu) / (2.0 * r0))
+        u_hat = si.u_mu(curve, s_mu, x, t)[:, None]
+        ds2 = (s_grid - scr[live, None]) ** 2
+        base = (np.abs(u_hat) + ds2) / r1**2
+        with np.errstate(divide="ignore", invalid="ignore"):
+            split_arg = np.divide(ds2 * 2.0**8, u_hat, where=(u_hat != 0.0),
+                                  out=np.full_like(ds2, np.inf))
+        split = eta0(np.where(ds2 == 0.0, 0.0, split_arg))
+        recon = np.zeros_like(amu)
+        for n in range(13):
+            shell = eta0(base) if n == 0 else eta1(2.0**(2 - 2 * n) * base)
+            win = s_grid / (2.0**n * r1)
+            split_n = 1.0 if n == 0 else split
+            mass = amu * shell
+            skip = np.max(mass, axis=1, initial=0.0) < tol
+            kept = np.where(skip[:, None], 0.0, mass)
+            recon += mass - kept
+            if skip.all():
+                continue
+            for nu in range(int(np.floor(win.min())) - 1,
+                            int(np.ceil(win.max())) + 2):
+                zf = zeta(win - nu)
+                pieces = (kept * split_n * zf, kept * (1.0 - split_n) * zf)
+                recon += pieces[0] + pieces[1]
+                outside = ~si.pl_plate_membership(omega, 2.0**n * r1 * nu,
+                                                  n, r1, 0, x, t)
+                for i, piece in enumerate(pieces):
+                    hit = piece > tol
+                    rows = hit.any(axis=1)
+                    if rows.any():
+                        mult[i, live] += hit
+                        max_n[i] = max(max_n[i], n)
+                        checked += int(rows.sum())
+                        failures += int((rows & outside).sum())
+        recon_err = max(recon_err,
+                        float(np.max(np.abs(recon - amu), initial=0.0)))
+    return {"max_n_a": max_n[0], "max_n_b": max_n[1],
+            "max_multiplicity_a": int(mult[0].max()),
+            "max_multiplicity_b": int(mult[1].max()),
+            "reconstruction_error": recon_err,
+            "plate_checked": checked, "plate_failures": failures}
+
+
+_CENSUS_CURVES = {"helix(0.5,0.5)": helix(0.5, 0.5),
+                  "helix(1,1)": helix(1.0, 1.0),
+                  "twisted_cubic": twisted_cubic(),
+                  "quartic": quartic_curve()}
+
+
+@pytest.mark.parametrize("sample_count", [4, 20, 300])
+@pytest.mark.parametrize("seed", [0, 3, 7, 15])
+@pytest.mark.parametrize("curve_name", sorted(_CENSUS_CURVES))
+def test_support_census_matches_every_window_loop(curve_name, seed,
+                                                  sample_count):
+    # the census visits each grid point's two live translates; the loop over
+    # every window must give the same report, bit for bit
+    curve = _CENSUS_CURVES[curve_name]
+    report = si.support_census(curve, sample_count=sample_count, seed=seed)
+    want = _census_every_window(curve, sample_count, seed)
+    got = {key: report[key] for key in want}
+    assert got == want
+    assert (got["reconstruction_error"].hex()
+            == want["reconstruction_error"].hex())
+    assert got["plate_checked"] > 0
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,53 @@ HELIX = cg.helix(1.0, 1.0)
 # ---------------------------------------------------------------------------
 
 
+def _smoothstep_everywhere(x):
+    # reference form of the step: two exponentials and four selects over
+    # every entry
+    x = np.asarray(x, dtype=float)
+    lo = np.exp(np.where(x > 0, -1.0 / np.maximum(x, 1e-300), 0.0))
+    lo = np.where(x > 0, lo, 0.0)
+    hi = np.exp(np.where(x < 1, -1.0 / np.maximum(1.0 - x, 1e-300), 0.0))
+    hi = np.where(x < 1, hi, 0.0)
+    return lo / (lo + hi)
+
+
+_TINY = np.finfo(float).smallest_subnormal
+_STEP_EDGES = np.array([
+    0.0, -0.0, 1.0, np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0), 1e-300,
+    -1e-300, _TINY, 7 * _TINY, -_TINY, np.finfo(float).tiny, 1e-17,
+    np.inf, -np.inf, np.nan, 0.5, 2.0, -3.0])
+
+
+def test_smoothstep_matches_the_exponential_everywhere_form_bit_for_bit():
+    draws = np.random.default_rng(0).uniform(-1.0, 2.0, 20_000)
+    x = np.concatenate([_STEP_EDGES, draws]).reshape(-1, 2)
+    with np.errstate(invalid="ignore"):  # 0/0 at NaN
+        want = _smoothstep_everywhere(x)
+    got = sd._smoothstep(x)
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert np.array_equal(got[~nan].view(np.uint64),
+                          want[~nan].view(np.uint64))
+    # outside (0, 1) the step is exactly 0.0 (never -0.0) or 1.0
+    flat = x.ravel()
+    lows = got.ravel()[flat <= 0.0].view(np.uint64)
+    assert np.all(lows == np.float64(0.0).view(np.uint64))
+    assert np.all(got.ravel()[flat >= 1.0] == 1.0)
+
+
+def test_smoothstep_keeps_scalars_and_empty_shapes():
+    for v in _STEP_EDGES[~np.isnan(_STEP_EDGES)]:
+        got = sd._smoothstep(v)
+        assert type(got) is np.float64
+        assert got.view(np.uint64) == _smoothstep_everywhere(v).view(
+            np.uint64)
+    assert type(sd._smoothstep(np.nan)) is np.float64
+    assert math.isnan(sd._smoothstep(np.nan))
+    for shape in ((0,), (0, 3), (4, 0)):
+        assert sd._smoothstep(np.empty(shape)).shape == shape
+
+
 def test_eta0_plateau_and_support():
     assert sd.eta0(0.0) == 1.0
     t = np.linspace(-0.5, 0.5, 101)
@@ -408,6 +455,14 @@ def test_sweep_refuses_an_empty_k_list(kind):
     # by name, before the shell-index cap takes the smallest k
     with pytest.raises(ValueError, match="needs at least one band k"):
         sd.vdc_decay_sweep(HELIX, kind, 0, [])
+
+
+@pytest.mark.parametrize("n_xi", [0, -2])
+def test_sweep_refuses_n_xi_below_one(n_xi):
+    # no frequency sample would leave every sup at 0 and fit a slope
+    # through the 1e-300 floors
+    with pytest.raises(ValueError, match="n_xi must be at least 1"):
+        sd.vdc_decay_sweep(HELIX, "b", 2, [8, 10], n_xi=n_xi)
 
 
 def test_sweep_one_band_has_no_slope():
