@@ -1,14 +1,14 @@
 """Batch front-end: config-driven experiment dispatch and report writing.
 
-`conewolff run <config>` parses a plain key=value config, validates the
-scale constraints, dispatches one named experiment across the library
-modules, and writes `<outdir>/<experiment>-<timestamp>/` containing a
-deterministic `report.json` (same config + seed => byte-identical), a
-`data.csv`, log-log SVG plots, the echoed config, and a `metadata.json`
-holding the wall-clock information and the config's unknown keys, both
-deliberately kept out of the report.  `conewolff list` prints the
-experiment catalogue; `conewolff selftest` runs a quick suite of exact
-identities.
+`conewolff run <config>` parses a plain key=value config against the
+EXPERIMENTS table (each experiment's runner, the keys it reads and their
+defaults), validates the scale constraints, runs the experiment, and
+writes `<outdir>/<experiment>-<timestamp>/` containing a deterministic
+`report.json` (same config + seed => byte-identical), a `data.csv`,
+log-log SVG plots, the echoed config, and a `metadata.json` holding the
+wall-clock information and the config keys the experiment does not read,
+both deliberately kept out of the report.  `conewolff list` prints the
+table; `conewolff selftest` runs a quick suite of exact identities.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -33,41 +33,20 @@ from . import scale_induction as si
 from . import symbol_decomposition as sd
 from .errors import ConewolffError, ConfigError
 
-EXPERIMENTS = (
-    ("geometry", "curve samples", "moving-frame curvature/torsion sweep",
-     "§3"),
-    ("plates", "generator deltas lam theta sigma", "cone plate family build",
-     "§2"),
-    ("decompose", "curve k samples", "dyadic symbol split + reconstruction",
-     "§3"),
-    ("umu", "curve r0 samples M", "critical-phase approximation bounds",
-     "§4"),
-    ("census", "curve samples", "two-scale support census", "§4"),
-    ("schedule", "p eps k eps0 M", "exponent and radius schedules", "§5"),
-    ("decouple", "generator p deltas lam theta trials n L",
-     "plate decoupling ratios", "§2"),
-    ("sobolev", "curve p alpha k_list n L", "fixed-time regularity sweep",
-     "§3"),
-    ("smoothing", "curve p alpha k_list n", "space-time regularity probe",
-     "§5"),
-    ("maximal", "curve n L", "sampled dilation-maximal norms", "§6"),
-    ("helix2", "samples L", "two-parameter helix family checks", "§6"),
-)
-_NAMES = tuple(e[0] for e in EXPERIMENTS)
-
 
 @dataclass
 class Config:
-    """Parsed experiment configuration with defaulted scale parameters."""
+    """Parsed experiment configuration.  deltas, n and L left at None take
+    the default its EXPERIMENTS row states, else the global one, so
+    Config(name) holds what a config of `experiment = name` alone runs."""
 
     experiment: str
     curve: str = "helix(0.5,0.5)"
     generator: str = "circle"
     k: int = 10
-    # None: (2^-4,) for plates, which builds one family; else (2^-4, 2^-5)
     deltas: Optional[tuple] = None
     theta: float = 1.0
-    sigma: Optional[float] = None
+    sigma: Optional[float] = None  # None: sqrt(delta)
     lam: float = 24.0
     p: float = 8.0
     eps: float = 0.1
@@ -76,27 +55,24 @@ class Config:
     r0: float = 2.0**-4
     alpha: float = 0.025
     k_list: tuple = (4, 5)
-    n: int = 64
-    L: float = 8.0
+    n: Optional[int] = None
+    L: Optional[float] = None
     trials: int = 2
     samples: int = 300
     seed: int = 0
     outdir: str = "reports"
     raw_text: str = ""
-    extras: dict = field(default_factory=dict)
+    extras: dict = field(default_factory=dict)  # key -> text, not read
 
     def __post_init__(self):
-        if self.deltas is None:
-            self.deltas = (2.0**-4,) if self.experiment == "plates" \
-                else (2.0**-4, 2.0**-5)
-
-
-_INT_KEYS = {"k", "n", "trials", "samples", "seed"}
-_FLOAT_KEYS = {"theta", "sigma", "lam", "p", "eps", "eps0", "M", "r0",
-               "alpha", "L"}
-_LIST_FLOAT_KEYS = {"deltas"}
-_LIST_INT_KEYS = {"k_list"}
-_STR_KEYS = {"experiment", "curve", "generator", "outdir"}
+        if self.experiment not in EXPERIMENTS:
+            raise ConfigError(f"unknown experiment {self.experiment!r}; "
+                              f"choices: {tuple(EXPERIMENTS)}")
+        stated = {"deltas": (2.0**-4, 2.0**-5), "n": 64, "L": 8.0,
+                  **EXPERIMENTS[self.experiment].defaults}
+        for key, value in stated.items():
+            if getattr(self, key) is None:
+                setattr(self, key, value)
 
 
 def _finite_float(val: str) -> float:
@@ -106,12 +82,39 @@ def _finite_float(val: str) -> float:
     return x
 
 
+# every config key and the parser of its text
+_PARSERS = {
+    **dict.fromkeys(("experiment", "curve", "generator", "outdir"), str),
+    **dict.fromkeys(("k", "n", "trials", "samples", "seed"), int),
+    **dict.fromkeys(("theta", "sigma", "lam", "p", "eps", "eps0", "M", "r0",
+                     "alpha", "L"), _finite_float),
+    "deltas": lambda val: tuple(_finite_float(v) for v in val.split(",") if v),
+    "k_list": lambda val: tuple(int(v) for v in val.split(",") if v),
+}
+_GENERATORS = {"circle": cg.unit_circle_generator,
+               "parabola": cg.parabola_generator}
+# per-key checks, run on every key whether or not its experiment reads it:
+# key -> (test of its value, the rule the test states)
+_RULES = {
+    "generator": (lambda g: g in _GENERATORS, f"one of {sorted(_GENERATORS)}"),
+    "n": (lambda n: n >= 2 and n & (n - 1) == 0, "a power of two"),
+    "deltas": (lambda ds: ds and all(0.0 < d <= 1.0 for d in ds),
+               "a non-empty list of values in (0, 1]"),
+    "k_list": (bool, "a non-empty list"),
+    "p": (lambda p: p >= 1.0, "at least 1"),
+    "alpha": (lambda a: 0.0 <= a <= 1.0, "in [0, 1]"),
+    **dict.fromkeys(("trials", "samples", "sigma", "eps", "eps0", "M", "r0",
+                     "L"), (lambda x: x > 0, "positive")),
+}
+
+
 def parse_config(text: str) -> Config:
     """Parse key=value lines ('#' comments, optional [section] headers).
 
-    Unknown keys are kept in `extras` and each is warned about on stderr.
+    A key that is unknown, or that the experiment does not read, is listed
+    in `extras` with its text and warned about on stderr.
     """
-    values: dict = {}
+    values, lines = {}, []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line or (line.startswith("[") and line.endswith("]")):
@@ -122,75 +125,58 @@ def parse_config(text: str) -> Config:
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
         try:
-            if key in _INT_KEYS:
-                values[key] = int(val)
-            elif key in _FLOAT_KEYS:
-                values[key] = _finite_float(val)
-            elif key in _LIST_FLOAT_KEYS:
-                values[key] = tuple(_finite_float(v) for v in val.split(",")
-                                    if v)
-            elif key in _LIST_INT_KEYS:
-                values[key] = tuple(int(v) for v in val.split(",") if v)
-            elif key in _STR_KEYS:
-                values[key] = val
-            else:
-                # kept for callers that read extras, but no experiment uses
-                # it, so a typo such as k_lst is named rather than ignored
-                values.setdefault("extras", {})[key] = val
-                print(f"warning: line {lineno}: unknown config key {key!r} "
-                      "is ignored", file=sys.stderr)
+            if key in _PARSERS:
+                values[key] = _PARSERS[key](val)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: field {key!r}: {exc}") from None
+        lines.append((lineno, key, val))
     if "experiment" not in values:
         raise ConfigError("missing required field 'experiment'")
     cfg = Config(raw_text=text, **values)
+    reads = ("experiment", "seed", "outdir") + EXPERIMENTS[cfg.experiment].keys
+    for lineno, key, val in lines:
+        if key not in reads:  # a typo, or a key of another experiment
+            cfg.extras[key] = val
+            what = (f"config key {key!r} is not read by experiment "
+                    f"{cfg.experiment!r} and" if key in _PARSERS
+                    else f"unknown config key {key!r}")
+            print(f"warning: line {lineno}: {what} is ignored",
+                  file=sys.stderr)
     validate_config(cfg)
     return cfg
 
 
 def validate_config(cfg: Config) -> None:
-    if cfg.experiment not in _NAMES:
-        raise ConfigError(f"unknown experiment {cfg.experiment!r}; "
-                          f"choices: {_NAMES}")
-    for key in ("deltas", "k_list"):
-        if not getattr(cfg, key):
-            raise ConfigError(f"field {key!r} must list at least one value")
+    """Refuse cfg where a key breaks its own rule, or where keys that its
+    experiment reads break a rule between them."""
+    for key, (ok, rule) in _RULES.items():
+        value = getattr(cfg, key)
+        if value is not None and not ok(value):
+            raise ConfigError(f"field {key!r} must be {rule}, got {value!r}")
+    _helix_args(cfg.curve)
+    reads = EXPERIMENTS[cfg.experiment].keys
+    roots = [math.sqrt(d) for d in cfg.deltas] if "deltas" in reads else []
+    for root in roots:
+        if "sigma" in reads and cfg.sigma is not None \
+                and cfg.sigma > root + 1e-12:
+            raise ConfigError(
+                f"separation sigma={cfg.sigma} exceeds sqrt(delta)={root}")
+        if "theta" in reads and root > cfg.theta + 1e-12:
+            raise ConfigError(
+                f"sqrt(delta)={root} exceeds window theta={cfg.theta}")
     if cfg.experiment == "plates" and len(cfg.deltas) > 1:
         raise ConfigError("field 'deltas': plates builds one family, so it "
                           f"takes one delta, not {len(cfg.deltas)}")
     if cfg.experiment == "schedule" and cfg.k < 10:
         raise ConfigError("field 'k': the radius schedule needs k >= 10, "
                           f"got {cfg.k}")
-    for delta in cfg.deltas:
-        if not (0.0 < delta <= 1.0):
-            raise ConfigError(f"delta {delta} outside (0, 1]")
-        root = math.sqrt(delta)
-        sigma = cfg.sigma if cfg.sigma is not None else root
-        if sigma > root + 1e-12:
-            raise ConfigError(
-                f"separation sigma={sigma} exceeds sqrt(delta)={root}")
-        if root > cfg.theta + 1e-12:
-            raise ConfigError(
-                f"sqrt(delta)={root} exceeds window theta={cfg.theta}")
-    if cfg.n < 2 or (cfg.n & (cfg.n - 1)) != 0:
-        raise ConfigError(f"grid size n={cfg.n} is not a power of two")
-    if cfg.trials < 1 or cfg.samples < 1:
-        raise ConfigError("trials and samples must be positive")
-    for key in ("eps", "eps0", "M", "L", "r0", "sigma"):
-        if getattr(cfg, key) is not None and getattr(cfg, key) <= 0.0:
-            raise ConfigError(
-                f"field {key!r} must be positive, got {getattr(cfg, key)}")
-    if cfg.p < 1.0:
-        raise ConfigError(f"field 'p' must be at least 1, got {cfg.p}")
-    if not 0.0 <= cfg.alpha <= 1.0:
-        raise ConfigError(f"field 'alpha' must lie in [0, 1], got {cfg.alpha}")
-    _helix_args(cfg.curve)
 
 
 def _helix_args(spec: str):
-    """[a, b] of a helix(a, b) spec (finite, not both 0), None for a name."""
+    """[a, b] of a helix(a, b) spec (finite, not both 0), None for the name
+    of a benchmark curve."""
     name, paren, rest = spec.strip().partition("(")
-    if not paren:
+    if not paren and name in cg._BENCHMARKS:
         return None
     try:
         args = [float(v) for v in rest.rstrip(")").split(",") if v.strip()]
@@ -199,7 +185,8 @@ def _helix_args(spec: str):
     if name.strip() != "helix" or len(args) != 2 or args == [0.0, 0.0] \
             or not all(math.isfinite(v) for v in args):
         raise ConfigError(f"field 'curve': cannot parse {spec!r}; a curve is "
-                          "a name or helix(a, b), a and b finite, not both 0")
+                          f"one of {sorted(cg._BENCHMARKS)} or helix(a, b), "
+                          "a and b finite, not both 0")
     return args
 
 
@@ -208,15 +195,6 @@ def _parse_curve(spec: str) -> cg.Curve:
     if args is None:
         return cg.benchmark_curve(spec.strip())
     return cg.helix(*args)
-
-
-def _parse_generator(spec: str) -> cg.Curve:
-    gens = {"circle": cg.unit_circle_generator,
-            "parabola": cg.parabola_generator}
-    if spec not in gens:
-        raise ConfigError(f"unknown generator {spec!r}; choices: "
-                          f"{sorted(gens)}")
-    return gens[spec]()
 
 
 # ---------------------------------------------------------------------------
@@ -275,20 +253,17 @@ def _write_bundle(cfg: Config, bundle: ReportBundle) -> str:
         suffix += 1
         run_dir = os.path.join(outdir, f"{cfg.experiment}-{stamp}-{suffix}")
     os.makedirs(os.path.join(run_dir, "plots"))
-    with open(os.path.join(run_dir, "report.json"), "w") as fh:
-        json.dump(bundle.report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    with open(os.path.join(run_dir, "metadata.json"), "w") as fh:
-        json.dump({"written_utc": stamp, "unix_time": time.time(),
-                   "unknown_keys": list(cfg.extras)}, fh, indent=2)
-        fh.write("\n")
-    with open(os.path.join(run_dir, "data.csv"), "w") as fh:
-        fh.write(bundle.csv_text)
-    with open(os.path.join(run_dir, "config.echo"), "w") as fh:
-        fh.write(cfg.raw_text)
-    for name, svg in bundle.plots.items():
-        with open(os.path.join(run_dir, "plots", f"{name}.svg"), "w") as fh:
-            fh.write(svg)
+    meta = {"written_utc": stamp, "unix_time": time.time(),
+            "unknown_keys": list(cfg.extras)}
+    files = {"report.json": json.dumps(bundle.report, indent=2,
+                                       sort_keys=True) + "\n",
+             "metadata.json": json.dumps(meta, indent=2) + "\n",
+             "data.csv": bundle.csv_text, "config.echo": cfg.raw_text,
+             **{os.path.join("plots", f"{name}.svg"): svg
+                for name, svg in bundle.plots.items()}}
+    for name, text in files.items():
+        with open(os.path.join(run_dir, name), "w") as fh:
+            fh.write(text)
     return run_dir
 
 
@@ -317,7 +292,7 @@ def _exp_geometry(cfg: Config) -> ReportBundle:
 
 
 def _exp_plates(cfg: Config) -> ReportBundle:
-    g = _parse_generator(cfg.generator)
+    g = _GENERATORS[cfg.generator]()
     delta = cfg.deltas[0]
     sigma = cfg.sigma if cfg.sigma is not None else math.sqrt(delta)
     fam = cp.make_family(g, delta, cfg.lam, cfg.theta, sigma)
@@ -366,7 +341,7 @@ def _exp_umu(cfg: Config) -> ReportBundle:
                                       n_samples=cfg.samples, M=cfg.M,
                                       seed=cfg.seed)
     report = {"experiment": "umu", "curve": curve.name, "seed": cfg.seed,
-              **{k: v for k, v in rep.items()}}
+              **rep}
     csv_text = _rows_to_csv(["quantity", "value"], sorted(rep.items()))
     if not rep["pass"]:
         raise AssertionError("critical-phase approximation bound violated")
@@ -378,8 +353,7 @@ def _exp_census(cfg: Config) -> ReportBundle:
     rep = si.support_census(curve, sample_count=cfg.samples, seed=cfg.seed)
     report = {"experiment": "census", "curve": curve.name, "seed": cfg.seed,
               **rep}
-    csv_text = _rows_to_csv(["quantity", "value"],
-                            sorted((k, v) for k, v in rep.items()))
+    csv_text = _rows_to_csv(["quantity", "value"], sorted(rep.items()))
     ok = (rep["a_vanishing_ok"] and rep["b_vanishing_ok"]
           and rep["multiplicity_ok"] and rep["plate_failures"] == 0)
     if not ok:
@@ -415,7 +389,7 @@ def _exp_schedule(cfg: Config) -> ReportBundle:
 
 
 def _exp_decouple(cfg: Config) -> ReportBundle:
-    rep = ol.decoupling_ratio(_parse_generator(cfg.generator), cfg.lam,
+    rep = ol.decoupling_ratio(_GENERATORS[cfg.generator](), cfg.lam,
                               cfg.theta, cfg.p, list(cfg.deltas), cfg.trials,
                               "all_ones", n=cfg.n, box=cfg.L, seed=cfg.seed)
     report = {"experiment": "decouple", "generator": cfg.generator, **rep}
@@ -430,10 +404,10 @@ def _exp_decouple(cfg: Config) -> ReportBundle:
 def _band_experiment(cfg: Config, name: str, sweep, title: str,
                      **grid) -> ReportBundle:
     """Report, CSV and plot `name` of a band sweep (ol.sobolev_sweep or
-    ol.local_smoothing_probe) along cfg's curve, chi shrunk by 1/2."""
+    ol.local_smoothing_probe) along cfg's curve on n^3, chi shrunk by 1/2."""
     curve = _parse_curve(cfg.curve)
     chi = ol.default_chi(curve, shrink=0.5)
-    rep = sweep(curve, chi, cfg.p, cfg.alpha, list(cfg.k_list),
+    rep = sweep(curve, chi, cfg.p, cfg.alpha, list(cfg.k_list), n=cfg.n,
                 seed=cfg.seed, **grid)
     report = {"experiment": name, "curve": curve.name, **rep}
     csv_text = _rows_to_csv(["k", "ratio"], zip(rep["k_list"], rep["ratios"]))
@@ -444,20 +418,18 @@ def _band_experiment(cfg: Config, name: str, sweep, title: str,
 
 def _exp_sobolev(cfg: Config) -> ReportBundle:
     return _band_experiment(cfg, "sobolev", ol.sobolev_sweep,
-                            "weighted operator ratio per band", n=cfg.n,
-                            box=min(cfg.L, 3.0))
+                            "weighted operator ratio per band", box=cfg.L)
 
 
 def _exp_smoothing(cfg: Config) -> ReportBundle:
     return _band_experiment(cfg, "smoothing", ol.local_smoothing_probe,
-                            "space-time ratio per band", n=min(cfg.n, 32),
-                            box=6.0, n_t=9)
+                            "space-time ratio per band", box=6.0, n_t=9)
 
 
 def _exp_maximal(cfg: Config) -> ReportBundle:
     curve = _parse_curve(cfg.curve)
     chi = ol.default_chi(curve)
-    grid = ol.Grid3(min(cfg.n, 32), cfg.L)
+    grid = ol.Grid3(cfg.n, cfg.L)
     band, fbox = ol._band_box(grid, 3, cfg.seed)
     ts = ol.default_t_samples(9)
     sup = ol.maximal_operator(grid, band, fbox, curve, chi, ts)
@@ -503,19 +475,44 @@ def _exp_helix2(cfg: Config) -> ReportBundle:
     return ReportBundle(report, csv_text, {})
 
 
-_DISPATCH = {
-    "geometry": _exp_geometry,
-    "plates": _exp_plates,
-    "decompose": _exp_decompose,
-    "umu": _exp_umu,
-    "census": _exp_census,
-    "schedule": _exp_schedule,
-    "decouple": _exp_decouple,
-    "sobolev": _exp_sobolev,
-    "smoothing": _exp_smoothing,
-    "maximal": _exp_maximal,
-    "helix2": _exp_helix2,
+class Experiment(NamedTuple):
+    runner: Callable[[Config], ReportBundle]
+    keys: tuple  # the config keys it reads besides experiment, seed, outdir
+    defaults: dict  # each default that differs from Config's
+    description: str
+    section: str
+
+
+# the config schema: each experiment, the keys it reads and their defaults
+EXPERIMENTS = {
+    "geometry": Experiment(_exp_geometry, ("curve", "samples"), {},
+                           "moving-frame curvature/torsion sweep", "§3"),
+    "plates": Experiment(_exp_plates, ("generator", "deltas", "lam", "theta",
+                                       "sigma"), {"deltas": (2.0**-4,)},
+                         "cone plate family build", "§2"),
+    "decompose": Experiment(_exp_decompose, ("curve", "k", "samples"), {},
+                            "dyadic symbol split + reconstruction", "§3"),
+    "umu": Experiment(_exp_umu, ("curve", "r0", "samples", "M"), {},
+                      "critical-phase approximation bounds", "§4"),
+    "census": Experiment(_exp_census, ("curve", "samples"), {},
+                         "two-scale support census", "§4"),
+    "schedule": Experiment(_exp_schedule, ("p", "eps", "k", "eps0", "M"), {},
+                           "exponent and radius schedules", "§5"),
+    "decouple": Experiment(_exp_decouple, ("generator", "p", "deltas", "lam",
+                                           "theta", "trials", "n", "L"),
+                           {"n": 128}, "plate decoupling ratios", "§2"),
+    "sobolev": Experiment(_exp_sobolev,
+                          ("curve", "p", "alpha", "k_list", "n", "L"),
+                          {"L": 3.0}, "fixed-time regularity sweep", "§3"),
+    "smoothing": Experiment(_exp_smoothing,
+                            ("curve", "p", "alpha", "k_list", "n"), {},
+                            "space-time regularity probe", "§5"),
+    "maximal": Experiment(_exp_maximal, ("curve", "n", "L"), {"n": 32},
+                          "sampled dilation-maximal norms", "§6"),
+    "helix2": Experiment(_exp_helix2, ("samples", "L"), {},
+                         "two-parameter helix family checks", "§6"),
 }
+_DISPATCH = {name: exp.runner for name, exp in EXPERIMENTS.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -538,10 +535,22 @@ def run(cfg: Config) -> int:
     return 0
 
 
+def _shown(value) -> str:
+    # a list as a config writes it; sigma's default None is sqrt(delta)
+    if isinstance(value, tuple):
+        return ",".join(map(str, value))
+    return "sqrt(delta)" if value is None else str(value)
+
+
 def list_experiments() -> str:
-    lines = ["experiments:"]
-    for name, keys, desc, section in EXPERIMENTS:
-        lines.append(f"  {name} {section}: {desc} (keys: {keys})")
+    """Each experiment with the keys it reads and their defaults."""
+    lines = [f"experiments (each also reads seed = {Config.seed} and "
+             f"outdir = {Config.outdir}):"]
+    for name, exp in EXPERIMENTS.items():
+        cfg = Config(name)
+        lines.append(f"  {name} {exp.section}: {exp.description}")
+        lines.append("    " + ", ".join(f"{key} = {_shown(getattr(cfg, key))}"
+                                        for key in exp.keys))
     return "\n".join(lines) + "\n"
 
 

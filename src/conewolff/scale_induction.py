@@ -310,9 +310,14 @@ def pl_plate_membership(omega: OmegaMap, s_nnu: float, n: int, r1: float,
                         k: int, xi, tau):
     """Test the three plate inequalities at one frequency point, giving a
     bool, or at the rows of xi (m, 3) and tau (m,), giving m bools."""
-    abar = omega.s_mu - s_nnu
+    return _plate_inequalities(omega.apply(xi, tau), omega.s_mu - s_nnu, n,
+                               r1, k)
+
+
+def _plate_inequalities(w, abar: float, n: int, r1: float, k: int):
+    """pl_plate_membership on w = omega.apply(xi, tau), which depends only
+    on the anchor, so a caller testing many windows forms it once."""
     u1, u2, u3 = _u_vectors(abar)
-    w = omega.apply(xi, tau)
     c1 = np.abs(w @ u1) <= 2.0**(k + 2)
     c2 = np.abs((w - w[..., 2, None] * u1) @ u2) <= 2.0**(k + 4) * 2.0**n * r1
     c3 = np.abs(w @ u3) <= 2.0**(k + 3) * 2.0**(2 * n) * r1**2
@@ -408,6 +413,7 @@ def support_census(curve: Curve, r0: float = 2.0**-22, r1: float = 2.0**-23,
                   * eta0((np.linalg.norm(xi, axis=1) - 1.25) / 0.75))
         live = np.nonzero(scalar >= _CENSUS_TOL)[0]
         x, t = xi[live], tau[live]
+        w = omega.apply(x, t)
         amu = scalar[live, None] * eta0((s_grid - s_mu) / (2.0 * r0))
         u_hat = u_mu(curve, s_mu, x, t)[:, None]
         ds2 = (s_grid - scr[live, None]) ** 2
@@ -442,7 +448,8 @@ def support_census(curve: Curve, r0: float = 2.0**-22, r1: float = 2.0**-23,
             plate_checked += int(rows.sum())
             for j in np.flatnonzero(rows.any(axis=(0, 2))):
                 s_nnu = 2.0**n * r1 * int(nus[j])
-                outside = ~pl_plate_membership(omega, s_nnu, n, r1, 0, x, t)
+                outside = ~_plate_inequalities(w, omega.s_mu - s_nnu, n, r1,
+                                               0)
                 plate_failures += int((rows[:, j] & outside).sum())
         for i in (0, 1):
             mult[i, live] += mult_mu[i]

@@ -1,6 +1,7 @@
 """Tests for the batch front-end: config parsing, dispatch, reports."""
 
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -85,11 +86,13 @@ def test_parse_config_rejects_non_finite(tmp_path, monkeypatch, key, val):
                                      ("sigma", "0"), ("r0", "0"),
                                      ("r0", "-1"), ("curve", "helix(nan,1)"),
                                      ("curve", "helix(0,0)"),
+                                     ("curve", "helix2"), ("n", "48"),
                                      ("deltas", "0.0625,0.015625")])
 def test_parse_config_rejects_out_of_range(tmp_path, monkeypatch, key,
                                            val):
-    # every value here is refused whatever the experiment reads; plates,
-    # which builds one family, also refuses a second delta
+    # every value here is refused whatever the experiment reads (plates
+    # reads neither curve nor n); plates, which builds one family, also
+    # refuses a second delta
     _assert_refused(tmp_path, monkeypatch, key, val, f"field '{key}'",
                     experiment="plates")
 
@@ -121,6 +124,10 @@ def test_validate_scale_constraints(capsys):
     with pytest.raises(ConfigError, match="theta"):
         cli.parse_config(_cfg_text(experiment="plates", deltas="0.25",
                                    theta=0.1))
+    # a rule between keys holds only where the experiment reads them
+    cfg = cli.parse_config(_cfg_text(experiment="geometry", deltas="0.25",
+                                     theta=0.1, sigma=0.9))
+    assert cfg.extras == {"deltas": "0.25", "theta": "0.1", "sigma": "0.9"}
     # no experiment reads a shell index l, so it is an unknown key
     cfg = cli.parse_config(_cfg_text(experiment="decompose", k=6, l=4))
     assert "line 3: unknown config key 'l'" in capsys.readouterr().err
@@ -176,14 +183,20 @@ _SMALL = {
 }
 
 
-@pytest.mark.parametrize("name,keys,desc,section", cli.EXPERIMENTS,
-                         ids=[e[0] for e in cli.EXPERIMENTS])
-def test_list_names_the_fields_each_experiment_reads(name, keys, desc,
-                                                     section):
+@pytest.mark.parametrize("name", cli.EXPERIMENTS)
+def test_list_names_the_fields_each_experiment_reads(name):
+    # the keys the runner reads are the keys its table row lists, and
+    # `conewolff list` shows each of them with its default
     rec = _RecordingConfig(
         cli.parse_config(_cfg_text(experiment=name, **_SMALL[name])))
     cli._DISPATCH[name](rec)
-    assert rec.reads - {"seed"} == set(keys.split())
+    exp = cli.EXPERIMENTS[name]
+    assert rec.reads - {"seed"} == set(exp.keys)
+    lines = cli.list_experiments().splitlines()
+    (at,) = [i for i, line in enumerate(lines)
+             if line.startswith(f"  {name} ")]
+    listed = [kv.split(" = ")[0] for kv in lines[at + 1].strip().split(", ")]
+    assert listed == list(exp.keys)
 
 
 def test_selftest_passes():
@@ -250,6 +263,69 @@ def test_unknown_keys_warned_and_listed_in_metadata(tmp_path, monkeypatch,
         meta = json.loads((run_dir / "metadata.json").read_text())
         unknown.append(meta["unknown_keys"])
     assert unknown == [[], ["k_lst", "note"]]
+    assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("name", cli.EXPERIMENTS)
+def test_every_experiment_runs_from_its_default_config(tmp_path, monkeypatch,
+                                                       capsys, name):
+    # `experiment = <name>` alone runs the table's defaults, which are the
+    # field values of Config(name) built in code; on the parent smoothing
+    # (n clamped to 32 under a 2^5 band) and decouple (lam = 24 plates on
+    # n = 64) exited 1
+    text = f"experiment = {name}\n"
+    assert cli.parse_config(text) == dataclasses.replace(cli.Config(name),
+                                                         raw_text=text)
+    monkeypatch.setenv("OUTPUT_DIR", str(tmp_path))
+    cfg_file = tmp_path / f"{name}.cfg"
+    cfg_file.write_text(text)
+    assert cli.main(["run", str(cfg_file)]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    rep = json.loads((tmp_path / out.strip() / "report.json").read_text())
+    assert rep["experiment"] == name
+
+
+def _two_reports(tmp_path, monkeypatch, base, extra):
+    # report bytes and unknown_keys of base and of base + extra
+    reports, unknown = [], []
+    for i, text in enumerate((base, base + extra)):
+        code, (run_dir,) = _run_to(tmp_path / str(i), monkeypatch, text)
+        assert code == 0
+        reports.append((run_dir / "report.json").read_bytes())
+        meta = json.loads((run_dir / "metadata.json").read_text())
+        unknown.append(meta["unknown_keys"])
+    return reports, unknown
+
+
+def test_keys_the_experiment_does_not_read_are_warned_and_listed(
+        tmp_path, monkeypatch, capsys):
+    # a known key that the experiment does not list is an unknown key to
+    # it: warned, kept out of the run and listed in metadata.json
+    base = _cfg_text(experiment="geometry", samples=20)
+    extra = _cfg_text(lam=3, trials=9, n=128, deltas=0.5)
+    cfg = cli.parse_config(base + extra)
+    err = capsys.readouterr().err
+    assert cfg.extras == {"lam": "3", "trials": "9", "n": "128",
+                          "deltas": "0.5"}
+    assert err.count("warning") == 4
+    for lineno, key in enumerate(("lam", "trials", "n", "deltas"), start=3):
+        assert (f"line {lineno}: config key {key!r} is not read by "
+                "experiment 'geometry'") in err
+    reports, unknown = _two_reports(tmp_path, monkeypatch, base, extra)
+    assert unknown == [[], ["lam", "trials", "n", "deltas"]]
+    assert reports[0] == reports[1]
+
+    # decouple fixes sigma = sqrt(delta) itself, so a sigma above it is
+    # not checked against the deltas; the parent refused it
+    base = _cfg_text(experiment="decouple", n=64, lam=16, trials=1,
+                     deltas=0.0625)
+    capsys.readouterr()
+    reports, unknown = _two_reports(tmp_path / "d", monkeypatch, base,
+                                    "sigma = 0.9\n")
+    assert "config key 'sigma' is not read by experiment 'decouple'" \
+        in capsys.readouterr().err
+    assert unknown == [[], ["sigma"]]
     assert reports[0] == reports[1]
 
 
@@ -348,14 +424,14 @@ def test_run_helix2(tmp_path, monkeypatch):
 
 
 def test_run_maximal_reports_its_grid(tmp_path, monkeypatch):
-    # the maximal job runs on at most 32^3 and says so; on a box of 6 the
-    # default helix(0.5,0.5) at t = 2 would wrap around, the twisted cubic
-    # does not
+    # the maximal job runs on the grid its config sets and says so; on a
+    # box of 6 the default helix(0.5,0.5) at t = 2 would wrap around, the
+    # twisted cubic does not
     code, dirs = _run_to(tmp_path, monkeypatch, _cfg_text(
         experiment="maximal", curve="twisted_cubic", n=64, L=6))
     assert code == 0
     rep = json.loads((dirs[0] / "report.json").read_text())
-    assert rep["n"] == 32
+    assert rep["n"] == 64
     assert rep["box"] == 6.0
 
 

@@ -662,11 +662,15 @@ print(hashlib.sha1(sym.tobytes()).hexdigest())
 
 def test_lattice_symbol_independent_of_blas_threads():
     # report.json must not change with the machine's core count; 300 nodes
-    # is an inner dimension that OpenBLAS splits by thread count
+    # is an inner dimension that OpenBLAS splits by thread count.  The child
+    # imports conewolff from where this process did, installed or not
+    path = os.pathsep.join(
+        [os.path.dirname(os.path.dirname(ol.__file__))]
+        + [p for p in [os.environ.get("PYTHONPATH")] if p])
     digests = {
         subprocess.run([sys.executable, "-c", _SYMBOL_DIGEST],
                        env={**os.environ, "OPENBLAS_NUM_THREADS": str(k),
-                            "OMP_NUM_THREADS": str(k)},
+                            "OMP_NUM_THREADS": str(k), "PYTHONPATH": path},
                        capture_output=True, text=True, check=True,
                        timeout=120).stdout
         for k in (1, 2)}
