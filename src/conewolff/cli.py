@@ -112,9 +112,10 @@ def parse_config(text: str) -> Config:
     """Parse key=value lines ('#' comments, optional [section] headers).
 
     A key that is unknown, or that the experiment does not read, is listed
-    in `extras` with its text and warned about on stderr.
+    in `extras` with its text and warned about on stderr.  A key given
+    twice is refused, with both line numbers.
     """
-    values, lines = {}, []
+    values, lines, seen = {}, [], {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line or (line.startswith("[") and line.endswith("]")):
@@ -124,6 +125,10 @@ def parse_config(text: str) -> Config:
                               f"{line!r}")
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
+        if key in seen:
+            raise ConfigError(f"line {lineno}: key {key!r} is given twice, "
+                              f"on lines {seen[key]} and {lineno}")
+        seen[key] = lineno
         try:
             if key in _PARSERS:
                 values[key] = _PARSERS[key](val)

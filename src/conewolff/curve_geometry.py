@@ -109,13 +109,20 @@ def _gl_table(order: int):
     return x, w
 
 
-def gauss_legendre(a: float, b: float, order: int, panels: int = 1):
+def gauss_legendre(a, b, order: int, panels: int = 1):
     """Nodes (panel by panel, ascending) and weights, new arrays each call, of
-    the order-point Gauss-Legendre rule on `panels` equal panels of [a, b]."""
+    the order-point Gauss-Legendre rule on `panels` equal panels of [a, b].
+
+    Scalar ends give two arrays of shape (order * panels,).  Arrays of q
+    ends give one rule per interval, shape (q, order * panels), each row
+    equal bit for bit to the scalar call on its ends."""
     x, w = _gl_table(order)
-    e = np.linspace(a, b, panels + 1)[:, None]  # panel edges
-    half = 0.5 * (e[1:] - e[:-1])
-    return (0.5 * (e[:-1] + e[1:]) + half * x).ravel(), (half * w).ravel()
+    e = np.linspace(a, b, panels + 1, axis=-1)[..., None]  # panel edges
+    lo, hi = e[..., :-1, :], e[..., 1:, :]
+    half = 0.5 * (hi - lo)
+    shape = e.shape[:-2] + (-1,)
+    return (0.5 * (lo + hi) + half * x).reshape(shape), \
+        (half * w).reshape(shape)
 
 
 # ---------------------------------------------------------------------------

@@ -320,25 +320,80 @@ class MultiplierSample:
 _MAX_PANELS = 4096  # per integration interval: at most 65 536 nodes
 
 
-def _panel_quad(f: Callable, a: float, b: float, tol: float):
-    """Composite 16-point Gauss-Legendre integral of f over [a, b].
+def _panel_quad(f: Callable, a, b, tol: float):
+    """Composite 16-point Gauss-Legendre integrals of f over q intervals.
 
-    f takes an array of s and returns the integrand there.  The panel count
-    doubles from 1 until two levels differ by at most tol; the finer level
-    is returned with that difference as its error estimate.  Each level
-    costs one call of f on the 16 x panels points of gauss_legendre.
-    Raises QuadratureFailure if _MAX_PANELS panels do not converge.
+    a and b hold the ends of the intervals, shape (q,).  f(idx, s) takes
+    the indices idx of the still-active intervals and their nodes s, shape
+    (len(idx), 16 x panels), and returns the integrand there.  The panel
+    count doubles from 1 for all active intervals together; an interval
+    stops at the first level that differs from the previous one by at most
+    tol, and keeps that level with the difference as its error estimate.
+    Each level costs one call of f.  Returns the values (complex) and the
+    errors, shape (q,).  Raises QuadratureFailure naming the first interval
+    that _MAX_PANELS panels do not converge.
     """
-    prev = None
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    value, err = np.zeros(a.shape, dtype=complex), np.zeros(a.shape)
+    act, prev = np.arange(a.size), None
     for level in range(_MAX_PANELS.bit_length()):  # 1, 2, 4 .. _MAX_PANELS
-        s, w = gauss_legendre(a, b, 16, 2**level)
-        value = f(s) @ w
-        if prev is not None and abs(value - prev) <= tol:
-            return value, abs(value - prev)
-        prev = value
+        s, w = gauss_legendre(a[act], b[act], 16, 2**level)
+        # a stacked matmul takes each row's dot product as f(s) @ w does
+        v = (f(act, s)[:, None, :] @ w[:, :, None])[:, 0, 0]
+        if prev is not None:
+            diff = np.abs(v - prev)
+            done = diff <= tol
+            value[act[done]], err[act[done]] = v[done], diff[done]
+            act, v = act[~done], v[~done]
+            if not act.size:
+                return value, err
+        prev = v
+    j = act[0]
     raise QuadratureFailure(
-        f"oscillatory quadrature on [{a:.6g}, {b:.6g}] did not reach "
+        f"oscillatory quadrature on [{a[j]:.6g}, {b[j]:.6g}] did not reach "
         f"tolerance {tol:.2e} with {_MAX_PANELS} Gauss-Legendre panels")
+
+
+def _multiplier_rows(piece: SymbolPiece, xi: np.ndarray, r, u, sigma,
+                     inside, tol: float):
+    """Multipliers of piece at the rows of xi, shape (m, 3), given the chart
+    (r, u, sigma, inside) of the rescaled rows 2^{-k} xi, each of shape (m,).
+
+    Each inside row is split at its sigma when sigma lies inside the
+    piece's s-interval, and every side is integrated by one _panel_quad
+    over all rows at tol / 1000, so that each doubling level costs one
+    coord_eval and one curve.eval on rows x nodes.  Returns the values
+    (complex) and the errors, the sum of a row's side differences, each of
+    shape (m,); a row outside the cone, or every row of a piece with an
+    empty s-interval, gets 0 with error 0.
+    """
+    value, err = np.zeros(len(xi), dtype=complex), np.zeros(len(xi))
+    a, b = piece.s_interval()
+    rows = np.flatnonzero(inside)
+    if a >= b or not rows.size:
+        return value, err
+    split = (a < sigma[rows]) & (sigma[rows] < b)
+    # one interval per side of sigma, the left one first: [a, sigma] and
+    # [sigma, b] where sigma splits [a, b], else [a, b] itself
+    sides = np.where(split, 2, 1)
+    own, cut = np.repeat(rows, sides), np.repeat(split, sides)
+    left = np.diff(own, prepend=-1) != 0
+    lo = np.where(left, a, sigma[own])
+    hi = np.where(left & cut, sigma[own], b)
+    xin = np.ldexp(xi[own], -piece.k)
+    coords = [c[own, None] for c in (r, u, sigma)]
+    norm = np.linalg.norm(xin, axis=1)[:, None]
+    phase = xi[own, None, :]  # (q, 1, 3)
+
+    def integrand(idx, s):
+        amp = piece.coord_eval(s, *(c[idx] for c in coords), norm[idx])
+        g = piece.curve.eval(s).transpose(1, 0, 2)  # (len(idx), 3, nodes)
+        return amp * np.exp(-1j * (phase[idx] @ g)[:, 0])
+
+    v, e = _panel_quad(integrand, lo, hi, 1e-3 * tol)
+    np.add.at(value, own, v)  # left side first, as 0 + left + right
+    np.add.at(err, own, e)
+    return value, err
 
 
 def mk_multiplier(piece: SymbolPiece, xi: np.ndarray,
@@ -346,48 +401,36 @@ def mk_multiplier(piece: SymbolPiece, xi: np.ndarray,
     """Parameter integral of piece(s, 2^{-k} xi) against the curve phase
     exp(-i<gamma(s), xi>), split at the stationary parameter sigma(xi).
 
-    Each side is integrated by _panel_quad until two levels agree within
-    tol / 1000; stopping at tol itself moves a k = 8, 10 decay slope by
-    about 1e-7 relative, a visible share of the 1e-5 tolerance its frozen
-    benchmark references are checked at.  quadrature_error is the sum of
-    the two sides' level differences.  The cost is one cone-chart inversion
-    plus, per side and doubling level, one coord_eval and one curve.eval on
-    an array of 16 x panels parameters (at most 256 panels per side were
+    One row of the row-batch evaluator _multiplier_rows, after one
+    cone_coordinates inversion.  Each side is integrated by _panel_quad
+    until two levels agree within tol / 1000; stopping at tol itself moves
+    a k = 8, 10 decay slope by about 1e-7 relative, a visible share of the
+    1e-5 tolerance its frozen benchmark references are checked at.
+    quadrature_error is the sum of the two sides' level differences.  Per
+    doubling level the two sides share one coord_eval and one curve.eval
+    on their 16 x panels parameters each (at most 256 panels per side were
     needed for k <= 14 on the benchmark curves).
     """
     xi = np.asarray(xi, dtype=float)
-    xin = np.ldexp(xi, -piece.k)
-    a, b = piece.s_interval()
-    if a >= b:
-        return MultiplierSample(xi, 0j, piece.k, piece.l, piece.nu, 0.0)
     try:
-        r, u, sigma = cone_coordinates(piece.curve, xin)
+        chart = cone_coordinates(piece.curve, np.ldexp(xi, -piece.k))
     except OutsideCone:
         return MultiplierSample(xi, 0j, piece.k, piece.l, piece.nu, 0.0)
-    norm = float(np.linalg.norm(xin))
-    curve = piece.curve
-
-    def integrand(s):
-        amp = piece.coord_eval(s, r, u, sigma, norm)
-        return amp * np.exp(-1j * (xi @ curve.eval(s)))
-
-    edges = [a, sigma, b] if a < sigma < b else [a, b]
-    value, err = 0j, 0.0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        v, e = _panel_quad(integrand, lo, hi, 1e-3 * tol)
-        value, err = value + v, err + e
-    return MultiplierSample(xi, complex(value), piece.k, piece.l, piece.nu,
-                            float(err))
+    value, err = _multiplier_rows(piece, xi[None],
+                                  *(np.array([c]) for c in chart),
+                                  np.array([True]), tol)
+    return MultiplierSample(xi, complex(value[0]), piece.k, piece.l,
+                            piece.nu, float(err[0]))
 
 
 def oscillatory_selfcheck(lam: float = 100.0):
     """Model phase integral of exp(i lam s^2) on [0,1]: the panel rule
     against a 10^6-point midpoint-rule oracle."""
-    val, err = _panel_quad(lambda s: np.exp(1j * lam * s * s), 0.0, 1.0,
-                           1e-12)
+    val, err = _panel_quad(lambda idx, s: np.exp(1j * lam * s * s), [0.0],
+                           [1.0], 1e-12)
     s = (np.arange(1_000_000) + 0.5) / 1_000_000
     oracle = np.exp(1j * lam * s * s).mean()
-    return complex(val), complex(oracle), float(err)
+    return complex(val[0]), complex(oracle), float(err[0])
 
 
 # ---------------------------------------------------------------------------
@@ -407,23 +450,25 @@ def _sweep_piece(curve: Curve, kind: str, k: int, l: int, A0: float,
 
 def _sweep_xi_hats(curve: Curve, kind: str, l: int, n_xi: int,
                    rng: np.random.Generator, A0: float,
-                   k: Optional[int] = None) -> list[np.ndarray]:
-    """Normalized frequencies stratified over the chart so each kind's worst
-    regime is hit: for 'a' the stationary parameter sits inside the shell at
-    full amplitude (u < 0, magnitude set by the local curvature*torsion);
-    for 'b' the phase is non-stationary but as slow as the complementary
-    cutoff allows. The same patterns are reused for every k."""
+                   k: Optional[int] = None) -> np.ndarray:
+    """Normalized frequencies, shape (n_xi, 3), stratified over the chart so
+    each kind's worst regime is hit: for 'a' the stationary parameter sits
+    inside the shell at full amplitude (u < 0, magnitude set by the local
+    curvature*torsion); for 'b' the phase is non-stationary but as slow as
+    the complementary cutoff allows. The same patterns are reused for every
+    k.  The chart coordinates are drawn sample by sample and placed by one
+    cone_point call."""
     if kind == "atilde":
         u_scale, width = 2.0 ** (-2 * k / 3), 2.0 ** (-k / 3)
-        return [cone_point(curve, rng.uniform(0.8, 1.6),
-                           u_scale * rng.uniform(0.0, 0.45)
-                           * rng.choice([-1.0, 1.0]),
-                           rng.uniform(-0.5, 0.5) * width)
-                for _ in range(n_xi)]
+        coords = [(rng.uniform(0.8, 1.6),
+                   u_scale * rng.uniform(0.0, 0.45) * rng.choice([-1.0, 1.0]),
+                   rng.uniform(-0.5, 0.5) * width)
+                  for _ in range(n_xi)]
+        return cone_point(curve, *np.array(coords).T)
     u_scale, width = np.ldexp(1.0, -2 * l), np.ldexp(1.0, -l)
     fr = frenet_frame(curve, 0.0)
     kt = abs(fr.kappa * fr.tau)
-    out = []
+    coords = []
     for _ in range(n_xi):
         r = rng.uniform(1.0, 1.5) if kind == "a" else rng.uniform(0.9, 1.4)
         if kind == "a":
@@ -432,13 +477,13 @@ def _sweep_xi_hats(curve: Curve, kind: str, l: int, n_xi: int,
             dbar = math.sqrt(2 * ubar / (kt * r))
             branch = rng.choice([-1.0, 1.0])
             sg = rng.uniform(-0.4, 0.4) - branch * dbar
-            out.append(cone_point(curve, r, -ubar * u_scale, sg * width))
+            coords.append((r, -ubar * u_scale, sg * width))
         else:
             speed = rng.uniform(0.14, 0.20)
             ubar = speed / (1.0 + kt * r * A0 / 4.0)
             sg = rng.choice([-1.0, 1.0]) * rng.uniform(0.4, 0.6)
-            out.append(cone_point(curve, r, ubar * u_scale, sg * width))
-    return out
+            coords.append((r, ubar * u_scale, sg * width))
+    return cone_point(curve, *np.array(coords).T)
 
 
 def vdc_decay_sweep(curve: Curve, kind: str, l: int, k_list: Sequence[int],
@@ -447,7 +492,14 @@ def vdc_decay_sweep(curve: Curve, kind: str, l: int, k_list: Sequence[int],
     fit the dyadic decay rate log2(sup) vs k.  The piece is the nu = 0
     translate, and each multiplier is integrated at tol 1e-7.  A kind
     other than "a", "b" and "atilde" is refused first, then an empty k_list,
-    then n_xi below 1."""
+    then n_xi below 1.
+
+    Every band's samples are drawn first (the a and b kinds reuse one set
+    for all k; atilde draws a set per band) and placed in the chart by one
+    cone_chart call: 2^{-k} xi is the drawn sample itself, since ldexp is
+    exact.  Each band's samples are then integrated as one row batch by
+    _multiplier_rows, with a per-row convergence mask and error estimate.
+    """
     if kind not in ("a", "b", "atilde"):
         raise ValueError(f"unknown sweep kind {kind!r}")
     if not len(k_list):
@@ -458,23 +510,24 @@ def vdc_decay_sweep(curve: Curve, kind: str, l: int, k_list: Sequence[int],
         raise ValueError("shell index must satisfy l <= k/3 for every k")
     A0 = default_a0(curve)
     rng = np.random.default_rng(seed)
-    fixed_hats = None
-    if kind != "atilde":
-        fixed_hats = _sweep_xi_hats(curve, kind, l, n_xi, rng, A0)
+    if kind == "atilde":
+        hats = np.stack([_sweep_xi_hats(curve, kind, l, n_xi, rng, A0, k=k)
+                         for k in k_list])
+    else:
+        hats = _sweep_xi_hats(curve, kind, l, n_xi, rng, A0)[None]
+    chart = [c.reshape(len(hats), n_xi)
+             for c in cone_chart(curve, hats.reshape(-1, 3))]
     sups = []
-    for k in k_list:
-        piece = _sweep_piece(curve, kind, k, l, A0, 0)
-        hats = fixed_hats if fixed_hats is not None else _sweep_xi_hats(
-            curve, kind, l, n_xi, rng, A0, k=k)
-        best = 0.0
-        for hat in hats:
-            best = max(best, abs(mk_multiplier(piece, np.ldexp(hat, k),
-                                               1e-7).value))
-        sups.append(best)
+    for i, k in enumerate(k_list):
+        j = i if kind == "atilde" else 0
+        value, _ = _multiplier_rows(_sweep_piece(curve, kind, k, l, A0, 0),
+                                    np.ldexp(hats[j], k),
+                                    *(c[j] for c in chart), 1e-7)
+        sups.append(float(np.abs(value).max()))
     logs = np.log2(np.maximum(sups, 1e-300))
     slope, intercept = fit_line(np.asarray(k_list, float), logs)
     return {"curve": curve.name, "kind": kind, "l": l,
-            "k_list": list(k_list), "sups": [float(v) for v in sups],
+            "k_list": list(k_list), "sups": sups,
             "slope": slope, "constant": 2.0**intercept,
             "n_xi": n_xi, "seed": seed}
 

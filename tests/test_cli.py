@@ -54,6 +54,30 @@ def test_parse_config_diagnostics():
         cli.parse_config("experiment = frobnicate\n")
 
 
+@pytest.mark.parametrize("text,key,first,second", [
+    ("experiment = schedule\nk = 20\nk = 12\n", "k", 2, 3),
+    ("experiment = schedule\n[run]\nexperiment = geometry\n", "experiment",
+     1, 3),
+    ("experiment = geometry\nnote = a\n# note = b\nnote = c\n", "note", 2, 4),
+])
+def test_parse_config_refuses_a_key_given_twice(tmp_path, monkeypatch, text,
+                                                key, first, second):
+    # the later value used to win in silence; a known key, the experiment
+    # and an unknown key are all refused, naming both lines
+    match = (f"line {second}: key '{key}' is given twice, on lines {first} "
+             f"and {second}")
+    with pytest.raises(ConfigError, match=match):
+        cli.parse_config(text)
+    monkeypatch.setenv("OUTPUT_DIR", str(tmp_path))
+    cfg_file = tmp_path / "twice.cfg"
+    cfg_file.write_text(text)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        assert cli.main(["run", str(cfg_file)]) == 1
+    assert match in err.getvalue() and "Traceback" not in err.getvalue()
+    assert not [p for p in tmp_path.iterdir() if p != cfg_file]
+
+
 def _assert_refused(tmp_path, monkeypatch, key, val, match,
                     experiment="schedule"):
     # refused while parsing, and `conewolff run` exits 1 with an error line,

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -10,6 +11,7 @@ from conewolff import symbol_decomposition as sd
 from conewolff.errors import (
     GridTooLarge,
     NotConverged,
+    OutsideCone,
     QuadratureFailure,
     TypeExceedsNMax,
 )
@@ -403,6 +405,177 @@ def test_panel_cap_raises_quadrature_failure(monkeypatch):
     monkeypatch.setattr(sd, "_MAX_PANELS", 4)
     with pytest.raises(QuadratureFailure, match="4 Gauss-Legendre panels"):
         sd.mk_multiplier(piece, xi)
+
+
+# ---------------------------------------------------------------------------
+# row batches against the per-frequency loop
+# ---------------------------------------------------------------------------
+
+
+def _scalar_panel_quad(f, a, b, tol):
+    """The one-interval doubling loop the row batches replaced: f(s) on
+    the 16 x panels nodes of [a, b], panels 1, 2, 4 .. until two levels
+    differ by at most tol."""
+    prev = None
+    for level in range(sd._MAX_PANELS.bit_length()):
+        s, w = cg.gauss_legendre(a, b, 16, 2**level)
+        value = f(s) @ w
+        if prev is not None and abs(value - prev) <= tol:
+            return value, abs(value - prev)
+        prev = value
+    raise QuadratureFailure(f"[{a}, {b}] did not converge")
+
+
+def _scalar_multiplier(piece, xi, tol):
+    """One frequency at a time: a cone_coordinates inversion, then
+    _scalar_panel_quad on each side of sigma at tol / 1000.  Returns the
+    value and the summed error estimate."""
+    xin = np.ldexp(xi, -piece.k)
+    a, b = piece.s_interval()
+    if a >= b:
+        return 0j, 0.0
+    try:
+        r, u, sigma = cg.cone_coordinates(piece.curve, xin)
+    except OutsideCone:
+        return 0j, 0.0
+    norm = float(np.linalg.norm(xin))
+
+    def integrand(s):
+        amp = piece.coord_eval(s, r, u, sigma, norm)
+        return amp * np.exp(-1j * (xi @ piece.curve.eval(s)))
+
+    edges = [a, sigma, b] if a < sigma < b else [a, b]
+    value, err = 0j, 0.0
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        v, e = _scalar_panel_quad(integrand, lo, hi, 1e-3 * tol)
+        value, err = value + v, err + e
+    return value, err
+
+
+ROW_CURVES = {"helix(0.5,0.5)": cg.helix(0.5, 0.5), "helix(1,1)": HELIX,
+              "twisted_cubic": cg.benchmark_curve("twisted_cubic")}
+ROW_KS = list(range(8, 15))
+ROW_N_XI = 8
+
+
+@pytest.mark.parametrize("seed", [0, 3, 15])
+@pytest.mark.parametrize("curve_name,kind", [
+    ("helix(0.5,0.5)", "a"), ("helix(1,1)", "b"), ("helix(1,1)", "atilde"),
+    ("twisted_cubic", "a"), ("twisted_cubic", "atilde"),
+])
+def test_row_batches_match_the_per_frequency_loop(curve_name, kind, seed):
+    # every sample of every band, and the sweep's sups, against the scalar
+    # loop; the gate is the two rules' summed error estimates (each rule
+    # stops a side at tol / 1000 = 1e-10)
+    curve = ROW_CURVES[curve_name]
+    A0 = sd.default_a0(curve)
+    rng = np.random.default_rng(seed)
+    fixed = (None if kind == "atilde"
+             else sd._sweep_xi_hats(curve, kind, 2, ROW_N_XI, rng, A0))
+    rep = sd.vdc_decay_sweep(curve, kind, 2, ROW_KS, n_xi=ROW_N_XI,
+                             seed=seed)
+    for k, sup in zip(ROW_KS, rep["sups"]):
+        hats = fixed if fixed is not None else sd._sweep_xi_hats(
+            curve, kind, 2, ROW_N_XI, rng, A0, k=k)
+        piece = sd._sweep_piece(curve, kind, k, 2, A0, 0)
+        xi = np.ldexp(hats, k)
+        value, err = sd._multiplier_rows(piece, xi, *cg.cone_chart(curve, hats),
+                                         1e-7)
+        ref = [_scalar_multiplier(piece, x, 1e-7) for x in xi]
+        gate = err + [e for _, e in ref]
+        assert gate.max() <= 4e-10
+        assert np.all(np.abs(value - [v for v, _ in ref]) <= gate)
+        assert abs(sup - max(abs(v) for v, _ in ref)) <= gate.max()
+        assert sup > 1e-6
+
+
+def test_row_batch_mixes_rows_outside_the_cone_and_beyond_the_interval():
+    A0 = sd.default_a0(HELIX)
+    piece = sd._sweep_piece(HELIX, "a", 8, 2, A0, 0)
+    a, b = piece.s_interval()
+    hats = np.array([
+        cg.cone_point(HELIX, 1.2, 0.01, 0.1),  # sigma splits [a, b]
+        [1.0, 0.0, 0.0],  # <xi, N(sigma)> = -cos(sigma / sqrt 2): no root
+        cg.cone_point(HELIX, 1.2, 0.01, 0.4),  # sigma beyond b = 0.25
+        cg.cone_point(HELIX, 1.1, 0.02, -0.05),
+    ])
+    r, u, sigma, inside = cg.cone_chart(HELIX, hats)
+    assert list(inside) == [True, False, True, True]
+    assert a < sigma[0] < b and sigma[2] > b
+    xi = np.ldexp(hats, 8)
+    value, err = sd._multiplier_rows(piece, xi, r, u, sigma, inside, 1e-7)
+    assert value[1] == 0 and err[1] == 0
+    for i in (0, 2, 3):
+        ref, ref_err = _scalar_multiplier(piece, xi[i], 1e-7)
+        assert abs(ref) > 1e-6
+        assert abs(value[i] - ref) <= err[i] + ref_err
+        assert abs(value[i] - sd.mk_multiplier(piece, xi[i], 1e-7).value) \
+            <= 1e-14
+    # a translate whose window misses the a_k window has an empty
+    # s-interval: every row, inside or not, is 0 with error 0
+    empty = sd.nu_localize(sd._shell_piece(sd.make_ak(HELIX, 8), "a_{k,l}",
+                                           2, A0), [10])[0]
+    lo, hi = empty.s_interval()
+    assert lo >= hi
+    value, err = sd._multiplier_rows(empty, xi, r, u, sigma, inside, 1e-7)
+    assert not value.any() and not err.any()
+    assert sd.mk_multiplier(empty, xi[0]).value == 0
+
+
+def test_row_batch_names_the_interval_that_does_not_converge(monkeypatch):
+    ak = sd.make_ak(HELIX, 12)
+    piece = sd.nu_localize(
+        sd._shell_piece(ak, "a_{k,l}", 2, sd.default_a0(HELIX)), [0])[0]
+    a, _ = piece.s_interval()
+    # the first row's radius 2.5 lies beyond a_k's annulus, so its
+    # integrand is 0 and both its sides converge at two panels; the second
+    # is test_panel_cap_raises_quadrature_failure's oscillating sample
+    hats = np.array([cg.cone_point(HELIX, 2.5, -0.03, -0.1),
+                     cg.cone_point(HELIX, 1.2, -0.03, 0.05)])
+    chart = cg.cone_chart(HELIX, hats)
+    xi = np.ldexp(hats, 12)
+    monkeypatch.setattr(sd, "_MAX_PANELS", 4)
+    value, err = sd._multiplier_rows(piece, xi[:1], *(c[:1] for c in chart),
+                                     1e-8)
+    assert value[0] == 0 and err[0] == 0
+    name = re.escape(f"on [{a:.6g}, {chart[2][1]:.6g}] did not reach")
+    with pytest.raises(QuadratureFailure, match=name):
+        sd._multiplier_rows(piece, xi, *chart, 1e-8)
+
+
+def test_panel_quad_stops_each_interval_at_its_own_level():
+    # exp(i lam s) on [0, 1] for lam = 1 and 200: the slow interval stops
+    # levels before the fast one, each with its own difference, and both
+    # agree with the closed form
+    lam = np.array([1.0, 200.0])
+    levels = []
+
+    def f(idx, s):
+        levels.append(list(idx))
+        return np.exp(1j * lam[idx, None] * s)
+
+    value, err = sd._panel_quad(f, [0.0, 0.0], [1.0, 1.0], 1e-12)
+    exact = (np.exp(1j * lam) - 1.0) / (1j * lam)
+    assert np.all(np.abs(value - exact) <= 1e-12)
+    assert levels[0] == levels[1] == [0, 1] and levels[-1] == [1]
+    assert np.all(err <= 1e-12)
+
+
+@pytest.mark.parametrize("kind", ["a", "b", "atilde"])
+def test_sweep_inverts_the_chart_once(kind, monkeypatch):
+    # one cone_chart call over every band's samples (a and b reuse one
+    # set for every k); a per-frequency loop makes one call per sample
+    rows = []
+    chart = cg.cone_chart
+
+    def spy(curve, xi):
+        rows.append(len(np.reshape(xi, (-1, 3))))
+        return chart(curve, xi)
+
+    monkeypatch.setattr(cg, "cone_chart", spy)
+    monkeypatch.setattr(sd, "cone_chart", spy)
+    sd.vdc_decay_sweep(HELIX, kind, 2, [8, 10], n_xi=2)
+    assert rows == [4 if kind == "atilde" else 2]
 
 
 # ---------------------------------------------------------------------------
