@@ -176,16 +176,21 @@ def _phases(seed, m: int) -> np.ndarray:
     return np.exp(2j * np.pi * np.random.default_rng(seed).random(m))
 
 
-def _require_memory(what: str, n: int, grids: float, dtype) -> None:
-    """Raise GridTooLarge if `grids` n^3 arrays of `dtype` held at once
-    exceed the machine's physical memory (a smaller array counts as its
-    share of n^3); called before any of them is built."""
-    need = int(grids * np.dtype(dtype).itemsize * n**3)
+def _require_bytes(what: str, need: int) -> None:
+    """Raise GridTooLarge if `what`, holding `need` bytes at once, exceeds
+    the machine's physical memory; called before any of it is allocated."""
     have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     if need > have:
         raise GridTooLarge(
-            f"{what} on a {n}^3 grid needs {need} bytes, more than the "
-            f"{have} bytes of physical memory")
+            f"{what} needs {need} bytes, more than the {have} bytes of "
+            f"physical memory")
+
+
+def _require_memory(what: str, n: int, grids: float, dtype) -> None:
+    """_require_bytes for `grids` n^3 arrays of `dtype` held at once (a
+    smaller array counts as its share of n^3)."""
+    _require_bytes(f"{what} on a {n}^3 grid",
+                   int(grids * np.dtype(dtype).itemsize * n**3))
 
 
 def _disjoint_pieces(pieces, n: int) -> list:

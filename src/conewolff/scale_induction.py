@@ -27,7 +27,8 @@ from .errors import (
     NotConverged,
     ScheduleEmpty,
 )
-from .symbol_decomposition import eta0, eta1, zeta
+from .operator_lab import _require_bytes
+from .symbol_decomposition import eta0, zeta
 
 
 def _embed(v: np.ndarray) -> np.ndarray:
@@ -231,7 +232,13 @@ def verify_umu_approximation(curve: Curve, r0: float = 2.0**-4,
     """Sample constrained frequencies and check the two quadratic-approximation
     bounds at s_mu = 0 with explicit constants 6M and 13M; report max ratios.
     All samples are evaluated on arrays, with one critical_s call.  Refuses
-    n_samples below 1 by name: with no sample nothing is checked."""
+    by name, before the draw, a non-finite or non-positive r0 or M (every
+    bound would vanish or be NaN, and the check pass with ratios 0) and
+    n_samples below 1: with no sample nothing is checked."""
+    for name, value in (("r0", r0), ("M", M)):
+        if not (math.isfinite(value) and value > 0.0):
+            raise ValueError(f"{name} must be finite and positive, got "
+                             f"{value}")
     if n_samples < 1:
         raise ValueError(f"n_samples must be at least 1, got {n_samples}")
     s_star, psi, rho, ds_test, dtau = _uniform_draws(
@@ -332,23 +339,8 @@ def _plate_inequalities(w, abar: float, n: int, r1: float, k: int):
 _CENSUS_K = 48  # dyadic scale of the census, echoed in its report
 _CENSUS_M = 10.0  # the constant M of the r1 >= 100 M r0^(3/2) hypothesis
 _CENSUS_TOL = 1e-12  # a piece counts where it exceeds this
-
-
-def _census_translates(win: np.ndarray):
-    """The windows that carry mass on the ascending window coordinate win.
-
-    zeta is supported in (-1, 1), so at each point only nu0 = floor(win)
-    and nu0 + 1 do.  Returns nus, the ascending list of those windows; the
-    starts of the runs of constant nu0; and for nu0 and then nu0 + 1 the
-    row zeta(win - nu) and, for each run, the index of its nu in nus.
-    """
-    nu0 = np.floor(win)
-    starts = np.flatnonzero(np.diff(nu0, prepend=np.nan))
-    run_nu = nu0[starts].astype(int)
-    nus = np.union1d(run_nu, run_nu + 1)
-    return nus, starts, tuple(
-        (zeta(win - (nu0 + shift)), np.searchsorted(nus, run_nu + shift))
-        for shift in (0, 1))
+_CENSUS_SHELLS = 13  # dyadic shells n = 0..12
+_CENSUS_BLOCK = 2**15  # elements of each (rows, columns) array of the census
 
 
 def support_census(curve: Curve, r0: float = 2.0**-22, r1: float = 2.0**-23,
@@ -358,7 +350,7 @@ def support_census(curve: Curve, r0: float = 2.0**-22, r1: float = 2.0**-23,
     reconstruction error, and plate membership.
 
     It runs at k = _CENSUS_K and M = _CENSUS_M on anchors r0 * (-4..4),
-    shells n = 0..12 and 165 s-grid points.
+    shells n = 0.._CENSUS_SHELLS - 1 and 165 s-grid points.
 
     Frequencies are handled in scale-normalized form (divided by 2^k); every
     quantity entering the cutoffs and plate inequalities is homogeneous of
@@ -367,17 +359,25 @@ def support_census(curve: Curve, r0: float = 2.0**-22, r1: float = 2.0**-23,
     anchor separation, the dyadic shells, and the window partition each give
     a finite overlap, which is what the 75 ceiling packages.
 
-    One critical_s call resolves all samples; each anchor and shell n then
-    acts on (samples, s-grid) arrays.  A sample is masked out of an anchor
-    whose cutoff, or of a shell whose mass, stays below _CENSUS_TOL: none
-    of its pieces there could exceed it and be counted.  At each s-grid
-    point only the windows nu0 = floor(s / (2^n r1)) and nu0 + 1 carry
-    mass (_census_translates), so a shell forms its a and b pieces for
-    those two translates alone, adds them to the reconstruction in
-    ascending nu, and takes a window's hit rows as the or over its runs
-    of grid points.  The plate inequalities are tested for each window
-    with a hit.  Refuses, by name, a non-finite or non-positive r0 or r1
-    and a sample_count below 1.
+    One critical_s call resolves all samples.  A sample is a row of each
+    anchor whose cutoff reaches _CENSUS_TOL there.  The rows of all
+    anchors are stacked, each on the `width` (53) grid columns, from its
+    anchor's offset on, that cover the anchor's window
+    eta0((s - s_mu) / 2 r0); off them its pieces vanish.  The shells run
+    once per block of at most _CENSUS_BLOCK elements.  They telescope:
+    shell n >= 1 is eta0(2^-2n base) - eta0(2^(2-2n) base), and scaling
+    by a power of two is exact, so a block takes one eta0 per shell.  A
+    row is skipped in a shell whose mass stays below _CENSUS_TOL: none of
+    its pieces could exceed it and be counted.  At each grid point only
+    the windows nu0 = floor(s / (2^n r1)) and nu0 + 1 carry mass, so a
+    shell forms its a and b pieces for those two alone and adds them to
+    the reconstruction after the skipped mass, nu0 first.  Each hit marks
+    a (kind, window, row) key, one checked plate; the plate inequalities
+    are tested on all of an anchor's rows (the last bits of their BLAS
+    products may depend on the row count), once for each window with a
+    hit among them, and kept while those rows run on into the next
+    block.  Refuses, by name, a non-finite or non-positive r0 or r1,
+    a sample_count below 1 and one whose tables exceed physical memory.
     """
     for name, r in (("r0", r0), ("r1", r1)):
         if not (math.isfinite(r) and r > 0.0):
@@ -389,72 +389,126 @@ def support_census(curve: Curve, r0: float = 2.0**-22, r1: float = 2.0**-23,
         raise ValueError("need r1 <= r0")
     if r1 < 100.0 * _CENSUS_M * r0**1.5:
         raise ValueError("need r1 >= 100 M r0^(3/2)")
+    s_mu_list = r0 * np.arange(-4, 5)
+    s_grid = np.linspace(s_mu_list[0] - 2.2 * r0, s_mu_list[-1] + 2.2 * r0,
+                         165)
+    # the int16 multiplicity table and ten 8-byte entries per anchor row
+    _require_bytes(f"support_census with sample_count = {sample_count}",
+                   sample_count * (4 * len(s_grid) + 80 * len(s_mu_list)))
     s_star, psi, rho, dtau = _uniform_draws(
         seed, sample_count, (-3.0 * r0, 3.0 * r0), (-np.pi / 3, np.pi / 3),
         (0.55, 1.9), (-1, 1))
     xi = _critical_frequencies(curve, s_star, psi, rho)
     tau = -_dot3(curve.eval(s_star), xi.T) + dtau * 8.0 * r0**2
     scr = critical_s(curve, xi, s_star - 10 * r0, s_star + 10 * r0)
-    s_mu_list = r0 * np.arange(-4, 5)
-    s_grid = np.linspace(s_mu_list[0] - 2.2 * r0, s_mu_list[-1] + 2.2 * r0,
-                         165)
-    translates = [_census_translates(s_grid / (2.0**n * r1))
-                  for n in range(13)]
+
+    # each anchor's columns: the `width` from off[a] on hold its window
+    window = eta0((s_grid - s_mu_list[:, None]) / (2.0 * r0))
+    nonzero = window > 0.0
+    first = nonzero.argmax(axis=1)
+    width = int((len(s_grid) - nonzero[:, ::-1].argmax(axis=1) - first).max())
+    off = np.minimum(first, len(s_grid) - width)
+    cols = off[:, None] + np.arange(width)
+    window, s_cols = np.take_along_axis(window, cols, axis=1), s_grid[cols]
+    # per shell: the windows nus that carry mass on the grid, and for nu0
+    # and nu0 + 1 the index in nus and the zeta weight at each anchor's
+    # columns
+    shells = []
+    for n in range(_CENSUS_SHELLS):
+        win = s_grid / (2.0**n * r1)
+        nu0 = np.floor(win)
+        nus = np.union1d(nu0, nu0 + 1)
+        shells.append((nus, [(np.searchsorted(nus, nu0 + shift)[cols],
+                              zeta(win - (nu0 + shift))[cols])
+                             for shift in (0, 1)]))
+
+    live, scalar, w, u_hat = [], [], [], []
+    for s_mu in s_mu_list:
+        cut = (eta0(xi @ curve.derivative(s_mu, 1) / (8.0 * r0))
+               * eta0((tau + xi @ curve.eval(s_mu)) / (16.0 * r0**2))
+               * eta0((np.linalg.norm(xi, axis=1) - 1.25) / 0.75))
+        live.append(np.nonzero(cut >= _CENSUS_TOL)[0])
+        x, t = xi[live[-1]], tau[live[-1]]
+        scalar.append(cut[live[-1]])
+        w.append(OmegaMap(curve, float(s_mu)).apply(x, t))
+        u_hat.append(u_mu(curve, s_mu, x, t))
+    starts = np.cumsum([0] + [len(rows) for rows in live])
+    row_anchor = np.repeat(np.arange(len(s_mu_list)), np.diff(starts))
+    row_sample, scalar, u_hat = (np.concatenate(v)
+                                 for v in (live, scalar, u_hat))
+
     max_n = [-1, -1]  # a and b pieces
-    mult = np.zeros((2, sample_count, len(s_grid)), dtype=int)
+    mult = np.zeros((2, sample_count, len(s_grid)), dtype=np.int16)  # <= 234
     recon_err = 0.0
     plate_checked = 0
     plate_failures = 0
-
-    for s_mu in s_mu_list:
-        omega = OmegaMap(curve, float(s_mu))
-        scalar = (eta0(xi @ curve.derivative(s_mu, 1) / (8.0 * r0))
-                  * eta0((tau + xi @ curve.eval(s_mu)) / (16.0 * r0**2))
-                  * eta0((np.linalg.norm(xi, axis=1) - 1.25) / 0.75))
-        live = np.nonzero(scalar >= _CENSUS_TOL)[0]
-        x, t = xi[live], tau[live]
-        w = omega.apply(x, t)
-        amu = scalar[live, None] * eta0((s_grid - s_mu) / (2.0 * r0))
-        u_hat = u_mu(curve, s_mu, x, t)[:, None]
-        ds2 = (s_grid - scr[live, None]) ** 2
-        base = (np.abs(u_hat) + ds2) / r1**2
+    # (anchor, n, window): the rows of the anchor outside that plate, kept
+    # while the anchor's rows run on into the next block
+    plates = {}
+    step = max(1, _CENSUS_BLOCK // width)
+    for b0 in range(0, len(row_anchor), step):
+        b1 = min(b0 + step, len(row_anchor))
+        anchor = row_anchor[b0:b1]
+        amu = scalar[b0:b1, None] * window[anchor]
+        u = u_hat[b0:b1, None]
+        ds2 = (s_cols[anchor] - scr[row_sample[b0:b1], None]) ** 2
+        base = (np.abs(u) + ds2) / r1**2
         with np.errstate(divide="ignore", invalid="ignore"):
-            split_arg = np.divide(ds2 * 2.0**8, u_hat, where=(u_hat != 0.0),
+            split_arg = np.divide(ds2 * 2.0**8, u, where=(u != 0.0),
                                   out=np.full_like(ds2, np.inf))
         split = eta0(np.where(ds2 == 0.0, 0.0, split_arg))
+        del ds2, split_arg  # not held through the shells
         recon = np.zeros_like(amu)
-        mult_mu = np.zeros((2,) + amu.shape, dtype=np.int8)  # <= 13 * 2
-        for n, (nus, starts, translates_n) in enumerate(translates):
-            shell = eta0(base) if n == 0 else eta1(2.0**(2 - 2 * n) * base)
-            split_n = 1.0 if n == 0 else split  # no b piece at n = 0
-            mass = amu * shell
+        count = np.zeros((2,) + amu.shape, dtype=np.int16)
+        # the anchors of the block, with their rows' range in the block
+        spans = [(a, max(starts[a], b0) - b0, min(starts[a + 1], b1) - b0)
+                 for a in np.unique(anchor).tolist()]
+        inner = None
+        for n, (nus, translates) in enumerate(shells):
+            outer = eta0(2.0**(-2 * n) * base)
+            mass = amu * (outer if inner is None else outer - inner)
+            inner = outer
             skip = np.max(mass, axis=1, initial=0.0) < _CENSUS_TOL
-            kept = np.where(skip[:, None], 0.0, mass)
-            recon += mass - kept  # skipped rows take their mass whole
+            recon[skip] += mass[skip]  # skipped rows take their mass whole
             if skip.all():
                 continue
-            rows = np.zeros((2, len(nus), len(live)), dtype=bool)
-            for zf, at in translates_n:  # window nu0, then nu0 + 1
-                pieces = (kept * split_n * zf, kept * (1.0 - split_n) * zf)
-                recon += pieces[0] + pieces[1]
+            mass[skip] = 0.0
+            keys = np.zeros((2, len(nus), b1 - b0), dtype=bool)
+            # the a and b pieces, mass * split * zeta and
+            # mass * (1 - split) * zeta; n = 0 has no b piece
+            parts = ((mass,) if n == 0
+                     else (mass * split, mass * (1.0 - split)))
+            for nu_idx, zf in translates:  # window nu0, then nu0 + 1
+                z = zf[anchor]
+                pieces = [part * z for part in parts]
+                recon += pieces[0] if n == 0 else pieces[0] + pieces[1]
                 for i, piece in enumerate(pieces):
                     hit = piece > _CENSUS_TOL
-                    mult_mu[i] += hit
-                    rows[i, at] |= np.logical_or.reduceat(hit, starts,
-                                                          axis=1).T
+                    count[i] += hit
+                    r, c = np.nonzero(hit)
+                    keys[i, nu_idx[anchor[r], c], r] = True
             for i in (0, 1):
-                if rows[i].any():
+                if keys[i].any():
                     max_n[i] = max(max_n[i], n)
-            plate_checked += int(rows.sum())
-            for j in np.flatnonzero(rows.any(axis=(0, 2))):
-                s_nnu = 2.0**n * r1 * int(nus[j])
-                outside = ~_plate_inequalities(w, omega.s_mu - s_nnu, n, r1,
-                                               0)
-                plate_failures += int((rows[:, j] & outside).sum())
-        for i in (0, 1):
-            mult[i, live] += mult_mu[i]
+            plate_checked += int(keys.sum())
+            outside = np.zeros(keys.shape[1:], dtype=bool)
+            for a, lo, hi in spans:
+                rows = slice(b0 + lo - starts[a], b0 + hi - starts[a])
+                hit_windows = keys[:, :, lo:hi].any(axis=(0, 2))
+                for j in np.flatnonzero(hit_windows).tolist():
+                    if (a, n, j) not in plates:
+                        s_nnu = 2.0**n * r1 * int(nus[j])
+                        plates[a, n, j] = ~_plate_inequalities(
+                            w[a], float(s_mu_list[a]) - s_nnu, n, r1, 0)
+                    outside[j, lo:hi] = plates[a, n, j][rows]
+            plate_failures += int((keys & outside).sum())
+        for a, lo, hi in spans:
+            mult[:, row_sample[b0 + lo:b0 + hi], off[a]:off[a] + width] += (
+                count[:, lo:hi])
         recon_err = max(recon_err,
                         float(np.max(np.abs(recon - amu), initial=0.0)))
+        plates = {key: v for key, v in plates.items()
+                  if starts[key[0] + 1] > b1}
     max_n_a, max_n_b = max_n
     max_mult_a, max_mult_b = mult.max(axis=(1, 2), initial=0).tolist()
 

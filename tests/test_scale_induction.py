@@ -175,6 +175,22 @@ def test_umu_approximation_refuses_no_samples(n_samples):
         si.verify_umu_approximation(HELIX, n_samples=n_samples)
 
 
+@pytest.mark.parametrize("name", ["r0", "M"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -1.0,
+                                 -0.01])
+def test_umu_approximation_refuses_bad_constants(monkeypatch, name, bad):
+    # M = nan or -1 and r0 = 0 made every bound fail bound > 1e-30, so the
+    # check passed with both ratios 0.0; the refusal comes before the draw
+    def untouched(*args, **kwargs):
+        raise AssertionError("drew before the constant checks")
+
+    monkeypatch.setattr(si, "_uniform_draws", untouched)
+    consts = {"r0": 2.0**-4, "M": 10.0, name: bad}
+    with pytest.raises(ValueError, match=f"{name} must be finite and "
+                                         f"positive"):
+        si.verify_umu_approximation(helix(1.0, 1.0), n_samples=50, **consts)
+
+
 def test_umu_approximation_quadratic_exact():
     # planar quadratic normal form: the first-order identity is exact
     def dv(s, j):
@@ -318,6 +334,17 @@ def test_support_census_refuses_bad_radii(name, bad):
         si.support_census(HELIX, sample_count=4, **radii)
 
 
+def test_support_census_refuses_tables_beyond_memory(monkeypatch):
+    # the multiplicity table alone would take 2^40 * 660 bytes; the refusal
+    # names the count and comes before any sample is drawn
+    def untouched(*args, **kwargs):
+        raise AssertionError("drew before the memory check")
+
+    monkeypatch.setattr(si, "_uniform_draws", untouched)
+    with pytest.raises(GridTooLarge, match=f"sample_count = {2**40}"):
+        si.support_census(HELIX, sample_count=2**40)
+
+
 def _census_every_window(curve, sample_count, seed, r0=2.0**-22,
                          r1=2.0**-23):
     # reference census: the loop over every window nu of the s-grid's range,
@@ -406,6 +433,66 @@ def test_support_census_matches_every_window_loop(curve_name, seed,
     assert (got["reconstruction_error"].hex()
             == want["reconstruction_error"].hex())
     assert got["plate_checked"] > 0
+
+
+@pytest.mark.parametrize("r0, r1", [(2.0**-24, 2.0**-25),
+                                    (2.0**-22, 2.0**-22)])
+@pytest.mark.parametrize("seed", [0, 5])
+@pytest.mark.parametrize("curve_name", sorted(_CENSUS_CURVES))
+def test_support_census_matches_every_window_loop_at_other_radii(
+        curve_name, seed, r0, r1):
+    # other window widths 2^n r1 against the anchor spacing r0: the runs
+    # reach max_n (3, 5) and (2, 4)
+    curve = _CENSUS_CURVES[curve_name]
+    report = si.support_census(curve, r0=r0, r1=r1, sample_count=40,
+                               seed=seed)
+    want = _census_every_window(curve, 40, seed, r0=r0, r1=r1)
+    got = {key: report[key] for key in want}
+    assert got == want
+    assert (got["reconstruction_error"].hex()
+            == want["reconstruction_error"].hex())
+    assert got["plate_checked"] > 0
+
+
+@pytest.mark.parametrize("block", [1, 400])
+def test_support_census_row_blocks(monkeypatch, block):
+    # a block of one row, and blocks of seven rows that straddle anchors,
+    # give the report of the every-window loop bit for bit
+    rows = []
+    u_mu = si.u_mu
+
+    def counted(curve, s_mu, xi, tau):
+        rows.append(len(xi))
+        return u_mu(curve, s_mu, xi, tau)
+
+    monkeypatch.setattr(si, "u_mu", counted)
+    monkeypatch.setattr(si, "_CENSUS_BLOCK", block)
+    report = si.support_census(HELIX, sample_count=20, seed=0)
+    monkeypatch.setattr(si, "u_mu", u_mu)
+    want = _census_every_window(HELIX, 20, 0)
+    assert {key: report[key] for key in want} == want
+    assert (report["reconstruction_error"].hex()
+            == want["reconstruction_error"].hex())
+    assert sum(rows) >= 2 * max(1, block // 53) + 1
+
+
+def test_support_census_tests_each_plate_once_across_blocks(monkeypatch):
+    # an anchor whose rows run over many blocks tests each of its plates
+    # once, on all of its rows, as the one-block census does
+    calls = []
+    plates = si._plate_inequalities
+
+    def counted(w, abar, n, r1, k):
+        calls.append((len(w), abar, n))
+        return plates(w, abar, n, r1, k)
+
+    monkeypatch.setattr(si, "_plate_inequalities", counted)
+    si.support_census(HELIX, sample_count=20, seed=0)
+    one_block = sorted(calls)
+    calls.clear()
+    monkeypatch.setattr(si, "_CENSUS_BLOCK", 1)
+    si.support_census(HELIX, sample_count=20, seed=0)
+    assert sorted(calls) == one_block
 
 
 # ---------------------------------------------------------------------------
