@@ -96,6 +96,19 @@ def _abs2(slab: np.ndarray) -> np.ndarray:
     return m2
 
 
+# elements per np.dot of _dot: OpenBLAS threads ddot above 10000 elements,
+# and a sum's last bits must not follow the machine's core count
+_DOT_BLOCK = 2**13
+
+
+def _dot(x: np.ndarray, y: np.ndarray) -> float:
+    """sum x * y over two float64 arrays of one shape (C-contiguous): one
+    np.dot per _DOT_BLOCK elements, in order."""
+    x, y = x.reshape(-1), y.reshape(-1)
+    return float(sum(np.dot(x[i:i + _DOT_BLOCK], y[i:i + _DOT_BLOCK])
+                     for i in range(0, x.size, _DOT_BLOCK)))
+
+
 def _power_sum(slab: np.ndarray, p: float, m2=None) -> float:
     """sum |z|^p over a complex128 slab, or over a float64 one without
     `m2` (a maximal function's buffer).
@@ -104,9 +117,11 @@ def _power_sum(slab: np.ndarray, p: float, m2=None) -> float:
     `m2`, a float64 buffer of the slab's shape, nothing is allocated and
     the slab (C-contiguous) is overwritten: its float view is squared in
     place and summed pairwise into m2, and its memory then holds the
-    power chain.  For an even integer p, m2^(p/2) is built by squaring
-    and multiplying in place, left to right over the bits of p/2; any
-    other p takes one np.power.
+    power chain.  For an even integer p = 2q, q >= 2, m2^h is built by
+    squaring and multiplying in place, left to right over the bits of q
+    but its last, and the sum is one fused product-sum (_dot):
+    <m2^h, m2^h> for an even q, <m2^(2h), m2> for an odd one.  Any other
+    p takes one np.power.
     """
     if m2 is None:
         m2 = _abs2(slab)
@@ -118,16 +133,19 @@ def _power_sum(slab: np.ndarray, p: float, m2=None) -> float:
         acc = v.reshape(-1)[:m2.size].reshape(m2.shape)
     if p % 2.0:
         np.power(m2, p / 2.0, out=m2)
+    if p % 2.0 or p == 2.0:
         return float(np.sum(m2))
     bits = bin(int(p // 2))[3:]
     if acc is None:
         acc = np.empty_like(m2) if "1" in bits else m2
     out = m2
-    for bit in bits:
+    for bit in bits[:-1]:
         out = np.multiply(out, out, out=acc)
         if bit == "1":
             acc *= m2
-    return float(np.sum(out))
+    if bits[-1] == "1":
+        return _dot(np.multiply(out, out, out=acc), m2)
+    return _dot(out, out)
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +373,7 @@ def _move(i: np.ndarray, n: int):
     their cyclic span r (the shortest run of rows, modulo n, that holds
     them all): (the moved rows, in the same order; their ascending
     distinct values; r), r = 1 for no rows."""
-    r = np.unique(i)
+    r = np.flatnonzero(np.bincount(i, minlength=n))
     start, span = 0, 1
     if r.size:
         gaps = np.diff(r, append=r[0] + n)
@@ -552,7 +570,10 @@ def _chi_support(curve: Curve, chi: Callable):
 
 
 _MAX_NODES = 4000
-_CHUNK = 2**22  # complex elements per intermediate array
+# complex elements (1 MB) of each intermediate: in _lattice_symbol the pair
+# products of a chunk of lines and its two product buffers, in mu_hat a
+# chunk of the phase matrix
+_CHUNK = 2**16
 _NODE_BLOCK = 128  # inner dimension of each symbol matrix product
 
 
@@ -583,39 +604,140 @@ def _kmax(Xi: np.ndarray) -> float:
     return float(np.max(np.linalg.norm(Xi, axis=1))) if Xi.size else 0.0
 
 
-def _chunk_rows(width: int) -> int:
-    """Axis-0 rows per _lattice_symbol chunk of `width` elements a row:
-    at most _CHUNK elements, and at least one row."""
-    return max(1, _CHUNK // max(1, width))
+def _chunk_lines(n2: int, nodes: int) -> int:
+    """(axis-0, axis-1) lines per _lattice_symbol chunk, for n2 entries a
+    line and `nodes` quadrature nodes: at most _CHUNK elements in each
+    intermediate, and at least one line."""
+    return max(1, _CHUNK // max(1, n2, nodes))
+
+
+def _symmetric(n: int, rows) -> bool:
+    """Whether the box on `rows` holds each row's mirror, the row of
+    frequency -xi_d: rows pair by frequency, r and (n - r) % n, so a box
+    with the Nyquist row n/2 (frequency -n/2, whose +n/2 is no lattice
+    row) is not symmetric.  On a symmetric axis the rows of xi_d >= 0
+    come first, the zero row (if there) at position 0, and reversing the
+    order of the rows after it takes each to its mirror."""
+    return all(not np.any(r == n // 2)
+               and np.array_equal(np.sort((n - r) % n), r) for r in rows)
+
+
+def _mirror_slices(zeros):
+    """(dst, src) index pairs over symmetric axes (_symmetric), zeros[d]
+    telling whether axis d holds the zero row: a[dst] = b[src] over all
+    pairs sets a to b mirrored on every axis."""
+    per_axis = [[(slice(0, 1), slice(0, 1)),
+                 (slice(1, None), slice(None, 0, -1))] if z
+                else [(slice(None), slice(None, None, -1))] for z in zeros]
+    for pairs in itertools.product(*per_axis):
+        yield tuple(d for d, _ in pairs), tuple(s for _, s in pairs)
+
+
+def _line_chunks(need: np.ndarray, step: int):
+    """The lines (a, b) on which the boolean `need` holds, in row-major
+    order, in chunks of `step` lines (the last may be shorter): each a list
+    of runs (a, b0, b1), the lines b0 <= b < b1 of row a."""
+    n1 = need.shape[1]
+    padded = np.zeros((need.shape[0], n1 + 1), dtype=bool)
+    padded[:, :n1] = need  # a False column ends each row's last run
+    edges = np.flatnonzero(np.diff(padded.reshape(-1), prepend=False))
+    rows, starts = np.divmod(edges[0::2], n1 + 1)
+    stops = edges[1::2] - rows * (n1 + 1)
+    chunk, size = [], 0
+    for a, lo, hi in zip(rows.tolist(), starts.tolist(), stops.tolist()):
+        while lo < hi:
+            m = min(hi - lo, step - size)
+            chunk.append((a, lo, lo + m))
+            size, lo = size + m, lo + m
+            if size == step:
+                yield chunk
+                chunk, size = [], 0
+    if chunk:
+        yield chunk
 
 
 def _lattice_symbol(grid: Grid3, rows, gam: np.ndarray, w: np.ndarray,
-                    t: float) -> np.ndarray:
+                    t: float, lines=None) -> np.ndarray:
     """Curve-average symbol on the lattice box rows[0] x rows[1] x rows[2].
 
     On the lattice the phase separates, exp(-i t <xi, gamma(s)>) =
     prod_d exp(-i t xi_d gamma_d(s)), so the symbol on the box is
     S[a,b,c] = sum_s w_s E_0[a,s] E_1[b,s] E_2[c,s] with per-axis tables
     E_d built from the box's rows on axis d (ascending lattice indices).
-    S is contracted by matrix products over chunks of axis-0 rows, each
-    intermediate holding at most _CHUNK elements, and returned whole.
+
+    The measure is real, so S(-xi) = conj S(xi).  On a box that holds
+    each row's mirror (_symmetric: no Nyquist row), a table takes its
+    exps on the h_d rows of xi_d >= 0 and conjugates them onto the
+    others; only the axis-0 rows of xi_0 >= 0 are contracted, and the
+    rest of the box is conj(S[mirror0][:, mirror1][:, :, mirror2]), as
+    are, on the xi_0 = 0 plane, its lines of xi_1 < 0, and on its xi_1 = 0
+    line the entries of xi_2 < 0.  Mirrored entries are so exact
+    conjugates.  Any other box is contracted whole.
+
+    `lines`, a boolean (rows[0].size, rows[1].size) array, names the
+    (axis-0, axis-1) lines that are wanted (with their mirrors on a
+    symmetric box); the others are left 0.  None wants every line.  The
+    wanted lines are contracted by matrix products over chunks of
+    _chunk_lines lines, each intermediate holding at most _CHUNK
+    elements, and the box is returned whole.
     """
-    ax = grid.freq_axis()
-    e0, e1, e2 = (np.exp(-1j * t * np.outer(ax[r], gam[:, d]))
-                  for d, r in enumerate(rows))
-    e0 = e0 * w
-    n0, n1, n2 = (r.size for r in rows)
+    shape = tuple(r.size for r in rows)
     nodes = gam.shape[0]
-    box = np.zeros((n0, n1, n2), dtype=complex)
-    step = _chunk_rows(n1 * max(n2, nodes))
-    for i in range(0, n0, step):
-        pair = (e0[i:i + step, None, :] * e1[None]).reshape(-1, nodes)
-        acc = box[i:i + step].reshape(-1, n2)  # a view into box
+    sym = _symmetric(grid.n, rows)
+    # whether each axis holds the zero row, as a slice start: 1 or 0
+    zeros = [int(r.size > 0 and r[0] == 0) for r in rows]
+    half = [int(np.searchsorted(r, grid.n // 2)) if sym else r.size
+            for r in rows]
+    ax = grid.freq_axis()
+    tables = []
+    for d, r in enumerate(rows):
+        h = half[d]
+        e = np.empty((h if d == 0 else r.size, nodes), dtype=complex)
+        np.exp(-1j * t * np.outer(ax[r[:h]], gam[:, d]), out=e[:h])
+        if d and sym:
+            np.conjugate(e[zeros[d]:h][::-1], out=e[h:])
+        tables.append(e)
+    e0, e1, e2 = tables
+    e0 *= w
+    need = np.ones(shape[:2], dtype=bool) if lines is None else lines
+    if sym:
+        mirrored = np.empty_like(need)
+        for dst, src in _mirror_slices(zeros[:2]):
+            mirrored[dst] = need[src]
+        need = need | mirrored
+        if zeros[0]:
+            need[0, half[1]:] = False  # filled from their mirrors below
+    need = need[:half[0]]
+    box = np.zeros(shape, dtype=complex)
+    step = min(_chunk_lines(shape[2], nodes),
+               max(1, int(np.count_nonzero(need))))
+    pair = np.empty((step, nodes), dtype=complex)
+    acc, part = np.empty((2, step, shape[2]), dtype=complex)
+    for chunk in _line_chunks(need, step):
+        m = 0
+        for a, lo, hi in chunk:
+            np.multiply(e0[a], e1[lo:hi], out=pair[m:m + hi - lo])
+            m += hi - lo
         # BLAS may split a longer inner dimension differently per thread
         # count; fixed node blocks keep the summation order, and so the
         # last bits, independent of it
-        for j in range(0, nodes, _NODE_BLOCK):
-            acc += pair[:, j:j + _NODE_BLOCK] @ e2[:, j:j + _NODE_BLOCK].T
+        np.matmul(pair[:m, :_NODE_BLOCK], e2[:, :_NODE_BLOCK].T,
+                  out=acc[:m])
+        for j in range(_NODE_BLOCK, nodes, _NODE_BLOCK):
+            blk = slice(j, j + _NODE_BLOCK)
+            acc[:m] += np.matmul(pair[:m, blk], e2[:, blk].T, out=part[:m])
+        m = 0
+        for a, lo, hi in chunk:
+            box[a, lo:hi] = acc[m:m + hi - lo]
+            m += hi - lo
+    view = box
+    for d in range(3 if sym else 0):
+        src, dst = view[zeros[d]:half[d]][::-1], view[half[d]:]
+        for to, at in _mirror_slices(zeros[d + 1:]):
+            np.conjugate(src[(slice(None), *at)], out=dst[(slice(None), *to)])
+        if not zeros[d]:
+            break
+        view = view[0]  # the xi_d = 0 plane, then line
     return box
 
 
@@ -625,8 +747,10 @@ def mu_hat(curve: Curve, chi: Callable, t: float,
 
     Works for arbitrary frequency rows at one complex exp per (row, node)
     pair; lattice supports go through _lattice_symbol instead, whose cost
-    is (per-axis rows x nodes) exps plus one contraction over the
-    support's bounding box.  The quadrature is _curve_quadrature's.
+    is (per-axis rows x nodes) exps plus one contraction of the support's
+    (axis-0, axis-1) lines in its bounding box, about half of each on a
+    box that holds every row's mirror.  The quadrature is
+    _curve_quadrature's.
     """
     Xi = np.atleast_2d(np.asarray(Xi, dtype=float))
     gam, w = _curve_quadrature(curve, chi, t * _kmax(Xi))
@@ -675,15 +799,19 @@ def _averages(grid: Grid3, rows, fbox: np.ndarray, curve: Curve,
     array is built.  The range, memory and wraparound checks, the largest
     |xi| of f-hat's support and the quadrature (sized for the largest t)
     run once, when _averages is called; each t then costs one
-    _lattice_symbol contraction of the box and one product with fbox.
-    The largest |xi| is the max of |xi|^2 where fbox is nonzero, taken
-    over _xi2_blocks: no temporary of the box's size precedes the memory
+    _lattice_symbol contraction of the (axis-0, axis-1) lines on which
+    fbox is nonzero, about half of them on a box that holds every row's
+    mirror, and one product with fbox (0 off those lines, as the symbol
+    is).  The largest |xi| is the max of |xi|^2 where fbox is nonzero and
+    the lines are those where it is nonzero somewhere, both taken over
+    _xi2_blocks: no temporary of the box's size precedes the memory
     check.  That check runs before any symbol is built, after the
-    quadrature (a few thousand nodes at most), since the chunk's width
+    quadrature (a few thousand nodes at most), since the chunk's size
     depends on the node count.  It counts what a t holds at once: fbox,
-    the symbol box, the product (or the symbol's matrix-product temporary,
-    at most a box), one _lattice_symbol chunk and its phase tables (E_0
-    twice while it is weighted), and beside them `held` n^3 grids that the
+    the symbol box, the product (or, before it, the symbol's mirrored
+    half), one _lattice_symbol chunk (its pair products and two product
+    buffers), the phase tables and the exps' temporaries on the widest
+    axis, and the line masks; and beside them `held` n^3 grids that the
     caller keeps while it iterates or builds after the last t: its
     previous A_t f-hat, a transform's stages, a maximal function's buffer.
     """
@@ -694,17 +822,20 @@ def _averages(grid: Grid3, rows, fbox: np.ndarray, curve: Curve,
     if max(ts) * _diameter(curve, chi) > grid.box / 2.0 - 0.5:
         raise WraparoundRisk(
             "scaled curve spread exceeds half the periodic box")
-    kmax = math.sqrt(max((np.max(xi2, where=fbox[at] != 0, initial=0.0)
-                          for at, xi2 in _xi2_blocks(grid, rows)),
-                         default=0.0))
-    gam, w = _curve_quadrature(curve, chi, max(ts) * kmax)
-    nodes = gam.shape[0]
     n0, n1, n2 = fbox.shape
-    width = n1 * max(n2, nodes)
-    boxes = (3 * fbox.size + min(n0, _chunk_rows(width)) * width
-             + (2 * n0 + n1 + n2) * nodes)
+    lines = np.empty((n0, n1), dtype=bool)
+    kmax2 = 0.0
+    for at, xi2 in _xi2_blocks(grid, rows):
+        live = fbox[at] != 0
+        kmax2 = max(kmax2, np.max(xi2, where=live, initial=0.0))
+        np.any(live, axis=2, out=lines[at])
+    gam, w = _curve_quadrature(curve, chi, max(ts) * math.sqrt(kmax2))
+    nodes = gam.shape[0]
+    chunk = min(n0 * n1, _chunk_lines(n2, nodes))
+    boxes = (3 * fbox.size + chunk * (nodes + 2 * n2)
+             + (n0 + n1 + n2 + 1.5 * max(n0, n1, n2)) * nodes + n0 * n1 / 4)
     _require_memory("averaging", grid.n, boxes / grid.n**3 + held, complex)
-    return (fbox * _lattice_symbol(grid, rows, gam, w, t) for t in ts)
+    return (fbox * _lattice_symbol(grid, rows, gam, w, t, lines) for t in ts)
 
 
 def _stage_grids(n: int, rows) -> float:

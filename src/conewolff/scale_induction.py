@@ -340,7 +340,9 @@ _CENSUS_K = 48  # dyadic scale of the census, echoed in its report
 _CENSUS_M = 10.0  # the constant M of the r1 >= 100 M r0^(3/2) hypothesis
 _CENSUS_TOL = 1e-12  # a piece counts where it exceeds this
 _CENSUS_SHELLS = 13  # dyadic shells n = 0..12
-_CENSUS_BLOCK = 2**15  # elements of each (rows, columns) array of the census
+# elements of each (rows, columns) array of the census; a block holds about
+# 14 such float64 arrays at once, 1.8 MB
+_CENSUS_BLOCK = 2**14
 
 
 def support_census(curve: Curve, r0: float = 2.0**-22, r1: float = 2.0**-23,
@@ -376,8 +378,12 @@ def support_census(curve: Curve, r0: float = 2.0**-22, r1: float = 2.0**-23,
     are tested on all of an anchor's rows (the last bits of their BLAS
     products may depend on the row count), once for each window with a
     hit among them, and kept while those rows run on into the next
-    block.  Refuses, by name, a non-finite or non-positive r0 or r1,
-    a sample_count below 1 and one whose tables exceed physical memory.
+    block.  A row's keys count windows from its anchor's first, so the
+    key table spans the windows one anchor's columns reach, not those of
+    the whole grid; a shell's arrays, and a translate's, are freed before
+    the next are built.  Refuses, by name, a non-finite or non-positive
+    r0 or r1, a sample_count below 1 and one whose tables exceed physical
+    memory.
     """
     for name, r in (("r0", r0), ("r1", r1)):
         if not (math.isfinite(r) and r > 0.0):
@@ -392,9 +398,14 @@ def support_census(curve: Curve, r0: float = 2.0**-22, r1: float = 2.0**-23,
     s_mu_list = r0 * np.arange(-4, 5)
     s_grid = np.linspace(s_mu_list[0] - 2.2 * r0, s_mu_list[-1] + 2.2 * r0,
                          165)
-    # the int16 multiplicity table and ten 8-byte entries per anchor row
+    # the int16 multiplicity table and ten 8-byte entries per anchor row,
+    # beside one block's arrays: about 14 float64 arrays of _CENSUS_BLOCK
+    # elements and eta0's temporaries, 18 in all, and its key table,
+    # outside table and their product, of at most 2 * width windows a row
+    # (each column reaches two), so 10 bytes an element
     _require_bytes(f"support_census with sample_count = {sample_count}",
-                   sample_count * (4 * len(s_grid) + 80 * len(s_mu_list)))
+                   sample_count * (4 * len(s_grid) + 80 * len(s_mu_list))
+                   + (18 * 8 + 10) * _CENSUS_BLOCK)
     s_star, psi, rho, dtau = _uniform_draws(
         seed, sample_count, (-3.0 * r0, 3.0 * r0), (-np.pi / 3, np.pi / 3),
         (0.55, 1.9), (-1, 1))
@@ -410,17 +421,23 @@ def support_census(curve: Curve, r0: float = 2.0**-22, r1: float = 2.0**-23,
     off = np.minimum(first, len(s_grid) - width)
     cols = off[:, None] + np.arange(width)
     window, s_cols = np.take_along_axis(window, cols, axis=1), s_grid[cols]
-    # per shell: the windows nus that carry mass on the grid, and for nu0
-    # and nu0 + 1 the index in nus and the zeta weight at each anchor's
-    # columns
+    # per shell: the windows nus that carry mass on the grid; each
+    # anchor's first window there, the index in nus of nu0 at its first
+    # column, and the count of windows its columns reach (at most
+    # 2 * width); and for nu0 and nu0 + 1 the index in nus, counted from
+    # the anchor's first window, and the zeta weight at its columns
     shells = []
     for n in range(_CENSUS_SHELLS):
         win = s_grid / (2.0**n * r1)
         nu0 = np.floor(win)
         nus = np.union1d(nu0, nu0 + 1)
-        shells.append((nus, [(np.searchsorted(nus, nu0 + shift)[cols],
-                              zeta(win - (nu0 + shift))[cols])
-                             for shift in (0, 1)]))
+        at = [np.searchsorted(nus, nu0 + shift)[cols] for shift in (0, 1)]
+        base_nu = at[0][:, 0]
+        windows = int((at[1][:, -1] - base_nu).max()) + 1
+        shells.append((nus, base_nu, windows,
+                       [(idx - base_nu[:, None],
+                         zeta(win - (nu0 + shift))[cols])
+                        for shift, idx in zip((0, 1), at)]))
 
     live, scalar, w, u_hat = [], [], [], []
     for s_mu in s_mu_list:
@@ -464,7 +481,7 @@ def support_census(curve: Curve, r0: float = 2.0**-22, r1: float = 2.0**-23,
         spans = [(a, max(starts[a], b0) - b0, min(starts[a + 1], b1) - b0)
                  for a in np.unique(anchor).tolist()]
         inner = None
-        for n, (nus, translates) in enumerate(shells):
+        for n, (nus, base_nu, windows, translates) in enumerate(shells):
             outer = eta0(2.0**(-2 * n) * base)
             mass = amu * (outer if inner is None else outer - inner)
             inner = outer
@@ -473,7 +490,8 @@ def support_census(curve: Curve, r0: float = 2.0**-22, r1: float = 2.0**-23,
             if skip.all():
                 continue
             mass[skip] = 0.0
-            keys = np.zeros((2, len(nus), b1 - b0), dtype=bool)
+            # (kind, window from the row's anchor's first, row)
+            keys = np.zeros((2, windows, b1 - b0), dtype=bool)
             # the a and b pieces, mass * split * zeta and
             # mass * (1 - split) * zeta; n = 0 has no b piece
             parts = ((mass,) if n == 0
@@ -481,12 +499,14 @@ def support_census(curve: Curve, r0: float = 2.0**-22, r1: float = 2.0**-23,
             for nu_idx, zf in translates:  # window nu0, then nu0 + 1
                 z = zf[anchor]
                 pieces = [part * z for part in parts]
+                del z
                 recon += pieces[0] if n == 0 else pieces[0] + pieces[1]
                 for i, piece in enumerate(pieces):
                     hit = piece > _CENSUS_TOL
                     count[i] += hit
                     r, c = np.nonzero(hit)
                     keys[i, nu_idx[anchor[r], c], r] = True
+                del pieces, hit
             for i in (0, 1):
                 if keys[i].any():
                     max_n[i] = max(max_n[i], n)
@@ -496,12 +516,14 @@ def support_census(curve: Curve, r0: float = 2.0**-22, r1: float = 2.0**-23,
                 rows = slice(b0 + lo - starts[a], b0 + hi - starts[a])
                 hit_windows = keys[:, :, lo:hi].any(axis=(0, 2))
                 for j in np.flatnonzero(hit_windows).tolist():
-                    if (a, n, j) not in plates:
-                        s_nnu = 2.0**n * r1 * int(nus[j])
-                        plates[a, n, j] = ~_plate_inequalities(
+                    nu = int(nus[base_nu[a] + j])
+                    if (a, n, nu) not in plates:
+                        s_nnu = 2.0**n * r1 * nu
+                        plates[a, n, nu] = ~_plate_inequalities(
                             w[a], float(s_mu_list[a]) - s_nnu, n, r1, 0)
-                    outside[j, lo:hi] = plates[a, n, j][rows]
+                    outside[j, lo:hi] = plates[a, n, nu][rows]
             plate_failures += int((keys & outside).sum())
+            del mass, parts, keys, outside
         for a, lo, hi in spans:
             mult[:, row_sample[b0 + lo:b0 + hi], off[a]:off[a] + width] += (
                 count[:, lo:hi])

@@ -259,6 +259,32 @@ def _moved(idx, n):
     return np.stack([ol._move(i, n)[0] for i in idx])
 
 
+def _unique_move(i, n):
+    # _move with its distinct rows from np.unique, as it took them before
+    # the bincount
+    r = np.unique(i)
+    start, span = 0, 1
+    if r.size:
+        gaps = np.diff(r, append=r[0] + n)
+        g = int(np.argmax(gaps))
+        start, span = int(r[(g + 1) % r.size]), n + 1 - int(gaps[g])
+    return (i - start) % n, np.sort((r - start) % n), span
+
+
+def test_move_matches_the_unique_rows():
+    # no rows, one, rows that wrap past index 0 and a whole axis: the same
+    # arrays, dtypes and span
+    rng = np.random.default_rng(2)
+    for n, i in [(8, np.array([], dtype=np.int64)), (8, np.array([5])),
+                 (64, np.array([63, 0, 2, 61, 0, 63])),
+                 (64, rng.integers(0, 64, 500)),
+                 (128, rng.integers(40, 60, 30))]:
+        got, want = ol._move(i, n), _unique_move(i, n)
+        for a, b in zip(got[:2], want[:2]):
+            assert np.array_equal(a, b) and a.dtype == b.dtype
+        assert got[2] == want[2]
+
+
 @pytest.mark.parametrize("p", [4.0, 8.0])
 def test_baseband_power_sum_is_the_full_grid_sum(p):
     n = 64
@@ -339,7 +365,7 @@ def _kernel_bytes(rows, n):
         + 8 * planes * n * n
 
 
-@pytest.mark.parametrize("p", [5.0, 6.0, 40.0])
+@pytest.mark.parametrize("p", [4.0, 5.0, 6.0, 14.0, 40.0])
 def test_box_power_sum_even_powers_by_squaring(p, monkeypatch):
     # rows with three or more runs and inner gaps on every axis, wrapping
     # past index 0: the slab buffers are filled a run at a time and zeroed
@@ -381,6 +407,31 @@ def test_box_power_sum_even_powers_by_squaring(p, monkeypatch):
         # slab allocated per slab, or buffers of _BLOCK elements at n = 32,
         # would add 128 KB or more
         assert peak <= _kernel_bytes(rows, n) + 2**16
+
+
+def test_power_sum_ends_in_blocked_product_sums(monkeypatch):
+    # an even p ends its chain in one product-sum, np.dot on _DOT_BLOCK
+    # elements at a time (OpenBLAS runs a longer ddot on more threads),
+    # with or without an m2 buffer; q = p / 2 even and odd, and q = 1
+    sizes = []
+    dot = np.dot
+
+    def counted(x, y):
+        sizes.append(x.size)
+        return dot(x, y)
+
+    rng = np.random.default_rng(3)
+    slab = rng.normal(size=(40, 64, 64)) + 1j * rng.normal(size=(40, 64, 64))
+    for p in (2.0, 4.0, 6.0, 40.0):
+        want = math.fsum((np.abs(slab) ** p).ravel().tolist())
+        monkeypatch.setattr(np, "dot", counted)
+        got = [ol._power_sum(slab, p),
+               ol._power_sum(slab.copy(), p, np.empty(slab.shape))]
+        monkeypatch.undo()
+        for x in got:
+            assert abs(x - want) <= 1e-13 * want
+    assert sizes and max(sizes) == ol._DOT_BLOCK <= 8192
+    assert sizes.count(ol._DOT_BLOCK) == 6 * slab.size // ol._DOT_BLOCK
 
 
 def _slab_entries(n, base, steps, counts, rng):
@@ -638,14 +689,108 @@ def test_lattice_symbol_matches_mu_hat_on_plate_support():
 
 
 def test_lattice_symbol_matches_mu_hat_on_full_axis(monkeypatch):
-    # a small chunk budget makes every axis-0 row its own chunk
+    # a small chunk budget (5 lines of 201 nodes) splits the 3 lines of
+    # each axis-0 row across chunks.  The whole axis 0 holds the Nyquist
+    # row 8, so that box is contracted whole; the symmetric support (each
+    # point's mirror, no row 8) contracts half the box and mirrors the rest
     monkeypatch.setattr(ol, "_CHUNK", 2**10)
+    chunks = []
+    line_chunks = ol._line_chunks
+
+    def recorded(need, step):
+        for chunk in line_chunks(need, step):
+            chunks.append(chunk)
+            yield chunk
+
+    monkeypatch.setattr(ol, "_line_chunks", recorded)
     g = ol.Grid3(16, 8.0)
     mask = np.zeros((g.n,) * 3, dtype=bool)
     mask[:, 3, 12] = True
     mask[5, 0, 7] = True
     mask[9, 15, 8] = True
-    _assert_lattice_matches_rows(g, mask, HELIX, ol.default_chi(HELIX), 1.7)
+    symmetric = mask.copy()
+    symmetric[8] = symmetric[:, 8] = symmetric[:, :, 8] = False
+    symmetric |= symmetric[np.ix_(*[(-np.arange(g.n)) % g.n] * 3)]
+    for m, sym in ((mask, False), (symmetric, True)):
+        chunks.clear()
+        rows = [np.unique(i) for i in np.nonzero(m)]
+        assert ol._symmetric(g.n, rows) == sym
+        _assert_lattice_matches_rows(g, m, HELIX, ol.default_chi(HELIX), 1.7)
+        # a chunk ends inside a row's run of lines, and one holds two rows
+        assert any(hi - lo < len(rows[1]) for chunk in chunks
+                   for _, lo, hi in chunk)
+        assert any(len({a for a, _, _ in chunk}) > 1 for chunk in chunks)
+
+
+def test_lattice_symbol_and_averages_on_the_nyquist_row():
+    # on Grid3(16, 2 pi) the frequency step is 1, so the band k = 3 (its
+    # box the whole lattice) holds the row -8, index 8, whose mirror +8 is
+    # no lattice row: the box is not symmetric and is contracted whole.
+    # Pairing rows by index, r with (n - r) % n, would take row 8 for its
+    # own mirror
+    g = ol.Grid3(16, 2.0 * np.pi)
+    rows, box = ol._band_box(g, 3, 0)
+    ax = g.freq_axis()
+    assert -8.0 in ax[rows[0]] and 8.0 not in ax[rows[0]]
+    assert not ol._symmetric(g.n, rows)
+    mask = box != 0
+    assert mask[np.searchsorted(rows[0], g.n // 2)].any()
+    chi, t = ol.default_chi(HELIX), 1.3
+    Xi = g.freq_points(np.ones(box.shape, dtype=bool), rows)
+    gam, w = ol._curve_quadrature(HELIX, chi, t * ol._kmax(Xi))
+    want = ol.mu_hat(HELIX, chi, t, Xi).reshape(box.shape)
+    got = ol._lattice_symbol(g, rows, gam, w, t)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    want = np.zeros_like(box)
+    want[mask] = box[mask] * ol.mu_hat(HELIX, chi, t,
+                                        g.freq_points(mask, rows))
+    got = next(ol._averages(g, rows, box, HELIX, chi, [t]))
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    assert not got[~mask].any()
+
+
+def _einsum_symbol(grid, rows, gam, w, t):
+    # the symbol by one einsum over every (a, b, c, node): no chunks, no
+    # symmetry, no lines
+    ax = grid.freq_axis()
+    e = [np.exp(-1j * t * np.outer(ax[r], gam[:, d]))
+         for d, r in enumerate(rows)]
+    return np.einsum("as,bs,cs,s->abc", *e, w)
+
+
+@pytest.mark.parametrize("t", [0.5, 1.3])
+def test_lattice_symbol_conjugate_symmetry_and_live_lines(t):
+    # a band box with no Nyquist row holds each row's mirror: mirrored
+    # entries are exact conjugates, on the whole box and with lines, and
+    # the symbol on the wanted lines (with their mirrors) is the einsum
+    # contraction's, 0 off them
+    g = ol.Grid3(32, 8.0)
+    rows, box = ol._band_box(g, 3, 0)
+    assert ol._symmetric(g.n, rows)
+    ax = g.freq_axis()
+    mirror = [np.searchsorted(r, (g.n - r) % g.n) for r in rows]
+    for r, m in zip(rows, mirror):
+        assert np.array_equal(ax[r][m], -ax[r])
+    mirrored = np.ix_(*mirror)
+    chi = ol.default_chi(HELIX)
+    gam, w = ol._curve_quadrature(HELIX, chi, t * 8.0)
+    want = _einsum_symbol(g, rows, gam, w, t)
+    scale = np.max(np.abs(want))
+    whole = ol._lattice_symbol(g, rows, gam, w, t)
+    assert np.array_equal(whole[mirrored], whole.conj())
+    assert np.max(np.abs(whole - want)) <= 1e-14 * scale
+    live = np.any(box != 0, axis=2)
+    assert 0 < np.count_nonzero(~live) < live.size  # the disc's corners
+    one_sided = live.copy()
+    one_sided[:, :5] = False  # wanted lines whose mirrors are not
+    for lines in (live, one_sided):
+        got = ol._lattice_symbol(g, rows, gam, w, t, lines)
+        both = lines | lines[np.ix_(*mirror[:2])]
+        assert np.array_equal(got[mirrored], got.conj())
+        assert np.max(np.abs(got[both] - want[both])) <= 1e-14 * scale
+        assert not got[~both].any()
+    assert not np.array_equal(one_sided | one_sided[np.ix_(*mirror[:2])],
+                              one_sided)
 
 
 _SYMBOL_DIGEST = """
@@ -657,13 +802,26 @@ gam, w = rng.uniform(-1.0, 1.0, (300, 3)), rng.uniform(0.0, 1.0, 300)
 g = ol.Grid3(32, 8.0)
 sym = ol._lattice_symbol(g, [np.arange(32)] * 3, gam, w, 1.3)
 print(hashlib.sha1(sym.tobytes()).hexdigest())
+rows, box = ol._band_box(g, 3, 0)
+sym = ol._lattice_symbol(g, rows, gam, w, 1.3, np.any(box != 0, axis=2))
+print(hashlib.sha1(sym.tobytes()).hexdigest())
+rows = [np.arange(0, 64, 3), np.arange(1, 64, 2), np.arange(0, 64, 4)]
+shape = [r.size for r in rows]
+box = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+box[0, 0, 0] = 1e5  # |F| nearly flat, so every term of a slab counts
+print(ol._box_power_sum(rows, box, 40.0, (64,) * 3).hex())
 """
 
 
 def test_lattice_symbol_independent_of_blas_threads():
     # report.json must not change with the machine's core count; 300 nodes
-    # is an inner dimension that OpenBLAS splits by thread count.  The child
-    # imports conewolff from where this process did, installed or not
+    # is an inner dimension that OpenBLAS splits by thread count.  Pinned:
+    # the whole box of the 32^3 lattice (it holds the Nyquist row), a
+    # symmetric band box on its live lines, and a p = 40 sum on a 64^3
+    # grid, whose slabs of 2^16 elements end in one product-sum each (one
+    # np.dot over a whole slab runs on two threads and moves the sum's last
+    # bit).  The child imports conewolff from where this process did,
+    # installed or not
     path = os.pathsep.join(
         [os.path.dirname(os.path.dirname(ol.__file__))]
         + [p for p in [os.environ.get("PYTHONPATH")] if p])
@@ -932,6 +1090,36 @@ def test_averages_builds_no_box_before_its_memory_check():
     finally:
         tracemalloc.stop()
     assert peak < 4 * box.size
+
+
+@pytest.mark.parametrize("n, side, k", [(128, 3.0, 6), (32, 2.0 * np.pi, 4)])
+def test_averages_holds_what_its_memory_check_counts(n, side, k,
+                                                     monkeypatch):
+    # the 61^3 sobolev band, and a 32^3 band whose box is the whole lattice
+    # (its Nyquist row makes it asymmetric): building one A_t f-hat (the
+    # line masks, tables, chunk buffers, symbol box and product) peaks
+    # within what the memory check counts, fbox counted but held before
+    counted = []
+    check = ol._require_memory
+
+    def recorded(what, n, grids, dtype):
+        counted.append(grids * np.dtype(dtype).itemsize * n**3)
+        check(what, n, grids, dtype)
+
+    monkeypatch.setattr(ol, "_require_memory", recorded)
+    curve = helix(1.0, 1.0)
+    chi = ol.default_chi(curve, shrink=0.5)
+    g = ol.Grid3(n, side)
+    rows, box = ol._band_box(g, k, 0)
+    want = next(ol._averages(g, rows, box, curve, chi, [1.0]))
+    tracemalloc.start()
+    try:
+        got = next(ol._averages(g, rows, box, curve, chi, [1.0]))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(got, want)
+    assert peak <= counted[-1]
 
 
 def test_band_box_holds_what_its_memory_check_counts(monkeypatch):

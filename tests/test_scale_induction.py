@@ -1,6 +1,7 @@
 """Tests for the two-scale refinement machinery."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -493,6 +494,44 @@ def test_support_census_tests_each_plate_once_across_blocks(monkeypatch):
     monkeypatch.setattr(si, "_CENSUS_BLOCK", 1)
     si.support_census(HELIX, sample_count=20, seed=0)
     assert sorted(calls) == one_block
+
+
+def test_support_census_key_table_spans_one_anchors_windows(monkeypatch):
+    # at (r0, r1) = (2^-40, 2^-49) the s-grid's 165 points reach 330
+    # windows of shell 0, and one anchor's 53 columns at most 106: a row's
+    # keys count windows from its anchor's first.  With a shell's and a
+    # translate's arrays freed before the next are built, 100 samples
+    # peak at 2.25 MB (4.9 MB with keys over the whole grid's windows in
+    # blocks of 2^15 elements), within what the memory check counts
+    counted = []
+    check = si._require_bytes
+
+    def recorded(what, need):
+        counted.append(need)
+        check(what, need)
+
+    monkeypatch.setattr(si, "_require_bytes", recorded)
+    tables = []
+    zeros = np.zeros
+
+    def keys(shape, dtype=float, **kwargs):
+        if dtype is bool and len(shape) == 3:
+            tables.append(shape)
+        return zeros(shape, dtype=dtype, **kwargs)
+
+    radii = {"r0": 2.0**-40, "r1": 2.0**-49}
+    monkeypatch.setattr(si.np, "zeros", keys)
+    want = si.support_census(HELIX, sample_count=100, seed=0, **radii)
+    monkeypatch.setattr(si.np, "zeros", zeros)
+    assert tables and max(windows for _, windows, _ in tables) <= 2 * 53
+    tracemalloc.start()
+    try:
+        got = si.support_census(HELIX, sample_count=100, seed=0, **radii)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == want and got["plate_checked"] > 0
+    assert peak <= 2.5e6 and peak <= counted[-1]
 
 
 # ---------------------------------------------------------------------------
